@@ -12,7 +12,7 @@ map.  With ``A = D W`` (``D`` the diagonal activation matrix):
 starting from the modulation covariance.  For layer-independent ``D, W``
 and noise, the recursion has a closed finite sum, a convergent infinite
 series under a contraction hypothesis, and a fixed point computable
-either by iteration or by solving a Kronecker-vectorized linear system.
+either by iteration or as the solution of a discrete Lyapunov equation.
 
 ``propagate_b`` iterates ``step_m`` as given.  Note that ``step_m``
 treats the m branch values entering a layer as independent; in a faithful
@@ -69,8 +69,6 @@ __all__ = [
     "min_stable_m",
     "trajectory_to_json",
 ]
-
-_KRON_DIM_LIMIT = 64  # vectorized solver materializes a d^2 x d^2 system
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -538,9 +536,11 @@ def fixed_point_solve(
     """Solve ``S = step_m(S)`` for the symmetric configuration.
 
     ``iterate`` applies the map from the modulation covariance until the
-    Frobenius step falls below 1e-12; ``vectorized`` solves the
-    ``d^2 x d^2`` linear system ``(I - (A kron A)/m) vec(S) = vec(D S_w
-    D^T / m + S_a)`` directly (only for d <= 64: the system scales d^4).
+    Frobenius step falls below 1e-12; ``vectorized`` solves the fixed
+    point directly as the discrete Lyapunov equation
+    ``S = (A/sqrt(m)) S (A/sqrt(m))^T + D S_w D^T / m + S_a`` by the
+    Bartels-Stewart Schur method (``scipy.linalg.solve_discrete_lyapunov``),
+    in O(d^3) time and O(d^2) memory.
     """
     sqrt_m = math.sqrt(cfg.m)
     fro = cfg.frobenius_product()
@@ -579,19 +579,16 @@ def fixed_point_solve(
         )
 
     if method == "vectorized":
-        d = cfg.dim
-        if d > _KRON_DIM_LIMIT:
-            raise ValidationError(
-                f"vectorized solver limited to dimension {_KRON_DIM_LIMIT}; use 'iterate'"
-            )
-        A = cfg.A
-        lhs = np.eye(d * d) - np.kron(A, A) / m
-        rhs = ((e[:, None] * sigma_w) * e[None, :] / m + sigma_a).reshape(d * d)
+        import scipy.linalg
+
+        rhs = (e[:, None] * sigma_w) * e[None, :] / m + sigma_a
         try:
-            x = np.linalg.solve(lhs, rhs)
+            x = scipy.linalg.solve_discrete_lyapunov(cfg.A / sqrt_m, rhs)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"Kronecker system is singular: {exc}")
-        X = _sym(x.reshape(d, d))
+            raise ConvergenceError(f"Lyapunov equation could not be solved: {exc}")
+        if not np.all(np.isfinite(x)):
+            raise ConvergenceError("Lyapunov solution is not finite", last=x)
+        X = _sym(x)
         residual = float(np.linalg.norm(T(X) - X))
         return FixedPointResult(X, "vectorized", residual, iterations=None, criterion=criterion)
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FeasibilityError, ValidationError
-from .network import LipschitzReport, Network, affine, forward
+from .network import LipschitzReport, Network, _check_input, affine, forward
 from .noise import (
     KIND_ACTIVATION,
     KIND_MODULATION,
@@ -162,11 +162,7 @@ def eval_design_a(
     """
     spec.base.require_valid()
     profile.validate_for(spec.base)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.base.input_dim,):
-        raise ValidationError(
-            f"input must be a vector of length {spec.base.input_dim}", layer=0
-        )
+    x = _check_input(spec.base, x)
     return _eval_node(
         spec.base, profile, x, rng, spec.copies, spec.base.depth, 0, tally
     )
@@ -213,11 +209,7 @@ def design_a_samples(
     profile.validate_for(spec.base)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.base.input_dim,):
-        raise ValidationError(
-            f"input must be a vector of length {spec.base.input_dim}", layer=0
-        )
+    x = _check_input(spec.base, x)
     out = _sample_node(spec.base, profile, x, trials, rng, spec.copies, spec.base.depth, 0)
     return np.array(out, dtype=np.float64, copy=True)
 

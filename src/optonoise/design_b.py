@@ -31,7 +31,7 @@ import numpy as np
 
 from .covariance import LinearNet, propagate_b, propagate_b_branchwise
 from .errors import ValidationError
-from .network import Network, affine, forward
+from .network import Network, _check_input, affine, forward
 from .noise import (
     KIND_ACTIVATION,
     KIND_COMBINE,
@@ -100,9 +100,7 @@ def eval_design_b(
     spec.base.require_valid()
     profile.validate_for(spec.base)
     net, m = spec.base, spec.m
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValidationError(f"input must be a vector of length {net.input_dim}", layer=0)
+    x = _check_input(net, x)
 
     mod = profile.modulation
     if mod.is_zero:
@@ -156,9 +154,7 @@ def design_b_samples(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     net, m = spec.base, spec.m
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValidationError(f"input must be a vector of length {net.input_dim}", layer=0)
+    x = _check_input(net, x)
 
     mod = profile.modulation
     base = np.broadcast_to(x, (trials, net.input_dim))

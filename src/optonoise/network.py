@@ -226,6 +226,8 @@ def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
             f"input has shape {x.shape}, expected a vector of length {net.input_dim}",
             layer=0,
         )
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("input contains non-finite values", layer=0)
     return x
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .network import Network, affine
+from .network import Network, _check_input, affine
 
 __all__ = [
     "CovSpec",
@@ -293,9 +293,7 @@ def noisy_forward(net: Network, profile: NoiseProfile, x, rng: RngStream) -> np.
     """
     net.require_valid()
     profile.validate_for(net)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValidationError(f"input must be a vector of length {net.input_dim}", layer=0)
+    x = _check_input(net, x)
 
     h = x
     if not profile.modulation.is_zero:
@@ -327,9 +325,7 @@ def noisy_forward_samples(
     profile.validate_for(net)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValidationError(f"input must be a vector of length {net.input_dim}", layer=0)
+    x = _check_input(net, x)
 
     h = np.broadcast_to(x, (trials, net.input_dim))
     if not profile.modulation.is_zero:

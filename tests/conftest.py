@@ -20,9 +20,11 @@ def random_linear_net(rng, depth=None, max_dim=6, weight_scale=0.8):
     return Network(tuple(layers), dims[0])
 
 
-def random_covspec(rng, dim, scale=0.05, allow_zero=True):
-    kinds = ["isotropic", "diagonal", "full"] + (["zero"] if allow_zero else [])
-    kind = kinds[int(rng.integers(len(kinds)))]
+def random_covspec(rng, dim, scale=0.05, allow_zero=True, kind=None):
+    """A random covariance spec; ``kind`` fixes the kind instead of drawing it."""
+    if kind is None:
+        kinds = ["isotropic", "diagonal", "full"] + (["zero"] if allow_zero else [])
+        kind = kinds[int(rng.integers(len(kinds)))]
     if kind == "zero":
         return CovSpec.zero()
     if kind == "isotropic":

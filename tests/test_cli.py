@@ -216,6 +216,16 @@ class TestExitCodes:
         code, _, err = run(capsys, ["forward", "--net", str(net_path), "--input", "oops"])
         assert code == 1
 
+    def test_non_finite_input_vector(self, workspace, capsys):
+        tmp, net, net_path, profile_path = workspace
+        x = "[" + ", ".join(["NaN"] + ["0.5"] * (net.input_dim - 1)) + "]"
+        code, out, err = run(capsys, [
+            "simulate", "--net", net_path, "--profile", profile_path, "--input", x,
+        ])
+        assert code == 1
+        assert "non-finite" in err
+        assert out == ""
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, ["--help"])
         assert code == 0

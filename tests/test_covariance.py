@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optonoise import (
     ContractionError,
@@ -394,7 +396,8 @@ class TestFixedPoint:
             assert np.linalg.norm(a.sigma - b.sigma) <= 1e-8
             assert a.residual <= 1e-8 and b.residual <= 1e-8
 
-    def test_dimension_guard_for_vectorized(self):
+    def test_vectorized_beyond_old_cap(self):
+        # d = 65 was past the dimension cap of the former d^2 x d^2 solve
         d = 65
         cfg = SymmetricConfig(
             np.ones(d) * 0.01,
@@ -403,9 +406,49 @@ class TestFixedPoint:
             CovSpec.zero(),
             CovSpec.zero(),
         )
-        with pytest.raises(ValidationError):
-            fixed_point_solve(cfg, "vectorized")
-        fixed_point_solve(cfg, "iterate")
+        vec = fixed_point_solve(cfg, "vectorized")
+        it = fixed_point_solve(cfg, "iterate")
+        assert vec.method == "vectorized" and vec.iterations is None
+        assert np.linalg.norm(vec.sigma - it.sigma) <= 1e-8
+        assert vec.residual <= 1e-8 and it.residual <= 1e-8
+
+    def test_vectorized_solves_d128(self):
+        rng = np.random.default_rng(128)
+        d = 128
+        e = rng.uniform(0.3, 1.0, size=d)
+        W = rng.normal(size=(d, d))
+        W *= 0.9 * np.sqrt(2) / (np.linalg.norm(e) * np.linalg.norm(W))
+        cfg = SymmetricConfig(
+            e, W, CovSpec.zero(),
+            random_covspec(rng, d, kind="full"), random_covspec(rng, d, kind="diagonal"), m=2,
+        )
+        vec = fixed_point_solve(cfg, "vectorized")
+        series = limit_series_b(cfg, tol=1e-12).sigma
+        assert np.linalg.norm(vec.sigma - series) <= 1e-8
+        assert vec.residual <= 1e-8
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        m=st.integers(1, 4),
+        kinds=st.tuples(*[st.sampled_from(["zero", "isotropic", "diagonal", "full"])] * 3),
+        contraction=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_solvers_agree_property(self, d, m, kinds, contraction, seed):
+        # d < 10 and d >= 10 take scipy's direct and bilinear Lyapunov paths
+        rng = np.random.default_rng(seed)
+        e = rng.uniform(0.3, 1.0, size=d)
+        W = rng.normal(size=(d, d))
+        W *= contraction * np.sqrt(m) / (np.linalg.norm(e) * np.linalg.norm(W))
+        cfg = SymmetricConfig(e, W, *(random_covspec(rng, d, kind=k) for k in kinds), m=m)
+        vec = fixed_point_solve(cfg, "vectorized")
+        it = fixed_point_solve(cfg, "iterate")
+        series = limit_series_b(cfg, tol=1e-12).sigma
+        assert np.linalg.norm(vec.sigma - it.sigma) <= 1e-8
+        assert np.linalg.norm(vec.sigma - series) <= 1e-8
+        assert np.linalg.norm(it.sigma - series) <= 1e-8
+        assert vec.residual <= 1e-8 and it.residual <= 1e-8
 
     def test_spectral_override_recorded(self):
         cfg = SymmetricConfig(

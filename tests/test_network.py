@@ -8,20 +8,29 @@ import pytest
 from optonoise import (
     Activation,
     ConvergenceError,
+    DesignASpec,
+    DesignBSpec,
     Layer,
     Network,
     NonlinearActivationError,
+    RngStream,
     ValidationError,
     as_linear,
+    design_a_samples,
+    design_b_samples,
+    eval_design_a,
+    eval_design_b,
     forward,
     lipschitz_bounds,
     network_from_json,
     network_to_json,
+    noisy_forward,
+    noisy_forward_samples,
     operator_norm,
     validate,
 )
 
-from conftest import random_linear_net
+from conftest import random_linear_net, random_profile
 
 
 def single_layer(W, b=None, activation=None):
@@ -62,6 +71,32 @@ class TestForward:
         net = single_layer(np.eye(2))
         with pytest.raises(ValidationError) as exc:
             forward(net, [1.0, 2.0, 3.0])
+        assert exc.value.layer == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda net, p, x: forward(net, x),
+            lambda net, p, x: noisy_forward(net, p, x, RngStream(0)),
+            lambda net, p, x: noisy_forward_samples(net, p, x, 4, RngStream(0)),
+            lambda net, p, x: eval_design_a(DesignASpec(net, (2, 2, 2, 1)), x, p, RngStream(0)),
+            lambda net, p, x: design_a_samples(DesignASpec(net, (2, 2, 2, 1)), x, p, 4, RngStream(0)),
+            lambda net, p, x: eval_design_b(DesignBSpec(net, 2), x, p, RngStream(0)),
+            lambda net, p, x: design_b_samples(DesignBSpec(net, 2), x, p, 4, RngStream(0)),
+        ],
+        ids=[
+            "forward", "noisy_forward", "noisy_forward_samples", "eval_design_a",
+            "design_a_samples", "eval_design_b", "design_b_samples",
+        ],
+    )
+    def test_non_finite_input_names_layer_0(self, rng, evaluate, bad):
+        net = random_linear_net(rng, depth=3)
+        profile = random_profile(rng, net)
+        x = np.zeros(net.input_dim)
+        x[-1] = bad
+        with pytest.raises(ValidationError, match="non-finite") as exc:
+            evaluate(net, profile, x)
         assert exc.value.layer == 0
 
     def test_softmax_normalizes(self):
