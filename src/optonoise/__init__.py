@@ -47,7 +47,6 @@ from .design_a import (
     design_a_spec_to_json,
     deviation_check,
     equal_split_targets,
-    eval_design_a,
     subgaussian_norm_sq,
     sufficient_copies,
     total_copies,
@@ -58,7 +57,6 @@ from .design_b import (
     design_b_samples,
     design_b_spec_from_json,
     design_b_spec_to_json,
-    eval_design_b,
     suggested_m,
 )
 from .errors import (
@@ -103,8 +101,6 @@ from .noise import (
     RngStream,
     SampleStats,
     monte_carlo,
-    noisy_forward,
     noisy_forward_samples,
-    sample_noise,
     stats_from_samples,
 )

@@ -43,8 +43,7 @@ from .noise import (
     KIND_WEIGHT,
     NoiseProfile,
     RngStream,
-    _draw,
-    sample_noise,
+    _add_noise,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "CopyBudget",
     "FeasibilityReport",
     "DeviationCheckResult",
-    "eval_design_a",
     "design_a_samples",
     "design_a_spec_to_json",
     "design_a_spec_from_json",
@@ -107,46 +105,38 @@ def design_a_spec_from_json(obj: dict) -> DesignASpec:
     return DesignASpec(network_from_json(obj["network"]), tuple(obj["copies"]))
 
 
-def _eval_node(net, profile, x, rng, copies, level, index, tally):
-    """Value of tree node ``index`` at ``level`` (level 0 = modulated input).
+def _sample_node(net, profile, x, trials, rng, copies, level, index):
+    """``(trials, d)`` block of tree node ``index`` at ``level``.
 
-    Node draws are keyed by (kind, level, node index) under the caller's
-    stream, so any subtree can be reproduced in isolation.
+    Level 0 is the modulated input.  Node draws are keyed by
+    ``(kind, level, node index)`` under ``rng``, so any subtree can be
+    reproduced in isolation.  Depth first, so only O(depth) blocks are
+    alive at once, never every leaf.
     """
     if level == 0:
-        if profile.modulation.is_zero:
-            return x
-        return x + sample_noise(
-            profile.modulation, x.shape[0], rng.child(KIND_MODULATION, 0, index)
-        )
+        base = np.broadcast_to(x, (trials, x.shape[0]))
+        return _add_noise(base, profile.modulation, rng, (KIND_MODULATION, 0, index), trials)
     layer = net.layers[level - 1]
     fan_in = copies[level - 1]
-    w_spec = profile.weight[level - 1]
+    w_spec, a_spec = profile.weight[level - 1], profile.activation[level - 1]
     acc = None
     for j in range(fan_in):
         child_index = index * fan_in + j
-        child = _eval_node(net, profile, x, rng, copies, level - 1, child_index, tally)
+        child = _sample_node(net, profile, x, trials, rng, copies, level - 1, child_index)
         xi = affine(layer.weights, layer.bias, child)
-        if tally is not None:
-            tally["weighted_additions"] = tally.get("weighted_additions", 0) + 1
-        if not w_spec.is_zero:
-            xi = xi + sample_noise(
-                w_spec, layer.out_dim, rng.child(KIND_WEIGHT, level, child_index)
-            )
+        xi = _add_noise(xi, w_spec, rng, (KIND_WEIGHT, level, child_index), trials)
         acc = xi if acc is None else acc + xi
     h = layer.activation(acc / fan_in)
-    a_spec = profile.activation[level - 1]
-    if not a_spec.is_zero:
-        h = h + sample_noise(
-            a_spec, layer.out_dim, rng.child(KIND_ACTIVATION, level, index)
-        )
-    return h
+    return _add_noise(h, a_spec, rng, (KIND_ACTIVATION, level, index), trials)
 
 
-def eval_design_a(
-    spec: DesignASpec, x, profile: NoiseProfile, rng: RngStream, tally: dict | None = None
+def design_a_samples(
+    spec: DesignASpec, x, profile: NoiseProfile, trials: int, rng: RngStream
 ) -> np.ndarray:
-    """One noisy evaluation of the replication tree.
+    """``trials`` independent tree evaluations, vectorized over trials.
+
+    Returns ``(trials, d_L)``; ``trials=1`` gives one evaluation.  See
+    ``noise.noisy_forward_samples`` for the contract of batched draws.
 
     Activation noise is added per produced copy, right after the
     activation: this is exactly the evaluation of an appended identity
@@ -155,55 +145,10 @@ def eval_design_a(
     explicit identity layers (``experiments.insert_identity_layers``) and
     move the activation covariance into their weight slot.
 
-    With all copy counts 1 and a zero profile this equals the noiseless
-    forward pass bit-exactly.  ``tally`` (optional) accumulates the count
-    of weighted additions performed, which is ``sum_l prod_{k>=l} n_k``
-    for the tree, against the linear cost of the combine/split design.
-    """
-    spec.base.require_valid()
-    profile.validate_for(spec.base)
-    x = _check_input(spec.base, x)
-    return _eval_node(
-        spec.base, profile, x, rng, spec.copies, spec.base.depth, 0, tally
-    )
-
-
-def _sample_node(net, profile, x, trials, rng, copies, level, index):
-    """Trial-vectorized tree node: returns an ``(trials, d)`` block."""
-    if level == 0:
-        base = np.broadcast_to(x, (trials, x.shape[0]))
-        if profile.modulation.is_zero:
-            return base
-        gen = rng.child(KIND_MODULATION, 0, index).generator()
-        return base + _draw(profile.modulation, x.shape[0], gen, trials)
-    layer = net.layers[level - 1]
-    fan_in = copies[level - 1]
-    w_spec = profile.weight[level - 1]
-    acc = None
-    for j in range(fan_in):
-        child_index = index * fan_in + j
-        child = _sample_node(net, profile, x, trials, rng, copies, level - 1, child_index)
-        xi = affine(layer.weights, layer.bias, child)
-        if not w_spec.is_zero:
-            gen = rng.child(KIND_WEIGHT, level, child_index).generator()
-            xi = xi + _draw(w_spec, layer.out_dim, gen, trials)
-        acc = xi if acc is None else acc + xi
-    h = layer.activation(acc / fan_in)
-    a_spec = profile.activation[level - 1]
-    if not a_spec.is_zero:
-        gen = rng.child(KIND_ACTIVATION, level, index).generator()
-        h = h + _draw(a_spec, layer.out_dim, gen, trials)
-    return h
-
-
-def design_a_samples(
-    spec: DesignASpec, x, profile: NoiseProfile, trials: int, rng: RngStream
-) -> np.ndarray:
-    """``trials`` independent tree evaluations, vectorized over trials.
-
-    Node streams are keyed as in :func:`eval_design_a` with the trial axis
-    batched per node; see ``noise.noisy_forward_samples`` for the
-    reproducibility contract of batched draws.
+    With all copy counts 1 and a zero profile every row equals the
+    noiseless forward pass bit-exactly.  A tree costs
+    ``sum_l prod_{k>=l} n_k`` weighted additions, against the linear
+    ``m * L`` of the combine/split design.
     """
     spec.base.require_valid()
     profile.validate_for(spec.base)

@@ -40,14 +40,12 @@ from .noise import (
     KIND_WEIGHT,
     NoiseProfile,
     RngStream,
-    _draw,
-    sample_noise,
+    _add_noise,
     stats_from_samples,
 )
 
 __all__ = [
     "DesignBSpec",
-    "eval_design_b",
     "design_b_samples",
     "suggested_m",
     "compare_design_b",
@@ -84,70 +82,19 @@ def design_b_spec_from_json(obj: dict) -> DesignBSpec:
     return DesignBSpec(network_from_json(obj["network"]), int(obj["m"]))
 
 
-def eval_design_b(
-    spec: DesignBSpec, x, profile: NoiseProfile, rng: RngStream, tally: dict | None = None
-) -> np.ndarray:
-    """One noisy evaluation of the combine/split network.
-
-    With ``m = 1`` the combine and split are no-ops, so (with zero
-    combine/split covariances) the draws coincide site-for-site with
-    ``noise.noisy_forward`` on the same stream, and with a zero profile
-    the result equals the noiseless forward pass bit-exactly.
-
-    ``tally`` (optional) counts weighted additions: exactly ``m * depth``
-    per call.
-    """
-    spec.base.require_valid()
-    profile.validate_for(spec.base)
-    net, m = spec.base, spec.m
-    x = _check_input(net, x)
-
-    mod = profile.modulation
-    if mod.is_zero:
-        branches = [x for _ in range(m)]
-    else:
-        branches = [
-            x + sample_noise(mod, net.input_dim, rng.child(KIND_MODULATION, 0, alpha))
-            for alpha in range(m)
-        ]
-    for l, layer in enumerate(net.layers, start=1):
-        w_spec = profile.weight[l - 1]
-        combined = None
-        for alpha, value in enumerate(branches):
-            xi = affine(layer.weights, layer.bias, value)
-            if tally is not None:
-                tally["weighted_additions"] = tally.get("weighted_additions", 0) + 1
-            if not w_spec.is_zero:
-                xi = xi + sample_noise(w_spec, layer.out_dim, rng.child(KIND_WEIGHT, l, alpha))
-            combined = xi if combined is None else combined + xi
-        if not profile.combine.is_zero:
-            combined = combined + sample_noise(
-                profile.combine, layer.out_dim, rng.child(KIND_COMBINE, l, 0)
-            )
-        shared = combined / m
-        branches = []
-        for alpha in range(m):
-            y = shared
-            if not profile.split.is_zero:
-                y = y + sample_noise(profile.split, layer.out_dim, rng.child(KIND_SPLIT, l, alpha))
-            h = layer.activation(y)
-            a_spec = profile.activation[l - 1]
-            if not a_spec.is_zero:
-                h = h + sample_noise(a_spec, layer.out_dim, rng.child(KIND_ACTIVATION, l, alpha))
-            branches.append(h)
-    out = branches[0]
-    for value in branches[1:]:
-        out = out + value
-    return out / m
-
-
 def design_b_samples(
     spec: DesignBSpec, x, profile: NoiseProfile, trials: int, rng: RngStream
 ) -> np.ndarray:
     """``trials`` independent combine/split evaluations, trial-vectorized.
 
-    Same site keying as :func:`eval_design_b` with the trial axis batched
-    per site; returns ``(trials, d_L)``.
+    Returns ``(trials, d_L)``; ``trials=1`` gives one evaluation.  Branch
+    ``alpha`` of layer ``l`` draws on the sites ``(kind, l, alpha)``, the
+    combine on ``(KIND_COMBINE, l, 0)``, each emitting a ``(trials, d)``
+    block.  With ``m = 1`` the combine and split are no-ops, so (with zero
+    combine/split covariances) the draws coincide site-for-site with
+    ``noise.noisy_forward_samples`` on the same stream, and with a zero
+    profile every row equals the noiseless forward pass bit-exactly.
+    Each evaluation costs ``m * depth`` weighted additions.
     """
     spec.base.require_valid()
     profile.validate_for(spec.base)
@@ -156,40 +103,25 @@ def design_b_samples(
     net, m = spec.base, spec.m
     x = _check_input(net, x)
 
-    mod = profile.modulation
     base = np.broadcast_to(x, (trials, net.input_dim))
-    branches = []
-    for alpha in range(m):
-        if mod.is_zero:
-            branches.append(base)
-        else:
-            gen = rng.child(KIND_MODULATION, 0, alpha).generator()
-            branches.append(base + _draw(mod, net.input_dim, gen, trials))
+    branches = [
+        _add_noise(base, profile.modulation, rng, (KIND_MODULATION, 0, alpha), trials)
+        for alpha in range(m)
+    ]
     for l, layer in enumerate(net.layers, start=1):
-        w_spec = profile.weight[l - 1]
+        w_spec, a_spec = profile.weight[l - 1], profile.activation[l - 1]
         combined = None
         for alpha, value in enumerate(branches):
             xi = affine(layer.weights, layer.bias, value)
-            if not w_spec.is_zero:
-                gen = rng.child(KIND_WEIGHT, l, alpha).generator()
-                xi = xi + _draw(w_spec, layer.out_dim, gen, trials)
+            xi = _add_noise(xi, w_spec, rng, (KIND_WEIGHT, l, alpha), trials)
             combined = xi if combined is None else combined + xi
-        if not profile.combine.is_zero:
-            gen = rng.child(KIND_COMBINE, l, 0).generator()
-            combined = combined + _draw(profile.combine, layer.out_dim, gen, trials)
+        combined = _add_noise(combined, profile.combine, rng, (KIND_COMBINE, l, 0), trials)
         shared = combined / m
         branches = []
         for alpha in range(m):
-            y = shared
-            if not profile.split.is_zero:
-                gen = rng.child(KIND_SPLIT, l, alpha).generator()
-                y = y + _draw(profile.split, layer.out_dim, gen, trials)
+            y = _add_noise(shared, profile.split, rng, (KIND_SPLIT, l, alpha), trials)
             h = layer.activation(y)
-            a_spec = profile.activation[l - 1]
-            if not a_spec.is_zero:
-                gen = rng.child(KIND_ACTIVATION, l, alpha).generator()
-                h = h + _draw(a_spec, layer.out_dim, gen, trials)
-            branches.append(h)
+            branches.append(_add_noise(h, a_spec, rng, (KIND_ACTIVATION, l, alpha), trials))
     out = branches[0]
     for value in branches[1:]:
         out = out + value

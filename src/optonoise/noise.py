@@ -5,7 +5,7 @@ input when it is modulated, inside every layer's weighted addition, and
 after every activation.  Each perturbation is an independent zero-mean
 multivariate normal draw whose covariance comes from a
 :class:`NoiseProfile`.  ``combine``/``split`` covariances ride along in
-the profile for the combine/split design evaluator; the plain noisy
+the profile for the combine/split design sampler; the plain noisy
 forward pass ignores them.
 
 Randomness is organized as counter-style splittable streams: every draw
@@ -13,6 +13,12 @@ site is keyed by ``(seed, path)`` where ``path`` is a tuple of integers
 ``(trial, kind, layer, copy)``.  Distinct paths give statistically
 independent streams and the same ``(seed, path)`` reproduces the same
 samples bit-exactly, regardless of evaluation order or parallelism.
+
+Each design has one sampler, batched over trials: every draw site emits a
+``(trials, d)`` block.  A single noisy evaluation is a batch of one,
+``noisy_forward_samples(net, profile, x, 1, rng)[0]``; a one-row block
+equals the first row of any larger block on the same stream, so this is
+exact.
 """
 
 from __future__ import annotations
@@ -31,8 +37,6 @@ __all__ = [
     "RngStream",
     "SampleStats",
     "GENERATOR_NAME",
-    "sample_noise",
-    "noisy_forward",
     "noisy_forward_samples",
     "monte_carlo",
     "stats_from_samples",
@@ -166,13 +170,13 @@ class CovSpec:
         return float(np.max(np.diag(self.mat)))
 
 
-def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: int | None):
-    """One draw (n=None) or an ``(n, dim)`` block from Normal(0, spec)."""
-    shape = (dim,) if n is None else (n, dim)
-    if spec.kind == "zero":
-        return np.zeros(shape)
+def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: int):
+    """An ``(n, dim)`` block of independent rows from Normal(0, spec).
+
+    Zero specs never get here: :func:`_add_noise` skips them.
+    """
     spec.check_dim(dim)
-    z = gen.standard_normal(shape)
+    z = gen.standard_normal((n, dim))
     if spec.kind == "isotropic":
         return math.sqrt(spec.var) * z
     if spec.kind == "diagonal":
@@ -206,16 +210,15 @@ class RngStream:
         return self.generator().standard_normal(shape)
 
 
-def sample_noise(spec: CovSpec, dim: int, rng: RngStream) -> np.ndarray:
-    """Draw one vector from Normal(0, spec) on the given stream.
+def _add_noise(h, spec: CovSpec, rng: RngStream, site: tuple, trials: int):
+    """``h`` plus a ``(trials, d)`` block drawn on the stream ``rng.child(*site)``.
 
-    A zero spec returns the zero vector without touching the stream, so
-    zero-noise configurations stay bit-exact.
+    A zero spec returns ``h`` itself and never builds the stream, so
+    zero-noise sites stay bit-exact and cost nothing.
     """
     if spec.is_zero:
-        spec.check_dim(dim)
-        return np.zeros(dim)
-    return _draw(spec, dim, rng.generator(), None)
+        return h
+    return h + _draw(spec, h.shape[-1], rng.child(*site).generator(), trials)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +239,11 @@ class NoiseProfile:
     def __post_init__(self):
         object.__setattr__(self, "weight", tuple(self.weight))
         object.__setattr__(self, "activation", tuple(self.activation))
+        if len(self.weight) != len(self.activation):
+            raise ValidationError(
+                f"profile has {len(self.weight)} weight and "
+                f"{len(self.activation)} activation covariances; they must be equal"
+            )
 
     @property
     def depth(self) -> int:
@@ -268,10 +276,9 @@ class NoiseProfile:
         )
 
     def validate_for(self, net: Network) -> None:
-        if self.depth != net.depth or len(self.activation) != net.depth:
+        if self.depth != net.depth:
             raise ValidationError(
-                f"profile depth {self.depth}/{len(self.activation)} does not "
-                f"match network depth {net.depth}"
+                f"profile depth {self.depth} does not match network depth {net.depth}"
             )
         dims = net.dims()
         self.modulation.check_dim(dims[0], "modulation covariance")
@@ -284,40 +291,17 @@ class NoiseProfile:
             self.split.check_dim(dims[l + 1], "split covariance")
 
 
-def noisy_forward(net: Network, profile: NoiseProfile, x, rng: RngStream) -> np.ndarray:
-    """One noisy evaluation of the unmodified network.
-
-    Modulation noise is added once to the input; each layer then adds
-    weight noise inside the activation and activation noise after it.
-    With an all-zero profile this equals :func:`forward` bit-exactly.
-    """
-    net.require_valid()
-    profile.validate_for(net)
-    x = _check_input(net, x)
-
-    h = x
-    if not profile.modulation.is_zero:
-        h = h + sample_noise(profile.modulation, net.input_dim, rng.child(KIND_MODULATION, 0, 0))
-    for l, layer in enumerate(net.layers, start=1):
-        u = affine(layer.weights, layer.bias, h)
-        w_spec = profile.weight[l - 1]
-        if not w_spec.is_zero:
-            u = u + sample_noise(w_spec, layer.out_dim, rng.child(KIND_WEIGHT, l, 0))
-        h = layer.activation(u)
-        a_spec = profile.activation[l - 1]
-        if not a_spec.is_zero:
-            h = h + sample_noise(a_spec, layer.out_dim, rng.child(KIND_ACTIVATION, l, 0))
-    return h
-
-
 def noisy_forward_samples(
     net: Network, profile: NoiseProfile, x, trials: int, rng: RngStream
 ) -> np.ndarray:
     """``trials`` independent noisy evaluations, vectorized over the trial axis.
 
-    Draw sites are keyed exactly like :func:`noisy_forward` but each site
-    emits a ``(trials, d)`` block with trials as rows, so a batch is
-    reproducible as a whole without looping single evaluations.
+    Modulation noise is added once to the input; each layer then adds
+    weight noise inside the activation and activation noise after it.
+    Draw sites are keyed ``(kind, layer, 0)`` under ``rng`` and each emits
+    a ``(trials, d)`` block with trials as rows, so a batch is reproducible
+    as a whole and ``trials=1`` gives one evaluation.  With an all-zero
+    profile every row equals :func:`forward` bit-exactly.
 
     Returns an array of shape ``(trials, d_L)``.
     """
@@ -328,20 +312,12 @@ def noisy_forward_samples(
     x = _check_input(net, x)
 
     h = np.broadcast_to(x, (trials, net.input_dim))
-    if not profile.modulation.is_zero:
-        gen = rng.child(KIND_MODULATION, 0, 0).generator()
-        h = h + _draw(profile.modulation, net.input_dim, gen, trials)
+    h = _add_noise(h, profile.modulation, rng, (KIND_MODULATION, 0, 0), trials)
     for l, layer in enumerate(net.layers, start=1):
         u = affine(layer.weights, layer.bias, h)
-        w_spec = profile.weight[l - 1]
-        if not w_spec.is_zero:
-            gen = rng.child(KIND_WEIGHT, l, 0).generator()
-            u = u + _draw(w_spec, layer.out_dim, gen, trials)
+        u = _add_noise(u, profile.weight[l - 1], rng, (KIND_WEIGHT, l, 0), trials)
         h = layer.activation(u)
-        a_spec = profile.activation[l - 1]
-        if not a_spec.is_zero:
-            gen = rng.child(KIND_ACTIVATION, l, 0).generator()
-            h = h + _draw(a_spec, layer.out_dim, gen, trials)
+        h = _add_noise(h, profile.activation[l - 1], rng, (KIND_ACTIVATION, l, 0), trials)
     return np.array(h, dtype=np.float64, copy=True)
 
 
@@ -450,6 +426,4 @@ def profile_from_json(obj: dict) -> NoiseProfile:
         raise ValidationError(f"noise profile JSON is missing {exc}")
     combine = covspec_from_json(obj.get("combine", "zero"))
     split = covspec_from_json(obj.get("split", "zero"))
-    if len(weight) != len(activation):
-        raise ValidationError("weight and activation lists must have equal length")
     return NoiseProfile(modulation, weight, activation, combine, split)

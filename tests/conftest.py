@@ -46,6 +46,19 @@ def random_profile(rng, net, scale=0.05):
     )
 
 
+def count_affine_calls(monkeypatch, module):
+    """Wrap ``module.affine`` for the test; returns the list its calls append to."""
+    calls = []
+    real = module.affine
+
+    def counting_affine(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "affine", counting_affine)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -41,8 +41,6 @@ from optonoise import (
     design_a_samples,
     design_b_samples,
     deviation_check,
-    eval_design_a,
-    eval_design_b,
     forward,
     insert_identity_layers,
     insertion_tuple,
@@ -50,12 +48,10 @@ from optonoise import (
     limit_series,
     limit_series_b,
     fixed_point_solve,
-    noisy_forward,
     noisy_forward_samples,
     propagate,
     propagate_b,
     propagate_b_branchwise,
-    sample_noise,
     scan_m_grid,
     step_map,
     step_map_b,
@@ -68,6 +64,7 @@ from optonoise.covariance import SymmetricConfig
 from optonoise.design_a import common_variance_bound, equal_split_targets
 from optonoise.design_b import terminal_average_correction
 from optonoise.experiments import ExperimentConfig, run_depth_sweep, run_mse_experiment
+from optonoise.noise import _add_noise
 from optonoise.fixtures import fixture_dataset, fixture_network
 
 from conftest import random_covspec, random_linear_net, random_profile
@@ -388,31 +385,38 @@ def test_criterion_09_monotone_trends_on_fixture():
     assert ok
 
 
-def test_criterion_10_degeneracy_suite():
+def test_criterion_10_degeneracy_suite(monkeypatch):
     rng = np.random.default_rng(1010)
     checks = []
 
-    # zero covariance draws nothing and returns exact zeros
-    checks.append(np.array_equal(sample_noise(CovSpec.zero(), 4, RngStream(0)), np.zeros(4)))
+    # zero covariance returns its input unchanged and never builds a stream
+    streams = []
+    with monkeypatch.context() as patched:
+        patched.setattr(RngStream, "generator", lambda self: streams.append(self.path))
+        h = np.zeros((1, 4))
+        checks.append(_add_noise(h, CovSpec.zero(), RngStream(0), (0,), 1) is h and not streams)
 
     for _ in range(10):
         net = random_linear_net(rng)
         zero = NoiseProfile.zero(net.depth)
         x = rng.normal(size=net.input_dim)
         ref = forward(net, x)
-        checks.append(np.array_equal(noisy_forward(net, zero, x, RngStream(1)), ref))
+        checks.append(np.array_equal(noisy_forward_samples(net, zero, x, 1, RngStream(1))[0], ref))
         checks.append(np.array_equal(
-            eval_design_a(DesignASpec(net, (1,) * net.depth + (1,)), x, zero, RngStream(2)), ref
+            design_a_samples(
+                DesignASpec(net, (1,) * net.depth + (1,)), x, zero, 1, RngStream(2)
+            )[0],
+            ref,
         ))
         checks.append(np.array_equal(
-            eval_design_b(DesignBSpec(net, 1), x, zero, RngStream(3)), ref
+            design_b_samples(DesignBSpec(net, 1), x, zero, 1, RngStream(3))[0], ref
         ))
         # one copy with zero combine/split noise consumes the exact stream
         # sites of the unmodified noisy network
         profile = random_profile(rng, net)
         checks.append(np.array_equal(
-            eval_design_b(DesignBSpec(net, 1), x, profile, RngStream(4)),
-            noisy_forward(net, profile, x, RngStream(4)),
+            design_b_samples(DesignBSpec(net, 1), x, profile, 1, RngStream(4))[0],
+            noisy_forward_samples(net, profile, x, 1, RngStream(4))[0],
         ))
         # batched zero-noise rows equal the forward pass bit-exactly
         batch = noisy_forward_samples(net, zero, x, 3, RngStream(5))
@@ -433,11 +437,13 @@ def test_criterion_10_degeneracy_suite():
     x = rng.normal(size=2)
     ref = forward(net, x)
     zero = NoiseProfile.zero(2)
-    checks.append(np.array_equal(noisy_forward(net, zero, x, RngStream(6)), ref))
+    checks.append(np.array_equal(noisy_forward_samples(net, zero, x, 1, RngStream(6))[0], ref))
     checks.append(np.array_equal(
-        eval_design_a(DesignASpec(net, (1, 1, 1)), x, zero, RngStream(7)), ref
+        design_a_samples(DesignASpec(net, (1, 1, 1)), x, zero, 1, RngStream(7))[0], ref
     ))
-    checks.append(np.array_equal(eval_design_b(DesignBSpec(net, 1), x, zero, RngStream(8)), ref))
+    checks.append(np.array_equal(
+        design_b_samples(DesignBSpec(net, 1), x, zero, 1, RngStream(8))[0], ref
+    ))
 
     # scalar bit-identity of the two step maps at m = 1
     S = np.array([[0.7]])

@@ -20,8 +20,8 @@ from optonoise import (
     chi_mean,
     design_a_samples,
     deviation_check,
-    eval_design_a,
     forward,
+    noisy_forward_samples,
     lipschitz_bounds,
     stats_from_samples,
     subgaussian_norm_sq,
@@ -30,7 +30,7 @@ from optonoise import (
 )
 from optonoise.design_a import common_variance_bound, equal_split_targets, wilson_interval
 
-from conftest import random_linear_net, random_profile
+from conftest import count_affine_calls, random_linear_net, random_profile
 
 
 def identity_net(dim):
@@ -47,7 +47,7 @@ class TestEvalDesignA:
             net = random_linear_net(rng, depth=3)
             x = rng.normal(size=net.input_dim)
             spec = DesignASpec(net, uniform_copies(net.depth, 1))
-            out = eval_design_a(spec, x, NoiseProfile.zero(net.depth), RngStream(0))
+            out = design_a_samples(spec, x, NoiseProfile.zero(net.depth), 1, RngStream(0))[0]
             np.testing.assert_array_equal(out, forward(net, x))
 
     def test_copies_vector_validated(self, rng):
@@ -145,15 +145,17 @@ class TestEvalDesignA:
             inversions = sum(1 for a, b in zip(mses, mses[1:]) if b > a)
             assert inversions <= 1, mses
 
-    def test_tally_counts_tree_cost(self, rng):
+    def test_affine_calls_count_tree_cost(self, rng, monkeypatch):
+        import optonoise.design_a as design_a
+
+        calls = count_affine_calls(monkeypatch, design_a)
         net = random_linear_net(rng, depth=3, max_dim=3)
         copies = (2, 3, 2, 1)
-        tally = {}
-        eval_design_a(DesignASpec(net, copies), np.zeros(net.input_dim),
-                      NoiseProfile.zero(3), RngStream(0), tally=tally)
+        design_a_samples(DesignASpec(net, copies), np.zeros(net.input_dim),
+                         NoiseProfile.zero(3), 1, RngStream(0))
         # layer l performs prod_{k >= l-1} n_k weighted additions
         expected = sum(math.prod(copies[l - 1:]) for l in range(1, 4))
-        assert tally["weighted_additions"] == expected
+        assert len(calls) == expected
 
 
 class TestChiMean:
@@ -377,15 +379,13 @@ class TestStreamAlignment:
     def test_all_ones_tree_matches_noisy_forward_draws(self, rng):
         # a degenerate tree touches exactly the stream sites of the
         # unmodified noisy network, so same-seed draws coincide bit for bit
-        from optonoise import noisy_forward
-
         for _ in range(5):
             net = random_linear_net(rng, depth=3)
             profile = random_profile(rng, net)
             x = rng.normal(size=net.input_dim)
             spec = DesignASpec(net, (1,) * net.depth + (1,))
-            a = eval_design_a(spec, x, profile, RngStream(123))
-            b = noisy_forward(net, profile, x, RngStream(123))
+            a = design_a_samples(spec, x, profile, 1, RngStream(123))[0]
+            b = noisy_forward_samples(net, profile, x, 1, RngStream(123))[0]
             np.testing.assert_array_equal(a, b)
 
 

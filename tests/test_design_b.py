@@ -15,15 +15,14 @@ from optonoise import (
     ValidationError,
     compare_design_b,
     design_b_samples,
-    eval_design_b,
     forward,
-    noisy_forward,
+    noisy_forward_samples,
     propagate_b_branchwise,
     stats_from_samples,
     suggested_m,
 )
 
-from conftest import random_linear_net, random_profile
+from conftest import count_affine_calls, random_linear_net, random_profile
 
 
 def identity_net(dim):
@@ -35,7 +34,9 @@ class TestEvalDesignB:
         for _ in range(5):
             net = random_linear_net(rng, depth=3)
             x = rng.normal(size=net.input_dim)
-            out = eval_design_b(DesignBSpec(net, 1), x, NoiseProfile.zero(net.depth), RngStream(0))
+            out = design_b_samples(
+                DesignBSpec(net, 1), x, NoiseProfile.zero(net.depth), 1, RngStream(0)
+            )[0]
             np.testing.assert_array_equal(out, forward(net, x))
 
     def test_zero_profile_close_for_larger_m(self, rng):
@@ -43,7 +44,9 @@ class TestEvalDesignB:
         # values and divides, so only up-to-rounding equality is promised
         net = random_linear_net(rng, depth=3)
         x = rng.normal(size=net.input_dim)
-        out = eval_design_b(DesignBSpec(net, 3), x, NoiseProfile.zero(net.depth), RngStream(0))
+        out = design_b_samples(
+            DesignBSpec(net, 3), x, NoiseProfile.zero(net.depth), 1, RngStream(0)
+        )[0]
         np.testing.assert_allclose(out, forward(net, x), rtol=1e-12, atol=1e-15)
 
     def test_m1_draws_match_noisy_forward(self, rng):
@@ -53,8 +56,8 @@ class TestEvalDesignB:
             net = random_linear_net(rng, depth=3)
             profile = random_profile(rng, net)
             x = rng.normal(size=net.input_dim)
-            a = eval_design_b(DesignBSpec(net, 1), x, profile, RngStream(77))
-            b = noisy_forward(net, profile, x, RngStream(77))
+            a = design_b_samples(DesignBSpec(net, 1), x, profile, 1, RngStream(77))[0]
+            b = noisy_forward_samples(net, profile, x, 1, RngStream(77))[0]
             np.testing.assert_array_equal(a, b)
 
     def test_single_layer_variance_averages(self):
@@ -97,13 +100,16 @@ class TestEvalDesignB:
         budget = 5.0 * np.sqrt(np.trace(stats.covariance) / stats.n)
         assert np.linalg.norm(stats.mean - forward(net, x)) <= budget
 
-    def test_cost_is_linear_in_depth(self, rng):
+    def test_cost_is_linear_in_depth(self, rng, monkeypatch):
+        import optonoise.design_b as design_b
+
+        calls = count_affine_calls(monkeypatch, design_b)
         net = random_linear_net(rng, depth=4, max_dim=3)
         for m in (1, 3, 7):
-            tally = {}
-            eval_design_b(DesignBSpec(net, m), np.zeros(net.input_dim),
-                          NoiseProfile.zero(4), RngStream(0), tally=tally)
-            assert tally["weighted_additions"] == m * net.depth
+            calls.clear()
+            design_b_samples(DesignBSpec(net, m), np.zeros(net.input_dim),
+                             NoiseProfile.zero(4), 1, RngStream(0))
+            assert len(calls) == m * net.depth
 
     def test_mse_monotone_in_m(self, rng):
         net = random_linear_net(rng, depth=2, max_dim=3)

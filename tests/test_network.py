@@ -18,13 +18,10 @@ from optonoise import (
     as_linear,
     design_a_samples,
     design_b_samples,
-    eval_design_a,
-    eval_design_b,
     forward,
     lipschitz_bounds,
     network_from_json,
     network_to_json,
-    noisy_forward,
     noisy_forward_samples,
     operator_norm,
     validate,
@@ -78,13 +75,14 @@ class TestForward:
         "evaluate",
         [
             lambda net, p, x: forward(net, x),
-            lambda net, p, x: noisy_forward(net, p, x, RngStream(0)),
+            lambda net, p, x: noisy_forward_samples(net, p, x, 1, RngStream(0))[0],
             lambda net, p, x: noisy_forward_samples(net, p, x, 4, RngStream(0)),
-            lambda net, p, x: eval_design_a(DesignASpec(net, (2, 2, 2, 1)), x, p, RngStream(0)),
+            lambda net, p, x: design_a_samples(DesignASpec(net, (2, 2, 2, 1)), x, p, 1, RngStream(0))[0],
             lambda net, p, x: design_a_samples(DesignASpec(net, (2, 2, 2, 1)), x, p, 4, RngStream(0)),
-            lambda net, p, x: eval_design_b(DesignBSpec(net, 2), x, p, RngStream(0)),
+            lambda net, p, x: design_b_samples(DesignBSpec(net, 2), x, p, 1, RngStream(0))[0],
             lambda net, p, x: design_b_samples(DesignBSpec(net, 2), x, p, 4, RngStream(0)),
         ],
+        # the single-evaluation cases run each sampler as a batch of one
         ids=[
             "forward", "noisy_forward", "noisy_forward_samples", "eval_design_a",
             "design_a_samples", "eval_design_b", "design_b_samples",

@@ -4,25 +4,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optonoise import (
     Activation,
     CovSpec,
+    DesignASpec,
+    DesignBSpec,
     Layer,
     LinearNet,
     Network,
     NoiseProfile,
     RngStream,
     ValidationError,
+    design_a_samples,
+    design_b_samples,
     forward,
     monte_carlo,
-    noisy_forward,
     noisy_forward_samples,
     propagate,
-    sample_noise,
     stats_from_samples,
 )
-from optonoise.noise import covspec_from_json, covspec_to_json, profile_from_json, profile_to_json
+from optonoise.noise import (
+    _add_noise,
+    _draw,
+    covspec_from_json,
+    covspec_to_json,
+    profile_from_json,
+    profile_to_json,
+)
 
 from conftest import random_linear_net, random_profile
 
@@ -79,29 +90,28 @@ class TestRngStream:
 
 class TestSampleNoise:
     def test_zero_returns_exact_zeros(self):
-        out = sample_noise(CovSpec.zero(), 3, RngStream(1))
-        np.testing.assert_array_equal(out, np.zeros(3))
+        h = np.zeros((1, 3))
+        out = _add_noise(h, CovSpec.zero(), RngStream(1), (0,), 1)
+        assert out is h
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_isotropic_variance_concentrates(self):
         # chi-squared concentration: sd of the sample variance at n=1e5 is
         # sigma^2 * sqrt(2/n) ~ 0.018, so [3.8, 4.2] is a >10-sigma corridor
-        from optonoise.noise import _draw
-
         spec = CovSpec.isotropic(4.0)
         draws = _draw(spec, 1, RngStream(11, (0,)).generator(), 100_000)
         var = draws.var(ddof=1)
         assert 3.8 <= var <= 4.2
-        # the block sampler is the same code path sample_noise uses
-        single = sample_noise(spec, 1, RngStream(11, (0,)))
-        np.testing.assert_array_equal(single, draws[0])
+        # a one-row block is the first row of any longer block on the same
+        # stream, which makes a batch of one an exact single evaluation
+        single = _draw(spec, 1, RngStream(11, (0,)).generator(), 1)
+        np.testing.assert_array_equal(single, draws[:1])
 
     def test_full_correlation_fisher_interval(self):
         # Fisher z interval: se(z) = 1/sqrt(n-3) ~ 0.0032 at n=1e5, so
         # [0.89, 0.91] around rho = 0.9 is a >15-sigma corridor
         spec = CovSpec.full([[1.0, 0.9], [0.9, 1.0]])
         gen = RngStream(12, (0,)).generator()
-        from optonoise.noise import _draw
-
         draws = _draw(spec, 2, gen, 100_000)
         corr = np.corrcoef(draws.T)[0, 1]
         assert 0.89 <= corr <= 0.91
@@ -110,8 +120,6 @@ class TestSampleNoise:
         rng = np.random.default_rng(0)
         A = rng.normal(size=(3, 3))
         spec = CovSpec.full(A @ A.T)
-        from optonoise.noise import _draw
-
         draws = _draw(spec, 3, RngStream(13, (0,)).generator(), 200_000)
         np.testing.assert_allclose(np.cov(draws.T), spec.matrix(3), rtol=0.05, atol=0.01)
 
@@ -126,7 +134,7 @@ class TestNoisyForward:
         for _ in range(10):
             net = random_linear_net(rng, depth=3)
             x = rng.normal(size=net.input_dim)
-            out = noisy_forward(net, NoiseProfile.zero(net.depth), x, RngStream(5))
+            out = noisy_forward_samples(net, NoiseProfile.zero(net.depth), x, 1, RngStream(5))[0]
             np.testing.assert_array_equal(out, forward(net, x))
 
     def test_modulation_only_mean(self):
@@ -153,7 +161,7 @@ class TestNoisyForward:
         profile = random_profile(rng, net)
         x = rng.normal(size=net.input_dim)
         single = np.vstack(
-            [noisy_forward(net, profile, x, RngStream(6).child(t)) for t in range(4000)]
+            [noisy_forward_samples(net, profile, x, 1, RngStream(6).child(t))[0] for t in range(4000)]
         )
         batch = noisy_forward_samples(net, profile, x, 4000, RngStream(7))
         np.testing.assert_allclose(single.mean(axis=0), batch.mean(axis=0), atol=0.05)
@@ -166,15 +174,68 @@ class TestNoisyForward:
         net = random_linear_net(rng, depth=2)
         profile = random_profile(rng, net)
         x = rng.normal(size=net.input_dim)
-        a = noisy_forward(net, profile, x, RngStream(9).child(0))
-        b = noisy_forward(net, profile, x, RngStream(9).child(0))
+        a = noisy_forward_samples(net, profile, x, 1, RngStream(9).child(0))[0]
+        b = noisy_forward_samples(net, profile, x, 1, RngStream(9).child(0))[0]
         np.testing.assert_array_equal(a, b)
 
     def test_profile_dim_mismatch_rejected(self):
         net = identity_net(2)
         bad = NoiseProfile(CovSpec.diagonal([1.0, 1.0, 1.0]), (CovSpec.zero(),), (CovSpec.zero(),))
         with pytest.raises(ValidationError):
-            noisy_forward(net, bad, np.zeros(2), RngStream(0))
+            noisy_forward_samples(net, bad, np.zeros(2), 1, RngStream(0))
+
+
+class TestDegeneracyProperty:
+    """Zero-noise and one-copy runs of every sampler reproduce the plain net."""
+
+    @staticmethod
+    def random_net(rng, kinds):
+        dims = [int(rng.integers(1, 7)) for _ in range(len(kinds) + 1)]
+        layers = []
+        for l, kind in enumerate(kinds):
+            d = dims[l + 1]
+            act = (
+                Activation.diag_linear(rng.uniform(0.3, 1.1, size=d))
+                if kind == "diag"
+                else Activation(kind)
+            )
+            W = rng.normal(size=(d, dims[l])) / np.sqrt(dims[l])
+            layers.append(Layer(W, rng.normal(size=d) * 0.3, act))
+        return Network(tuple(layers), dims[0])
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["identity", "tanh", "relu", "softmax", "diag"]),
+            min_size=1,
+            max_size=3,
+        ),
+        trials=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_copy_samplers_reduce_to_plain_net(self, kinds, trials, seed):
+        rng = np.random.default_rng(seed)
+        net = self.random_net(rng, kinds)
+        x = rng.normal(size=net.input_dim)
+        tree = DesignASpec(net, (1,) * (net.depth + 1))
+        single = DesignBSpec(net, 1)
+
+        def run_all(profile, stream):
+            return (
+                noisy_forward_samples(net, profile, x, trials, stream),
+                design_a_samples(tree, x, profile, trials, stream),
+                design_b_samples(single, x, profile, trials, stream),
+            )
+
+        ref = forward(net, x)
+        for out in run_all(NoiseProfile.zero(net.depth), RngStream(seed)):
+            assert out.shape == (trials, net.output_dim)
+            for row in out:
+                np.testing.assert_array_equal(row, ref)
+
+        plain, tree_out, single_out = run_all(random_profile(rng, net), RngStream(seed, (1,)))
+        np.testing.assert_array_equal(tree_out, plain)
+        np.testing.assert_array_equal(single_out, plain)
 
 
 class TestMonteCarlo:
@@ -239,6 +300,15 @@ class TestProfileJson:
             profile_from_json({"modulation": "zero"})
 
 
+class TestNoiseProfile:
+    def test_mismatched_lengths_rejected_at_construction(self):
+        z = CovSpec.zero()
+        with pytest.raises(ValidationError, match="weight and 1 activation"):
+            NoiseProfile(CovSpec.isotropic(0.1), (z, z), (z,))
+        with pytest.raises(ValidationError):
+            profile_from_json({"weight": ["zero", "zero"], "activation": ["zero"]})
+
+
 class TestCovSpecEdges:
     def test_negative_isotropic_rejected(self):
         with pytest.raises(ValidationError):
@@ -251,7 +321,8 @@ class TestCovSpecEdges:
     def test_zero_isotropic_counts_as_zero(self):
         spec = CovSpec.isotropic(0.0)
         assert spec.is_zero
-        np.testing.assert_array_equal(sample_noise(spec, 2, RngStream(0)), np.zeros(2))
+        h = np.zeros((1, 2))
+        assert _add_noise(h, spec, RngStream(0), (0,), 1) is h
 
 
 class TestTrialOrderIndependence:
@@ -263,7 +334,7 @@ class TestTrialOrderIndependence:
         x = rng.normal(size=net.input_dim)
 
         def evaluator(v, stream):
-            return noisy_forward(net, profile, v, stream)
+            return noisy_forward_samples(net, profile, v, 1, stream)[0]
 
         stats = monte_carlo(evaluator, x, forward(net, x), 64, seed=14)
         root = RngStream(14)
