@@ -43,7 +43,7 @@ from .noise import (
     KIND_WEIGHT,
     NoiseProfile,
     RngStream,
-    _add_noise,
+    _Sites,
 )
 
 __all__ = [
@@ -105,29 +105,28 @@ def design_a_spec_from_json(obj: dict) -> DesignASpec:
     return DesignASpec(network_from_json(obj["network"]), tuple(obj["copies"]))
 
 
-def _sample_node(net, profile, x, trials, rng, copies, level, index):
-    """``(trials, d)`` block of tree node ``index`` at ``level``.
+def _sample_node(net, profile, x, trials, sites, copies, level):
+    """``(trials, d)`` block of the next tree node at ``level``.
 
-    Level 0 is the modulated input.  Node draws are keyed by
-    ``(kind, level, node index)`` under ``rng``, so any subtree can be
-    reproduced in isolation.  Depth first, so only O(depth) blocks are
-    alive at once, never every leaf.
+    Level 0 is the modulated input.  Depth first, so only O(depth) blocks
+    are alive at once, never every leaf.  Depth-first order visits the
+    nodes of each level in increasing index order, so node ``j`` of a
+    level takes block ``j`` of the level's ``(kind, level)`` site streams.
     """
     if level == 0:
         base = np.broadcast_to(x, (trials, x.shape[0]))
-        return _add_noise(base, profile.modulation, rng, (KIND_MODULATION, 0, index), trials)
+        return sites.add(base, profile.modulation, KIND_MODULATION, 0)
     layer = net.layers[level - 1]
     fan_in = copies[level - 1]
     w_spec, a_spec = profile.weight[level - 1], profile.activation[level - 1]
     acc = None
-    for j in range(fan_in):
-        child_index = index * fan_in + j
-        child = _sample_node(net, profile, x, trials, rng, copies, level - 1, child_index)
+    for _ in range(fan_in):
+        child = _sample_node(net, profile, x, trials, sites, copies, level - 1)
         xi = affine(layer.weights, layer.bias, child)
-        xi = _add_noise(xi, w_spec, rng, (KIND_WEIGHT, level, child_index), trials)
+        xi = sites.add(xi, w_spec, KIND_WEIGHT, level)
         acc = xi if acc is None else acc + xi
     h = layer.activation(acc / fan_in)
-    return _add_noise(h, a_spec, rng, (KIND_ACTIVATION, level, index), trials)
+    return sites.add(h, a_spec, KIND_ACTIVATION, level)
 
 
 def design_a_samples(
@@ -155,7 +154,8 @@ def design_a_samples(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     x = _check_input(spec.base, x)
-    out = _sample_node(spec.base, profile, x, trials, rng, spec.copies, spec.base.depth, 0)
+    sites = _Sites(rng)
+    out = _sample_node(spec.base, profile, x, trials, sites, spec.copies, spec.base.depth)
     return np.array(out, dtype=np.float64, copy=True)
 
 

@@ -40,7 +40,7 @@ from .noise import (
     KIND_WEIGHT,
     NoiseProfile,
     RngStream,
-    _add_noise,
+    _Sites,
     stats_from_samples,
 )
 
@@ -87,13 +87,14 @@ def design_b_samples(
 ) -> np.ndarray:
     """``trials`` independent combine/split evaluations, trial-vectorized.
 
-    Returns ``(trials, d_L)``; ``trials=1`` gives one evaluation.  Branch
-    ``alpha`` of layer ``l`` draws on the sites ``(kind, l, alpha)``, the
-    combine on ``(KIND_COMBINE, l, 0)``, each emitting a ``(trials, d)``
-    block.  With ``m = 1`` the combine and split are no-ops, so (with zero
-    combine/split covariances) the draws coincide site-for-site with
-    ``noise.noisy_forward_samples`` on the same stream, and with a zero
-    profile every row equals the noiseless forward pass bit-exactly.
+    Returns ``(trials, d_L)``; ``trials=1`` gives one evaluation.  Layer
+    ``l`` draws on the sites ``(kind, l)``: branch ``alpha`` takes block
+    ``alpha`` of each site stream and the combine takes one block, each a
+    ``(trials, d)`` block.  With ``m = 1`` the combine and split are
+    no-ops, so (with zero combine/split covariances) the draws coincide
+    site-for-site with ``noise.noisy_forward_samples`` on the same stream,
+    and with a zero profile every row equals the noiseless forward pass
+    bit-exactly.
     Each evaluation costs ``m * depth`` weighted additions.
     """
     spec.base.require_valid()
@@ -103,25 +104,23 @@ def design_b_samples(
     net, m = spec.base, spec.m
     x = _check_input(net, x)
 
+    sites = _Sites(rng)
     base = np.broadcast_to(x, (trials, net.input_dim))
-    branches = [
-        _add_noise(base, profile.modulation, rng, (KIND_MODULATION, 0, alpha), trials)
-        for alpha in range(m)
-    ]
+    branches = [sites.add(base, profile.modulation, KIND_MODULATION, 0) for _ in range(m)]
     for l, layer in enumerate(net.layers, start=1):
         w_spec, a_spec = profile.weight[l - 1], profile.activation[l - 1]
         combined = None
-        for alpha, value in enumerate(branches):
+        for value in branches:
             xi = affine(layer.weights, layer.bias, value)
-            xi = _add_noise(xi, w_spec, rng, (KIND_WEIGHT, l, alpha), trials)
+            xi = sites.add(xi, w_spec, KIND_WEIGHT, l)
             combined = xi if combined is None else combined + xi
-        combined = _add_noise(combined, profile.combine, rng, (KIND_COMBINE, l, 0), trials)
+        combined = sites.add(combined, profile.combine, KIND_COMBINE, l)
         shared = combined / m
         branches = []
-        for alpha in range(m):
-            y = _add_noise(shared, profile.split, rng, (KIND_SPLIT, l, alpha), trials)
+        for _ in range(m):
+            y = sites.add(shared, profile.split, KIND_SPLIT, l)
             h = layer.activation(y)
-            branches.append(_add_noise(h, a_spec, rng, (KIND_ACTIVATION, l, alpha), trials))
+            branches.append(sites.add(h, a_spec, KIND_ACTIVATION, l))
     out = branches[0]
     for value in branches[1:]:
         out = out + value

@@ -8,17 +8,18 @@ multivariate normal draw whose covariance comes from a
 the profile for the combine/split design sampler; the plain noisy
 forward pass ignores them.
 
-Randomness is organized as counter-style splittable streams: every draw
-site is keyed by ``(seed, path)`` where ``path`` is a tuple of integers
-``(trial, kind, layer, copy)``.  Distinct paths give statistically
-independent streams and the same ``(seed, path)`` reproduces the same
-samples bit-exactly, regardless of evaluation order or parallelism.
+Randomness is organized as splittable streams keyed by ``(seed, path)``.
+A sampler call owns one stream per draw site ``(kind, layer)`` under its
+``rng`` and builds it the first time the site draws; the copies of a
+layer take successive ``(trials, d)`` blocks of that one stream, copy
+``j`` block ``j``.  Distinct paths give statistically independent streams
+and the same ``(seed, path)`` reproduces the same samples bit-exactly.
 
-Each design has one sampler, batched over trials: every draw site emits a
+Each design has one sampler, batched over trials: every draw emits a
 ``(trials, d)`` block.  A single noisy evaluation is a batch of one,
 ``noisy_forward_samples(net, profile, x, 1, rng)[0]``; a one-row block
 equals the first row of any larger block on the same stream, so this is
-exact.
+exact for the plain net and for the one-copy designs.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ KIND_COMBINE = 3
 KIND_SPLIT = 4
 
 #: Recorded in output metadata so result files name their generator.
-GENERATOR_NAME = "philox4x64/seedseq-path"
+GENERATOR_NAME = "sfc64/seedseq-site"
 
 _SYM_TOL = 1e-12
 _PSD_PIVOT_TOL = 1e-10
@@ -173,9 +174,10 @@ class CovSpec:
 def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: int):
     """An ``(n, dim)`` block of independent rows from Normal(0, spec).
 
-    Zero specs never get here: :func:`_add_noise` skips them.
+    Zero specs never get here: :meth:`_Sites.add` skips them.  Dimensions
+    are not checked here; every sampler checks the profile against the
+    network on entry (:meth:`NoiseProfile.validate_for`).
     """
-    spec.check_dim(dim)
     z = gen.standard_normal((n, dim))
     if spec.kind == "isotropic":
         return math.sqrt(spec.var) * z
@@ -188,10 +190,11 @@ def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: int):
 class RngStream:
     """Splittable random stream keyed by ``(seed, path)``.
 
-    ``child(*ix)`` appends integers to the path; ``generator()`` builds a
-    Philox-4x64 bit generator from ``SeedSequence(seed, spawn_key=path)``.
-    Philox is counter-based, so streams with distinct paths are
-    independent and each stream is reproducible in isolation.
+    ``child(*ix)`` appends integers to the path; ``generator()`` builds an
+    SFC64 bit generator seeded by ``SeedSequence(seed, spawn_key=path)``.
+    The seed sequence hashes the path into the generator state, so streams
+    with distinct paths are independent and each is reproducible from its
+    ``(seed, path)`` alone.
     """
 
     seed: int
@@ -204,21 +207,36 @@ class RngStream:
         # two's-complement view so negative 64-bit seeds stay usable
         entropy = int(self.seed) & 0xFFFFFFFFFFFFFFFF
         seq = np.random.SeedSequence(entropy=entropy, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.SFC64(seq))
 
     def normal(self, shape) -> np.ndarray:
         return self.generator().standard_normal(shape)
 
 
-def _add_noise(h, spec: CovSpec, rng: RngStream, site: tuple, trials: int):
-    """``h`` plus a ``(trials, d)`` block drawn on the stream ``rng.child(*site)``.
+class _Sites:
+    """The draw sites of one sampler call, one stream per ``(kind, layer)``.
 
-    A zero spec returns ``h`` itself and never builds the stream, so
-    zero-noise sites stay bit-exact and cost nothing.
+    ``add`` builds the generator of ``rng.child(kind, layer)`` the first
+    time the site draws, and each call adds the next ``(rows, d)`` block
+    of it, so copy ``j`` of a layer takes block ``j``.  A zero spec returns
+    ``h`` itself and never builds the stream, so zero-noise sites stay
+    bit-exact and cost nothing.
     """
-    if spec.is_zero:
-        return h
-    return h + _draw(spec, h.shape[-1], rng.child(*site).generator(), trials)
+
+    __slots__ = ("_rng", "_gens")
+
+    def __init__(self, rng: RngStream):
+        self._rng = rng
+        self._gens = {}
+
+    def add(self, h, spec: CovSpec, kind: int, layer: int):
+        if spec.is_zero:
+            return h
+        key = (kind, layer)
+        gen = self._gens.get(key)
+        if gen is None:
+            gen = self._gens[key] = self._rng.child(*key).generator()
+        return h + _draw(spec, h.shape[-1], gen, h.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +316,7 @@ def noisy_forward_samples(
 
     Modulation noise is added once to the input; each layer then adds
     weight noise inside the activation and activation noise after it.
-    Draw sites are keyed ``(kind, layer, 0)`` under ``rng`` and each emits
+    Draw sites are keyed ``(kind, layer)`` under ``rng`` and each emits
     a ``(trials, d)`` block with trials as rows, so a batch is reproducible
     as a whole and ``trials=1`` gives one evaluation.  With an all-zero
     profile every row equals :func:`forward` bit-exactly.
@@ -311,13 +329,14 @@ def noisy_forward_samples(
         raise ValidationError("trials must be >= 1")
     x = _check_input(net, x)
 
+    sites = _Sites(rng)
     h = np.broadcast_to(x, (trials, net.input_dim))
-    h = _add_noise(h, profile.modulation, rng, (KIND_MODULATION, 0, 0), trials)
+    h = sites.add(h, profile.modulation, KIND_MODULATION, 0)
     for l, layer in enumerate(net.layers, start=1):
         u = affine(layer.weights, layer.bias, h)
-        u = _add_noise(u, profile.weight[l - 1], rng, (KIND_WEIGHT, l, 0), trials)
+        u = sites.add(u, profile.weight[l - 1], KIND_WEIGHT, l)
         h = layer.activation(u)
-        h = _add_noise(h, profile.activation[l - 1], rng, (KIND_ACTIVATION, l, 0), trials)
+        h = sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l)
     return np.array(h, dtype=np.float64, copy=True)
 
 

@@ -2,15 +2,19 @@
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from optonoise import forward, save_network
+from optonoise import GENERATOR_NAME, NoiseProfile, forward, save_network
 from optonoise.cli import cli_main
+from optonoise.fixtures import fixture_dataset
 
 from conftest import random_linear_net, random_profile
 from optonoise.noise import profile_to_json
+
+FIXTURE_NET = str(resources.files("optonoise.fixtures").joinpath("mlp_8_16_4.json"))
 
 
 @pytest.fixture
@@ -114,6 +118,43 @@ class TestDeterminism:
             assert code == 0
             texts.append(out)
         assert texts[0] == texts[1]
+
+    @pytest.fixture
+    def fixture_files(self, tmp_path):
+        profile = NoiseProfile.isotropic(
+            2, modulation_var=0.01, weight_var=0.05, activation_var=0.01,
+            combine_var=0.01, split_var=0.01,
+        )
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps(profile_to_json(profile)))
+        inputs, labels = fixture_dataset()
+        data_path = tmp_path / "data.json"
+        data_path.write_text(json.dumps({"inputs": inputs[:12].tolist(), "labels": labels[:12].tolist()}))
+        configs = {}
+        for design in ("a", "b"):
+            configs[design] = tmp_path / f"config_{design}.json"
+            configs[design].write_text(json.dumps({
+                "network": FIXTURE_NET, "profile": str(profile_path), "inputs": str(data_path),
+                "design": design, "trials": 30, "seed": 4,
+            }))
+        return profile_path, configs
+
+    @pytest.mark.parametrize("command", ["design-a", "design-b", "accuracy-a", "accuracy-b"])
+    def test_fixture_commands_byte_identical(self, command, fixture_files, tmp_path):
+        profile_path, configs = fixture_files
+        x = json.dumps(fixture_dataset()[0][0].tolist())
+        sampler = ["--net", FIXTURE_NET, "--profile", str(profile_path), "--input", x]
+        args = {
+            "design-a": ["--seed", "5", "--trials", "40", "design-a", *sampler, "--copies", "[3, 2, 1]"],
+            "design-b": ["--seed", "5", "--trials", "40", "design-b", *sampler, "--m", "3"],
+            "accuracy-a": ["--config", str(configs["a"]), "experiment", "accuracy", "--grid", "1,2"],
+            "accuracy-b": ["--config", str(configs["b"]), "experiment", "accuracy", "--grid", "1,2"],
+        }[command]
+        outs = [tmp_path / "first.json", tmp_path / "second.json"]
+        for out in outs:
+            assert cli_main(["--output", str(out), *args]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["meta"]["generator"] == GENERATOR_NAME
 
 
 class TestCopiesCommand:

@@ -1,9 +1,12 @@
 """Network representation, noiseless evaluation, and per-layer bounds."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optonoise import (
     Activation,
@@ -280,6 +283,32 @@ class TestJsonFormat:
             np.testing.assert_array_equal(a.weights, b.weights)
             np.testing.assert_array_equal(a.bias, b.bias)
             assert a.activation.kind == b.activation.kind
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["identity", "tanh", "relu", "softmax", "diag"]),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_forward_bit_identical(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        dims = [int(rng.integers(1, 7)) for _ in range(len(kinds) + 1)]
+        layers = []
+        for l, kind in enumerate(kinds):
+            d = dims[l + 1]
+            act = (
+                Activation.diag_linear(rng.normal(size=d))
+                if kind == "diag"
+                else Activation(kind)
+            )
+            layers.append(Layer(rng.normal(size=(d, dims[l])), rng.normal(size=d), act))
+        net = Network(tuple(layers), dims[0])
+        loaded = network_from_json(json.loads(json.dumps(network_to_json(net))))
+        for x in rng.normal(size=(3, dims[0])) * 3.0:
+            np.testing.assert_array_equal(forward(loaded, x), forward(net, x))
 
     def test_rejects_nan_with_layer_index(self):
         obj = {

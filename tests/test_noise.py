@@ -1,5 +1,6 @@
 """Noise model: covariance specs, splittable streams, Monte Carlo harness."""
 
+import json
 import math
 
 import numpy as np
@@ -27,15 +28,20 @@ from optonoise import (
     stats_from_samples,
 )
 from optonoise.noise import (
-    _add_noise,
+    KIND_ACTIVATION,
+    KIND_COMBINE,
+    KIND_MODULATION,
+    KIND_SPLIT,
+    KIND_WEIGHT,
     _draw,
+    _Sites,
     covspec_from_json,
     covspec_to_json,
     profile_from_json,
     profile_to_json,
 )
 
-from conftest import random_linear_net, random_profile
+from conftest import random_covspec, random_linear_net, random_profile
 
 
 class TestCovSpec:
@@ -89,10 +95,11 @@ class TestRngStream:
 
 
 class TestSampleNoise:
-    def test_zero_returns_exact_zeros(self):
+    def test_zero_returns_exact_zeros(self, monkeypatch):
+        built = record_generators(monkeypatch)
         h = np.zeros((1, 3))
-        out = _add_noise(h, CovSpec.zero(), RngStream(1), (0,), 1)
-        assert out is h
+        out = _Sites(RngStream(1)).add(h, CovSpec.zero(), 0, 0)
+        assert out is h and not built
         np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_isotropic_variance_concentrates(self):
@@ -126,6 +133,19 @@ class TestSampleNoise:
 
 def identity_net(dim):
     return Network((Layer(np.eye(dim), np.zeros(dim), Activation.identity()),), dim)
+
+
+def record_generators(monkeypatch):
+    """Record the path of every stream whose generator gets built."""
+    built = []
+    real = RngStream.generator
+
+    def recording(self):
+        built.append(self.path)
+        return real(self)
+
+    monkeypatch.setattr(RngStream, "generator", recording)
+    return built
 
 
 class TestNoisyForward:
@@ -183,6 +203,56 @@ class TestNoisyForward:
         bad = NoiseProfile(CovSpec.diagonal([1.0, 1.0, 1.0]), (CovSpec.zero(),), (CovSpec.zero(),))
         with pytest.raises(ValidationError):
             noisy_forward_samples(net, bad, np.zeros(2), 1, RngStream(0))
+
+    @pytest.mark.parametrize("design", ["a", "b"])
+    def test_design_profile_dim_mismatch_rejected_before_any_draw(self, design, monkeypatch):
+        # the modulation site would draw first; the bad weight spec must be
+        # refused by the entry check, not by a draw
+        net = identity_net(2)
+        bad = NoiseProfile(
+            CovSpec.isotropic(0.1), (CovSpec.diagonal([1.0, 1.0, 1.0]),), (CovSpec.zero(),)
+        )
+        built = record_generators(monkeypatch)
+        with pytest.raises(ValidationError, match="weight covariance of layer 1"):
+            if design == "a":
+                design_a_samples(DesignASpec(net, (2, 1)), np.zeros(2), bad, 1, RngStream(0))
+            else:
+                design_b_samples(DesignBSpec(net, 2), np.zeros(2), bad, 1, RngStream(0))
+        assert not built
+
+
+class TestSiteStreams:
+    """One stream per ``(kind, layer)`` site per call; copy ``j`` takes block ``j``."""
+
+    def test_two_leaf_tree_takes_consecutive_blocks(self):
+        d, trials, var = 3, 5, 0.3
+        x = np.array([0.5, -1.0, 2.0])
+        profile = NoiseProfile.isotropic(1, modulation_var=var)
+        out = design_a_samples(DesignASpec(identity_net(d), (2, 1)), x, profile, trials, RngStream(21))
+        gen = RngStream(21).child(KIND_MODULATION, 0).generator()
+        z0 = gen.standard_normal((trials, d))
+        z1 = gen.standard_normal((trials, d))
+        s = math.sqrt(var)
+        np.testing.assert_array_equal(out, ((x + s * z0) + (x + s * z1)) / 2)
+
+    @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
+    def test_one_generator_per_nonzero_site(self, sampler, monkeypatch):
+        rng = np.random.default_rng(22)
+        net = random_linear_net(rng, depth=2, max_dim=3)
+        iso, zero = CovSpec.isotropic(0.1), CovSpec.zero()
+        profile = NoiseProfile(iso, (iso, zero), (zero, iso), iso, iso)
+        x = rng.normal(size=net.input_dim)
+        expected = [(KIND_MODULATION, 0), (KIND_WEIGHT, 1), (KIND_ACTIVATION, 2)]
+        built = record_generators(monkeypatch)
+        if sampler == "plain":
+            noisy_forward_samples(net, profile, x, 4, RngStream(23))
+        elif sampler == "tree":
+            design_a_samples(DesignASpec(net, (3, 2, 1)), x, profile, 4, RngStream(23))
+        else:
+            design_b_samples(DesignBSpec(net, 3), x, profile, 4, RngStream(23))
+            expected += [(KIND_COMBINE, 1), (KIND_COMBINE, 2), (KIND_SPLIT, 1), (KIND_SPLIT, 2)]
+        assert all(len(path) == 2 for path in built)
+        assert sorted(built) == sorted(expected)
 
 
 class TestDegeneracyProperty:
@@ -299,6 +369,39 @@ class TestProfileJson:
         with pytest.raises(ValidationError):
             profile_from_json({"modulation": "zero"})
 
+    @settings(derandomize=True, deadline=None)
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["zero", "isotropic", "diagonal", "full"]), min_size=5, max_size=9
+        ),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_keeps_every_kind_and_value(self, kinds, dim, seed):
+        rng = np.random.default_rng(seed)
+        depth = (len(kinds) - 3) // 2
+        specs = [random_covspec(rng, dim, kind=k) for k in kinds]
+        profile = NoiseProfile(
+            specs[0], tuple(specs[3 : 3 + depth]), tuple(specs[3 + depth : 3 + 2 * depth]),
+            specs[1], specs[2],
+        )
+        back = profile_from_json(json.loads(json.dumps(profile_to_json(profile))))
+
+        def fields(p):
+            return [p.modulation, p.combine, p.split, *p.weight, *p.activation]
+
+        pairs = list(zip(fields(profile), fields(back)))
+        pairs += [(spec, covspec_from_json(json.loads(json.dumps(covspec_to_json(spec)))))
+                  for spec in specs]
+        assert len(fields(back)) == 3 + 2 * depth
+        for spec, copy in pairs:
+            assert copy.kind == spec.kind and copy.var == spec.var
+            for name in ("vec", "mat"):
+                a, b = getattr(spec, name), getattr(copy, name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_array_equal(a, b)
+
 
 class TestNoiseProfile:
     def test_mismatched_lengths_rejected_at_construction(self):
@@ -318,11 +421,12 @@ class TestCovSpecEdges:
         with pytest.raises(ValidationError):
             CovSpec.isotropic(float("nan"))
 
-    def test_zero_isotropic_counts_as_zero(self):
+    def test_zero_isotropic_counts_as_zero(self, monkeypatch):
+        built = record_generators(monkeypatch)
         spec = CovSpec.isotropic(0.0)
         assert spec.is_zero
         h = np.zeros((1, 2))
-        assert _add_noise(h, spec, RngStream(0), (0,), 1) is h
+        assert _Sites(RngStream(0)).add(h, spec, 0, 0) is h and not built
 
 
 class TestTrialOrderIndependence:
