@@ -100,7 +100,6 @@ from .noise import (
     NoiseProfile,
     RngStream,
     SampleStats,
-    monte_carlo,
     noisy_forward_samples,
     stats_from_samples,
 )

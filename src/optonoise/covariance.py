@@ -3,16 +3,31 @@
 For networks whose activations are element-wise multiplications by fixed
 coefficients, the output of a noisy evaluation is normal around the
 noiseless output, and its covariance is obtained by iterating a per-layer
-map.  With ``A = D W`` (``D`` the diagonal activation matrix):
+map.  With ``A = D W`` (``D`` the diagonal activation matrix), every
+recursion here runs one layer step on a pair ``(shared, per)``: the
+covariance common to the m values entering a layer, and the covariance
+each of them carries alone.  The combine averages the m values, so
 
-    step(S)   = A S A^T + D S_w D^T + S_a                     (plain layer)
+    shared' = A shared A^T + (A per A^T + D S_w D^T) / m + D S_sum D^T / m^2
+    per'    = D S_spl D^T + S_a
+
+The step runs in one of two modes.  ``propagate_b_branchwise`` keeps the
+two parts apart from ``shared = 0, per = S_m``.  ``propagate_b`` folds
+them into one matrix after every layer (``per <- shared' + per'``,
+``shared <- 0``), which treats the m values entering each layer as
+independent and iterates
+
     step_m(S) = (A S A^T + D S_w D^T) / m
                 + D S_sum D^T / m^2 + D S_spl D^T + S_a       (combine/split)
+    step(S)   = A S A^T + D S_w D^T + S_a                     (plain layer)
 
-starting from the modulation covariance.  For layer-independent ``D, W``
-and noise, the recursion has a closed finite sum, a convergent infinite
-series under a contraction hypothesis, and a fixed point computable
-either by iteration or as the solution of a discrete Lyapunov equation.
+starting from the modulation covariance.  ``step`` is ``step_m`` at
+``m = 1`` without combine/split noise, so ``propagate`` is the folded mode
+on that profile.  For layer-independent ``D, W`` and noise, the recursion
+has a closed finite sum, a convergent infinite series under a contraction
+hypothesis, and a fixed point computable either by iteration or as the
+solution of a discrete Lyapunov equation; the plain closed form and
+series are the combine/split ones at ``m = 1``.
 
 ``propagate_b`` iterates ``step_m`` as given.  Note that ``step_m``
 treats the m branch values entering a layer as independent; in a faithful
@@ -38,6 +53,7 @@ under-counts the covariance that the branches share.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -75,6 +91,11 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
+def _dsd(e: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """``D S D^T`` for ``D = diag(e)``."""
+    return (e[:, None] * S) * e[None, :]
+
+
 def _as_coeffs(D) -> np.ndarray:
     """Accept a diagonal matrix or its diagonal as a vector."""
     D = np.asarray(D, dtype=np.float64)
@@ -85,6 +106,10 @@ def _as_coeffs(D) -> np.ndarray:
             raise ValidationError("activation matrix must be diagonal")
         return np.diag(D).copy()
     raise ValidationError("expected a diagonal matrix or a coefficient vector")
+
+
+def _all_finite(*arrays) -> bool:
+    return all(np.all(np.isfinite(a)) for a in arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +126,10 @@ class LinearNet:
                 raise ValidationError(
                     f"layer {i}: weights {W.shape} do not chain on dimension {prev}",
                     layer=i,
+                )
+            if not _all_finite(e, W):
+                raise ValidationError(
+                    f"layer {i}: coefficients/weights contain non-finite values", layer=i
                 )
             prev = e.shape[0]
 
@@ -150,72 +179,90 @@ def trajectory_to_json(traj: Trajectory) -> dict:
     }
 
 
-def step_map(D, W, sigma_prev, sigma_w, sigma_a) -> np.ndarray:
-    """One plain-layer covariance update, re-symmetrized on output."""
-    e = _as_coeffs(D)
-    W = np.asarray(W, dtype=np.float64)
-    sigma_prev = np.asarray(sigma_prev, dtype=np.float64)
-    sigma_w = np.asarray(sigma_w, dtype=np.float64)
-    sigma_a = np.asarray(sigma_a, dtype=np.float64)
-    if W.shape != (e.shape[0], sigma_prev.shape[0]):
-        raise ValidationError("step_map: weight shape does not match inputs")
+def _step(e, W, shared, per, sigma_w, sigma_a, sigma_sum, sigma_spl, m):
+    """One layer of the engine: the raw, unsymmetrized ``(shared', per')``
+    of the module docstring.
+
+    ``shared = None`` stands for zero and skips its transport; zero
+    combine/split covariances add nothing.
+    """
     A = e[:, None] * W
-    base = A @ sigma_prev @ A.T + (e[:, None] * sigma_w) * e[None, :]
-    return _sym(base + sigma_a)
+    shared_out = (A @ per @ A.T + _dsd(e, sigma_w)) / m
+    if shared is not None:
+        shared_out = A @ shared @ A.T + shared_out
+    if np.any(sigma_sum):
+        shared_out = shared_out + _dsd(e, sigma_sum) / (m * m)
+    per_out = sigma_a
+    if np.any(sigma_spl):
+        per_out = per_out + _dsd(e, sigma_spl)
+    return shared_out, per_out
+
+
+def step_map(D, W, sigma_prev, sigma_w, sigma_a) -> np.ndarray:
+    """One plain-layer covariance update: :func:`step_map_b` at ``m = 1``."""
+    return step_map_b(D, W, sigma_prev, sigma_w, sigma_a, 0.0, 0.0, 1)
 
 
 def step_map_b(D, W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m: int) -> np.ndarray:
     """One combine/split covariance update with ``m`` copies per layer.
 
-    With ``m = 1`` and zero combine/split covariances this reduces to
-    :func:`step_map` bit-exactly (identical operations in the same order).
+    The engine step from ``shared = 0, per = sigma_prev`` with the two
+    parts summed, re-symmetrized on output.
     """
     if m < 1:
         raise ValidationError("copy count m must be >= 1")
     e = _as_coeffs(D)
-    W = np.asarray(W, dtype=np.float64)
-    sigma_prev = np.asarray(sigma_prev, dtype=np.float64)
-    sigma_w = np.asarray(sigma_w, dtype=np.float64)
-    sigma_a = np.asarray(sigma_a, dtype=np.float64)
-    sigma_sum = np.asarray(sigma_sum, dtype=np.float64)
-    sigma_spl = np.asarray(sigma_spl, dtype=np.float64)
+    W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl = (
+        np.asarray(a, dtype=np.float64)
+        for a in (W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl)
+    )
     if W.shape != (e.shape[0], sigma_prev.shape[0]):
         raise ValidationError("step_map_b: weight shape does not match inputs")
-    A = e[:, None] * W
-    base = A @ sigma_prev @ A.T + (e[:, None] * sigma_w) * e[None, :]
-    out = base / m + sigma_a
-    if np.any(sigma_sum):
-        out = out + (e[:, None] * sigma_sum) * e[None, :] / (m * m)
-    if np.any(sigma_spl):
-        out = out + (e[:, None] * sigma_spl) * e[None, :]
-    return _sym(out)
+    shared, per = _step(e, W, None, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m)
+    return _sym(shared + per)
 
 
-def _materialized(net: LinearNet, profile: NoiseProfile):
-    dims = net.dims()
+def _run(net: LinearNet, profile: NoiseProfile, m: int, fold: bool):
+    """The engine loop: lists of ``shared`` and ``per`` covariances, layers 0..L.
+
+    With ``fold`` the parts are summed into ``per`` after every layer and
+    ``shared`` stays None; otherwise both are kept, from ``shared = 0``.
+    """
+    if m < 1:
+        raise ValidationError("copy count m must be >= 1")
     if profile.depth != net.depth:
         raise ValidationError(
             f"profile depth {profile.depth} does not match network depth {net.depth}"
         )
-    sigma_m = profile.modulation.matrix(dims[0])
-    sigma_w = [profile.weight[l].matrix(dims[l + 1]) for l in range(net.depth)]
-    sigma_a = [profile.activation[l].matrix(dims[l + 1]) for l in range(net.depth)]
-    return sigma_m, sigma_w, sigma_a
+    dims = net.dims()
+    per = _sym(profile.modulation.matrix(dims[0]))
+    shared = None if fold else np.zeros_like(per)
+    shared_parts, per_parts = [shared], [per]
+    for l, (e, W) in enumerate(net.pairs, start=1):
+        d = dims[l]
+        shared, per = _step(
+            e, W, shared, per,
+            profile.weight[l - 1].matrix(d), profile.activation[l - 1].matrix(d),
+            profile.combine.matrix(d), profile.split.matrix(d), m,
+        )
+        if fold:
+            shared, per = None, _sym(shared + per)
+        else:
+            shared, per = _sym(shared), _sym(per)
+        shared_parts.append(shared)
+        per_parts.append(per)
+    return shared_parts, per_parts
 
 
 def propagate(net: LinearNet, profile: NoiseProfile) -> Trajectory:
     """Iterate the plain-layer map from the modulation covariance.
 
     Returns the full trajectory; ``.final`` is the output covariance of a
-    noisy evaluation of the unmodified linear network.
+    noisy evaluation of the unmodified linear network.  This is
+    :func:`propagate_b` at ``m = 1`` with the combine/split noise removed.
     """
-    sigma_m, sigma_w, sigma_a = _materialized(net, profile)
-    states = [CovarianceState(_sym(sigma_m), 0)]
-    sigma = states[0].sigma
-    for l, (e, W) in enumerate(net.pairs, start=1):
-        sigma = step_map(e, W, sigma, sigma_w[l - 1], sigma_a[l - 1])
-        states.append(CovarianceState(sigma, l))
-    return Trajectory(tuple(states))
+    plain = dataclasses.replace(profile, combine=CovSpec.zero(), split=CovSpec.zero())
+    return propagate_b(net, plain, 1)
 
 
 def propagate_b(net: LinearNet, profile: NoiseProfile, m: int) -> Trajectory:
@@ -229,25 +276,8 @@ def propagate_b(net: LinearNet, profile: NoiseProfile, m: int) -> Trajectory:
     by the positive semidefinite gap ``A_L (S_{L-1} - R_{L-1}/m) A_L^T``
     derived in the module docstring.
     """
-    if m < 1:
-        raise ValidationError("copy count m must be >= 1")
-    sigma_m, sigma_w, sigma_a = _materialized(net, profile)
-    dims = net.dims()
-    states = [CovarianceState(_sym(sigma_m), 0)]
-    sigma = states[0].sigma
-    for l, (e, W) in enumerate(net.pairs, start=1):
-        sigma = step_map_b(
-            e,
-            W,
-            sigma,
-            sigma_w[l - 1],
-            sigma_a[l - 1],
-            profile.combine.matrix(dims[l]),
-            profile.split.matrix(dims[l]),
-            m,
-        )
-        states.append(CovarianceState(sigma, l))
-    return Trajectory(tuple(states))
+    _, per = _run(net, profile, m, fold=True)
+    return Trajectory(tuple(CovarianceState(sigma, l) for l, sigma in enumerate(per)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,37 +307,15 @@ class BranchTrajectory:
 def propagate_b_branchwise(net: LinearNet, profile: NoiseProfile, m: int) -> BranchTrajectory:
     """Track the shared/per-branch covariance split of the combine/split design.
 
-    Layer update (``A = D W``): the combine averages the m branch inputs,
-    so the previously shared part passes through ``A . A^T`` undamped while
-    the per-branch part and the fresh weight/combine noise are averaged:
-
-        shared'     = A shared A^T + (A branch A^T + D S_w D^T) / m
-                      + D S_sum D^T / m^2
-        per_branch' = D S_spl D^T + S_a
-
-    The input branches are independently modulated, so the recursion
-    starts from ``shared = 0``, ``per_branch = S_m``.
+    The engine step with the parts kept apart: the combine averages the m
+    branch inputs, so the previously shared part passes through ``A . A^T``
+    undamped while the per-branch part and the fresh weight/combine noise
+    are averaged (module docstring).  The input branches are independently
+    modulated, so the recursion starts from ``shared = 0``,
+    ``per_branch = S_m``.
     """
-    if m < 1:
-        raise ValidationError("copy count m must be >= 1")
-    sigma_m, sigma_w, sigma_a = _materialized(net, profile)
-    dims = net.dims()
-    shared = [np.zeros((dims[0], dims[0]))]
-    branch = [_sym(sigma_m)]
-    for l, (e, W) in enumerate(net.pairs, start=1):
-        A = e[:, None] * W
-        d_out = dims[l]
-        sh = A @ shared[-1] @ A.T + (A @ branch[-1] @ A.T + (e[:, None] * sigma_w[l - 1]) * e[None, :]) / m
-        sum_mat = profile.combine.matrix(d_out)
-        if np.any(sum_mat):
-            sh = sh + (e[:, None] * sum_mat) * e[None, :] / (m * m)
-        br = np.array(sigma_a[l - 1], copy=True)
-        spl_mat = profile.split.matrix(d_out)
-        if np.any(spl_mat):
-            br = br + (e[:, None] * spl_mat) * e[None, :]
-        shared.append(_sym(sh))
-        branch.append(_sym(br))
-    return BranchTrajectory(tuple(shared), tuple(branch), m)
+    shared, per = _run(net, profile, m, fold=False)
+    return BranchTrajectory(tuple(shared), tuple(per), m)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +344,8 @@ class SymmetricConfig:
         W = np.asarray(self.W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] != e.shape[0]:
             raise ValidationError("symmetric config needs square W matching e")
+        if not _all_finite(e, W):
+            raise ValidationError("symmetric config: e/W contain non-finite values")
         if self.m < 1:
             raise ValidationError("copy count m must be >= 1")
         object.__setattr__(self, "e", e)
@@ -374,31 +384,13 @@ class SymmetricConfig:
         )
 
 
-def _transported_noise(cfg: SymmetricConfig) -> np.ndarray:
-    _, sigma_w, sigma_a = cfg.matrices()
-    e = cfg.e
-    return (e[:, None] * sigma_w) * e[None, :] + sigma_a
-
-
 def symmetric_closed_form(cfg: SymmetricConfig, L: int) -> np.ndarray:
-    """Finite-depth output covariance as an explicit power sum.
+    """Finite-depth plain output covariance: :func:`symmetric_closed_form_b` at ``m = 1``.
 
-    Evaluates ``sum_{l=1..L} A^{L-l} Q (A^{L-l})^T + A^L S_m (A^L)^T``
-    with ``Q = D S_w D^T + S_a``, independently of the recursion, so the
-    two can be checked against each other.
+    That is ``sum_{l=1..L} A^{L-l} Q (A^{L-l})^T + A^L S_m (A^L)^T`` with
+    ``Q = D S_w D^T + S_a``.
     """
-    if L < 1:
-        raise ValidationError("depth L must be >= 1")
-    A = cfg.A
-    Q = _transported_noise(cfg)
-    sigma_m, _, _ = cfg.matrices()
-    P = np.eye(cfg.dim)
-    total = np.zeros_like(Q)
-    for _ in range(L):
-        total = total + P @ Q @ P.T
-        P = A @ P
-    total = total + P @ sigma_m @ P.T
-    return _sym(total)
+    return symmetric_closed_form_b(cfg.with_m(1), L)
 
 
 def symmetric_closed_form_b(cfg: SymmetricConfig, L: int) -> np.ndarray:
@@ -408,15 +400,16 @@ def symmetric_closed_form_b(cfg: SymmetricConfig, L: int) -> np.ndarray:
     ``(1/m)^(L-l+1)`` and transported by ``A^(L-l)``; the modulation term
     is damped by ``m^-L``.  The exponent is the one consistent with
     iterating ``step_m``: each noise term enters one averaging inside its
-    own layer and one more per subsequent layer.
+    own layer and one more per subsequent layer.  The sum is evaluated
+    independently of the recursion, so the two can be checked against
+    each other.
     """
     if L < 1:
         raise ValidationError("depth L must be >= 1")
     m = cfg.m
     A = cfg.A
     sigma_m, sigma_w, sigma_a = cfg.matrices()
-    e = cfg.e
-    Q = (e[:, None] * sigma_w) * e[None, :] + m * sigma_a
+    Q = _dsd(cfg.e, sigma_w) + m * sigma_a
     P = np.eye(cfg.dim)
     total = np.zeros_like(Q)
     for k in range(L):
@@ -432,20 +425,22 @@ class SeriesResult(NamedTuple):
     terms: int
 
 
-def _series_ratio(cfg: SymmetricConfig, allow_spectral: bool, sqrt_m: float) -> float:
-    """Check the contraction hypothesis and return the tail ratio q.
+def _series_ratio(cfg: SymmetricConfig, allow_spectral: bool) -> tuple[float, str]:
+    """Check the contraction hypothesis; return the tail ratio q and the criterion.
 
     The default hypothesis is the Frobenius criterion
-    ``||D||_F ||W||_F < sqrt(m)``; with ``allow_spectral`` the sharper
-    sufficient condition ``||DW||_op^2 < m`` is accepted instead.  The
-    returned ratio ``q = ||DW||_op^2 / m`` bounds successive term norms.
+    ``||D||_F ||W||_F < sqrt(m)`` ("frobenius"); with ``allow_spectral``
+    the sharper sufficient condition ``||DW||_op^2 < m`` is accepted
+    instead ("spectral-override").  The returned ratio
+    ``q = ||DW||_op^2 / m`` bounds successive term norms.
     """
+    sqrt_m = math.sqrt(cfg.m)
     fro = cfg.frobenius_product()
     q = operator_norm(cfg.A) ** 2 / sqrt_m**2
     if fro < sqrt_m:
-        return q
+        return q, "frobenius"
     if allow_spectral and q < 1.0:
-        return q
+        return q, "spectral-override"
     raise ContractionError(
         f"contraction hypothesis violated: ||D||_F ||W||_F = {fro:.6g} >= "
         f"{sqrt_m:.6g}"
@@ -459,27 +454,11 @@ _SERIES_MAX_TERMS = 200_000
 def limit_series(cfg: SymmetricConfig, tol: float = 1e-12, allow_spectral: bool = False) -> SeriesResult:
     """Deep-network covariance limit ``sum_n A^n Q (A^n)^T`` with certified tail.
 
-    Terms are accumulated until a term's Frobenius norm falls below
-    ``tol * (1 - q)`` with ``q = ||A||_op^2``, which bounds the discarded
-    tail by ``tol``.
+    :func:`limit_series_b` at ``m = 1``: terms are accumulated until a
+    term's Frobenius norm falls below ``tol * (1 - q)`` with
+    ``q = ||A||_op^2``, which bounds the discarded tail by ``tol``.
     """
-    q = _series_ratio(cfg, allow_spectral, 1.0)
-    Q = _transported_noise(cfg)
-    A = cfg.A
-    threshold = tol * (1.0 - q)
-    total = np.zeros_like(Q)
-    term = Q
-    terms = 0
-    while np.linalg.norm(term) >= threshold:
-        total = total + term
-        term = A @ term @ A.T
-        terms += 1
-        if terms >= _SERIES_MAX_TERMS:
-            raise ConvergenceError(
-                "series did not meet the tail threshold", last=total,
-                residual=float(np.linalg.norm(term)),
-            )
-    return SeriesResult(_sym(total), terms)
+    return limit_series_b(cfg.with_m(1), tol, allow_spectral)
 
 
 def limit_series_b(cfg: SymmetricConfig, tol: float = 1e-12, allow_spectral: bool = False) -> SeriesResult:
@@ -489,10 +468,9 @@ def limit_series_b(cfg: SymmetricConfig, tol: float = 1e-12, allow_spectral: boo
     ``||A||_op^2 < m``); the tail ratio is ``q = ||A||_op^2 / m``.
     """
     m = cfg.m
-    q = _series_ratio(cfg, allow_spectral, math.sqrt(m))
-    e = cfg.e
+    q, _ = _series_ratio(cfg, allow_spectral)
     _, sigma_w, sigma_a = cfg.matrices()
-    Q = (e[:, None] * sigma_w) * e[None, :] + m * sigma_a
+    Q = _dsd(cfg.e, sigma_w) + m * sigma_a
     A = cfg.A
     threshold = tol * (1.0 - q)
     total = np.zeros_like(Q)
@@ -542,26 +520,12 @@ def fixed_point_solve(
     Bartels-Stewart Schur method (``scipy.linalg.solve_discrete_lyapunov``),
     in O(d^3) time and O(d^2) memory.
     """
-    sqrt_m = math.sqrt(cfg.m)
-    fro = cfg.frobenius_product()
-    criterion = "frobenius"
-    if not fro < sqrt_m:
-        q = operator_norm(cfg.A) ** 2 / cfg.m
-        if allow_spectral and q < 1.0:
-            criterion = "spectral-override"
-        else:
-            raise ContractionError(
-                f"contraction hypothesis violated: ||D||_F ||W||_F = {fro:.6g} >= "
-                f"{sqrt_m:.6g}"
-                + ("" if allow_spectral else " (spectral override not enabled)")
-            )
-
+    _, criterion = _series_ratio(cfg, allow_spectral)
     sigma_m, sigma_w, sigma_a = cfg.matrices()
     e, W, m = cfg.e, cfg.W, cfg.m
-    zero = np.zeros_like(sigma_a)
 
     def T(X):
-        return step_map_b(e, W, X, sigma_w, sigma_a, zero, zero, m)
+        return step_map_b(e, W, X, sigma_w, sigma_a, 0.0, 0.0, m)
 
     if method == "iterate":
         X = _sym(sigma_m)
@@ -581,9 +545,9 @@ def fixed_point_solve(
     if method == "vectorized":
         import scipy.linalg
 
-        rhs = (e[:, None] * sigma_w) * e[None, :] / m + sigma_a
+        rhs = _dsd(e, sigma_w) / m + sigma_a
         try:
-            x = scipy.linalg.solve_discrete_lyapunov(cfg.A / sqrt_m, rhs)
+            x = scipy.linalg.solve_discrete_lyapunov(cfg.A / math.sqrt(m), rhs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"Lyapunov equation could not be solved: {exc}")
         if not np.all(np.isfinite(x)):
@@ -652,11 +616,10 @@ def _last_ratio_is_stable(cfg: SymmetricConfig, L: int, m: int, growth_tol: floa
 
     sigma_m, sigma_w, sigma_a = cfg.matrices()
     e, W = cfg.e, cfg.W
-    zero = np.zeros_like(sigma_a)
     X = _sym(sigma_m)
     prev_norm = last_norm = float(np.linalg.norm(X))
     for _ in range(L):
-        X = step_map_b(e, W, X, sigma_w, sigma_a, zero, zero, m)
+        X = step_map_b(e, W, X, sigma_w, sigma_a, 0.0, 0.0, m)
         prev_norm = last_norm
         last_norm = float(np.linalg.norm(X))
         if not math.isfinite(last_norm) or last_norm > _OVERFLOW_GUARD:

@@ -215,6 +215,8 @@ def validate(net: Network) -> list[str]:
             )
         if not np.all(np.isfinite(layer.weights)) or not np.all(np.isfinite(layer.bias)):
             issues.append(f"layer {i}: weights/bias contain non-finite values")
+        if act.kind == "diag" and not np.all(np.isfinite(act.coeffs)):
+            issues.append(f"layer {i}: diag activation coefficients contain non-finite values")
         prev = layer.out_dim
     return issues
 

@@ -39,7 +39,6 @@ __all__ = [
     "SampleStats",
     "GENERATOR_NAME",
     "noisy_forward_samples",
-    "monte_carlo",
     "stats_from_samples",
     "covspec_to_json",
     "covspec_from_json",
@@ -374,21 +373,6 @@ def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
     dev = samples - reference
     mse = float(np.mean(np.einsum("ij,ij->i", dev, dev)))
     return SampleStats(n=n, mean=mean, covariance=cov, mse_vs_reference=mse)
-
-
-def monte_carlo(evaluator, x, reference, trials: int, seed: int) -> SampleStats:
-    """Run ``trials`` independent evaluations of ``evaluator(x, rng)``.
-
-    Each trial owns the stream ``RngStream(seed).child(trial)``, so the
-    result does not depend on execution order.  The reduction is performed
-    in trial order.
-    """
-    if trials < 2:
-        raise ValidationError("monte_carlo needs trials >= 2")
-    root = RngStream(int(seed))
-    x = np.asarray(x, dtype=np.float64)
-    rows = [np.asarray(evaluator(x, root.child(t)), dtype=np.float64) for t in range(trials)]
-    return stats_from_samples(np.vstack(rows), reference)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ MODULES = sorted(
     info.name for info in pkgutil.iter_modules(optonoise.__path__) if not info.ispkg
 )
 
-# single-vector evaluators; a single evaluation is ``*_samples(..., 1, rng)[0]``
-REMOVED = ("noisy_forward", "eval_design_a", "eval_design_b", "sample_noise")
+# single-vector evaluators; a single evaluation is ``*_samples(..., 1, rng)[0]``,
+# and the per-trial harness built on them: use ``*_samples`` with ``stats_from_samples``
+REMOVED = ("noisy_forward", "eval_design_a", "eval_design_b", "sample_noise", "monte_carlo")
 
 
 @pytest.mark.parametrize("name", MODULES)

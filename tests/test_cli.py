@@ -75,6 +75,36 @@ class TestCovarianceCommand:
         )
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_diag_coefficient_exits_1(self, tmp_path, capsys, bad):
+        net_obj = {
+            "input_dim": 2,
+            "layers": [{"weights": [[1.0, 0.0], [0.0, 1.0]], "bias": [0.0, 0.0],
+                        "activation": {"diag": [1.0, bad]}}],
+        }
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net_obj))
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps(profile_to_json(NoiseProfile.isotropic(1, 0.1, 0.1, 0.1))))
+        code, out, err = run(capsys, [
+            "covariance", "--mode", "trajectory", "--net", net_path, "--profile", profile_path,
+        ])
+        assert code == 1 and out == ""
+        assert "layer 1: diag activation coefficients contain non-finite values" in err
+
+    @pytest.mark.parametrize("command", [
+        ["covariance", "--mode", "closed-form", "--depth", "3"],
+        ["limit", "--mode", "series"],
+    ], ids=["closed-form", "limit-series"])
+    def test_non_finite_symmetric_config_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"e": [0.5, math.nan], "W": [[0.1, 0.0], [0.0, 0.1]],
+                                    "sigma_w": {"isotropic": 0.04}}))
+        code, out, err = run(capsys, [*command, "--symmetric", path])
+        assert code == 1 and out == ""
+        assert "non-finite" in err
+
+
 class TestLimitCommand:
     def test_fixed_point_scalar(self, tmp_path, capsys):
         cfg = {

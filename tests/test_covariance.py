@@ -1,5 +1,7 @@
 """Covariance propagation: per-layer maps, closed forms, limits, fixed points."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from optonoise import (
     symmetric_closed_form_b,
 )
 from optonoise.covariance import trajectory_to_json
+from optonoise.design_b import terminal_average_correction
 from optonoise.network import forward
 
 from conftest import random_covspec, random_linear_net, random_profile
@@ -59,6 +62,26 @@ def random_symmetric_cfg(rng, max_dim=5, contracting=False, m=1):
         random_covspec(rng, d),
         m=m,
     )
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("where", ["e", "W"])
+    def test_symmetric_config(self, where, bad):
+        e, W = np.array([0.5, 0.5]), 0.1 * np.eye(2)
+        (e if where == "e" else W)[-1, ...] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            SymmetricConfig(e, W, CovSpec.zero(), CovSpec.isotropic(0.1), CovSpec.zero())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_linear_net_names_layer(self, where, bad):
+        good = (np.ones(2), np.eye(2))
+        broken = [np.ones(2), np.eye(2)]
+        broken[where][-1, ...] = bad
+        with pytest.raises(ValidationError, match="layer 2: .*non-finite") as exc:
+            LinearNet((good, tuple(broken), good), 2)
+        assert exc.value.layer == 2
 
 
 class TestStepMap:
@@ -254,6 +277,57 @@ class TestPropagateB:
         assert rec[0, 0] == pytest.approx(0.75, rel=1e-12)
         branch = propagate_b_branchwise(linnet, profile, 2)
         assert branch.output[0, 0] == pytest.approx(1.0, rel=1e-12)
+
+
+def engine_case(seed, depth):
+    """A random linear net, its profile, and the same profile with combine/split on."""
+    rng = np.random.default_rng(seed)
+    net = random_linear_net(rng, depth=depth, max_dim=4)
+    plain = random_profile(rng, net)
+    with_cs = dataclasses.replace(
+        plain,
+        combine=CovSpec.isotropic(float(rng.uniform(0.01, 0.1))),
+        split=CovSpec.isotropic(float(rng.uniform(0.01, 0.1))),
+    )
+    return net, LinearNet.from_network(net), plain, with_cs
+
+
+class TestEngineModes:
+    """The plain, folded and branch-resolved runs of the one layer step."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 4))
+    def test_propagate_ignores_combine_and_split(self, seed, depth):
+        _, linnet, plain, with_cs = engine_case(seed, depth)
+        a, b = propagate(linnet, with_cs), propagate(linnet, plain)
+        assert [s.layer_index for s in a.states] == list(range(depth + 1))
+        for x, y in zip(a.sigmas(), b.sigmas(), strict=True):
+            np.testing.assert_array_equal(x, y)
+
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 4))
+    def test_folded_m1_is_propagate(self, seed, depth):
+        _, linnet, plain, _ = engine_case(seed, depth)
+        folded, ref = propagate_b(linnet, plain, 1), propagate(linnet, plain)
+        for x, y in zip(folded.sigmas(), ref.sigmas(), strict=True):
+            np.testing.assert_array_equal(x, y)
+
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 4))
+    def test_branchwise_m1_is_propagate(self, seed, depth):
+        _, linnet, plain, _ = engine_case(seed, depth)
+        branch = propagate_b_branchwise(linnet, plain, 1)
+        np.testing.assert_allclose(branch.output, propagate(linnet, plain).final, rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4))
+    def test_depth1_corrected_fold_is_branchwise(self, seed, m):
+        net, linnet, _, with_cs = engine_case(seed, 1)
+        corrected = terminal_average_correction(
+            propagate_b(linnet, with_cs, m).final, with_cs, net, m
+        )
+        branch = propagate_b_branchwise(linnet, with_cs, m)
+        np.testing.assert_allclose(corrected, branch.output, rtol=0, atol=1e-12)
 
 
 class TestClosedForms:

@@ -12,6 +12,7 @@ from optonoise import (
     DesignASpec,
     FeasibilityError,
     Layer,
+    LinearNet,
     Network,
     NoiseProfile,
     RngStream,
@@ -24,6 +25,7 @@ from optonoise import (
     noisy_forward_samples,
     lipschitz_bounds,
     stats_from_samples,
+    step_map_b,
     subgaussian_norm_sq,
     sufficient_copies,
     total_copies,
@@ -156,6 +158,40 @@ class TestEvalDesignA:
         # layer l performs prod_{k >= l-1} n_k weighted additions
         expected = sum(math.prod(copies[l - 1:]) for l in range(1, 4))
         assert len(calls) == expected
+
+
+class TestTreeOracle:
+    """The tree sampler against its exact output moments on linear nets."""
+
+    MAX_SE = 5.0
+
+    @pytest.mark.parametrize(
+        "copies, seed",
+        [((3, 2, 1), 601), ((3, 2, 1), 602), ((2, 2, 2, 1), 603), ((2, 2, 2, 1), 604)],
+    )
+    def test_matches_iterated_step_map_b(self, copies, seed):
+        rng = np.random.default_rng(seed)
+        net = random_linear_net(rng, depth=len(copies) - 1, max_dim=4)
+        profile = random_profile(rng, net)
+        x = rng.normal(size=net.input_dim)
+        # layer l averages n_{l-1} independent subtrees: the combine/split
+        # update with m = n_{l-1} and no combine or split noise
+        dims = net.dims()
+        cov = profile.modulation.matrix(dims[0])
+        for l, (e, W) in enumerate(LinearNet.from_network(net).pairs, start=1):
+            cov = step_map_b(
+                e, W, cov, profile.weight[l - 1].matrix(dims[l]),
+                profile.activation[l - 1].matrix(dims[l]), 0.0, 0.0, copies[l - 1],
+            )
+        trials = 40_000
+        samples = design_a_samples(DesignASpec(net, copies), x, profile, trials, RngStream(seed))
+        stats = stats_from_samples(samples, forward(net, x))
+        var = np.diag(cov)
+        mean_se = np.sqrt(var / trials)
+        # standard error of a sample covariance entry of Gaussian data
+        cov_se = np.sqrt((cov**2 + np.outer(var, var)) / (trials - 1))
+        assert np.max(np.abs(stats.mean - forward(net, x)) / mean_se) <= self.MAX_SE
+        assert np.max(np.abs(stats.covariance - cov) / cov_se) <= self.MAX_SE
 
 
 class TestChiMean:

@@ -149,6 +149,19 @@ class TestValidate:
         issues = validate(net)
         assert any("bias" in msg for msg in issues)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_diag_coefficients_reported(self, bad):
+        net = Network(
+            (
+                Layer(np.eye(2), np.zeros(2), Activation.diag_linear([1.0, 1.0])),
+                Layer(np.eye(2), np.zeros(2), Activation.diag_linear([1.0, bad])),
+            ),
+            2,
+        )
+        assert validate(net) == ["layer 2: diag activation coefficients contain non-finite values"]
+        with pytest.raises(ValidationError, match="layer 2: diag activation coefficients"):
+            forward(net, [1.0, 1.0])
+
 
 class TestOperatorNorm:
     def test_identity(self):

@@ -22,7 +22,6 @@ from optonoise import (
     design_a_samples,
     design_b_samples,
     forward,
-    monte_carlo,
     noisy_forward_samples,
     propagate,
     stats_from_samples,
@@ -309,33 +308,31 @@ class TestDegeneracyProperty:
 
 
 class TestMonteCarlo:
-    def test_trials_floor(self):
-        net = identity_net(1)
-        with pytest.raises(ValidationError):
-            monte_carlo(lambda x, rng: x, np.zeros(1), np.zeros(1), 1, 0)
-
     def test_noiseless_evaluator(self):
         net = identity_net(2)
         x = np.array([0.5, 1.5])
         ref = np.array([0.0, 1.0])
-        stats = monte_carlo(lambda v, rng: forward(net, v), x, ref, 50, 0)
+        samples = noisy_forward_samples(net, NoiseProfile.zero(1), x, 50, RngStream(0))
+        stats = stats_from_samples(samples, ref)
         np.testing.assert_array_equal(stats.covariance, np.zeros((2, 2)))
         assert stats.mse_vs_reference == pytest.approx(float(np.sum((x - ref) ** 2)), rel=1e-12)
 
     def test_expected_squared_norm(self):
         # E ||N(0, I_2)||^2 = trace = 2; sd of the estimate ~ 2/sqrt(n)
-        def evaluator(x, rng):
-            return x + rng.normal(2)
-
-        stats = monte_carlo(evaluator, np.zeros(2), np.zeros(2), 100_000, 21)
+        profile = NoiseProfile.isotropic(1, modulation_var=1.0)
+        samples = noisy_forward_samples(identity_net(2), profile, np.zeros(2), 100_000, RngStream(21))
+        stats = stats_from_samples(samples, np.zeros(2))
         assert 1.96 <= stats.mse_vs_reference <= 2.04
 
     def test_same_seed_bit_identical(self):
-        def evaluator(x, rng):
-            return x + rng.normal(3)
+        profile = NoiseProfile.isotropic(1, modulation_var=1.0)
 
-        a = monte_carlo(evaluator, np.zeros(3), np.zeros(3), 500, 5)
-        b = monte_carlo(evaluator, np.zeros(3), np.zeros(3), 500, 5)
+        def run():
+            samples = noisy_forward_samples(identity_net(3), profile, np.zeros(3), 500, RngStream(5))
+            return stats_from_samples(samples, np.zeros(3))
+
+        a = run()
+        b = run()
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.covariance, b.covariance)
         assert a.mse_vs_reference == b.mse_vs_reference
@@ -440,8 +437,9 @@ class TestTrialOrderIndependence:
         def evaluator(v, stream):
             return noisy_forward_samples(net, profile, v, 1, stream)[0]
 
-        stats = monte_carlo(evaluator, x, forward(net, x), 64, seed=14)
         root = RngStream(14)
+        rows = np.vstack([evaluator(x, root.child(t)) for t in range(64)])
+        stats = stats_from_samples(rows, forward(net, x))
         reversed_rows = np.vstack(
             [evaluator(x, root.child(t)) for t in reversed(range(64))][::-1]
         )
