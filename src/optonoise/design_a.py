@@ -36,15 +36,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FeasibilityError, ValidationError
-from .network import LipschitzReport, Network, _check_input, affine, forward
-from .noise import (
-    KIND_ACTIVATION,
-    KIND_MODULATION,
-    KIND_WEIGHT,
-    NoiseProfile,
-    RngStream,
-    _Sites,
-)
+# ``affine`` is unused here, but bench/spans.py wraps it on this module
+from .network import LipschitzReport, Network, affine, forward  # noqa: F401
+from .noise import NoiseProfile, RngStream, _sample
 
 __all__ = [
     "DesignASpec",
@@ -105,30 +99,6 @@ def design_a_spec_from_json(obj: dict) -> DesignASpec:
     return DesignASpec(network_from_json(obj["network"]), tuple(obj["copies"]))
 
 
-def _sample_node(net, profile, x, trials, sites, copies, level):
-    """``(trials, d)`` block of the next tree node at ``level``.
-
-    Level 0 is the modulated input.  Depth first, so only O(depth) blocks
-    are alive at once, never every leaf.  Depth-first order visits the
-    nodes of each level in increasing index order, so node ``j`` of a
-    level takes block ``j`` of the level's ``(kind, level)`` site streams.
-    """
-    if level == 0:
-        base = np.broadcast_to(x, (trials, x.shape[0]))
-        return sites.add(base, profile.modulation, KIND_MODULATION, 0)
-    layer = net.layers[level - 1]
-    fan_in = copies[level - 1]
-    w_spec, a_spec = profile.weight[level - 1], profile.activation[level - 1]
-    acc = None
-    for _ in range(fan_in):
-        child = _sample_node(net, profile, x, trials, sites, copies, level - 1)
-        xi = affine(layer.weights, layer.bias, child)
-        xi = sites.add(xi, w_spec, KIND_WEIGHT, level)
-        acc = xi if acc is None else acc + xi
-    h = layer.activation(acc / fan_in)
-    return sites.add(h, a_spec, KIND_ACTIVATION, level)
-
-
 def design_a_samples(
     spec: DesignASpec, x, profile: NoiseProfile, trials: int, rng: RngStream
 ) -> np.ndarray:
@@ -144,19 +114,18 @@ def design_a_samples(
     explicit identity layers (``experiments.insert_identity_layers``) and
     move the activation covariance into their weight slot.
 
-    With all copy counts 1 and a zero profile every row equals the
-    noiseless forward pass bit-exactly.  A tree costs
-    ``sum_l prod_{k>=l} n_k`` weighted additions, against the linear
-    ``m * L`` of the combine/split design.
+    A tree costs ``sum_l prod_{k>=l} n_k`` weighted additions, against the
+    linear ``m * L`` of the combine/split design.  The simulator draws from
+    the same law with ``n_{l-1}`` times fewer: node ``j`` of level ``l`` is
+    one weighted addition of its children's average, with weight noise
+    ``Sigma_w / n_{l-1}`` (modulation ``Sigma_m / n_0`` at level 1), and
+    takes block ``j`` of the level's sites.  Levels over the kernel's byte
+    budget run in chunks of whole subtrees, which changes no sample.  With
+    all copy counts 1 the draws equal ``noisy_forward_samples``, and with a
+    zero profile every row equals the noiseless forward pass bit-exactly.
     """
-    spec.base.require_valid()
-    profile.validate_for(spec.base)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    x = _check_input(spec.base, x)
-    sites = _Sites(rng)
-    out = _sample_node(spec.base, profile, x, trials, sites, spec.copies, spec.base.depth)
-    return np.array(out, dtype=np.float64, copy=True)
+    ones = (1,) * spec.base.depth
+    return _sample(spec.base, profile, x, trials, rng, spec.copies[:-1], ones)
 
 
 def chi_mean(d: int) -> float:

@@ -31,18 +31,8 @@ import numpy as np
 
 from .covariance import LinearNet, propagate_b, propagate_b_branchwise
 from .errors import ValidationError
-from .network import Network, _check_input, affine, forward
-from .noise import (
-    KIND_ACTIVATION,
-    KIND_COMBINE,
-    KIND_MODULATION,
-    KIND_SPLIT,
-    KIND_WEIGHT,
-    NoiseProfile,
-    RngStream,
-    _Sites,
-    stats_from_samples,
-)
+from .network import Network, forward
+from .noise import NoiseProfile, RngStream, _sample, stats_from_samples
 
 __all__ = [
     "DesignBSpec",
@@ -87,44 +77,20 @@ def design_b_samples(
 ) -> np.ndarray:
     """``trials`` independent combine/split evaluations, trial-vectorized.
 
-    Returns ``(trials, d_L)``; ``trials=1`` gives one evaluation.  Layer
-    ``l`` draws on the sites ``(kind, l)``: branch ``alpha`` takes block
-    ``alpha`` of each site stream and the combine takes one block, each a
-    ``(trials, d)`` block.  With ``m = 1`` the combine and split are
-    no-ops, so (with zero combine/split covariances) the draws coincide
+    Returns ``(trials, d_L)``; ``trials=1`` gives one evaluation.  Each
+    evaluation costs ``m * depth`` weighted additions; the simulator draws
+    from the same law with one per layer, on the average of the m branches,
+    with weight noise ``Sigma_w / m`` and combine noise ``Sigma_c / m**2``
+    (modulation ``Sigma_m / m``).  Layer ``l`` draws on the sites
+    ``(kind, l)``: one weight and one combine block for the beam, block
+    ``alpha`` of the split and activation sites for branch ``alpha``.  With
+    ``m = 1`` (and zero combine/split covariances) the draws coincide
     site-for-site with ``noise.noisy_forward_samples`` on the same stream,
     and with a zero profile every row equals the noiseless forward pass
     bit-exactly.
-    Each evaluation costs ``m * depth`` weighted additions.
     """
-    spec.base.require_valid()
-    profile.validate_for(spec.base)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    net, m = spec.base, spec.m
-    x = _check_input(net, x)
-
-    sites = _Sites(rng)
-    base = np.broadcast_to(x, (trials, net.input_dim))
-    branches = [sites.add(base, profile.modulation, KIND_MODULATION, 0) for _ in range(m)]
-    for l, layer in enumerate(net.layers, start=1):
-        w_spec, a_spec = profile.weight[l - 1], profile.activation[l - 1]
-        combined = None
-        for value in branches:
-            xi = affine(layer.weights, layer.bias, value)
-            xi = sites.add(xi, w_spec, KIND_WEIGHT, l)
-            combined = xi if combined is None else combined + xi
-        combined = sites.add(combined, profile.combine, KIND_COMBINE, l)
-        shared = combined / m
-        branches = []
-        for _ in range(m):
-            y = sites.add(shared, profile.split, KIND_SPLIT, l)
-            h = layer.activation(y)
-            branches.append(sites.add(h, a_spec, KIND_ACTIVATION, l))
-    out = branches[0]
-    for value in branches[1:]:
-        out = out + value
-    return np.array(out / m, dtype=np.float64, copy=True)
+    ms = (spec.m,) * spec.base.depth
+    return _sample(spec.base, profile, x, trials, rng, ms, ms, combine_split=True)
 
 
 def suggested_m(D_norm: float, W_norm: float, variant: str = "theoretical", d: int = 1) -> int:

@@ -333,14 +333,22 @@ def run_accuracy_experiment(cfg: ExperimentConfig, labels, copies_grid) -> list[
         baseline_hits += int(_accuracy(samples, int(y)).sum())
     acc_onn = baseline_hits / (cfg.trials * cfg.inputs.shape[0])
 
+    # one copy of either design draws what the baseline drew (design b only
+    # without combine/split noise), so that row reuses the baseline hits
+    one_copy_is_plain = cfg.design == "a" or (
+        cfg.design == "b" and cfg.profile.combine.is_zero and cfg.profile.split.is_zero
+    )
     rows = []
     for copies in copies_grid:
-        hits = 0
-        for i, (x, y) in enumerate(zip(cfg.inputs, labels)):
-            samples = _design_samples(
-                cfg, cfg.network, cfg.profile, copies, x, root.child(copies, i)
-            )
-            hits += int(_accuracy(samples, int(y)).sum())
+        if copies == 1 and one_copy_is_plain:
+            hits = baseline_hits
+        else:
+            hits = 0
+            for i, (x, y) in enumerate(zip(cfg.inputs, labels)):
+                samples = _design_samples(
+                    cfg, cfg.network, cfg.profile, copies, x, root.child(copies, i)
+                )
+                hits += int(_accuracy(samples, int(y)).sum())
         total = cfg.trials * cfg.inputs.shape[0]
         acc = hits / total
         low, high = wilson_interval(hits, total, cfg.confidence)

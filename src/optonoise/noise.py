@@ -15,11 +15,11 @@ layer take successive ``(trials, d)`` blocks of that one stream, copy
 ``j`` block ``j``.  Distinct paths give statistically independent streams
 and the same ``(seed, path)`` reproduces the same samples bit-exactly.
 
-Each design has one sampler, batched over trials: every draw emits a
-``(trials, d)`` block.  A single noisy evaluation is a batch of one,
-``noisy_forward_samples(net, profile, x, 1, rng)[0]``; a one-row block
-equals the first row of any larger block on the same stream, so this is
-exact for the plain net and for the one-copy designs.
+All samplers run one layer kernel, :func:`_sample`, batched over trials
+and over the copies of a layer.  A single noisy evaluation is a batch of
+one, ``noisy_forward_samples(net, profile, x, 1, rng)[0]``; a one-row
+block equals the first row of any larger block on the same stream, so
+this is exact for the plain net and for the one-copy designs.
 """
 
 from __future__ import annotations
@@ -53,11 +53,17 @@ KIND_ACTIVATION = 2
 KIND_COMBINE = 3
 KIND_SPLIT = 4
 
-#: Recorded in output metadata so result files name their generator.
-GENERATOR_NAME = "sfc64/seedseq-site"
+#: Recorded in output metadata so result files name their generator and
+#: stream layout: one block per copy of the kernel, not per physical copy.
+GENERATOR_NAME = "sfc64/seedseq-site-collapsed"
 
 _SYM_TOL = 1e-12
 _PSD_PIVOT_TOL = 1e-10
+
+#: Largest working set, in bytes, of one pass of the layer kernel.  Wider
+#: trees run in chunks of whole subtrees, in index order, so every site
+#: takes its blocks in order and the samples do not depend on this number.
+_CHUNK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,19 +176,23 @@ class CovSpec:
         return float(np.max(np.diag(self.mat)))
 
 
-def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: int):
-    """An ``(n, dim)`` block of independent rows from Normal(0, spec).
+def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n, div: float = 1.0):
+    """A fresh ``(n, dim)`` block (``(*n, dim)`` for a tuple ``n``) of
+    independent rows from Normal(0, spec / div).
 
     Zero specs never get here: :meth:`_Sites.add` skips them.  Dimensions
     are not checked here; every sampler checks the profile against the
     network on entry (:meth:`NoiseProfile.validate_for`).
     """
-    z = gen.standard_normal((n, dim))
+    z = gen.standard_normal((*n, dim) if isinstance(n, tuple) else (n, dim))
     if spec.kind == "isotropic":
-        return math.sqrt(spec.var) * z
-    if spec.kind == "diagonal":
-        return np.sqrt(spec.vec) * z
-    return z @ spec._factor.T
+        z *= math.sqrt(spec.var / div)
+    elif spec.kind == "diagonal":
+        z *= np.sqrt(spec.vec / div)
+    else:
+        z = z @ spec._factor.T
+        z *= math.sqrt(1.0 / div)
+    return z
 
 
 @dataclass(frozen=True)
@@ -216,10 +226,11 @@ class _Sites:
     """The draw sites of one sampler call, one stream per ``(kind, layer)``.
 
     ``add`` builds the generator of ``rng.child(kind, layer)`` the first
-    time the site draws, and each call adds the next ``(rows, d)`` block
-    of it, so copy ``j`` of a layer takes block ``j``.  A zero spec returns
-    ``h`` itself and never builds the stream, so zero-noise sites stay
-    bit-exact and cost nothing.
+    time the site draws, and each call adds the next ``(trials, d)`` block
+    of Normal(0, spec / div) to every copy (first axis) of ``h``, so copy
+    ``j`` of a layer takes block ``j``; with ``fan > 1`` each copy first
+    becomes ``fan`` consecutive copies.  A zero spec never builds the
+    stream, so zero-noise sites stay bit-exact and cost nothing.
     """
 
     __slots__ = ("_rng", "_gens")
@@ -228,14 +239,21 @@ class _Sites:
         self._rng = rng
         self._gens = {}
 
-    def add(self, h, spec: CovSpec, kind: int, layer: int):
+    def add(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0, fan: int = 1):
         if spec.is_zero:
-            return h
+            return h if fan == 1 else np.repeat(h, fan, axis=0)
         key = (kind, layer)
         gen = self._gens.get(key)
         if gen is None:
             gen = self._gens[key] = self._rng.child(*key).generator()
-        return h + _draw(spec, h.shape[-1], gen, h.shape[0])
+        shape = h.shape
+        z = _draw(spec, shape[-1], gen, (shape[0] * fan, *shape[1:-1]), div)
+        fanned = z.reshape(shape[0], fan, *shape[1:])
+        fanned += h[:, None]
+        return z
+
+
+_ZERO = CovSpec.zero()
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +326,57 @@ class NoiseProfile:
             self.split.check_dim(dims[l + 1], "split covariance")
 
 
+def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
+    """The layer kernel behind every sampler: ``(trials, d_L)`` samples.
+
+    Layer ``l`` averages groups of ``g = fan_in[l-1]`` copies (layer 1:
+    modulated inputs, noise ``Sigma_m / g``), makes one weighted addition
+    per group with weight noise ``Sigma_w / g`` (with ``combine_split``,
+    combine noise ``Sigma_c / g**2``), fans it out to ``fan_out[l-1]``
+    copies with split noise, then activates and adds activation noise per
+    copy.  The copies left at the end are averaged.
+    """
+    net.require_valid()
+    profile.validate_for(net)
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    x = _check_input(net, x)
+    sites = _Sites(rng)
+    combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
+    dims = net.dims()
+    # bytes one group of layer l holds at its widest level below it
+    group_bytes = []
+    for l in range(1, net.depth + 1):
+        below = group_bytes[-1] * (fan_in[l - 1] // fan_out[l - 2]) if l > 1 else 0
+        group_bytes.append(max(below, 8 * trials * max(dims[l - 1], fan_out[l - 1] * dims[l])))
+
+    def groups(l, count):
+        """Outputs ``(count * f, trials, d_l)`` of the next ``count`` groups of layer ``l``."""
+        step = max(1, _CHUNK_BYTES // group_bytes[l - 1])
+        if count > step:
+            return np.concatenate(
+                [groups(l, min(step, count - s)) for s in range(0, count, step)]
+            )
+        g = fan_in[l - 1]
+        if l == 1:
+            h = np.broadcast_to(x, (count, trials, dims[0]))
+            h = sites.add(h, profile.modulation, KIND_MODULATION, 0, g)
+        else:
+            h = groups(l - 1, count * g // fan_out[l - 2])
+            if g > 1:
+                h = h.reshape(count, g, trials, dims[l - 1]).mean(axis=1)
+        layer = net.layers[l - 1]
+        h = affine(layer.weights, layer.bias, h)
+        h = sites.add(h, profile.weight[l - 1], KIND_WEIGHT, l, g)
+        h = sites.add(h, combine, KIND_COMBINE, l, g * g)
+        h = sites.add(h, split, KIND_SPLIT, l, fan=fan_out[l - 1])
+        h = layer.activation(h)
+        return sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l)
+
+    out = groups(net.depth, 1)
+    return out[0] if out.shape[0] == 1 else out.mean(axis=0)
+
+
 def noisy_forward_samples(
     net: Network, profile: NoiseProfile, x, trials: int, rng: RngStream
 ) -> np.ndarray:
@@ -322,21 +391,7 @@ def noisy_forward_samples(
 
     Returns an array of shape ``(trials, d_L)``.
     """
-    net.require_valid()
-    profile.validate_for(net)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    x = _check_input(net, x)
-
-    sites = _Sites(rng)
-    h = np.broadcast_to(x, (trials, net.input_dim))
-    h = sites.add(h, profile.modulation, KIND_MODULATION, 0)
-    for l, layer in enumerate(net.layers, start=1):
-        u = affine(layer.weights, layer.bias, h)
-        u = sites.add(u, profile.weight[l - 1], KIND_WEIGHT, l)
-        h = layer.activation(u)
-        h = sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l)
-    return np.array(h, dtype=np.float64, copy=True)
+    return _sample(net, profile, x, trials, rng, (1,) * net.depth, (1,) * net.depth)
 
 
 @dataclass(frozen=True, eq=False)

@@ -148,16 +148,17 @@ class TestEvalDesignA:
             assert inversions <= 1, mses
 
     def test_affine_calls_count_tree_cost(self, rng, monkeypatch):
-        import optonoise.design_a as design_a
+        import optonoise.noise as noise
 
-        calls = count_affine_calls(monkeypatch, design_a)
+        calls = count_affine_calls(monkeypatch, noise)
         net = random_linear_net(rng, depth=3, max_dim=3)
         copies = (2, 3, 2, 1)
         design_a_samples(DesignASpec(net, copies), np.zeros(net.input_dim),
                          NoiseProfile.zero(3), 1, RngStream(0))
-        # layer l performs prod_{k >= l-1} n_k weighted additions
-        expected = sum(math.prod(copies[l - 1:]) for l in range(1, 4))
-        assert len(calls) == expected
+        # the physical layer l performs prod_{k >= l-1} n_k weighted
+        # additions; the simulator makes one call per layer on the
+        # prod_{k >= l} n_k nodes of level l, n_{l-1} times fewer
+        assert [args[2].shape[0] for args in calls] == [math.prod(copies[l:]) for l in range(1, 4)]
 
 
 class TestTreeOracle:

@@ -7,22 +7,28 @@ import pytest
 
 from optonoise import (
     Activation,
+    CovSpec,
+    DesignBSpec,
     ExperimentConfig,
     Layer,
     LinearNet,
     Network,
     NoiseProfile,
+    RngStream,
     ValidationError,
     calibrate_noise,
+    design_b_samples,
     forward,
     insert_identity_layers,
     insertion_tuple,
+    noisy_forward_samples,
     propagate_b_branchwise,
     run_accuracy_experiment,
     run_depth_sweep,
     run_mse_experiment,
     scan_m_grid,
 )
+from optonoise import experiments
 from optonoise.experiments import normal_interval, plan_insertions, write_csv
 from optonoise.fixtures import fixture_dataset, fixture_network
 
@@ -212,6 +218,52 @@ class TestAccuracyExperiment:
             row = run_accuracy_experiment(cfg, labels, [1])[0]
             assert row["relative"] == 0.0
             assert row["acc_nn"] == 1.0  # labels are the noiseless decisions
+
+    def test_one_copy_designs_draw_the_baseline(self, fixture_setup):
+        # the copies=1 row reuses the baseline hits because a one-copy run
+        # of either design takes the plain network's draws on its stream
+        net, X, labels, profile = fixture_setup
+        root = RngStream(3)
+        for design in ("a", "b"):
+            cfg = ExperimentConfig(network=net, profile=profile, design=design,
+                                   inputs=X[:8], trials=30, seed=3, labels=labels[:8])
+            for i, x in enumerate(cfg.inputs):
+                np.testing.assert_array_equal(
+                    experiments._design_samples(cfg, net, profile, 1, x, root.child(1, i)),
+                    noisy_forward_samples(net, profile, x, cfg.trials, root.child(1, i)),
+                )
+
+    def test_one_copy_row_samples_only_when_it_differs(self, fixture_setup, monkeypatch):
+        net, X, labels, profile = fixture_setup
+        X, labels = X[:10], labels[:10]
+        calls = []
+        real = experiments._design_samples
+
+        def counting(cfg, net, profile, copies, x, stream):
+            calls.append(copies)
+            return real(cfg, net, profile, copies, x, stream)
+
+        monkeypatch.setattr(experiments, "_design_samples", counting)
+        cfg = ExperimentConfig(network=net, profile=profile, design="a",
+                               inputs=X, trials=20, seed=5, labels=labels)
+        rows = run_accuracy_experiment(cfg, labels, [1, 2])
+        assert calls == [2] * len(X)
+        assert rows[0]["acc_design"] == rows[0]["acc_onn"]
+        # with combine noise the one-copy combine/split run is its own draw
+        noisy = NoiseProfile(profile.modulation, profile.weight, profile.activation,
+                             combine=CovSpec.isotropic(0.5))
+        cfg = ExperimentConfig(network=net, profile=noisy, design="b",
+                               inputs=X, trials=20, seed=5, labels=labels)
+        calls.clear()
+        row = run_accuracy_experiment(cfg, labels, [1])[0]
+        assert calls == [1] * len(X)
+        root = RngStream(5)
+        hits = sum(
+            int(np.sum(np.argmax(design_b_samples(DesignBSpec(net, 1), x, noisy, 20,
+                                                  root.child(1, i)), axis=1) == y))
+            for i, (x, y) in enumerate(zip(X, labels))
+        )
+        assert row["acc_design"] == hits / (20 * len(X))
 
     def test_relative_accuracy_nondecreasing(self, fixture_setup):
         net, X, labels, profile = fixture_setup

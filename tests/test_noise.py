@@ -40,7 +40,7 @@ from optonoise.noise import (
     profile_to_json,
 )
 
-from conftest import random_covspec, random_linear_net, random_profile
+from conftest import count_affine_calls, random_covspec, random_linear_net, random_profile
 
 
 class TestCovSpec:
@@ -224,15 +224,51 @@ class TestSiteStreams:
     """One stream per ``(kind, layer)`` site per call; copy ``j`` takes block ``j``."""
 
     def test_two_leaf_tree_takes_consecutive_blocks(self):
+        # the two modulated leaves of a level-1 node collapse into one block
+        # of the modulation site at variance var / 2; two level-1 nodes take
+        # consecutive blocks
         d, trials, var = 3, 5, 0.3
         x = np.array([0.5, -1.0, 2.0])
-        profile = NoiseProfile.isotropic(1, modulation_var=var)
-        out = design_a_samples(DesignASpec(identity_net(d), (2, 1)), x, profile, trials, RngStream(21))
         gen = RngStream(21).child(KIND_MODULATION, 0).generator()
         z0 = gen.standard_normal((trials, d))
         z1 = gen.standard_normal((trials, d))
+        profile = NoiseProfile.isotropic(1, modulation_var=var)
+        out = design_a_samples(DesignASpec(identity_net(d), (2, 1)), x, profile, trials, RngStream(21))
+        np.testing.assert_array_equal(out, x + math.sqrt(var / 2) * z0)
+        net = Network(identity_net(d).layers * 2, d)
+        profile = NoiseProfile.isotropic(2, modulation_var=var)
+        out = design_a_samples(DesignASpec(net, (1, 2, 1)), x, profile, trials, RngStream(21))
         s = math.sqrt(var)
         np.testing.assert_array_equal(out, ((x + s * z0) + (x + s * z1)) / 2)
+
+    def test_samples_do_not_depend_on_chunk_budget(self, monkeypatch):
+        import optonoise.noise as noise
+
+        rng = np.random.default_rng(24)
+        net = TestDegeneracyProperty.random_net(rng, ["tanh", "softmax", "diag"])
+        dims = net.dims()
+        full = [random_covspec(rng, d, kind="full") for d in dims]
+        iso = CovSpec.isotropic(0.02)
+        profile = NoiseProfile(full[0], tuple(full[1:]), (iso, iso, iso), iso, iso)
+        x = rng.normal(size=net.input_dim)
+        tree = DesignASpec(net, (2, 3, 2, 1))
+
+        def run():
+            return (
+                design_a_samples(tree, x, profile, 7, RngStream(25)),
+                design_b_samples(DesignBSpec(net, 3), x, profile, 7, RngStream(25)),
+            )
+
+        calls = count_affine_calls(monkeypatch, noise)
+        default = run()
+        assert len(calls) == 2 * net.depth  # one call per layer and sampler
+        calls.clear()
+        monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
+        tiny = run()
+        # the tiny budget runs the tree one node at a time: 6 + 2 + 1 calls
+        assert len(calls) == 9 + net.depth
+        for a, b in zip(default, tiny):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
     def test_one_generator_per_nonzero_site(self, sampler, monkeypatch):
