@@ -92,7 +92,6 @@ from .network import (
     network_to_json,
     operator_norm,
     save_network,
-    validate,
 )
 from .noise import (
     GENERATOR_NAME,

@@ -124,16 +124,31 @@ def _parse_vector(text: str) -> np.ndarray:
     return arr
 
 
+def _int_list(values, what: str) -> list[int]:
+    """Integers from a list of numbers or numeric strings; ``2.0`` passes, ``2.5`` is refused."""
+    error = ValidationError(f"{what} must be a list of integers, got {values!r}")
+    if not isinstance(values, list) or any(isinstance(v, bool) for v in values):
+        raise error
+    try:
+        floats = [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        raise error from None
+    if not all(f.is_integer() for f in floats):
+        raise error
+    return [int(f) for f in floats]
+
+
 def _parse_grid(text: str) -> list[float]:
     """Comma list ('1,2,4') or linspace spec ('lo:hi:count')."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"grid spec {text!r} must be lo:hi:count")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return [float(v) for v in np.linspace(lo, hi, count)]
     try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ValidationError(f"grid spec {text!r} must be lo:hi:count")
+            lo, hi = float(parts[0]), float(parts[1])
+            (count,) = _int_list(parts[2:], "grid count")
+            return [float(v) for v in np.linspace(lo, hi, count)]
         return [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ValidationError(f"cannot parse grid {text!r}: {exc}")
@@ -183,12 +198,14 @@ def _load_labels(spec) -> np.ndarray:
 def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
     raw = _load_json(path)
     net = load_network(raw["network"])
+    X, labels = _load_inputs(raw["inputs"])
+    if raw.get("labels"):
+        labels = _load_labels(raw["labels"])
     profile_spec = raw.get("profile")
     if isinstance(profile_spec, dict) and "calibrate" in profile_spec:
         from .experiments import calibrate_noise
 
         cal = profile_spec["calibrate"]
-        X, _ = _load_inputs(raw["inputs"])
         profile = calibrate_noise(
             net,
             list(X),
@@ -200,19 +217,13 @@ def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
         profile = _load_profile(profile_spec)
     else:
         raise ValidationError("experiment config needs a 'profile' path or calibration rule")
-    X, embedded_labels = _load_inputs(raw["inputs"])
-    labels = embedded_labels
-    if raw.get("labels"):
-        labels = _load_labels(raw["labels"])
-    seed = int(ctx.obj.get("seed") if ctx.obj.get("seed") is not None else raw.get("seed", 0))
-    trials = int(ctx.obj.get("trials") if ctx.obj.get("trials") is not None else raw.get("trials", 100))
     cfg = ExperimentConfig(
         network=net,
         profile=profile,
-        design=raw.get("design", "none"),
+        design=raw.get("design"),
         inputs=X,
-        trials=trials,
-        seed=seed,
+        trials=_trials(ctx, raw.get("trials", 100)),
+        seed=_seed(ctx, raw.get("seed", 0)),
         labels=labels,
         confidence=float(raw.get("confidence", 0.95)),
         config_hash=_config_hash(raw),
@@ -292,7 +303,7 @@ def cmd_design_a(ctx, net_path, profile_path, input_text, copies):
     net = load_network(net_path)
     profile = _load_profile(profile_path)
     x = _parse_vector(input_text)
-    copy_vec = [int(v) for v in json.loads(copies)]
+    copy_vec = _int_list(json.loads(copies), "--copies")
     seed, trials = _seed(ctx), _trials(ctx)
     spec = DesignASpec(net, tuple(copy_vec))
     samples = design_a_samples(spec, x, profile, trials, RngStream(seed))
@@ -457,7 +468,7 @@ def cmd_scan_m(ctx, width, w_grid, d_grid, depth):
 def cmd_insert_layers(ctx, net_path, count, slots):
     """Insert identity layers and write the deepened network."""
     net = load_network(net_path)
-    slot_list = [int(s) for s in slots.split(",")] if slots else None
+    slot_list = _int_list(slots.split(","), "--slots") if slots else None
     deeper = insert_identity_layers(net, count, slot_list)
     payload = {"command": "insert-layers", "net": net_path, "n": count, "slots": slots}
     output = ctx.obj.get("output")
@@ -485,7 +496,7 @@ def _require_config(ctx) -> str:
 @click.pass_context
 def cmd_experiment_mse(ctx, grid):
     cfg, raw = _experiment_config(ctx, _require_config(ctx))
-    rows = run_mse_experiment(cfg, [int(v) for v in _parse_grid(grid)])
+    rows = run_mse_experiment(cfg, _int_list(_parse_grid(grid), "--grid"))
     payload = {"command": "experiment mse", "config": raw, "grid": grid,
                "trials": cfg.trials, "seed": cfg.seed}
     _emit(ctx, {"meta": _meta(payload, cfg.seed), "rows": rows}, rows=rows)
@@ -496,9 +507,7 @@ def cmd_experiment_mse(ctx, grid):
 @click.pass_context
 def cmd_experiment_accuracy(ctx, grid):
     cfg, raw = _experiment_config(ctx, _require_config(ctx))
-    if cfg.labels is None:
-        raise ValidationError("accuracy experiments need labels")
-    rows = run_accuracy_experiment(cfg, cfg.labels, [int(v) for v in _parse_grid(grid)])
+    rows = run_accuracy_experiment(cfg, _int_list(_parse_grid(grid), "--grid"))
     payload = {"command": "experiment accuracy", "config": raw, "grid": grid,
                "trials": cfg.trials, "seed": cfg.seed}
     _emit(ctx, {"meta": _meta(payload, cfg.seed), "rows": rows}, rows=rows)
@@ -512,10 +521,10 @@ def cmd_experiment_accuracy(ctx, grid):
 @click.pass_context
 def cmd_experiment_depth(ctx, n_grid, var_grid, copies, slots):
     cfg, raw = _experiment_config(ctx, _require_config(ctx))
-    slot_list = [int(s) for s in slots.split(",")] if slots else None
+    slot_list = _int_list(slots.split(","), "--slots") if slots else None
     rows = run_depth_sweep(
         cfg,
-        [int(v) for v in _parse_grid(n_grid)],
+        _int_list(_parse_grid(n_grid), "--n-grid"),
         _parse_grid(var_grid),
         copies,
         slots=slot_list,

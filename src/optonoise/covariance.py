@@ -135,11 +135,7 @@ class LinearNet:
 
     @classmethod
     def from_network(cls, net: Network) -> "LinearNet":
-        pairs = tuple(
-            (np.asarray(e, dtype=np.float64), np.asarray(W, dtype=np.float64))
-            for e, W in as_linear(net)
-        )
-        return cls(pairs, net.input_dim)
+        return cls(tuple(as_linear(net)), net.input_dim)
 
     @property
     def depth(self) -> int:
@@ -230,10 +226,7 @@ def _run(net: LinearNet, profile: NoiseProfile, m: int, fold: bool):
     """
     if m < 1:
         raise ValidationError("copy count m must be >= 1")
-    if profile.depth != net.depth:
-        raise ValidationError(
-            f"profile depth {profile.depth} does not match network depth {net.depth}"
-        )
+    profile.validate_for(net)
     dims = net.dims()
     per = _sym(profile.modulation.matrix(dims[0]))
     shared = None if fold else np.zeros_like(per)

@@ -44,10 +44,10 @@ DEFAULT_SLOTS = (1, 3, 5, 7)
 class ExperimentConfig:
     """Resolved experiment inputs.
 
-    ``design`` selects the noise-averaging scheme ("a", "b", or "none"
-    for the unmodified noisy network).  ``inputs`` is an ``(N, d_0)``
-    matrix; ``labels`` an optional integer vector for classification
-    experiments.  ``config_hash`` is carried into every output row.
+    ``design`` selects the noise-averaging scheme: "a" (tree replication)
+    or "b" (combine/split).  ``inputs`` is an ``(N, d_0)`` matrix;
+    ``labels`` an optional integer vector for classification experiments.
+    ``config_hash`` is carried into every output row.
     """
 
     network: Network
@@ -61,8 +61,8 @@ class ExperimentConfig:
     config_hash: str = ""
 
     def __post_init__(self):
-        if self.design not in ("none", "a", "b"):
-            raise ValidationError(f"unknown design {self.design!r}")
+        if self.design not in ("a", "b"):
+            raise ValidationError(f"design must be 'a' or 'b', got {self.design!r}")
         if self.trials < 2:
             raise ValidationError("experiments need trials >= 2")
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -210,7 +210,6 @@ def insert_identity_layers(net: Network, n: int, slots=None) -> Network:
     The noiseless map is unchanged bit-exactly; under noise the inserted
     layers add noise sources, which is their purpose in depth sweeps.
     """
-    net.require_valid()
     plan = plan_insertions(net, n, slots)
     layers = list(net.layers)
     # insert right-to-left so earlier slot positions stay valid
@@ -238,9 +237,14 @@ def _design_samples(cfg: ExperimentConfig, net, profile, copies: int, x, stream)
     if cfg.design == "a":
         spec = DesignASpec(net, (copies,) * net.depth + (1,))
         return design_a_samples(spec, x, profile, cfg.trials, stream)
-    if cfg.design == "b":
-        return design_b_samples(DesignBSpec(net, copies), x, profile, cfg.trials, stream)
-    raise ValidationError("copy-count experiments need design 'a' or 'b'")
+    return design_b_samples(DesignBSpec(net, copies), x, profile, cfg.trials, stream)
+
+
+def _copies_grid(copies_grid) -> list[int]:
+    copies_grid = [int(n) for n in copies_grid]
+    if not copies_grid or any(n < 1 for n in copies_grid):
+        raise ValidationError("copies grid must be nonempty positive integers")
+    return copies_grid
 
 
 def run_mse_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
@@ -250,9 +254,7 @@ def run_mse_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
     averaged over trials and inputs; ``ci_low``/``ci_high`` bound the mean
     at ``cfg.confidence`` (normal approximation over trials).
     """
-    copies_grid = [int(n) for n in copies_grid]
-    if not copies_grid or any(n < 1 for n in copies_grid):
-        raise ValidationError("copies grid must be nonempty positive integers")
+    copies_grid = _copies_grid(copies_grid)
     root = RngStream(cfg.seed)
     d_out = cfg.network.output_dim
     rows = []
@@ -303,22 +305,20 @@ def _accuracy(outputs: np.ndarray, label: int) -> np.ndarray:
     return (np.argmax(outputs, axis=1) == label).astype(np.float64)
 
 
-def run_accuracy_experiment(cfg: ExperimentConfig, labels, copies_grid) -> list[dict]:
+def run_accuracy_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
     """Classification accuracy of the design vs. the two anchors.
 
-    Per grid point, reports the design's accuracy (argmax decision,
-    pooled over trials and inputs, Wilson interval at ``cfg.confidence``),
-    the unmodified noisy network's accuracy on the same stream layout, the
-    noiseless accuracy, and the relative accuracy; the relative column
-    carries the marker "undefined" when noiseless and baseline accuracy
-    coincide.
+    Needs ``cfg.labels``.  Per grid point, reports the design's accuracy
+    (argmax decision, pooled over trials and inputs, Wilson interval at
+    ``cfg.confidence``), the unmodified noisy network's accuracy on the
+    same stream layout, the noiseless accuracy, and the relative accuracy;
+    the relative column carries the marker "undefined" when noiseless and
+    baseline accuracy coincide.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (cfg.inputs.shape[0],):
-        raise ValidationError("labels must have one entry per input")
-    copies_grid = [int(n) for n in copies_grid]
-    if not copies_grid or any(n < 1 for n in copies_grid):
-        raise ValidationError("copies grid must be nonempty positive integers")
+    copies_grid = _copies_grid(copies_grid)
+    labels = cfg.labels
+    if labels is None:
+        raise ValidationError("accuracy experiments need labels")
     root = RngStream(cfg.seed)
 
     noiseless_correct = sum(

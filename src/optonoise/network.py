@@ -1,11 +1,13 @@
 """Feed-forward network representation and noiseless evaluation.
 
 A network is an ordered list of dense layers, each holding a weight
-matrix ``W``, a bias vector ``b``, and an activation.  The noiseless map
-applies ``sigma(W x + b)`` layer by layer.  This module also provides the
-per-layer quantities the analysis code needs: spectral norms (by power
-iteration), activation Lipschitz constants, and the reduction of purely
-linear networks to ``(diag-coefficients, weights)`` pairs.
+matrix ``W``, a bias vector ``b``, and an activation.  Its structure is
+checked once, at construction, and its arrays are read-only, so no
+evaluation checks it again.  The noiseless map applies ``sigma(W x + b)``
+layer by layer.  This module also provides the per-layer quantities the
+analysis code needs: spectral norms (by power iteration), activation
+Lipschitz constants, and the reduction of purely linear networks to
+``(diag-coefficients, weights)`` pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "LipschitzReport",
     "forward",
     "forward_trace",
-    "validate",
     "operator_norm",
     "lipschitz_bounds",
     "as_linear",
@@ -49,6 +50,13 @@ def affine(weights: np.ndarray, bias: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.einsum("ij,...j->...i", weights, h, optimize=False) + bias
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float64 copy of ``a``; a copy, so the caller's array stays writable."""
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Activation:
     """Layer activation: one of identity, tanh, relu, softmax, or an
@@ -65,7 +73,7 @@ class Activation:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown activation kind {self.kind!r}")
         if self.kind == "diag":
-            c = np.asarray(self.coeffs, dtype=np.float64)
+            c = _frozen(self.coeffs)
             if c.ndim != 1:
                 raise ValidationError("diag activation needs a 1-D coefficient vector")
             object.__setattr__(self, "coeffs", c)
@@ -90,7 +98,7 @@ class Activation:
 
     @classmethod
     def diag_linear(cls, coeffs) -> "Activation":
-        return cls("diag", np.asarray(coeffs, dtype=np.float64))
+        return cls("diag", coeffs)
 
     @property
     def is_linear(self) -> bool:
@@ -131,15 +139,14 @@ class Activation:
 
 @dataclass(frozen=True, eq=False)
 class Layer:
-    """One dense layer: ``x -> activation(weights @ x + bias)``."""
+    """One dense layer ``x -> activation(weights @ x + bias)``; arrays are read-only copies."""
 
     weights: np.ndarray
     bias: np.ndarray
     activation: Activation = field(default_factory=Activation.identity)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
+        w, b = _frozen(self.weights), _frozen(self.bias)
         if w.ndim != 2:
             raise ValidationError("layer weights must be a 2-D matrix")
         if b.ndim != 1:
@@ -158,13 +165,20 @@ class Layer:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Feed-forward network: layers chained on ``input_dim``-vectors."""
+    """Feed-forward network: layers chained on ``input_dim``-vectors.
+
+    Construction is the one structural check; it raises one
+    :class:`ValidationError` listing every issue.
+    """
 
     layers: tuple[Layer, ...]
     input_dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        issues = _issues(self)
+        if issues:
+            raise ValidationError("; ".join(issues))
 
     @property
     def depth(self) -> int:
@@ -178,18 +192,9 @@ class Network:
         """Dimensions ``[d_0, d_1, ..., d_L]`` along the chain."""
         return [self.input_dim] + [layer.out_dim for layer in self.layers]
 
-    def require_valid(self) -> None:
-        issues = validate(self)
-        if issues:
-            raise ValidationError("; ".join(issues))
 
-
-def validate(net: Network) -> list[str]:
-    """Report every broken structural invariant, one message per issue.
-
-    An empty list means the network is valid.  Messages name the offending
-    layer by its 1-based index.
-    """
+def _issues(net: Network) -> list[str]:
+    """Every broken structural invariant, each message naming its 1-based layer."""
     issues: list[str] = []
     if net.input_dim < 1:
         issues.append("input_dim must be a positive integer")
@@ -235,7 +240,6 @@ def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
 
 def forward(net: Network, x) -> np.ndarray:
     """Evaluate the noiseless network on one input vector."""
-    net.require_valid()
     h = _check_input(net, x)
     for layer in net.layers:
         h = layer.activation(affine(layer.weights, layer.bias, h))
@@ -248,7 +252,6 @@ def forward_trace(net: Network, x) -> tuple[list[np.ndarray], list[np.ndarray]]:
     Returns ``(preacts, acts)`` where ``preacts[l] = W x + b`` and
     ``acts[l]`` the activated value, for ``l = 0..L-1``.
     """
-    net.require_valid()
     h = _check_input(net, x)
     preacts, acts = [], []
     for layer in net.layers:
@@ -312,7 +315,6 @@ class LipschitzReport:
 
 
 def lipschitz_bounds(net: Network) -> LipschitzReport:
-    net.require_valid()
     a = np.array([layer.activation.lipschitz_constant() for layer in net.layers])
     ops = np.array([operator_norm(layer.weights) for layer in net.layers])
     return LipschitzReport(per_layer=a, operator_norms=ops)
@@ -325,7 +327,6 @@ def as_linear(net: Network) -> list[tuple[np.ndarray, np.ndarray]]:
     coefficient vector is the diagonal of the activation's matrix.  Raises
     :class:`NonlinearActivationError` naming the first offending layer.
     """
-    net.require_valid()
     pairs = []
     for i, layer in enumerate(net.layers, start=1):
         if not layer.activation.is_linear:
@@ -378,10 +379,11 @@ def network_to_json(net: Network) -> dict:
 
 
 def network_from_json(obj: dict) -> Network:
-    """Parse and fully validate the JSON wire format.
+    """Parse the JSON wire format into a :class:`Network`.
 
-    Rejects non-finite values and dimension-chain violations, naming the
-    layer index in the error message.
+    Malformed entries are rejected here with their layer index; non-finite
+    values and dimension-chain violations are rejected, also by layer, when
+    the network is constructed.
     """
     if not isinstance(obj, dict) or "input_dim" not in obj or "layers" not in obj:
         raise ValidationError("network JSON must have 'input_dim' and 'layers'")
@@ -396,17 +398,9 @@ def network_from_json(obj: dict) -> Network:
             raise ValidationError(f"layer {i}: weights must be a matrix", layer=i)
         if b.ndim != 1:
             raise ValidationError(f"layer {i}: bias must be a flat vector", layer=i)
-        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(b)):
-            raise ValidationError(
-                f"layer {i}: non-finite weight or bias values", layer=i
-            )
         act = _activation_from_json(entry.get("activation", "identity"), i)
         layers.append(Layer(w, b, act))
-    net = Network(tuple(layers), int(obj["input_dim"]))
-    issues = validate(net)
-    if issues:
-        raise ValidationError("; ".join(issues))
-    return net
+    return Network(tuple(layers), int(obj["input_dim"]))
 
 
 def load_network(path) -> Network:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .network import Network, _check_input, affine
+from .network import Network, _check_input, _frozen, affine
 
 __all__ = [
     "CovSpec",
@@ -74,7 +74,8 @@ class CovSpec:
     vector), or ``full`` (explicit symmetric PSD matrix).  Validation
     happens here, at construction, so sampling never fails: diagonal
     entries must be nonnegative, full matrices symmetric to 1e-12 with
-    smallest eigenvalue above -1e-10 (the PSD pivot tolerance).
+    smallest eigenvalue above -1e-10 (the PSD pivot tolerance); arrays
+    are stored as read-only copies, so a spec stays valid.
     """
 
     kind: str
@@ -91,7 +92,7 @@ class CovSpec:
                 raise ValidationError("isotropic variance must be finite and >= 0")
             return
         if self.kind == "diagonal":
-            v = np.asarray(self.vec, dtype=np.float64)
+            v = _frozen(self.vec)
             if v.ndim != 1 or not np.all(np.isfinite(v)) or np.any(v < 0.0):
                 raise ValidationError(
                     "diagonal covariance needs a finite nonnegative variance vector"
@@ -115,8 +116,8 @@ class CovSpec:
             # factor F with F F^T = m, used for sampling; eigen-based so
             # semidefinite matrices are accepted
             factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-            object.__setattr__(self, "mat", m)
-            object.__setattr__(self, "_factor", factor)
+            object.__setattr__(self, "mat", _frozen(m))
+            object.__setattr__(self, "_factor", _frozen(factor))
             return
         raise ValidationError(f"unknown covariance kind {self.kind!r}")
 
@@ -130,11 +131,11 @@ class CovSpec:
 
     @classmethod
     def diagonal(cls, vec) -> "CovSpec":
-        return cls("diagonal", vec=np.asarray(vec, dtype=np.float64))
+        return cls("diagonal", vec=vec)
 
     @classmethod
     def full(cls, mat) -> "CovSpec":
-        return cls("full", mat=np.asarray(mat, dtype=np.float64))
+        return cls("full", mat=mat)
 
     @property
     def is_zero(self) -> bool:
@@ -311,6 +312,8 @@ class NoiseProfile:
         )
 
     def validate_for(self, net: Network) -> None:
+        """Check depth and widths against ``net`` (anything with ``depth`` and
+        ``dims()``); samplers and solvers run it on entry."""
         if self.depth != net.depth:
             raise ValidationError(
                 f"profile depth {self.depth} does not match network depth {net.depth}"
@@ -336,7 +339,6 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     copies with split noise, then activates and adds activation noise per
     copy.  The copies left at the end are averaged.
     """
-    net.require_valid()
     profile.validate_for(net)
     if trials < 1:
         raise ValidationError("trials must be >= 1")

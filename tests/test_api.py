@@ -13,7 +13,11 @@ MODULES = sorted(
 
 # single-vector evaluators; a single evaluation is ``*_samples(..., 1, rng)[0]``,
 # and the per-trial harness built on them: use ``*_samples`` with ``stats_from_samples``
-REMOVED = ("noisy_forward", "eval_design_a", "eval_design_b", "sample_noise", "monte_carlo")
+# and the structural check, which ``Network(...)`` runs at construction
+REMOVED = (
+    "noisy_forward", "eval_design_a", "eval_design_b", "sample_noise", "monte_carlo",
+    "validate",
+)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -262,7 +262,66 @@ class TestExperimentCommands:
         assert len(lines) == 3
 
 
+@pytest.fixture
+def experiment_files(workspace):
+    """Paths of the workspace net and profile, and a design-b experiment config."""
+    tmp, net, net_path, profile_path = workspace
+    inputs_path = tmp / "inputs.json"
+    inputs_path.write_text(json.dumps(np.full((2, net.input_dim), 0.5).tolist()))
+    config = {"network": str(net_path), "profile": str(profile_path), "design": "b",
+              "inputs": str(inputs_path), "trials": 5, "seed": 2}
+    config_path = tmp / "config.json"
+    config_path.write_text(json.dumps(config))
+    return {"net": str(net_path), "profile": str(profile_path), "config": str(config_path),
+            "input": json.dumps([0.5] * net.input_dim)}
+
+
+SAMPLER = ["--net", "{net}", "--profile", "{profile}", "--input", "{input}"]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["scan-m", "--d", "2", "--w-grid", "1:2:x", "--d-grid", "1"],
+        ["scan-m", "--d", "2", "--w-grid", "1:2:2.5", "--d-grid", "1"],
+        ["scan-m", "--d", "2", "--w-grid", "x:2:2", "--d-grid", "1"],
+        ["insert-layers", "--net", "{net}", "--n", "1", "--slots", "a,b,c,d"],
+        ["design-a", *SAMPLER, "--copies", '["x", 1, 1]'],
+        ["design-a", *SAMPLER, "--copies", "[2.7, 1, 1]"],
+        ["design-a", *SAMPLER, "--copies", "3"],
+        ["--config", "{config}", "experiment", "mse", "--grid", "1.5,2"],
+        ["--config", "{config}", "experiment", "accuracy", "--grid", "1,x"],
+        ["--config", "{config}", "experiment", "depth", "--n-grid", "0,0.5",
+         "--var-grid", "0.1", "--copies", "1", "--slots", "1,1,1,1"],
+        ["--config", "{config}", "experiment", "depth", "--n-grid", "0",
+         "--var-grid", "0.1", "--copies", "1", "--slots", "1,1,1,1.5"],
+    ], ids=["count-text", "count-fraction", "grid-bound-text", "slots-text", "copies-text",
+            "copies-fraction", "copies-not-a-list", "grid-fraction", "grid-text",
+            "n-grid-fraction", "depth-slots-fraction"])
+    def test_malformed_integer_argument_exits_1(self, experiment_files, capsys, args):
+        code, out, err = run(capsys, [a.format(**experiment_files) for a in args])
+        assert code == 1
+        assert err.startswith("error: ") and out == ""
+
+    def test_integral_float_arguments_pass(self, experiment_files, capsys):
+        outs = []
+        for copies in ("[2, 2, 1]", "[2.0, 2, 1.0]"):
+            args = ["--seed", "3", "--trials", "20", "design-a", *SAMPLER, "--copies", copies]
+            code, out, _ = run(capsys, [a.format(**experiment_files) for a in args])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_config_without_design_exits_1(self, experiment_files, capsys):
+        config_path = experiment_files["config"]
+        with open(config_path, encoding="utf-8") as fh:
+            config = json.load(fh)
+        del config["design"]
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code, out, err = run(capsys, ["--config", config_path, "experiment", "mse", "--grid", "1"])
+        assert code == 1
+        assert "design must be 'a' or 'b'" in err and out == ""
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, out, err = run(capsys, ["frobnicate"])
         assert code == 1

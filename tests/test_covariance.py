@@ -211,6 +211,17 @@ class TestPropagate:
         err = np.linalg.norm(stats.covariance - analytic) / np.linalg.norm(analytic)
         assert err <= 0.05
 
+    def test_weight_covariance_width_names_the_layer(self, rng):
+        net = random_linear_net(rng, depth=3, max_dim=4)
+        profile = random_profile(rng, net)
+        width = net.dims()[2] + 1
+        bad = dataclasses.replace(
+            profile,
+            weight=profile.weight[:1] + (CovSpec.diagonal(np.ones(width)),) + profile.weight[2:],
+        )
+        with pytest.raises(ValidationError, match="weight covariance of layer 2 has dimension"):
+            propagate(LinearNet.from_network(net), bad)
+
     def test_trajectory_json(self):
         cfg = scalar_cfg(0.5, 2.0, sm=1.0)
         traj = propagate(cfg.to_linear_net(2), cfg.to_profile(2))

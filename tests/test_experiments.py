@@ -195,9 +195,8 @@ class TestMseExperiment:
             assert row["mse"] == pytest.approx(np.trace(sigma) / d, rel=0.10)
 
     def test_requires_a_design(self, rng):
-        cfg = small_config(rng, design="none")
-        with pytest.raises(ValidationError):
-            run_mse_experiment(cfg, [1])
+        with pytest.raises(ValidationError, match="design must be 'a' or 'b', got 'none'"):
+            small_config(rng, design="none")
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +214,7 @@ class TestAccuracyExperiment:
         for design in ("a", "b"):
             cfg = ExperimentConfig(network=net, profile=profile, design=design,
                                    inputs=X, trials=30, seed=3, labels=labels)
-            row = run_accuracy_experiment(cfg, labels, [1])[0]
+            row = run_accuracy_experiment(cfg, [1])[0]
             assert row["relative"] == 0.0
             assert row["acc_nn"] == 1.0  # labels are the noiseless decisions
 
@@ -246,7 +245,7 @@ class TestAccuracyExperiment:
         monkeypatch.setattr(experiments, "_design_samples", counting)
         cfg = ExperimentConfig(network=net, profile=profile, design="a",
                                inputs=X, trials=20, seed=5, labels=labels)
-        rows = run_accuracy_experiment(cfg, labels, [1, 2])
+        rows = run_accuracy_experiment(cfg, [1, 2])
         assert calls == [2] * len(X)
         assert rows[0]["acc_design"] == rows[0]["acc_onn"]
         # with combine noise the one-copy combine/split run is its own draw
@@ -255,7 +254,7 @@ class TestAccuracyExperiment:
         cfg = ExperimentConfig(network=net, profile=noisy, design="b",
                                inputs=X, trials=20, seed=5, labels=labels)
         calls.clear()
-        row = run_accuracy_experiment(cfg, labels, [1])[0]
+        row = run_accuracy_experiment(cfg, [1])[0]
         assert calls == [1] * len(X)
         root = RngStream(5)
         hits = sum(
@@ -269,17 +268,25 @@ class TestAccuracyExperiment:
         net, X, labels, profile = fixture_setup
         cfg = ExperimentConfig(network=net, profile=profile, design="b",
                                inputs=X, trials=60, seed=4, labels=labels)
-        rows = run_accuracy_experiment(cfg, labels, [1, 2, 4, 8])
+        rows = run_accuracy_experiment(cfg, [1, 2, 4, 8])
         for prev, cur in zip(rows, rows[1:]):
             # no significant decrease at the joint confidence of the two points
             slack = (prev["acc_high"] - prev["acc_low"]) + (cur["acc_high"] - cur["acc_low"])
             assert cur["acc_design"] >= prev["acc_design"] - slack
 
+    def test_needs_labels(self, fixture_setup, monkeypatch):
+        net, X, _, profile = fixture_setup
+        monkeypatch.setattr(experiments, "noisy_forward_samples", None)  # no sampling
+        cfg = ExperimentConfig(network=net, profile=profile, design="a",
+                               inputs=X[:5], trials=5, seed=0)
+        with pytest.raises(ValidationError, match="accuracy experiments need labels"):
+            run_accuracy_experiment(cfg, [1])
+
     def test_zero_noise_marks_relative_undefined(self, fixture_setup):
         net, X, labels, _ = fixture_setup
         cfg = ExperimentConfig(network=net, profile=NoiseProfile.zero(net.depth),
                                design="b", inputs=X[:50], trials=5, seed=0, labels=labels[:50])
-        row = run_accuracy_experiment(cfg, labels[:50], [1])[0]
+        row = run_accuracy_experiment(cfg, [1])[0]
         assert row["relative"] == "undefined"
 
 

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from optonoise import (
     Activation,
     ConvergenceError,
+    CovSpec,
     DesignASpec,
     DesignBSpec,
     Layer,
     Network,
+    NoiseProfile,
     NonlinearActivationError,
     RngStream,
     ValidationError,
@@ -27,8 +29,9 @@ from optonoise import (
     network_to_json,
     noisy_forward_samples,
     operator_norm,
-    validate,
 )
+from optonoise import network
+from optonoise.network import forward_trace
 
 from conftest import random_linear_net, random_profile
 
@@ -111,6 +114,13 @@ class TestForward:
         np.testing.assert_array_equal(forward(net, [-1.0, 2.0]), [0.0, 2.0])
 
 
+def construction_issues(*args) -> list[str]:
+    """The issues ``Network(*args)`` reports, split from its one error."""
+    with pytest.raises(ValidationError) as exc:
+        Network(*args)
+    return str(exc.value).split("; ")
+
+
 class TestValidate:
     def test_well_formed_chain(self):
         rng = np.random.default_rng(1)
@@ -121,46 +131,122 @@ class TestValidate:
             ),
             4,
         )
-        assert validate(net) == []
+        assert net.dims() == [4, 3, 2]
 
     def test_chain_violation_reported(self):
-        net = Network(
+        issues = construction_issues(
             (
                 Layer(np.zeros((3, 4)), np.zeros(3)),
                 Layer(np.zeros((3, 5)), np.zeros(3)),
             ),
             4,
         )
-        issues = validate(net)
         assert len(issues) == 1
         assert "layer 2" in issues[0]
 
     def test_diag_coefficient_length_reported(self):
-        net = Network(
+        issues = construction_issues(
             (Layer(np.zeros((3, 2)), np.zeros(3), Activation.diag_linear([1.0, 2.0])),),
             2,
         )
-        issues = validate(net)
         assert len(issues) == 1
         assert "layer 1" in issues[0] and "coefficients" in issues[0]
 
     def test_bias_length_reported(self):
-        net = Network((Layer(np.zeros((3, 2)), np.zeros(2)),), 2)
-        issues = validate(net)
+        issues = construction_issues((Layer(np.zeros((3, 2)), np.zeros(2)),), 2)
         assert any("bias" in msg for msg in issues)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
     def test_non_finite_diag_coefficients_reported(self, bad):
-        net = Network(
-            (
-                Layer(np.eye(2), np.zeros(2), Activation.diag_linear([1.0, 1.0])),
-                Layer(np.eye(2), np.zeros(2), Activation.diag_linear([1.0, bad])),
-            ),
-            2,
+        layers = (
+            Layer(np.eye(2), np.zeros(2), Activation.diag_linear([1.0, 1.0])),
+            Layer(np.eye(2), np.zeros(2), Activation.diag_linear([1.0, bad])),
         )
-        assert validate(net) == ["layer 2: diag activation coefficients contain non-finite values"]
+        assert construction_issues(layers, 2) == [
+            "layer 2: diag activation coefficients contain non-finite values"
+        ]
         with pytest.raises(ValidationError, match="layer 2: diag activation coefficients"):
-            forward(net, [1.0, 1.0])
+            Network(layers, 2)
+
+    def test_every_issue_in_one_error(self):
+        issues = construction_issues(
+            (
+                Layer(np.full((3, 4), np.nan), np.zeros(2)),
+                Layer(np.zeros((3, 5)), np.zeros(3), Activation.diag_linear([1.0])),
+            ),
+            4,
+        )
+        assert issues == [
+            "layer 1: bias length 2 does not match the 3 weight rows",
+            "layer 1: weights/bias contain non-finite values",
+            "layer 2: weights have 5 columns but the preceding output dimension is 3",
+            "layer 2: diag activation has 1 coefficients for 3 outputs",
+        ]
+
+
+def linear_net_and_profile():
+    """A diag-linear 2-3-2 net from caller-owned arrays, and a profile with
+    array-backed covariances."""
+    arrays = {
+        "w1": np.arange(6.0).reshape(3, 2) / 6, "b1": np.ones(3), "c1": np.full(3, 0.5),
+        "w2": np.ones((2, 3)) / 3, "b2": np.zeros(2), "c2": np.array([1.0, -1.0]),
+        "vec": np.array([0.01, 0.02, 0.03]), "mat": np.array([[0.02, 0.01], [0.01, 0.02]]),
+    }
+    net = Network(
+        (
+            Layer(arrays["w1"], arrays["b1"], Activation.diag_linear(arrays["c1"])),
+            Layer(arrays["w2"], arrays["b2"], Activation.diag_linear(arrays["c2"])),
+        ),
+        2,
+    )
+    profile = NoiseProfile(
+        CovSpec.full(arrays["mat"]),
+        (CovSpec.diagonal(arrays["vec"]), CovSpec.isotropic(0.01)),
+        (CovSpec.isotropic(0.02), CovSpec.full(arrays["mat"])),
+    )
+    return net, profile, arrays
+
+
+class TestConstructedNetwork:
+    """A network is checked once, at construction, and stays valid."""
+
+    def test_arrays_are_read_only(self):
+        net, _, _ = linear_net_and_profile()
+        layer = net.layers[1]
+        for stored in (layer.weights, layer.bias, layer.activation.coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, ...] = np.nan
+
+    def test_source_arrays_are_copied(self):
+        net, profile, arrays = linear_net_and_profile()
+        x = np.array([0.3, -0.7])
+        before = (forward(net, x), noisy_forward_samples(net, profile, x, 50, RngStream(4)))
+        for a in arrays.values():
+            a[...] = np.nan
+        after = (forward(net, x), noisy_forward_samples(net, profile, x, 50, RngStream(4)))
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(new, old)
+
+    def test_structure_checked_once(self, monkeypatch):
+        calls = []
+        real = network._issues
+
+        def counting(net):
+            calls.append(net)
+            return real(net)
+
+        monkeypatch.setattr(network, "_issues", counting)
+        net, profile, _ = linear_net_and_profile()
+        assert len(calls) == 1
+        x = np.array([0.3, -0.7])
+        forward(net, x)
+        forward_trace(net, x)
+        as_linear(net)
+        lipschitz_bounds(net)
+        noisy_forward_samples(net, profile, x, 5, RngStream(1))
+        design_a_samples(DesignASpec(net, (2, 2, 1)), x, profile, 5, RngStream(1))
+        design_b_samples(DesignBSpec(net, 3), x, profile, 5, RngStream(1))
+        assert len(calls) == 1
 
 
 class TestOperatorNorm:
@@ -355,12 +441,9 @@ class TestJsonFormat:
 
 class TestDegenerateNetworks:
     def test_empty_network_reported(self):
-        net = Network((), 3)
-        issues = validate(net)
+        issues = construction_issues((), 3)
         assert any("at least one layer" in msg for msg in issues)
-        with pytest.raises(ValidationError):
-            forward(net, np.zeros(3))
 
     def test_nonpositive_input_dim_reported(self):
-        net = Network((Layer(np.zeros((2, 0)), np.zeros(2)),), 0)
-        assert any("input_dim" in msg for msg in validate(net))
+        issues = construction_issues((Layer(np.zeros((2, 0)), np.zeros(2)),), 0)
+        assert any("input_dim" in msg for msg in issues)

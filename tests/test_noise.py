@@ -65,6 +65,16 @@ class TestCovSpec:
         with pytest.raises(ValidationError):
             CovSpec.diagonal([1.0, 2.0]).matrix(3)
 
+    def test_arrays_are_read_only_copies(self):
+        vec, mat = np.array([0.1, 0.2]), np.array([[1.0, 0.5], [0.5, 1.0]])
+        diagonal, full = CovSpec.diagonal(vec), CovSpec.full(mat)
+        for stored in (diagonal.vec, full.mat, full._factor):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, ...] = np.nan
+        vec[0], mat[0, 0] = -1.0, np.nan  # the caller's arrays stay writable
+        np.testing.assert_array_equal(diagonal.vec, [0.1, 0.2])
+        np.testing.assert_array_equal(full.mat, [[1.0, 0.5], [0.5, 1.0]])
+
     def test_json_round_trip(self):
         specs = [
             CovSpec.zero(),
