@@ -50,6 +50,7 @@ from .experiments import (
 )
 from .idx import load_idx_images, load_idx_labels
 from .network import (
+    _integer,
     forward,
     lipschitz_bounds,
     load_network,
@@ -83,6 +84,57 @@ def _meta(payload: dict, seed=None) -> dict:
     }
 
 
+# Every scalar, string and flat number list goes through this one C encoder;
+# json.dumps(indent=...) would fall back to the pure-Python encoder.
+_ENCODER = json.JSONEncoder(default=str)
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, default=str)``, byte for byte, at C-encoder speed."""
+    parts: list[str] = []
+    _write_json(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(obj, indent: str, parts: list[str]) -> None:
+    """Append the text of ``obj``; ``indent`` is the newline and indent of its own level."""
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        opener = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = _ENCODER.encode(key)
+            parts.append(opener + _ENCODER.encode(key) + ": ")
+            _write_json(value, inner, parts)
+            opener = "," + inner
+        parts.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        if _PLAIN_NUMBERS.issuperset(map(type, obj)):
+            # no int or float repr contains ", ", so every one is a separator
+            flat = _ENCODER.encode(obj)[1:-1].replace(", ", "," + inner)
+            parts.append("[" + inner + flat + indent + "]")
+            return
+        opener = "[" + inner
+        for item in obj:
+            parts.append(opener)
+            _write_json(item, inner, parts)
+            opener = "," + inner
+        parts.append(indent + "]")
+    else:
+        parts.append(_ENCODER.encode(obj))
+
+
 def _emit(ctx, result: dict, rows: list[dict] | None = None) -> None:
     """Write the result as JSON, or as CSV when rows are tabular."""
     output = ctx.obj.get("output")
@@ -96,7 +148,7 @@ def _emit(ctx, result: dict, rows: list[dict] | None = None) -> None:
             raise ValidationError("csv format needs --output")
         write_csv(output, rows)
         return
-    text = json.dumps(result, indent=2, default=str) + "\n"
+    text = _json_text(result) + "\n"
     if output is None:
         click.echo(text, nl=False)
     else:
@@ -126,16 +178,9 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _int_list(values, what: str) -> list[int]:
     """Integers from a list of numbers or numeric strings; ``2.0`` passes, ``2.5`` is refused."""
-    error = ValidationError(f"{what} must be a list of integers, got {values!r}")
-    if not isinstance(values, list) or any(isinstance(v, bool) for v in values):
-        raise error
-    try:
-        floats = [float(v) for v in values]
-    except (TypeError, ValueError, OverflowError):
-        raise error from None
-    if not all(f.is_integer() for f in floats):
-        raise error
-    return [int(f) for f in floats]
+    if not isinstance(values, list):
+        raise ValidationError(f"{what} must be a list of integers, got {values!r}")
+    return [_integer(v, f"every entry of {what}") for v in values]
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -162,7 +207,7 @@ def _symmetric_config(obj: dict) -> SymmetricConfig:
             sigma_m=covspec_from_json(obj.get("sigma_m", "zero")),
             sigma_w=covspec_from_json(obj.get("sigma_w", "zero")),
             sigma_a=covspec_from_json(obj.get("sigma_a", "zero")),
-            m=int(obj.get("m", 1)),
+            m=obj.get("m", 1),
         )
     except KeyError as exc:
         raise ValidationError(f"symmetric config is missing {exc}")

@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractionError, ConvergenceError, ValidationError
-from .network import Network, as_linear, operator_norm
+from .network import Network, _integer, as_linear, operator_norm
 from .noise import CovSpec, NoiseProfile
 
 __all__ = [
@@ -339,6 +339,7 @@ class SymmetricConfig:
             raise ValidationError("symmetric config needs square W matching e")
         if not _all_finite(e, W):
             raise ValidationError("symmetric config: e/W contain non-finite values")
+        object.__setattr__(self, "m", _integer(self.m, "copy count m"))
         if self.m < 1:
             raise ValidationError("copy count m must be >= 1")
         object.__setattr__(self, "e", e)
@@ -585,12 +586,14 @@ def _scalar_scan_params(cfg: SymmetricConfig):
     return (a * float(w_scale)) ** 2, a * a * var_w, var_a, var_m
 
 
-def _last_ratio_is_stable(cfg: SymmetricConfig, L: int, m: int, growth_tol: float) -> bool:
+def _last_ratio_is_stable(
+    cfg: SymmetricConfig, scalar, L: int, m: int, growth_tol: float
+) -> bool:
     """Run the depth-L combine/split recursion and test the final norm ratio.
 
+    ``scalar`` is ``_scalar_scan_params(cfg)``, computed once per scan.
     Overflow (non-finite trajectory) counts as unstable.
     """
-    scalar = _scalar_scan_params(cfg)
     if scalar is not None:
         gain, noise_w, noise_a, var_m = scalar
         # trajectory is s_l * I, Frobenius norm s_l * sqrt(d); the ratio
@@ -638,7 +641,8 @@ def min_stable_m(
         raise ValidationError("min_stable_m needs depth L >= 50")
     if growth_tol <= 0.0:
         raise ValidationError("growth_tol must be positive")
+    scalar = _scalar_scan_params(cfg)
     for m in range(1, m_cap + 1):
-        if _last_ratio_is_stable(cfg, L, m, growth_tol):
+        if _last_ratio_is_stable(cfg, scalar, L, m, growth_tol):
             return m
     raise ConvergenceError(f"no stable copy count found up to the cap {m_cap}")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import FeasibilityError, ValidationError
 # ``affine`` is unused here, but bench/spans.py wraps it on this module
-from .network import LipschitzReport, Network, affine, forward  # noqa: F401
+from .network import LipschitzReport, Network, _integer, affine, forward  # noqa: F401
 from .noise import NoiseProfile, RngStream, _sample
 
 __all__ = [
@@ -73,7 +73,7 @@ class DesignASpec:
     copies: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "copies", tuple(int(n) for n in self.copies))
+        object.__setattr__(self, "copies", tuple(_integer(n, "copy count") for n in self.copies))
         if len(self.copies) != self.base.depth + 1:
             raise ValidationError(
                 f"copies vector has length {len(self.copies)}, "
@@ -261,7 +261,7 @@ def equal_split_targets(
 
 def total_copies(copies) -> int:
     """Exact product of the copy counts (arbitrary precision)."""
-    counts = [int(n) for n in copies]
+    counts = [_integer(n, "copy count") for n in copies]
     if any(n < 1 for n in counts):
         raise ValidationError("all copy counts must be >= 1")
     return math.prod(counts)

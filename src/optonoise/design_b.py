@@ -31,7 +31,7 @@ import numpy as np
 
 from .covariance import LinearNet, propagate_b, propagate_b_branchwise
 from .errors import ValidationError
-from .network import Network, forward
+from .network import Network, _integer, forward
 from .noise import NoiseProfile, RngStream, _sample, stats_from_samples
 
 __all__ = [
@@ -53,7 +53,7 @@ class DesignBSpec:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _integer(self.m, "copy count m"))
         if self.m < 1:
             raise ValidationError("copy count m must be >= 1")
 
@@ -69,7 +69,7 @@ def design_b_spec_from_json(obj: dict) -> DesignBSpec:
 
     if not isinstance(obj, dict) or "network" not in obj or "m" not in obj:
         raise ValidationError("design spec JSON needs 'network' and 'm'")
-    return DesignBSpec(network_from_json(obj["network"]), int(obj["m"]))
+    return DesignBSpec(network_from_json(obj["network"]), obj["m"])
 
 
 def design_b_samples(

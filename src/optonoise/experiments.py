@@ -18,7 +18,7 @@ from .covariance import SymmetricConfig, min_stable_m
 from .design_a import DesignASpec, design_a_samples, wilson_interval
 from .design_b import DesignBSpec, design_b_samples
 from .errors import ValidationError
-from .network import Activation, Layer, Network, forward, forward_trace
+from .network import Activation, Layer, Network, _integer, forward, forward_trace
 from .noise import CovSpec, NoiseProfile, RngStream, noisy_forward_samples
 
 __all__ = [
@@ -193,7 +193,7 @@ def plan_insertions(net: Network, n: int, slots=None) -> InsertionPlan:
                 "pass an explicit 4-entry slot list for shallower networks"
             )
         slots = DEFAULT_SLOTS
-    slots = tuple(int(s) for s in slots)
+    slots = tuple(_integer(s, "insertion slot") for s in slots)
     if len(slots) != 4:
         raise ValidationError("need exactly four insertion slots")
     for s in slots:
@@ -241,7 +241,7 @@ def _design_samples(cfg: ExperimentConfig, net, profile, copies: int, x, stream)
 
 
 def _copies_grid(copies_grid) -> list[int]:
-    copies_grid = [int(n) for n in copies_grid]
+    copies_grid = [_integer(n, "copies grid entry") for n in copies_grid]
     if not copies_grid or any(n < 1 for n in copies_grid):
         raise ValidationError("copies grid must be nonempty positive integers")
     return copies_grid
@@ -381,7 +381,7 @@ def run_depth_sweep(
     network (modulation left noiseless so the sweep isolates layer noise),
     and evaluates the configured design at the given uniform copy count.
     """
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [_integer(n, "inserted layer count") for n in n_grid]
     variance_grid = [float(v) for v in variance_grid]
     if not n_grid or not variance_grid:
         raise ValidationError("depth sweep needs nonempty grids")

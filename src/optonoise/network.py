@@ -57,6 +57,19 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: ``2``, ``2.0`` and ``"2"`` pass; ``2.5``, text and bools are refused."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, (bool, np.bool_)) or not number.is_integer():
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
 @dataclass(frozen=True, eq=False)
 class Activation:
     """Layer activation: one of identity, tanh, relu, softmax, or an
@@ -73,7 +86,12 @@ class Activation:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown activation kind {self.kind!r}")
         if self.kind == "diag":
-            c = _frozen(self.coeffs)
+            try:
+                c = _frozen(self.coeffs)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"diag activation coefficients must be numbers, got {self.coeffs!r}"
+                ) from None
             if c.ndim != 1:
                 raise ValidationError("diag activation needs a 1-D coefficient vector")
             object.__setattr__(self, "coeffs", c)
@@ -176,6 +194,7 @@ class Network:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "input_dim", _integer(self.input_dim, "input_dim"))
         issues = _issues(self)
         if issues:
             raise ValidationError("; ".join(issues))
@@ -358,7 +377,10 @@ def _activation_from_json(obj, layer_index: int) -> Activation:
             f"layer {layer_index}: unknown activation {obj!r}", layer=layer_index
         )
     if isinstance(obj, dict) and set(obj) == {"diag"}:
-        return Activation.diag_linear(obj["diag"])
+        try:
+            return Activation.diag_linear(obj["diag"])
+        except ValidationError as exc:
+            raise ValidationError(f"layer {layer_index}: {exc}", layer=layer_index) from None
     raise ValidationError(
         f"layer {layer_index}: malformed activation entry", layer=layer_index
     )
@@ -400,7 +422,7 @@ def network_from_json(obj: dict) -> Network:
             raise ValidationError(f"layer {i}: bias must be a flat vector", layer=i)
         act = _activation_from_json(entry.get("activation", "identity"), i)
         layers.append(Layer(w, b, act))
-    return Network(tuple(layers), int(obj["input_dim"]))
+    return Network(tuple(layers), obj["input_dim"])
 
 
 def load_network(path) -> Network:

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from optonoise import Activation, CovSpec, Layer, Network, NoiseProfile
+from optonoise import (
+    Activation,
+    CovSpec,
+    Layer,
+    LinearNet,
+    Network,
+    NoiseProfile,
+    stats_from_samples,
+    step_map_b,
+)
 
 
 def random_linear_net(rng, depth=None, max_dim=6, weight_scale=0.8):
@@ -43,6 +52,35 @@ def random_profile(rng, net, scale=0.05):
         random_covspec(rng, dims[0], scale, allow_zero=False),
         tuple(random_covspec(rng, d, scale) for d in dims[1:]),
         tuple(random_covspec(rng, d, scale) for d in dims[1:]),
+    )
+
+
+def tree_oracle(net, profile, copies):
+    """Exact output covariance of the tree design on a linear net.
+
+    Layer l averages n_{l-1} independent subtrees: the combine/split update
+    with m = n_{l-1} and no combine or split noise.
+    """
+    dims = net.dims()
+    cov = profile.modulation.matrix(dims[0])
+    for l, (e, W) in enumerate(LinearNet.from_network(net).pairs, start=1):
+        cov = step_map_b(
+            e, W, cov, profile.weight[l - 1].matrix(dims[l]),
+            profile.activation[l - 1].matrix(dims[l]), 0.0, 0.0, copies[l - 1],
+        )
+    return cov
+
+
+def gaussian_gaps(samples, mean, cov):
+    """Largest mean and covariance gaps from exact Gaussian moments, in standard errors."""
+    n = samples.shape[0]
+    stats = stats_from_samples(samples, mean)
+    var = np.diag(cov)
+    # standard error of a sample covariance entry of Gaussian data
+    cov_se = np.sqrt((cov**2 + np.outer(var, var)) / (n - 1))
+    return (
+        float(np.max(np.abs(stats.mean - mean) / np.sqrt(var / n))),
+        float(np.max(np.abs(stats.covariance - cov) / cov_se)),
     )
 
 

@@ -2,13 +2,16 @@
 
 import json
 import math
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optonoise import GENERATOR_NAME, NoiseProfile, forward, save_network
-from optonoise.cli import cli_main
+from optonoise.cli import _json_text, cli_main
 from optonoise.fixtures import fixture_dataset
 
 from conftest import random_linear_net, random_profile
@@ -264,10 +267,11 @@ class TestExperimentCommands:
 
 @pytest.fixture
 def experiment_files(workspace):
-    """Paths of the workspace net and profile, and a design-b experiment config."""
+    """Paths of the workspace net and profile, and a design-b experiment config with labels."""
     tmp, net, net_path, profile_path = workspace
     inputs_path = tmp / "inputs.json"
-    inputs_path.write_text(json.dumps(np.full((2, net.input_dim), 0.5).tolist()))
+    inputs_path.write_text(json.dumps({"inputs": np.full((2, net.input_dim), 0.5).tolist(),
+                                       "labels": [0, 0]}))
     config = {"network": str(net_path), "profile": str(profile_path), "design": "b",
               "inputs": str(inputs_path), "trials": 5, "seed": 2}
     config_path = tmp / "config.json"
@@ -341,6 +345,20 @@ class TestExitCodes:
         code, _, err = run(capsys, ["forward", "--net", str(path), "--input", "[1]"])
         assert code == 1
 
+    @pytest.mark.parametrize("net_obj, message", [
+        ({"input_dim": 1, "layers": [{"weights": [[1.0]], "bias": [0.0],
+                                      "activation": {"diag": ["x"]}}]},
+         "layer 1: diag activation coefficients must be numbers"),
+        ({"input_dim": "x", "layers": [{"weights": [[1.0]], "bias": [0.0]}]},
+         "input_dim must be an integer"),
+    ], ids=["diag-text", "input-dim-text"])
+    def test_non_numeric_network_entry_exits_1(self, tmp_path, capsys, net_obj, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(net_obj))
+        code, out, err = run(capsys, ["forward", "--net", str(path), "--input", "[1]"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_bad_input_vector(self, workspace, capsys):
         tmp, net, net_path, _ = workspace
         code, _, err = run(capsys, ["forward", "--net", str(net_path), "--input", "oops"])
@@ -385,3 +403,91 @@ class TestCovarianceClosedForms:
         path.write_text(json.dumps({"e": [1.0], "W": [[0.5]]}))
         code, _, err = run(capsys, ["covariance", "--symmetric", path, "--mode", "closed-form"])
         assert code == 1
+
+
+# Leaves of every kind a result can hold, including the awkward ones: the
+# non-finite floats, -0.0, numpy float64 (a float subclass), and values only
+# default=str can write (np.int64 is not an int, Fraction is neither).
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(-0.0),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+_LEAVES = st.one_of(
+    _NUMBERS,
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(["a, b", ", ", "\u00e9, \u2603", "[1, 2]"]),
+    st.integers(-5, 5).map(np.int64),
+    st.fractions(max_denominator=7),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(_LEAVES, st.lists(_NUMBERS)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(obj=_JSON_VALUES)
+    def test_matches_stdlib_indent_2(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, default=str)
+
+    def test_flat_number_lists_and_keys(self):
+        obj = {"m": [[0.1, -0.0, math.nan], [1, 2**70, -math.inf]], "e": [], "d": {},
+               "nested": [[], [{}]], 1.5: [True, 2], None: (1, "x, y"), False: Fraction(1, 3)}
+        assert _json_text(obj) == json.dumps(obj, indent=2, default=str)
+
+    def test_non_string_key_objects_refused(self):
+        with pytest.raises(TypeError):
+            _json_text({(1, 2): 0})
+
+
+@pytest.fixture
+def command_files(experiment_files, tmp_path):
+    """``experiment_files`` plus a symmetric config and copy-budget targets."""
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps({"e": [0.5, 0.6], "W": [[0.9, 0.1], [0.2, 0.8]],
+                               "sigma_m": {"isotropic": 0.1}, "sigma_w": {"isotropic": 0.04},
+                               "sigma_a": {"diagonal": [0.01, 0.02]}, "m": 2}))
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps({"sigma_sq": 0.0025, "deviation_target": 0.5,
+                                   "failure_target": 0.05}))
+    return {**experiment_files, "sym": str(sym), "targets": str(targets)}
+
+
+SEEDED = ["--seed", "5", "--trials", "50"]
+LINEAR = ["--net", "{net}", "--profile", "{profile}", "--m", "2"]
+CONFIG = ["--config", "{config}", "experiment"]
+JSON_COMMANDS = {
+    "forward": ["forward", "--net", "{net}", "--input", "{input}"],
+    "simulate": [*SEEDED, "simulate", *SAMPLER],
+    "design-a": [*SEEDED, "design-a", *SAMPLER, "--copies", "[2, 2, 1]"],
+    "design-b-compare": [*SEEDED, "design-b", *SAMPLER, "--m", "2", "--compare"],
+    **{f"covariance-{mode}": ["covariance", "--mode", mode, *LINEAR]
+       for mode in ("trajectory", "trajectory-b", "branchwise")},
+    **{f"covariance-{mode}": ["covariance", "--mode", mode, "--symmetric", "{sym}", "--depth", "4"]
+       for mode in ("closed-form", "closed-form-b")},
+    **{f"limit-{mode}": ["limit", "--symmetric", "{sym}", "--mode", mode]
+       for mode in ("series", "series-b", "fixed-iterate", "fixed-vectorized")},
+    "copies": ["copies", "--net", "{net}", "--targets", "{targets}"],
+    "scan-m": ["scan-m", "--d", "2", "--w-grid", "1:3:3", "--d-grid", "1,2", "--depth", "55"],
+    "experiment-mse": [*CONFIG, "mse", "--grid", "1,2"],
+    "experiment-accuracy": [*CONFIG, "accuracy", "--grid", "1,2"],
+    "experiment-depth": [*CONFIG, "depth", "--n-grid", "0,1", "--var-grid", "0.01",
+                         "--copies", "2", "--slots", "1,1,1,1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
+def test_result_file_is_stdlib_indent_2_json(command_files, capsys, command):
+    code, out, err = run(capsys, [a.format(**command_files) for a in JSON_COMMANDS[command]])
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

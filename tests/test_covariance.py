@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from optonoise import (
     ContractionError,
     CovSpec,
+    DesignASpec,
+    DesignBSpec,
     LinearNet,
     RngStream,
     SymmetricConfig,
     ValidationError,
+    design_a_samples,
+    design_b_samples,
     fixed_point_solve,
     limit_series,
     limit_series_b,
@@ -32,7 +36,13 @@ from optonoise.covariance import trajectory_to_json
 from optonoise.design_b import terminal_average_correction
 from optonoise.network import forward
 
-from conftest import random_covspec, random_linear_net, random_profile
+from conftest import (
+    gaussian_gaps,
+    random_covspec,
+    random_linear_net,
+    random_profile,
+    tree_oracle,
+)
 
 
 def scalar_cfg(e, w, sm=0.0, sw=0.0, sa=0.0, m=1):
@@ -62,6 +72,13 @@ def random_symmetric_cfg(rng, max_dim=5, contracting=False, m=1):
         random_covspec(rng, d),
         m=m,
     )
+
+
+class TestSymmetricConfigCount:
+    def test_fractional_m_refused(self):
+        assert scalar_cfg(1.0, 0.5, m=2.0).m == 2
+        with pytest.raises(ValidationError, match="copy count m must be an integer"):
+            scalar_cfg(1.0, 0.5, m=2.5)
 
 
 class TestNonFiniteRejected:
@@ -578,6 +595,18 @@ class TestMinStableM:
         )
         assert min_stable_m(base, 60, 1e-6) == min_stable_m(full, 60, 1e-6) == 3
 
+    def test_shape_check_runs_once_per_scan(self, monkeypatch):
+        from optonoise import covariance
+
+        calls = []
+        real = covariance._scalar_scan_params
+        monkeypatch.setattr(
+            covariance, "_scalar_scan_params", lambda cfg: calls.append(cfg) or real(cfg)
+        )
+        cfg = scalar_cfg(1.0, 2.0, sm=1.0)  # scans m = 1..4
+        assert min_stable_m(cfg, 60, growth_tol=1e-6) == 4
+        assert calls == [cfg]
+
 
 class TestMinStableMCap:
     def test_cap_exhaustion_is_an_error(self):
@@ -586,3 +615,54 @@ class TestMinStableMCap:
         cfg = scalar_cfg(1.0, 10.0, sm=1.0)  # needs m = 100 to stabilize
         with pytest.raises(ConvergenceError):
             min_stable_m(cfg, 60, growth_tol=1e-6, m_cap=10)
+
+
+class TestOraclesMatchSamplers:
+    """Each linear-net oracle against its sampler on random small nets.
+
+    Tolerances are in Gaussian standard errors (``conftest.gaussian_gaps``);
+    examples are derandomized, so every run checks the same nets.
+    """
+
+    TRIALS = 20_000
+    MAX_SE = 5.0
+    NETS = {"depth": st.integers(1, 3), "seed": st.integers(0, 2**32 - 1)}
+
+    def case(self, depth, seed):
+        rng = np.random.default_rng(seed)
+        net = random_linear_net(rng, depth=depth, max_dim=4)
+        return rng, net, random_profile(rng, net), rng.normal(size=net.input_dim)
+
+    def assert_matches(self, samples, mean, cov):
+        mean_gap, cov_gap = gaussian_gaps(samples, mean, cov)
+        assert mean_gap <= self.MAX_SE and cov_gap <= self.MAX_SE, (mean_gap, cov_gap)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(**NETS)
+    def test_plain_propagate(self, depth, seed):
+        _, net, profile, x = self.case(depth, seed)
+        cov = propagate(LinearNet.from_network(net), profile).final
+        samples = noisy_forward_samples(net, profile, x, self.TRIALS, RngStream(seed))
+        self.assert_matches(samples, forward(net, x), cov)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(copies=st.lists(st.integers(1, 3), min_size=3, max_size=3), **NETS)
+    def test_tree(self, copies, depth, seed):
+        _, net, profile, x = self.case(depth, seed)
+        copies = tuple(copies[:depth]) + (1,)
+        samples = design_a_samples(DesignASpec(net, copies), x, profile, self.TRIALS,
+                                   RngStream(seed))
+        self.assert_matches(samples, forward(net, x), tree_oracle(net, profile, copies))
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(m=st.integers(1, 4), **NETS)
+    def test_branchwise(self, m, depth, seed):
+        rng, net, profile, x = self.case(depth, seed)
+        profile = dataclasses.replace(
+            profile,
+            combine=CovSpec.isotropic(float(rng.uniform(0.005, 0.04))),
+            split=CovSpec.isotropic(float(rng.uniform(0.005, 0.04))),
+        )
+        cov = propagate_b_branchwise(LinearNet.from_network(net), profile, m).output
+        samples = design_b_samples(DesignBSpec(net, m), x, profile, self.TRIALS, RngStream(seed))
+        self.assert_matches(samples, forward(net, x), cov)

@@ -12,7 +12,6 @@ from optonoise import (
     DesignASpec,
     FeasibilityError,
     Layer,
-    LinearNet,
     Network,
     NoiseProfile,
     RngStream,
@@ -25,14 +24,19 @@ from optonoise import (
     noisy_forward_samples,
     lipschitz_bounds,
     stats_from_samples,
-    step_map_b,
     subgaussian_norm_sq,
     sufficient_copies,
     total_copies,
 )
 from optonoise.design_a import common_variance_bound, equal_split_targets, wilson_interval
 
-from conftest import count_affine_calls, random_linear_net, random_profile
+from conftest import (
+    count_affine_calls,
+    gaussian_gaps,
+    random_linear_net,
+    random_profile,
+    tree_oracle,
+)
 
 
 def identity_net(dim):
@@ -60,6 +64,13 @@ class TestEvalDesignA:
             DesignASpec(net, (2, 2, 2))  # n_L != 1
         with pytest.raises(ValidationError):
             DesignASpec(net, (0, 2, 1))
+
+    def test_fractional_copies_refused(self, rng):
+        net = random_linear_net(rng, depth=2)
+        assert DesignASpec(net, (2.0, np.int64(3), 1)).copies == (2, 3, 1)
+        for copies in [(2.7, 1, 1), (2, True, 1), ("x", 1, 1)]:
+            with pytest.raises(ValidationError, match="copy count must be an integer"):
+                DesignASpec(net, copies)
 
     def test_single_layer_weight_noise_averages(self):
         # averaging n iid draws divides the variance by n
@@ -175,24 +186,10 @@ class TestTreeOracle:
         net = random_linear_net(rng, depth=len(copies) - 1, max_dim=4)
         profile = random_profile(rng, net)
         x = rng.normal(size=net.input_dim)
-        # layer l averages n_{l-1} independent subtrees: the combine/split
-        # update with m = n_{l-1} and no combine or split noise
-        dims = net.dims()
-        cov = profile.modulation.matrix(dims[0])
-        for l, (e, W) in enumerate(LinearNet.from_network(net).pairs, start=1):
-            cov = step_map_b(
-                e, W, cov, profile.weight[l - 1].matrix(dims[l]),
-                profile.activation[l - 1].matrix(dims[l]), 0.0, 0.0, copies[l - 1],
-            )
-        trials = 40_000
-        samples = design_a_samples(DesignASpec(net, copies), x, profile, trials, RngStream(seed))
-        stats = stats_from_samples(samples, forward(net, x))
-        var = np.diag(cov)
-        mean_se = np.sqrt(var / trials)
-        # standard error of a sample covariance entry of Gaussian data
-        cov_se = np.sqrt((cov**2 + np.outer(var, var)) / (trials - 1))
-        assert np.max(np.abs(stats.mean - forward(net, x)) / mean_se) <= self.MAX_SE
-        assert np.max(np.abs(stats.covariance - cov) / cov_se) <= self.MAX_SE
+        cov = tree_oracle(net, profile, copies)
+        samples = design_a_samples(DesignASpec(net, copies), x, profile, 40_000, RngStream(seed))
+        mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), cov)
+        assert mean_gap <= self.MAX_SE and cov_gap <= self.MAX_SE, (mean_gap, cov_gap)
 
 
 class TestChiMean:
@@ -256,6 +253,11 @@ class TestTotalCopies:
     def test_rejects_zero_entry(self):
         with pytest.raises(ValidationError):
             total_copies([2, 0, 1])
+
+    def test_rejects_fractional_entry(self):
+        assert total_copies([3.0, 2, 1]) == 6
+        with pytest.raises(ValidationError, match="must be an integer"):
+            total_copies([2.5, 2, 1])
 
 
 def request_for(net, sigma_sq, deltas, kappas, dev, fail, C=1.0, c=1.0):

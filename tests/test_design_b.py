@@ -130,6 +130,13 @@ class TestEvalDesignB:
         with pytest.raises(ValidationError):
             DesignBSpec(net, 0)
 
+    def test_rejects_fractional_m(self, rng):
+        net = random_linear_net(rng, depth=1)
+        assert DesignBSpec(net, 3.0).m == 3
+        for m in (2.7, True, "x"):
+            with pytest.raises(ValidationError, match="copy count m must be an integer"):
+                DesignBSpec(net, m)
+
 
 class TestSuggestedM:
     def test_unit_norms(self):

@@ -129,6 +129,12 @@ class TestInsertIdentityLayers:
         with pytest.raises(ValidationError):
             insert_identity_layers(net, 1, slots=(1, 2, 3, 3))  # 3 = depth not allowed
 
+    def test_fractional_slot_refused(self, rng):
+        net = random_linear_net(rng, depth=3)
+        assert plan_insertions(net, 2, slots=(1.0, 2, 2, 1)).slots == (1, 2, 2, 1)
+        with pytest.raises(ValidationError, match="insertion slot must be an integer"):
+            plan_insertions(net, 2, slots=(1, 2, 2, 1.5))
+
     def test_plan_reports_counts_and_slots(self):
         rng = np.random.default_rng(0)
         net = deep_random_net(rng)
@@ -197,6 +203,12 @@ class TestMseExperiment:
     def test_requires_a_design(self, rng):
         with pytest.raises(ValidationError, match="design must be 'a' or 'b', got 'none'"):
             small_config(rng, design="none")
+
+    def test_fractional_copies_grid_refused(self, rng):
+        cfg = small_config(rng, trials=5)
+        assert run_mse_experiment(cfg, [2.0]) == run_mse_experiment(cfg, [2])
+        with pytest.raises(ValidationError, match="copies grid entry must be an integer"):
+            run_mse_experiment(cfg, [1.5])
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +303,11 @@ class TestAccuracyExperiment:
 
 
 class TestDepthSweep:
+    def test_fractional_layer_count_refused(self, rng):
+        cfg = small_config(rng, trials=5)
+        with pytest.raises(ValidationError, match="inserted layer count must be an integer"):
+            run_depth_sweep(cfg, [0, 1.5], [0.0], copies=1, slots=(1, 1, 1, 1))
+
     def test_zero_variance_column_is_exact(self, rng):
         cfg = small_config(rng, trials=50)
         rows = run_depth_sweep(cfg, [0, 2], [0.0], copies=1, slots=(1, 1, 1, 1))

@@ -430,6 +430,19 @@ class TestJsonFormat:
             network_from_json(obj)
         assert "layer 2" in str(exc.value)
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"input_dim": "x", "layers": [{"weights": [[1.0]], "bias": [0.0]}]},
+         "input_dim must be an integer, got 'x'"),
+        ({"input_dim": 1.5, "layers": [{"weights": [[1.0]], "bias": [0.0]}]},
+         "input_dim must be an integer, got 1.5"),
+        ({"input_dim": 1, "layers": [{"weights": [[1.0]], "bias": [0.0],
+                                      "activation": {"diag": ["x"]}}]},
+         "layer 1: diag activation coefficients must be numbers"),
+    ], ids=["input-dim-text", "input-dim-fraction", "diag-text"])
+    def test_rejects_non_numeric_entries(self, obj, message):
+        with pytest.raises(ValidationError, match=message):
+            network_from_json(obj)
+
     def test_rejects_unknown_activation(self):
         obj = {
             "input_dim": 1,

@@ -24,11 +24,9 @@ from optonoise import (
     design_b_samples,
     forward,
     propagate_b_branchwise,
-    stats_from_samples,
-    step_map_b,
 )
 
-from conftest import random_linear_net, random_profile
+from conftest import gaussian_gaps, random_linear_net, random_profile, tree_oracle
 from reference_samplers import literal_design_b_samples, literal_tree_samples
 
 MAX_SE = 5.0
@@ -74,18 +72,6 @@ def moment_gaps(a, b):
     return (
         float(np.max(np.abs(ma - mb) / np.sqrt(va + vb))),
         float(np.max(np.abs(ca - cb) / np.sqrt(wa + wb))),
-    )
-
-
-def gaussian_gaps(samples, mean, cov):
-    """Largest mean and covariance gaps from exact Gaussian moments, in standard errors."""
-    n = samples.shape[0]
-    stats = stats_from_samples(samples, mean)
-    var = np.diag(cov)
-    cov_se = np.sqrt((cov**2 + np.outer(var, var)) / (n - 1))
-    return (
-        float(np.max(np.abs(stats.mean - mean) / np.sqrt(var / n))),
-        float(np.max(np.abs(stats.covariance - cov) / cov_se)),
     )
 
 
@@ -137,15 +123,7 @@ class TestLinearOracles:
         net = random_linear_net(rng, depth=len(copies) - 1, max_dim=4)
         profile = random_profile(rng, net)
         x = rng.normal(size=net.input_dim)
-        # layer l averages n_{l-1} independent subtrees: the combine/split
-        # update with m = n_{l-1} and no combine or split noise
-        dims = net.dims()
-        cov = profile.modulation.matrix(dims[0])
-        for l, (e, W) in enumerate(LinearNet.from_network(net).pairs, start=1):
-            cov = step_map_b(
-                e, W, cov, profile.weight[l - 1].matrix(dims[l]),
-                profile.activation[l - 1].matrix(dims[l]), 0.0, 0.0, copies[l - 1],
-            )
+        cov = tree_oracle(net, profile, copies)
         samples = TREE[sampler](DesignASpec(net, copies), x, profile, self.TRIALS, RngStream(seed))
         mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), cov)
         assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
