@@ -217,10 +217,10 @@ def _load_inputs(spec) -> tuple[np.ndarray, np.ndarray | None]:
     """Input matrix (and labels when the container carries them)."""
     if isinstance(spec, dict) and "synthetic" in spec:
         syn = spec["synthetic"]
-        gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(int(syn.get("seed", 0))))
-        )
-        X = gen.normal(0.0, float(syn.get("scale", 1.0)), size=(int(syn["count"]), int(syn["dim"])))
+        seed = _integer(syn.get("seed", 0), "synthetic seed")
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        shape = (_integer(syn["count"], "synthetic count"), _integer(syn["dim"], "synthetic dim"))
+        X = gen.normal(0.0, float(syn.get("scale", 1.0)), size=shape)
         return X, None
     if isinstance(spec, str):
         if spec.endswith(".idx"):
@@ -256,7 +256,7 @@ def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
             list(X),
             w_fraction=float(cal["w_fraction"]),
             a_fraction=float(cal["a_fraction"]),
-            m_fraction=cal.get("m_fraction"),
+            m_fraction=None if cal.get("m_fraction") is None else float(cal["m_fraction"]),
         )
     elif isinstance(profile_spec, str):
         profile = _load_profile(profile_spec)
@@ -299,11 +299,13 @@ def cli(ctx, seed, trials, config_path, output, fmt):
 
 
 def _seed(ctx, default=0) -> int:
-    return int(ctx.obj.get("seed") if ctx.obj.get("seed") is not None else default)
+    seed = ctx.obj.get("seed")
+    return _integer(default if seed is None else seed, "seed")
 
 
 def _trials(ctx, default=1000) -> int:
-    return int(ctx.obj.get("trials") if ctx.obj.get("trials") is not None else default)
+    trials = ctx.obj.get("trials")
+    return _integer(default if trials is None else trials, "trials")
 
 
 @cli.command("forward")

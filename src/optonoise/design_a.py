@@ -386,12 +386,13 @@ def deviation_check(
     behind the copy budget is input-independent, so a single input
     suffices for linear networks; a set is accepted for nonlinear hosts.
     """
+    trials = _integer(trials, "trials")
     if trials < 100:
         raise ValidationError("deviation_check needs trials >= 100")
     inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
     if not inputs:
         raise ValidationError("deviation_check needs at least one input")
-    root = RngStream(int(seed))
+    root = RngStream(_integer(seed, "seed"))
     worst = np.zeros(trials)
     for i, x in enumerate(inputs):
         reference = forward(spec.base, x)

@@ -177,8 +177,9 @@ def compare_design_b(
     spec: DesignBSpec, profile: NoiseProfile, x, trials: int, seed: int
 ) -> DesignBComparison:
     """Side-by-side covariance comparison for a linear host network."""
+    trials = _integer(trials, "trials")
     linnet = LinearNet.from_network(spec.base)
-    samples = design_b_samples(spec, x, profile, trials, RngStream(int(seed)))
+    samples = design_b_samples(spec, x, profile, trials, RngStream(_integer(seed, "seed")))
     stats = stats_from_samples(samples, forward(spec.base, x))
     recursion = propagate_b(linnet, profile, spec.m).final
     corrected = terminal_average_correction(recursion, profile, spec.base, spec.m)

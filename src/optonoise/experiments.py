@@ -24,7 +24,6 @@ from .noise import CovSpec, NoiseProfile, RngStream, noisy_forward_samples
 __all__ = [
     "ExperimentConfig",
     "InsertionPlan",
-    "RelativeAccuracy",
     "calibrate_noise",
     "insertion_tuple",
     "plan_insertions",
@@ -63,6 +62,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.design not in ("a", "b"):
             raise ValidationError(f"design must be 'a' or 'b', got {self.design!r}")
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.trials < 2:
             raise ValidationError("experiments need trials >= 2")
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -70,11 +71,16 @@ class ExperimentConfig:
             raise ValidationError(
                 f"inputs must be an (N, {self.network.input_dim}) matrix"
             )
+        if inputs.shape[0] == 0:
+            raise ValidationError("experiments need at least one input")
         object.__setattr__(self, "inputs", inputs)
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             if labels.shape != (inputs.shape[0],):
                 raise ValidationError("labels must have one entry per input")
+            classes = self.network.output_dim
+            if np.any((labels < 0) | (labels >= classes)):
+                raise ValidationError(f"labels must lie in 0..{classes - 1}")
             object.__setattr__(self, "labels", labels)
         if not 0.0 < self.confidence < 1.0:
             raise ValidationError("confidence must lie in (0, 1)")
@@ -117,13 +123,15 @@ def calibrate_noise(
     per-coordinate ranges collapse) produces a zero variance at that
     layer, with a warning.
     """
-    if w_fraction < 0.0 or a_fraction < 0.0:
-        raise ValidationError("calibration fractions must be >= 0")
+    if m_fraction is None:
+        m_fraction = a_fraction
+    for name, fraction in (("w_fraction", w_fraction), ("a_fraction", a_fraction),
+                           ("m_fraction", m_fraction)):
+        if not (math.isfinite(fraction) and fraction >= 0.0):
+            raise ValidationError(f"{name} must be finite and >= 0, got {fraction!r}")
     inputs = [np.asarray(x, dtype=np.float64) for x in calibration_inputs]
     if not inputs:
         raise ValidationError("calibration needs at least one input")
-    if m_fraction is None:
-        m_fraction = a_fraction
 
     preacts = [[] for _ in range(net.depth)]
     acts = [[] for _ in range(net.depth)]
@@ -247,6 +255,45 @@ def _copies_grid(copies_grid) -> list[int]:
     return copies_grid
 
 
+def _grid_point(cfg: ExperimentConfig, net, profile, copies: int, references, root,
+                plain: bool = False) -> tuple[np.ndarray, int]:
+    """Evaluate one ``(net, profile, copies)`` grid point over ``cfg.inputs``.
+
+    Input ``i`` draws on ``root.child(copies, i)``; ``references`` holds the
+    noiseless outputs, one row per input.  ``plain`` draws the unmodified
+    noisy network instead of the design.  Returns the per-trial squared
+    deviation per output coordinate, averaged over inputs, and the count of
+    correct argmax decisions (0 without labels).
+    """
+    per_trial = np.zeros(cfg.trials)
+    hits = 0
+    for i, (x, reference) in enumerate(zip(cfg.inputs, references)):
+        stream = root.child(copies, i)
+        if plain:
+            samples = noisy_forward_samples(net, profile, x, cfg.trials, stream)
+        else:
+            samples = _design_samples(cfg, net, profile, copies, x, stream)
+        per_trial += np.sum((samples - reference) ** 2, axis=1) / references.shape[1]
+        if cfg.labels is not None:
+            hits += int(np.count_nonzero(np.argmax(samples, axis=1) == cfg.labels[i]))
+    return per_trial / cfg.inputs.shape[0], hits
+
+
+def _references(cfg: ExperimentConfig, net) -> np.ndarray:
+    return np.array([forward(net, x) for x in cfg.inputs])
+
+
+def _mse_columns(cfg: ExperimentConfig, per_trial: np.ndarray) -> dict:
+    low, high = normal_interval(per_trial, cfg.confidence)
+    return {"mse": float(per_trial.mean()), "ci_low": low, "ci_high": high}
+
+
+def _wilson_columns(cfg: ExperimentConfig, hits: int, key: str) -> dict:
+    total = cfg.trials * cfg.inputs.shape[0]
+    low, high = wilson_interval(hits, total, cfg.confidence)
+    return {key: hits / total, "acc_low": low, "acc_high": high}
+
+
 def run_mse_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
     """Mean squared error against the noiseless network per grid point.
 
@@ -256,53 +303,13 @@ def run_mse_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
     """
     copies_grid = _copies_grid(copies_grid)
     root = RngStream(cfg.seed)
-    d_out = cfg.network.output_dim
+    references = _references(cfg, cfg.network)
     rows = []
     for copies in copies_grid:
-        per_trial = np.zeros(cfg.trials)
-        for i, x in enumerate(cfg.inputs):
-            reference = forward(cfg.network, x)
-            samples = _design_samples(
-                cfg, cfg.network, cfg.profile, copies, x, root.child(copies, i)
-            )
-            per_trial += np.sum((samples - reference) ** 2, axis=1) / d_out
-        per_trial /= cfg.inputs.shape[0]
-        low, high = normal_interval(per_trial, cfg.confidence)
-        rows.append(
-            {
-                "design": cfg.design,
-                "copies": copies,
-                "mse": float(per_trial.mean()),
-                "ci_low": low,
-                "ci_high": high,
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-            }
-        )
+        per_trial, _ = _grid_point(cfg, cfg.network, cfg.profile, copies, references, root)
+        rows.append({"design": cfg.design, "copies": copies, **_mse_columns(cfg, per_trial),
+                     "trials": cfg.trials, "seed": cfg.seed})
     return rows
-
-
-@dataclass(frozen=True, eq=False)
-class RelativeAccuracy:
-    """Accuracy rescaled between the noisy baseline (0) and the noiseless
-    network (1).  ``relative`` is None when baseline and noiseless
-    accuracy coincide, which leaves the scale undefined."""
-
-    acc_design: float
-    acc_onn_baseline: float
-    acc_nn_noiseless: float
-
-    @property
-    def relative(self) -> float | None:
-        denom = self.acc_nn_noiseless - self.acc_onn_baseline
-        if denom == 0.0:
-            return None
-        return (self.acc_design - self.acc_onn_baseline) / denom
-
-
-def _accuracy(outputs: np.ndarray, label: int) -> np.ndarray:
-    """Per-trial 0/1 correctness of the argmax decision."""
-    return (np.argmax(outputs, axis=1) == label).astype(np.float64)
 
 
 def run_accuracy_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
@@ -311,62 +318,41 @@ def run_accuracy_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
     Needs ``cfg.labels``.  Per grid point, reports the design's accuracy
     (argmax decision, pooled over trials and inputs, Wilson interval at
     ``cfg.confidence``), the unmodified noisy network's accuracy on the
-    same stream layout, the noiseless accuracy, and the relative accuracy;
-    the relative column carries the marker "undefined" when noiseless and
-    baseline accuracy coincide.
+    same stream layout, the noiseless accuracy, and the relative accuracy
+    ``(acc_design - acc_onn) / (acc_nn - acc_onn)``, which rescales between
+    the noisy baseline (0) and the noiseless network (1); the relative
+    column carries the marker "undefined" when noiseless and baseline
+    accuracy coincide.
     """
     copies_grid = _copies_grid(copies_grid)
-    labels = cfg.labels
-    if labels is None:
+    if cfg.labels is None:
         raise ValidationError("accuracy experiments need labels")
     root = RngStream(cfg.seed)
-
-    noiseless_correct = sum(
-        int(np.argmax(forward(cfg.network, x)) == y) for x, y in zip(cfg.inputs, labels)
-    )
-    acc_nn = noiseless_correct / cfg.inputs.shape[0]
+    references = _references(cfg, cfg.network)
+    noiseless_hits = int(np.count_nonzero(np.argmax(references, axis=1) == cfg.labels))
+    acc_nn = noiseless_hits / cfg.inputs.shape[0]
 
     # baseline: unmodified noisy network, streams keyed like a copies-1 run
-    baseline_hits = 0
-    for i, (x, y) in enumerate(zip(cfg.inputs, labels)):
-        samples = noisy_forward_samples(cfg.network, cfg.profile, x, cfg.trials, root.child(1, i))
-        baseline_hits += int(_accuracy(samples, int(y)).sum())
+    _, baseline_hits = _grid_point(cfg, cfg.network, cfg.profile, 1, references, root, plain=True)
     acc_onn = baseline_hits / (cfg.trials * cfg.inputs.shape[0])
 
     # one copy of either design draws what the baseline drew (design b only
     # without combine/split noise), so that row reuses the baseline hits
     one_copy_is_plain = cfg.design == "a" or (
-        cfg.design == "b" and cfg.profile.combine.is_zero and cfg.profile.split.is_zero
+        cfg.profile.combine.is_zero and cfg.profile.split.is_zero
     )
+    denom = acc_nn - acc_onn
     rows = []
     for copies in copies_grid:
         if copies == 1 and one_copy_is_plain:
             hits = baseline_hits
         else:
-            hits = 0
-            for i, (x, y) in enumerate(zip(cfg.inputs, labels)):
-                samples = _design_samples(
-                    cfg, cfg.network, cfg.profile, copies, x, root.child(copies, i)
-                )
-                hits += int(_accuracy(samples, int(y)).sum())
-        total = cfg.trials * cfg.inputs.shape[0]
-        acc = hits / total
-        low, high = wilson_interval(hits, total, cfg.confidence)
-        rel = RelativeAccuracy(acc, acc_onn, acc_nn).relative
-        rows.append(
-            {
-                "design": cfg.design,
-                "copies": copies,
-                "acc_design": acc,
-                "acc_low": low,
-                "acc_high": high,
-                "acc_onn": acc_onn,
-                "acc_nn": acc_nn,
-                "relative": "undefined" if rel is None else rel,
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-            }
-        )
+            _, hits = _grid_point(cfg, cfg.network, cfg.profile, copies, references, root)
+        columns = _wilson_columns(cfg, hits, "acc_design")
+        relative = "undefined" if denom == 0.0 else (columns["acc_design"] - acc_onn) / denom
+        rows.append({"design": cfg.design, "copies": copies, **columns, "acc_onn": acc_onn,
+                     "acc_nn": acc_nn, "relative": relative, "trials": cfg.trials,
+                     "seed": cfg.seed})
     return rows
 
 
@@ -380,6 +366,9 @@ def run_depth_sweep(
     activation noise at the given variance to every layer of the deepened
     network (modulation left noiseless so the sweep isolates layer noise),
     and evaluates the configured design at the given uniform copy count.
+    Streams are keyed as in :func:`run_mse_experiment`: the zero-insertion
+    row reproduces the base experiment draw for draw, and the variance axis
+    shares underlying normals (common random numbers) across levels.
     """
     n_grid = [_integer(n, "inserted layer count") for n in n_grid]
     variance_grid = [float(v) for v in variance_grid]
@@ -391,39 +380,14 @@ def run_depth_sweep(
     rows = []
     for n_add in n_grid:
         net = insert_identity_layers(cfg.network, n_add, slots)
-        d_out = net.output_dim
+        references = _references(cfg, net)
         for var in variance_grid:
             profile = NoiseProfile.isotropic(net.depth, weight_var=var, activation_var=var)
-            per_trial = np.zeros(cfg.trials)
-            hits = 0
-            for i, x in enumerate(cfg.inputs):
-                reference = forward(net, x)
-                # streams keyed as in run_mse_experiment: the zero-insertion
-                # row reproduces the base experiment draw-for-draw, and the
-                # variance axis shares underlying normals (common random
-                # numbers) across levels
-                samples = _design_samples(
-                    cfg, net, profile, copies, x, root.child(copies, i)
-                )
-                per_trial += np.sum((samples - reference) ** 2, axis=1) / d_out
-                if cfg.labels is not None:
-                    hits += int(_accuracy(samples, int(cfg.labels[i])).sum())
-            per_trial /= cfg.inputs.shape[0]
-            low, high = normal_interval(per_trial, cfg.confidence)
-            row = {
-                "layers_added": n_add,
-                "variance": var,
-                "copies": copies,
-                "mse": float(per_trial.mean()),
-                "ci_low": low,
-                "ci_high": high,
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-            }
+            per_trial, hits = _grid_point(cfg, net, profile, copies, references, root)
+            row = {"layers_added": n_add, "variance": var, "copies": copies,
+                   **_mse_columns(cfg, per_trial), "trials": cfg.trials, "seed": cfg.seed}
             if cfg.labels is not None:
-                total = cfg.trials * cfg.inputs.shape[0]
-                row["accuracy"] = hits / total
-                row["acc_low"], row["acc_high"] = wilson_interval(hits, total, cfg.confidence)
+                row.update(_wilson_columns(cfg, hits, "accuracy"))
             rows.append(row)
     return rows
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .network import Network, _check_input, _frozen, affine
+from .network import Network, _check_input, _frozen, _integer, affine
 
 __all__ = [
     "CovSpec",
@@ -340,6 +340,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     copy.  The copies left at the end are averaged.
     """
     profile.validate_for(net)
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     x = _check_input(net, x)

@@ -13,10 +13,11 @@ MODULES = sorted(
 
 # single-vector evaluators; a single evaluation is ``*_samples(..., 1, rng)[0]``,
 # and the per-trial harness built on them: use ``*_samples`` with ``stats_from_samples``
-# and the structural check, which ``Network(...)`` runs at construction
+# and the structural check, which ``Network(...)`` runs at construction; the
+# relative-accuracy wrapper is the one division in ``run_accuracy_experiment``
 REMOVED = (
     "noisy_forward", "eval_design_a", "eval_design_b", "sample_noise", "monte_carlo",
-    "validate",
+    "validate", "RelativeAccuracy",
 )
 
 

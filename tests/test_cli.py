@@ -315,6 +315,38 @@ class TestExitCodes:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"trials": 10.5}, "trials must be an integer"),
+        ({"seed": 1.9}, "seed must be an integer"),
+        ({"inputs": {"synthetic": {"count": 2.7, "dim": 2}}}, "synthetic count must be an integer"),
+        ({"inputs": {"synthetic": {"count": 2, "dim": 2.5}}}, "synthetic dim must be an integer"),
+        ({"profile": {"calibrate": {"w_fraction": 0.1, "a_fraction": 0.1, "m_fraction": -0.5}}},
+         "m_fraction must be finite and >= 0"),
+    ], ids=["trials-fraction", "seed-fraction", "count-fraction", "dim-fraction",
+            "negative-m-fraction"])
+    def test_malformed_config_entry_exits_1(self, experiment_files, capsys, edit, message):
+        config_path = experiment_files["config"]
+        with open(config_path, encoding="utf-8") as fh:
+            config = {**json.load(fh), **edit}
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code, out, err = run(capsys, ["--config", config_path, "experiment", "mse", "--grid", "1"])
+        assert code == 1
+        assert message in err and out == ""
+
+    def test_integral_float_config_counts_pass(self, experiment_files, capsys):
+        config_path = experiment_files["config"]
+        with open(config_path, encoding="utf-8") as fh:
+            config = json.load(fh)
+        rows = []
+        for trials, seed in ((10, 2), (10.0, 2.0)):
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump({**config, "trials": trials, "seed": seed}, fh)
+            code, out, _ = run(capsys, ["--config", config_path, "experiment", "mse", "--grid", "1"])
+            assert code == 0
+            rows.append(json.loads(out)["rows"])
+        assert rows[0] == rows[1] and rows[0][0]["trials"] == 10
+
     def test_config_without_design_exits_1(self, experiment_files, capsys):
         config_path = experiment_files["config"]
         with open(config_path, encoding="utf-8") as fh:

@@ -389,6 +389,16 @@ class TestDeviationCheck:
             deviation_check(spec, NoiseProfile.zero(1), [np.zeros(net.input_dim)],
                             1.0, trials=50, seed=0)
 
+    def test_fractional_trials_and_seed_refused(self, rng):
+        net = random_linear_net(rng, depth=1)
+        spec = DesignASpec(net, (1, 1))
+        args = (spec, NoiseProfile.zero(1), [np.zeros(net.input_dim)], 1.0)
+        assert deviation_check(*args, trials=100.0, seed=0.0).trials == 100
+        with pytest.raises(ValidationError, match="trials must be an integer"):
+            deviation_check(*args, trials=100.5, seed=0)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            deviation_check(*args, trials=100, seed=1.5)
+
     def test_wilson_interval_basics(self):
         low, high = wilson_interval(0, 1000)
         assert low == 0.0 and high < 0.005

@@ -174,6 +174,17 @@ class TestComparisonReport:
         np.testing.assert_allclose(report.recursion_corrected, report.branchwise, atol=1e-12)
         assert report.rel_err_recursion_corrected <= 0.05
 
+    def test_fractional_trials_and_seed_refused(self, rng):
+        net = random_linear_net(rng, depth=1, max_dim=2)
+        profile = random_profile(rng, net)
+        x = rng.normal(size=net.input_dim)
+        report = compare_design_b(DesignBSpec(net, 2), profile, x, 10.0, seed=1.0)
+        assert report.trials == 10 and isinstance(report.trials, int)
+        with pytest.raises(ValidationError, match="trials must be an integer"):
+            compare_design_b(DesignBSpec(net, 2), profile, x, 10.5, seed=1)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            compare_design_b(DesignBSpec(net, 2), profile, x, 10, seed=True)
+
 
 class TestSpecJson:
     def test_round_trip(self, rng):

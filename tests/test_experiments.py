@@ -60,6 +60,19 @@ class TestCalibrateNoise:
         )
         assert profile.activation[0].var == pytest.approx(0.04, rel=1e-9)
 
+    @pytest.mark.parametrize("fractions, name", [
+        ((-0.1, 0.1, None), "w_fraction"),
+        ((math.nan, 0.1, None), "w_fraction"),
+        ((0.1, math.inf, None), "a_fraction"),
+        ((0.1, 0.1, -0.5), "m_fraction"),
+        ((0.1, 0.1, math.nan), "m_fraction"),
+    ], ids=["negative-w", "nan-w", "inf-a", "negative-m", "nan-m"])
+    def test_negative_or_non_finite_fraction_refused(self, rng, fractions, name):
+        net = random_linear_net(rng, depth=1)
+        inputs = [np.zeros(net.input_dim), np.ones(net.input_dim)]
+        with pytest.raises(ValidationError, match=f"{name} must be finite and >= 0"):
+            calibrate_noise(net, inputs, *fractions)
+
     def test_explicit_modulation_fraction(self, rng):
         net = random_linear_net(rng, depth=1)
         inputs = [np.zeros(net.input_dim), np.ones(net.input_dim)]
@@ -200,6 +213,32 @@ class TestMseExperiment:
             sigma = propagate_b_branchwise(linnet, profile, row["copies"]).output
             assert row["mse"] == pytest.approx(np.trace(sigma) / d, rel=0.10)
 
+    def test_config_counts_follow_the_integer_rule(self, rng):
+        cfg = small_config(rng, trials=4)
+        same = ExperimentConfig(network=cfg.network, profile=cfg.profile, design="b",
+                                inputs=cfg.inputs, trials=4.0, seed=99.0)
+        assert (same.trials, same.seed) == (4, 99)
+        assert run_mse_experiment(same, [2]) == run_mse_experiment(cfg, [2])
+        for field, bad in (("trials", 4.5), ("trials", True), ("seed", 1.5), ("seed", False)):
+            kwargs = {"trials": 4, "seed": 99, field: bad}
+            with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+                ExperimentConfig(network=cfg.network, profile=cfg.profile, design="b",
+                                 inputs=cfg.inputs, **kwargs)
+
+    def test_labels_outside_the_output_classes_refused(self, rng):
+        cfg = small_config(rng, n_inputs=2)
+        classes = cfg.network.output_dim
+        for labels in ([classes, 0], [0, -1]):
+            with pytest.raises(ValidationError, match=f"labels must lie in 0..{classes - 1}"):
+                ExperimentConfig(network=cfg.network, profile=cfg.profile, design="b",
+                                 inputs=cfg.inputs, trials=4, seed=0, labels=labels)
+
+    def test_empty_input_set_refused(self, rng):
+        cfg = small_config(rng)
+        with pytest.raises(ValidationError, match="experiments need at least one input"):
+            ExperimentConfig(network=cfg.network, profile=cfg.profile, design="b",
+                             inputs=np.zeros((0, cfg.network.input_dim)), trials=4, seed=0)
+
     def test_requires_a_design(self, rng):
         with pytest.raises(ValidationError, match="design must be 'a' or 'b', got 'none'"):
             small_config(rng, design="none")
@@ -326,6 +365,22 @@ class TestDepthSweep:
         base = run_mse_experiment(cfg, [1])[0]
         # same variance level and stream keying: identical draws
         assert swept["mse"] == pytest.approx(base["mse"], rel=1e-12)
+
+    @pytest.mark.parametrize("design", ["a", "b"])
+    def test_accuracy_columns_match_accuracy_experiment(self, fixture_setup, design):
+        # same isotropic profile, seed, inputs and stream keys as the depth
+        # sweep's zero-insertion cell, so the accuracy columns must coincide
+        net, X, labels, _ = fixture_setup
+        var = 0.05
+        profile = NoiseProfile.isotropic(net.depth, weight_var=var, activation_var=var)
+        cfg = ExperimentConfig(network=net, profile=profile, design=design, inputs=X[:40],
+                               trials=25, seed=13, labels=labels[:40])
+        for copies in (1, 2):
+            swept = run_depth_sweep(cfg, [0], [var], copies=copies, slots=(1, 1, 1, 1))[0]
+            row = run_accuracy_experiment(cfg, [copies])[0]
+            assert 0.0 < row["acc_design"] < 1.0
+            assert (swept["accuracy"], swept["acc_low"], swept["acc_high"]) == (
+                row["acc_design"], row["acc_low"], row["acc_high"])
 
     def test_mse_grows_with_depth(self, rng):
         net = random_linear_net(rng, depth=2, max_dim=3)

@@ -207,6 +207,17 @@ class TestNoisyForward:
         b = noisy_forward_samples(net, profile, x, 1, RngStream(9).child(0))[0]
         np.testing.assert_array_equal(a, b)
 
+    def test_integral_float_trials_pass_and_fractions_refused(self):
+        net = identity_net(2)
+        profile = NoiseProfile.isotropic(1, weight_var=0.1)
+        np.testing.assert_array_equal(
+            noisy_forward_samples(net, profile, np.ones(2), 2.0, RngStream(1)),
+            noisy_forward_samples(net, profile, np.ones(2), 2, RngStream(1)),
+        )
+        for bad in (2.5, True):
+            with pytest.raises(ValidationError, match="trials must be an integer"):
+                noisy_forward_samples(net, profile, np.ones(2), bad, RngStream(1))
+
     def test_profile_dim_mismatch_rejected(self):
         net = identity_net(2)
         bad = NoiseProfile(CovSpec.diagonal([1.0, 1.0, 1.0]), (CovSpec.zero(),), (CovSpec.zero(),))
