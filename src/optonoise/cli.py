@@ -228,7 +228,7 @@ def _load_inputs(spec) -> tuple[np.ndarray, np.ndarray | None]:
         obj = _load_json(spec)
         if isinstance(obj, dict):
             X = np.asarray(obj["inputs"], dtype=np.float64)
-            labels = np.asarray(obj["labels"], dtype=np.int64) if "labels" in obj else None
+            labels = np.asarray(obj["labels"]) if "labels" in obj else None
             return X, labels
         return np.asarray(obj, dtype=np.float64), None
     raise ValidationError(f"cannot interpret inputs spec {spec!r}")
@@ -237,7 +237,7 @@ def _load_inputs(spec) -> tuple[np.ndarray, np.ndarray | None]:
 def _load_labels(spec) -> np.ndarray:
     if spec.endswith(".idx"):
         return load_idx_labels(spec)
-    return np.asarray(_load_json(spec), dtype=np.int64)
+    return np.asarray(_load_json(spec))
 
 
 def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
@@ -254,9 +254,9 @@ def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
         profile = calibrate_noise(
             net,
             list(X),
-            w_fraction=float(cal["w_fraction"]),
-            a_fraction=float(cal["a_fraction"]),
-            m_fraction=None if cal.get("m_fraction") is None else float(cal["m_fraction"]),
+            w_fraction=cal["w_fraction"],
+            a_fraction=cal["a_fraction"],
+            m_fraction=cal.get("m_fraction"),
         )
     elif isinstance(profile_spec, str):
         profile = _load_profile(profile_spec)

@@ -11,33 +11,36 @@ each of them carries alone.  The combine averages the m values, so
     shared' = A shared A^T + (A per A^T + D S_w D^T) / m + D S_sum D^T / m^2
     per'    = D S_spl D^T + S_a
 
-The step runs in one of two modes.  ``propagate_b_branchwise`` keeps the
-two parts apart from ``shared = 0, per = S_m``.  ``propagate_b`` folds
-them into one matrix after every layer (``per <- shared' + per'``,
-``shared <- 0``), which treats the m values entering each layer as
-independent and iterates
+The engine runs this step on the wiring of the sampler kernel
+``noise._sample``: layer ``l`` averages ``m = fan_in[l-1]`` copies and
+splits the result into ``fan_out[l-1]``.  At fan-out 1 the copies entering
+the next layer are independent subtrees, so the parts are folded
+(``per <- shared' + per'``, ``shared <- 0``), which iterates
 
-    step_m(S) = (A S A^T + D S_w D^T) / m
-                + D S_sum D^T / m^2 + D S_spl D^T + S_a       (combine/split)
-    step(S)   = A S A^T + D S_w D^T + S_a                     (plain layer)
+    step_m(S) = (A S A^T + D S_w D^T) / m + D S_sum D^T / m^2 + D S_spl D^T + S_a
 
-starting from the modulation covariance.  ``step`` is ``step_m`` at
-``m = 1`` without combine/split noise, so ``propagate`` is the folded mode
-on that profile.  For layer-independent ``D, W`` and noise, the recursion
-has a closed finite sum, a convergent infinite series under a contraction
-hypothesis, and a fixed point computable either by iteration or as the
-solution of a discrete Lyapunov equation; the plain closed form and
-series are the combine/split ones at ``m = 1``.
+Otherwise both are kept, and the next layer averages copies that all
+carry ``shared``.  Each analytic result is one wiring, with combine/split
+noise only where the design has it:
 
-``propagate_b`` iterates ``step_m`` as given.  Note that ``step_m``
-treats the m branch values entering a layer as independent; in a faithful
-simulation of the combine/split design the branches share each combined
-beam, so their shared covariance component is *not* averaged down again
-at the next layer.  ``propagate_b_branchwise`` tracks that shared/
-per-branch decomposition exactly and is the correct analytic companion of
-the simulator; see ``design_b.compare_design_b`` for the side-by-side.
+* ``propagate``: fan-in and fan-out 1, so ``step`` is ``step_m`` at ``m = 1``;
+* the tree (design A), copies ``n_0..n_L``: fan-in ``n_{l-1}``, fan-out 1,
+  its exact output covariance on a linear net;
+* ``propagate_b``: fan-in m, fan-out 1, as if the m branches were independent;
+* ``propagate_b_branchwise``: fan-in and fan-out m, the wiring of
+  ``design_b_samples`` and its exact covariance.  At ``m = 1`` it folds:
+  ``shared`` is zero and ``per_branch`` holds the whole covariance.
 
-The two differ by an exactly known positive semidefinite term.  Write
+For layer-independent ``D, W`` and noise, the recursion has a closed
+finite sum, a convergent infinite series under a contraction hypothesis,
+and a fixed point computable either by iteration or as the solution of a
+discrete Lyapunov equation; the plain closed form and series are the
+combine/split ones at ``m = 1``.
+
+``propagate_b`` averages the shared covariance of the branches down again
+at every layer, which a faithful simulation does not (see
+``design_b.compare_design_b``); the two differ by an exactly known
+positive semidefinite term.  Write
 ``T_l`` for the ``propagate_b`` covariances, ``S_l`` and ``B_l`` for the
 branchwise ``shared`` and ``per_branch`` parts, and ``R_l = T_l - B_l``.
 Then ``S_l - R_l = A_l (S_{l-1} - R_{l-1}/m) A_l^T`` with ``S_0 = R_0 = 0``,
@@ -53,7 +56,6 @@ under-counts the covariance that the branches share.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,7 +64,7 @@ import numpy as np
 
 from .errors import ContractionError, ConvergenceError, ValidationError
 from .network import Network, _integer, as_linear, operator_norm
-from .noise import CovSpec, NoiseProfile
+from .noise import _ZERO, CovSpec, NoiseProfile
 
 __all__ = [
     "LinearNet",
@@ -175,6 +177,14 @@ def trajectory_to_json(traj: Trajectory) -> dict:
     }
 
 
+def _copy_count(m) -> int:
+    """``m`` as a copy count: an integer (by ``network._integer``) ``>= 1``."""
+    m = _integer(m, "copy count m")
+    if m < 1:
+        raise ValidationError("copy count m must be >= 1")
+    return m
+
+
 def _step(e, W, shared, per, sigma_w, sigma_a, sigma_sum, sigma_spl, m):
     """One layer of the engine: the raw, unsymmetrized ``(shared', per')``
     of the module docstring.
@@ -205,8 +215,7 @@ def step_map_b(D, W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m: int)
     The engine step from ``shared = 0, per = sigma_prev`` with the two
     parts summed, re-symmetrized on output.
     """
-    if m < 1:
-        raise ValidationError("copy count m must be >= 1")
+    m = _copy_count(m)
     e = _as_coeffs(D)
     W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl = (
         np.asarray(a, dtype=np.float64)
@@ -218,27 +227,25 @@ def step_map_b(D, W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m: int)
     return _sym(shared + per)
 
 
-def _run(net: LinearNet, profile: NoiseProfile, m: int, fold: bool):
-    """The engine loop: lists of ``shared`` and ``per`` covariances, layers 0..L.
-
-    With ``fold`` the parts are summed into ``per`` after every layer and
-    ``shared`` stays None; otherwise both are kept, from ``shared = 0``.
+def _run(net: LinearNet, profile: NoiseProfile, fan_in, fan_out, combine_split=False):
+    """The engine loop on the wiring of ``noise._sample`` (module
+    docstring): lists of ``shared`` (None for zero) and ``per``
+    covariances, layers 0..L.
     """
-    if m < 1:
-        raise ValidationError("copy count m must be >= 1")
+    fan_in = [_copy_count(g) for g in fan_in]
     profile.validate_for(net)
     dims = net.dims()
-    per = _sym(profile.modulation.matrix(dims[0]))
-    shared = None if fold else np.zeros_like(per)
+    combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
+    shared, per = None, _sym(profile.modulation.matrix(dims[0]))
     shared_parts, per_parts = [shared], [per]
     for l, (e, W) in enumerate(net.pairs, start=1):
         d = dims[l]
         shared, per = _step(
             e, W, shared, per,
             profile.weight[l - 1].matrix(d), profile.activation[l - 1].matrix(d),
-            profile.combine.matrix(d), profile.split.matrix(d), m,
+            combine.matrix(d), split.matrix(d), fan_in[l - 1],
         )
-        if fold:
+        if fan_out[l - 1] == 1:
             shared, per = None, _sym(shared + per)
         else:
             shared, per = _sym(shared), _sym(per)
@@ -251,17 +258,15 @@ def propagate(net: LinearNet, profile: NoiseProfile) -> Trajectory:
     """Iterate the plain-layer map from the modulation covariance.
 
     Returns the full trajectory; ``.final`` is the output covariance of a
-    noisy evaluation of the unmodified linear network.  This is
-    :func:`propagate_b` at ``m = 1`` with the combine/split noise removed.
+    noisy evaluation of the unmodified linear network.
     """
-    plain = dataclasses.replace(profile, combine=CovSpec.zero(), split=CovSpec.zero())
-    return propagate_b(net, plain, 1)
+    _, per = _run(net, profile, (1,) * net.depth, (1,) * net.depth)
+    return Trajectory(tuple(CovarianceState(sigma, l) for l, sigma in enumerate(per)))
 
 
 def propagate_b(net: LinearNet, profile: NoiseProfile, m: int) -> Trajectory:
     """Iterate the combine/split map ``step_m`` from the modulation covariance.
 
-    ``m = 1`` with zero combine/split covariances equals :func:`propagate`.
     This per-branch recursion treats the m branches entering each layer as
     independent.  After the terminal-averaging correction it equals
     :func:`propagate_b_branchwise` ``.output`` (the faithful simulation)
@@ -269,7 +274,7 @@ def propagate_b(net: LinearNet, profile: NoiseProfile, m: int) -> Trajectory:
     by the positive semidefinite gap ``A_L (S_{L-1} - R_{L-1}/m) A_L^T``
     derived in the module docstring.
     """
-    _, per = _run(net, profile, m, fold=True)
+    _, per = _run(net, profile, (m,) * net.depth, (1,) * net.depth, True)
     return Trajectory(tuple(CovarianceState(sigma, l) for l, sigma in enumerate(per)))
 
 
@@ -300,15 +305,15 @@ class BranchTrajectory:
 def propagate_b_branchwise(net: LinearNet, profile: NoiseProfile, m: int) -> BranchTrajectory:
     """Track the shared/per-branch covariance split of the combine/split design.
 
-    The engine step with the parts kept apart: the combine averages the m
-    branch inputs, so the previously shared part passes through ``A . A^T``
-    undamped while the per-branch part and the fresh weight/combine noise
-    are averaged (module docstring).  The input branches are independently
-    modulated, so the recursion starts from ``shared = 0``,
-    ``per_branch = S_m``.
+    The engine on the sampler's wiring, fan-in and fan-out m: the shared
+    part passes through ``A . A^T`` undamped while the per-branch part and
+    the fresh weight/combine noise are averaged.  At ``m = 1`` the run is
+    folded, so ``shared`` is zero (module docstring).
     """
-    shared, per = _run(net, profile, m, fold=False)
-    return BranchTrajectory(tuple(shared), tuple(per), m)
+    m = _copy_count(m)
+    shared, per = _run(net, profile, (m,) * net.depth, (m,) * net.depth, True)
+    shared = tuple(np.zeros_like(p) if s is None else s for s, p in zip(shared, per))
+    return BranchTrajectory(shared, tuple(per), m)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +344,7 @@ class SymmetricConfig:
             raise ValidationError("symmetric config needs square W matching e")
         if not _all_finite(e, W):
             raise ValidationError("symmetric config: e/W contain non-finite values")
-        object.__setattr__(self, "m", _integer(self.m, "copy count m"))
-        if self.m < 1:
-            raise ValidationError("copy count m must be >= 1")
+        object.__setattr__(self, "m", _copy_count(self.m))
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "W", W)
         for spec, name in ((self.sigma_m, "sigma_m"), (self.sigma_w, "sigma_w"), (self.sigma_a, "sigma_a")):

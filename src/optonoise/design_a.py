@@ -392,7 +392,7 @@ def deviation_check(
     inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
     if not inputs:
         raise ValidationError("deviation_check needs at least one input")
-    root = RngStream(_integer(seed, "seed"))
+    root = RngStream(seed)
     worst = np.zeros(trials)
     for i, x in enumerate(inputs):
         reference = forward(spec.base, x)

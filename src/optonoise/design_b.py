@@ -8,15 +8,13 @@ noise.  The first layer starts from m independently modulated copies of
 the input; the final output is the average of the m last-layer branches.
 The cost is m weighted additions per layer, m*L in total.
 
-Two analytic companions live in :mod:`optonoise.covariance`:
-
-* ``propagate_b`` iterates the per-layer map that treats the m branch
-  values as independent.  That is the classical recursion for this
-  design, but the split branches actually share each combined beam, so
-  from the second layer on the recursion under-counts the shared
-  covariance (it averages it down once per subsequent layer).
-* ``propagate_b_branchwise`` tracks the shared and per-branch parts
-  separately and matches a faithful simulation exactly.
+Its analytic companions are two wirings of the covariance engine in
+:mod:`optonoise.covariance`.  ``propagate_b_branchwise`` runs the
+sampler's own wiring (fan-in and fan-out m per layer), keeps the shared
+and per-branch parts apart and matches a faithful simulation exactly.
+``propagate_b`` runs fan-out 1, the classical recursion that treats the m
+branch values as independent; as the split branches share each combined
+beam, from the second layer on it under-counts the shared covariance.
 
 ``compare_design_b`` reports both, next to the empirical covariance, so
 the discrepancy is visible rather than silently resolved.
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import LinearNet, propagate_b, propagate_b_branchwise
+from .covariance import LinearNet, _copy_count, propagate_b, propagate_b_branchwise
 from .errors import ValidationError
 from .network import Network, _integer, forward
 from .noise import NoiseProfile, RngStream, _sample, stats_from_samples
@@ -53,9 +51,7 @@ class DesignBSpec:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _integer(self.m, "copy count m"))
-        if self.m < 1:
-            raise ValidationError("copy count m must be >= 1")
+        object.__setattr__(self, "m", _copy_count(self.m))
 
 
 def design_b_spec_to_json(spec: DesignBSpec) -> dict:
@@ -179,7 +175,7 @@ def compare_design_b(
     """Side-by-side covariance comparison for a linear host network."""
     trials = _integer(trials, "trials")
     linnet = LinearNet.from_network(spec.base)
-    samples = design_b_samples(spec, x, profile, trials, RngStream(_integer(seed, "seed")))
+    samples = design_b_samples(spec, x, profile, trials, RngStream(seed))
     stats = stats_from_samples(samples, forward(spec.base, x))
     recursion = propagate_b(linnet, profile, spec.m).final
     corrected = terminal_average_correction(recursion, profile, spec.base, spec.m)

@@ -75,7 +75,7 @@ class ExperimentConfig:
             raise ValidationError("experiments need at least one input")
         object.__setattr__(self, "inputs", inputs)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = _integer_labels(self.labels)
             if labels.shape != (inputs.shape[0],):
                 raise ValidationError("labels must have one entry per input")
             classes = self.network.output_dim
@@ -84,6 +84,20 @@ class ExperimentConfig:
             object.__setattr__(self, "labels", labels)
         if not 0.0 < self.confidence < 1.0:
             raise ValidationError("confidence must lie in (0, 1)")
+
+
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as int64 under ``network._integer``'s rule, element-wise:
+    finite integral values pass; fractions, text and bools are refused."""
+    labels = np.asarray(labels)
+    try:
+        values = labels.astype(np.float64)
+    except (TypeError, ValueError):
+        values = np.full(labels.shape, np.nan)
+    bad = ~(np.isfinite(values) & (values == np.round(values))) | (labels.dtype.kind == "b")
+    if np.any(bad):
+        raise ValidationError(f"labels must be integers, got {labels[bad].tolist()[0]!r}")
+    return values.astype(np.int64)
 
 
 def normal_interval(samples: np.ndarray, confidence: float = 0.95) -> tuple[float, float]:
@@ -98,6 +112,17 @@ def normal_interval(samples: np.ndarray, confidence: float = 0.95) -> tuple[floa
     z = float(norm.ppf(0.5 + confidence / 2.0))
     half = z * float(samples.std(ddof=1)) / math.sqrt(n)
     return mean - half, mean + half
+
+
+def _fraction(name: str, value) -> float:
+    """``value`` as a finite float ``>= 0``; text, bools and other types are refused."""
+    try:
+        fraction = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        fraction = math.nan
+    if not (math.isfinite(fraction) and fraction >= 0.0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    return fraction
 
 
 def calibrate_noise(
@@ -125,10 +150,11 @@ def calibrate_noise(
     """
     if m_fraction is None:
         m_fraction = a_fraction
-    for name, fraction in (("w_fraction", w_fraction), ("a_fraction", a_fraction),
-                           ("m_fraction", m_fraction)):
-        if not (math.isfinite(fraction) and fraction >= 0.0):
-            raise ValidationError(f"{name} must be finite and >= 0, got {fraction!r}")
+    w_fraction, a_fraction, m_fraction = (
+        _fraction(name, value) for name, value in (
+            ("w_fraction", w_fraction), ("a_fraction", a_fraction), ("m_fraction", m_fraction)
+        )
+    )
     inputs = [np.asarray(x, dtype=np.float64) for x in calibration_inputs]
     if not inputs:
         raise ValidationError("calibration needs at least one input")

@@ -210,12 +210,16 @@ class RngStream:
     seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "path", tuple(_integer(i, "stream path index") for i in self.path))
+
     def child(self, *indices: int) -> "RngStream":
-        return RngStream(self.seed, self.path + tuple(int(i) for i in indices))
+        return RngStream(self.seed, self.path + indices)
 
     def generator(self) -> np.random.Generator:
         # two's-complement view so negative 64-bit seeds stay usable
-        entropy = int(self.seed) & 0xFFFFFFFFFFFFFFFF
+        entropy = self.seed & 0xFFFFFFFFFFFFFFFF
         seq = np.random.SeedSequence(entropy=entropy, spawn_key=self.path)
         return np.random.Generator(np.random.SFC64(seq))
 

@@ -7,11 +7,9 @@ from optonoise import (
     Activation,
     CovSpec,
     Layer,
-    LinearNet,
     Network,
     NoiseProfile,
     stats_from_samples,
-    step_map_b,
 )
 
 
@@ -53,22 +51,6 @@ def random_profile(rng, net, scale=0.05):
         tuple(random_covspec(rng, d, scale) for d in dims[1:]),
         tuple(random_covspec(rng, d, scale) for d in dims[1:]),
     )
-
-
-def tree_oracle(net, profile, copies):
-    """Exact output covariance of the tree design on a linear net.
-
-    Layer l averages n_{l-1} independent subtrees: the combine/split update
-    with m = n_{l-1} and no combine or split noise.
-    """
-    dims = net.dims()
-    cov = profile.modulation.matrix(dims[0])
-    for l, (e, W) in enumerate(LinearNet.from_network(net).pairs, start=1):
-        cov = step_map_b(
-            e, W, cov, profile.weight[l - 1].matrix(dims[l]),
-            profile.activation[l - 1].matrix(dims[l]), 0.0, 0.0, copies[l - 1],
-        )
-    return cov
 
 
 def gaussian_gaps(samples, mean, cov):

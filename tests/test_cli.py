@@ -322,8 +322,10 @@ class TestExitCodes:
         ({"inputs": {"synthetic": {"count": 2, "dim": 2.5}}}, "synthetic dim must be an integer"),
         ({"profile": {"calibrate": {"w_fraction": 0.1, "a_fraction": 0.1, "m_fraction": -0.5}}},
          "m_fraction must be finite and >= 0"),
+        ({"profile": {"calibrate": {"w_fraction": "abc", "a_fraction": 0.1}}},
+         "w_fraction must be finite and >= 0, got 'abc'"),
     ], ids=["trials-fraction", "seed-fraction", "count-fraction", "dim-fraction",
-            "negative-m-fraction"])
+            "negative-m-fraction", "text-w-fraction"])
     def test_malformed_config_entry_exits_1(self, experiment_files, capsys, edit, message):
         config_path = experiment_files["config"]
         with open(config_path, encoding="utf-8") as fh:
@@ -333,6 +335,18 @@ class TestExitCodes:
         code, out, err = run(capsys, ["--config", config_path, "experiment", "mse", "--grid", "1"])
         assert code == 1
         assert message in err and out == ""
+
+    def test_fractional_labels_exit_1(self, experiment_files, capsys):
+        with open(experiment_files["config"], encoding="utf-8") as fh:
+            inputs_path = json.load(fh)["inputs"]
+        with open(inputs_path, encoding="utf-8") as fh:
+            inputs = json.load(fh)
+        with open(inputs_path, "w", encoding="utf-8") as fh:
+            json.dump({**inputs, "labels": [0.5, 0]}, fh)
+        code, out, err = run(capsys, ["--config", experiment_files["config"],
+                                      "experiment", "accuracy", "--grid", "1"])
+        assert code == 1
+        assert "labels must be integers, got 0.5" in err and out == ""
 
     def test_integral_float_config_counts_pass(self, experiment_files, capsys):
         config_path = experiment_files["config"]

@@ -32,7 +32,7 @@ from optonoise import (
     symmetric_closed_form,
     symmetric_closed_form_b,
 )
-from optonoise.covariance import trajectory_to_json
+from optonoise.covariance import _run, trajectory_to_json
 from optonoise.design_b import terminal_average_correction
 from optonoise.network import forward
 
@@ -41,7 +41,6 @@ from conftest import (
     random_covspec,
     random_linear_net,
     random_profile,
-    tree_oracle,
 )
 
 
@@ -79,6 +78,30 @@ class TestSymmetricConfigCount:
         assert scalar_cfg(1.0, 0.5, m=2.0).m == 2
         with pytest.raises(ValidationError, match="copy count m must be an integer"):
             scalar_cfg(1.0, 0.5, m=2.5)
+
+
+class TestPropagatorCopyCount:
+    """The propagators and ``step_map_b`` share one copy-count rule."""
+
+    RUNS = {
+        "propagate_b": lambda lin, p, m: propagate_b(lin, p, m).final,
+        "propagate_b_branchwise": lambda lin, p, m: propagate_b_branchwise(lin, p, m).output,
+        "step_map_b": lambda lin, p, m: step_map_b(
+            *lin.pairs[0], [[1.0]], [[0.1]], [[0.0]], [[0.0]], [[0.0]], m
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_fractional_m_refused(self, name):
+        run = self.RUNS[name]
+        cfg = scalar_cfg(0.5, 0.5, sm=0.1, sw=0.1)
+        lin, profile = cfg.to_linear_net(2), cfg.to_profile(2)
+        np.testing.assert_array_equal(run(lin, profile, 2.0), run(lin, profile, 2))
+        for m in (2.5, 1.5, True, "x"):
+            with pytest.raises(ValidationError, match="copy count m must be an integer"):
+                run(lin, profile, m)
+        with pytest.raises(ValidationError, match="copy count m must be >= 1"):
+            run(lin, profile, 0)
 
 
 class TestNonFiniteRejected:
@@ -346,6 +369,18 @@ class TestEngineModes:
         _, linnet, plain, _ = engine_case(seed, depth)
         branch = propagate_b_branchwise(linnet, plain, 1)
         np.testing.assert_allclose(branch.output, propagate(linnet, plain).final, rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 4))
+    def test_branchwise_m1_is_folded(self, seed, depth):
+        # at m = 1 every fan-out is 1, so the branch-resolved run folds
+        _, linnet, _, with_cs = engine_case(seed, depth)
+        branch = propagate_b_branchwise(linnet, with_cs, 1)
+        folded = propagate_b(linnet, with_cs, 1)
+        for shared in branch.shared:
+            np.testing.assert_array_equal(shared, np.zeros_like(shared))
+        for x, y in zip(branch.per_branch, folded.sigmas(), strict=True):
+            np.testing.assert_array_equal(x, y)
 
     @settings(derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4))
@@ -652,7 +687,8 @@ class TestOraclesMatchSamplers:
         copies = tuple(copies[:depth]) + (1,)
         samples = design_a_samples(DesignASpec(net, copies), x, profile, self.TRIALS,
                                    RngStream(seed))
-        self.assert_matches(samples, forward(net, x), tree_oracle(net, profile, copies))
+        cov = _run(LinearNet.from_network(net), profile, copies[:-1], (1,) * depth)[1][-1]
+        self.assert_matches(samples, forward(net, x), cov)
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(m=st.integers(1, 4), **NETS)

@@ -66,7 +66,10 @@ class TestCalibrateNoise:
         ((0.1, math.inf, None), "a_fraction"),
         ((0.1, 0.1, -0.5), "m_fraction"),
         ((0.1, 0.1, math.nan), "m_fraction"),
-    ], ids=["negative-w", "nan-w", "inf-a", "negative-m", "nan-m"])
+        (("abc", 0.1, None), "w_fraction"),
+        ((0.1, [0.1], None), "a_fraction"),
+        ((0.1, 0.1, True), "m_fraction"),
+    ], ids=["negative-w", "nan-w", "inf-a", "negative-m", "nan-m", "text-w", "list-a", "bool-m"])
     def test_negative_or_non_finite_fraction_refused(self, rng, fractions, name):
         net = random_linear_net(rng, depth=1)
         inputs = [np.zeros(net.input_dim), np.ones(net.input_dim)]
@@ -232,6 +235,20 @@ class TestMseExperiment:
             with pytest.raises(ValidationError, match=f"labels must lie in 0..{classes - 1}"):
                 ExperimentConfig(network=cfg.network, profile=cfg.profile, design="b",
                                  inputs=cfg.inputs, trials=4, seed=0, labels=labels)
+
+    def test_labels_follow_the_integer_rule(self, rng):
+        cfg = small_config(rng, n_inputs=2)
+
+        def config(labels):
+            return ExperimentConfig(network=cfg.network, profile=cfg.profile, design="b",
+                                    inputs=cfg.inputs, trials=4, seed=0, labels=labels)
+
+        assert config([0.0, 0]).labels.tolist() == [0, 0]
+        assert config(np.array([0, 0], dtype=np.uint8)).labels.dtype == np.int64
+        for labels, shown in (([0.5, 0], "0.5"), ([0, np.nan], "nan"), ([True, False], "True"),
+                              (["x", "0"], "'x'")):
+            with pytest.raises(ValidationError, match=f"labels must be integers, got {shown}"):
+                config(labels)
 
     def test_empty_input_set_refused(self, rng):
         cfg = small_config(rng)

@@ -102,6 +102,17 @@ class TestRngStream:
     def test_seed_changes_stream(self):
         assert not np.array_equal(RngStream(7).normal(4), RngStream(8).normal(4))
 
+    def test_seed_and_path_follow_the_integer_rule(self):
+        same = RngStream(7.0, (1.0,)).child(np.int64(2), 3.0)
+        assert same == RngStream(7, (1, 2, 3)) and same.path == (1, 2, 3)
+        np.testing.assert_array_equal(same.normal(4), RngStream(7, (1, 2, 3)).normal(4))
+        for bad in (lambda: RngStream(1.5), lambda: RngStream(True), lambda: RngStream("x")):
+            with pytest.raises(ValidationError, match="seed must be an integer"):
+                bad()
+        for bad in (lambda: RngStream(1).child(2.9), lambda: RngStream(1, (0, False))):
+            with pytest.raises(ValidationError, match="stream path index must be an integer"):
+                bad()
+
 
 class TestSampleNoise:
     def test_zero_returns_exact_zeros(self, monkeypatch):

@@ -25,8 +25,9 @@ from optonoise import (
     forward,
     propagate_b_branchwise,
 )
+from optonoise.covariance import _run
 
-from conftest import gaussian_gaps, random_linear_net, random_profile, tree_oracle
+from conftest import gaussian_gaps, random_linear_net, random_profile
 from reference_samplers import literal_design_b_samples, literal_tree_samples
 
 MAX_SE = 5.0
@@ -123,7 +124,7 @@ class TestLinearOracles:
         net = random_linear_net(rng, depth=len(copies) - 1, max_dim=4)
         profile = random_profile(rng, net)
         x = rng.normal(size=net.input_dim)
-        cov = tree_oracle(net, profile, copies)
+        cov = _run(LinearNet.from_network(net), profile, copies[:-1], (1,) * net.depth)[1][-1]
         samples = TREE[sampler](DesignASpec(net, copies), x, profile, self.TRIALS, RngStream(seed))
         mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), cov)
         assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
