@@ -380,7 +380,7 @@ def cmd_design_b(ctx, net_path, profile_path, input_text, m, compare):
                "input": x.tolist(), "m": m, "trials": trials, "seed": seed}
     result = {"meta": _meta(payload, seed), "stats": _stats_json(stats)}
     if compare:
-        result["comparison"] = compare_design_b(spec, profile, x, trials, seed).to_json()
+        result["comparison"] = compare_design_b(spec, profile, stats).to_json()
     _emit(ctx, result)
 
 

@@ -268,7 +268,9 @@ def propagate_b(net: LinearNet, profile: NoiseProfile, m: int) -> Trajectory:
     """Iterate the combine/split map ``step_m`` from the modulation covariance.
 
     This per-branch recursion treats the m branches entering each layer as
-    independent.  After the terminal-averaging correction it equals
+    independent.  With zero combine and split noise it is the exact output
+    covariance of the tree (design A) with uniform copies ``(m, ..., m, 1)``.
+    After the terminal-averaging correction it equals
     :func:`propagate_b_branchwise` ``.output`` (the faithful simulation)
     exactly when ``m = 1`` or the depth is 1; otherwise it falls short of it
     by the positive semidefinite gap ``A_L (S_{L-1} - R_{L-1}/m) A_L^T``
@@ -399,7 +401,9 @@ def symmetric_closed_form_b(cfg: SymmetricConfig, L: int) -> np.ndarray:
     iterating ``step_m``: each noise term enters one averaging inside its
     own layer and one more per subsequent layer.  The sum is evaluated
     independently of the recursion, so the two can be checked against
-    each other.
+    each other.  It is :func:`propagate_b` on the depth-L symmetric net, so
+    the exact output covariance of the tree with m copies per layer, not
+    that of the combine/split design.
     """
     if L < 1:
         raise ValidationError("depth L must be >= 1")
@@ -462,7 +466,9 @@ def limit_series_b(cfg: SymmetricConfig, tol: float = 1e-12, allow_spectral: boo
     """Combine/split covariance limit ``sum_n m^-(n+1) A^n (D S_w D^T + m S_a) (A^n)^T``.
 
     Exists whenever ``||D||_F ||W||_F < sqrt(m)`` (or, with the override,
-    ``||A||_op^2 < m``); the tail ratio is ``q = ||A||_op^2 / m``.
+    ``||A||_op^2 < m``); the tail ratio is ``q = ||A||_op^2 / m``.  This is
+    the deep limit of ``step_m``: the tree with m copies per layer, not the
+    combine/split design, whose shared part is not damped by m.
     """
     m = cfg.m
     q, _ = _series_ratio(cfg, allow_spectral)
@@ -515,7 +521,8 @@ def fixed_point_solve(
     point directly as the discrete Lyapunov equation
     ``S = (A/sqrt(m)) S (A/sqrt(m))^T + D S_w D^T / m + S_a`` by the
     Bartels-Stewart Schur method (``scipy.linalg.solve_discrete_lyapunov``),
-    in O(d^3) time and O(d^2) memory.
+    in O(d^3) time and O(d^2) memory.  The fixed point is the deep-limit
+    covariance of the tree with m copies per layer, not of combine/split.
     """
     _, criterion = _series_ratio(cfg, allow_spectral)
     sigma_m, sigma_w, sigma_a = cfg.matrices()
@@ -592,7 +599,7 @@ def _scalar_scan_params(cfg: SymmetricConfig):
 def _last_ratio_is_stable(
     cfg: SymmetricConfig, scalar, L: int, m: int, growth_tol: float
 ) -> bool:
-    """Run the depth-L combine/split recursion and test the final norm ratio.
+    """Run the depth-L ``step_m`` recursion and test the final norm ratio.
 
     ``scalar`` is ``_scalar_scan_params(cfg)``, computed once per scan.
     Overflow (non-finite trajectory) counts as unstable.
@@ -638,7 +645,9 @@ def min_stable_m(
     Scans m = 1, 2, 3, ... and returns the first m for which the final
     norm ratio ``||S^(L)||_F / ||S^(L-1)||_F`` is at most ``1 +
     growth_tol``.  Overflow during a scan step counts as unstable.  L must
-    be at least 50 so exponential growth is actually exposed.
+    be at least 50 so exponential growth is actually exposed.  The scan
+    iterates ``step_m``, so m is a uniform copy count of the tree; no m
+    stabilizes combine/split when the spectral radius of ``A`` is >= 1.
     """
     if L < 50:
         raise ValidationError("min_stable_m needs depth L >= 50")

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FeasibilityError, ValidationError
-# ``affine`` is unused here, but bench/spans.py wraps it on this module
+# ``affine`` is unused here; bench/test_bench.py reads it on this module
 from .network import LipschitzReport, Network, _integer, affine, forward  # noqa: F401
 from .noise import NoiseProfile, RngStream, _sample
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from .covariance import LinearNet, _copy_count, propagate_b, propagate_b_branchwise
 from .errors import ValidationError
-from .network import Network, _integer, forward
-from .noise import NoiseProfile, RngStream, _sample, stats_from_samples
+from .network import Network
+from .noise import NoiseProfile, RngStream, SampleStats, _sample
 
 __all__ = [
     "DesignBSpec",
@@ -95,7 +95,9 @@ def suggested_m(D_norm: float, W_norm: float, variant: str = "theoretical", d: i
     ``theoretical``: ``ceil((|D|_F |W|_F)^2)``, from the convergence
     hypothesis of the covariance series.  ``empirical``: the observed
     contour ``ceil((|D|_F |W|_F / d)^2)`` for width-d scaled identities,
-    which is what the grid scan reproduces.
+    which is what the grid scan reproduces.  Both bound the ``step_m``
+    family, the exact covariance of the tree with m copies per layer and no
+    combine/split noise; they do not stabilize combine/split itself.
     """
     if D_norm < 0.0 or W_norm < 0.0:
         raise ValidationError("norms must be nonnegative")
@@ -169,14 +171,13 @@ def terminal_average_correction(sigma_branch: np.ndarray, profile: NoiseProfile,
     return shared + per_branch / m
 
 
-def compare_design_b(
-    spec: DesignBSpec, profile: NoiseProfile, x, trials: int, seed: int
-) -> DesignBComparison:
-    """Side-by-side covariance comparison for a linear host network."""
-    trials = _integer(trials, "trials")
+def compare_design_b(spec: DesignBSpec, profile: NoiseProfile, stats: SampleStats) -> DesignBComparison:
+    """Side-by-side covariance comparison for a linear host network.
+
+    ``stats`` are the statistics of a ``design_b_samples`` run of ``spec``
+    under ``profile``; their covariance is the report's ``empirical``.
+    """
     linnet = LinearNet.from_network(spec.base)
-    samples = design_b_samples(spec, x, profile, trials, RngStream(seed))
-    stats = stats_from_samples(samples, forward(spec.base, x))
     recursion = propagate_b(linnet, profile, spec.m).final
     corrected = terminal_average_correction(recursion, profile, spec.base, spec.m)
     branchwise = propagate_b_branchwise(linnet, profile, spec.m).output
@@ -195,5 +196,5 @@ def compare_design_b(
         branchwise=branchwise,
         rel_err_recursion_corrected=rel_err(corrected),
         rel_err_branchwise=rel_err(branchwise),
-        trials=trials,
+        trials=stats.n,
     )

@@ -204,6 +204,7 @@ def insertion_tuple(n: int) -> tuple[int, int, int, int]:
     ``(floor((n+3)/4), floor((n+2)/4), floor((n+1)/4), floor(n/4))``:
     entries sum to n, are nonincreasing, and differ by at most one.
     """
+    n = _integer(n, "layer count")
     if n < 0:
         raise ValidationError("layer count must be >= 0")
     return ((n + 3) // 4, (n + 2) // 4, (n + 1) // 4, n // 4)
@@ -220,6 +221,7 @@ class InsertionPlan:
 
 
 def plan_insertions(net: Network, n: int, slots=None) -> InsertionPlan:
+    counts = insertion_tuple(n)
     if slots is None:
         if net.depth < 8:
             raise ValidationError(
@@ -233,7 +235,7 @@ def plan_insertions(net: Network, n: int, slots=None) -> InsertionPlan:
     for s in slots:
         if not 1 <= s <= net.depth - 1:
             raise ValidationError(f"insertion slot {s} out of range 1..{net.depth - 1}")
-    return InsertionPlan(n=n, counts=insertion_tuple(n), slots=slots)
+    return InsertionPlan(n=sum(counts), counts=counts, slots=slots)
 
 
 def insert_identity_layers(net: Network, n: int, slots=None) -> Network:

@@ -5,9 +5,9 @@ matrix ``W``, a bias vector ``b``, and an activation.  Its structure is
 checked once, at construction, and its arrays are read-only, so no
 evaluation checks it again.  The noiseless map applies ``sigma(W x + b)``
 layer by layer.  This module also provides the per-layer quantities the
-analysis code needs: spectral norms (by power iteration), activation
-Lipschitz constants, and the reduction of purely linear networks to
-``(diag-coefficients, weights)`` pairs.
+analysis code needs: spectral norms, activation Lipschitz constants,
+and the reduction of purely linear networks to ``(diag-coefficients,
+weights)`` pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, NonlinearActivationError, ValidationError
+from .errors import NonlinearActivationError, ValidationError
 
 __all__ = [
     "Activation",
@@ -281,43 +281,14 @@ def forward_trace(net: Network, x) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return preacts, acts
 
 
-def operator_norm(W, rtol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value of ``W`` by power iteration on ``W^T W``.
-
-    Iterates the Rayleigh quotient until its relative change drops below
-    ``rtol``.  Raises :class:`ConvergenceError` (carrying the last estimate
-    and residual) if ``max_iter`` iterations are not enough.
-    """
+def operator_norm(W) -> float:
+    """Largest singular value of ``W``: LAPACK's exact matrix 2-norm."""
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2:
         raise ValidationError("operator_norm expects a matrix")
     if not np.all(np.isfinite(W)):
         raise ValidationError("operator_norm expects finite entries")
-    if W.size == 0 or not np.any(W):
-        return 0.0
-    # iterate on the smaller Gram matrix
-    G = W.T @ W if W.shape[1] <= W.shape[0] else W @ W.T
-    n = G.shape[0]
-    # deterministic start with all components nonzero and unequal, so the
-    # iterate has weight on the leading eigenspace for generic G
-    v = np.ones(n) + np.linspace(0.0, 0.5, n)
-    v /= np.linalg.norm(v)
-    lam_prev = float(v @ (G @ v))
-    for _ in range(max_iter):
-        w = G @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0  # v landed in the null space; G is singular in that direction
-        v = w / norm_w
-        lam = float(v @ (G @ v))
-        if abs(lam - lam_prev) <= rtol * max(abs(lam), 1e-300):
-            return math.sqrt(max(lam, 0.0))
-        lam_prev = lam
-    raise ConvergenceError(
-        f"power iteration did not reach rtol={rtol} within {max_iter} iterations",
-        last=math.sqrt(max(lam_prev, 0.0)),
-        residual=abs(lam - lam_prev),
-    )
+    return float(np.linalg.norm(W, 2))
 
 
 @dataclass(frozen=True, eq=False)

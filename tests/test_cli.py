@@ -125,6 +125,51 @@ class TestLimitCommand:
         assert payload["residual"] <= 1e-8
 
 
+    @pytest.mark.parametrize("mode", ["series", "series-b", "fixed-iterate", "fixed-vectorized"])
+    def test_near_degenerate_weights_pass(self, tmp_path, capsys, mode):
+        # the top two singular values of W differ by 1e-4 relative; the
+        # Frobenius criterion admits the config and every mode must run it
+        cfg = {
+            "e": [1.0, 1.0], "W": [[0.5, 0.0], [0.0, 0.49995]],
+            "sigma_m": {"isotropic": 0.01},
+            "sigma_w": {"isotropic": 0.01},
+            "sigma_a": {"isotropic": 0.01},
+        }
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, ["limit", "--symmetric", path, "--mode", mode])
+        assert code == 0, err
+        # diagonal A = D W: each coordinate's limit is a scalar geometric
+        # series, (sigma_w + sigma_a) / (1 - a^2)
+        a = np.array([0.5, 0.49995])
+        s = 0.02 / (1 - a**2)
+        np.testing.assert_allclose(json.loads(out)["sigma"], np.diag(s), rtol=1e-9, atol=1e-15)
+
+
+class TestDesignBCommand:
+    def test_compare_draws_once(self, workspace, capsys, monkeypatch):
+        from optonoise import design_b
+
+        tmp, net, net_path, profile_path = workspace
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return kernel(*args, **kwargs)
+
+        kernel = design_b._sample
+        monkeypatch.setattr(design_b, "_sample", counted)
+        code, out, err = run(capsys, [
+            "--seed", 5, "--trials", 300, "design-b", "--net", net_path,
+            "--profile", profile_path, "--input", json.dumps([0.1] * net.input_dim),
+            "--m", 3, "--compare",
+        ])
+        assert code == 0, err
+        assert calls == [300]
+        result = json.loads(out)
+        assert result["comparison"]["empirical"] == result["stats"]["covariance"]
+
+
 class TestDeterminism:
     def test_scan_m_byte_identical_outputs(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -210,6 +255,23 @@ class TestCopiesCommand:
         assert isinstance(budget["total"], str) and int(budget["total"]) >= 1
         assert budget["constants_are_placeholders"] is True
         assert budget["copies"][-1] == 1
+
+
+    def test_near_degenerate_layer_passes(self, tmp_path, capsys):
+        net_obj = {
+            "input_dim": 2,
+            "layers": [
+                {"weights": [[1.0, 0.0], [0.0, 0.9999]], "bias": [0.0, 0.0], "activation": "tanh"},
+                {"weights": [[0.2, 0.1], [0.1, 0.3]], "bias": [0.0, 0.0], "activation": "tanh"},
+            ],
+        }
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net_obj))
+        targets = {"sigma_sq": 0.0025, "deviation_target": 0.5, "failure_target": 0.05}
+        targets_path = tmp_path / "targets.json"
+        targets_path.write_text(json.dumps(targets))
+        code, _, err = run(capsys, ["copies", "--net", net_path, "--targets", targets_path])
+        assert code == 0, err
 
 
 class TestInsertLayersCommand:

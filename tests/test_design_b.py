@@ -154,36 +154,31 @@ class TestSuggestedM:
             suggested_m(1.0, 1.0, "exact")
 
 
+def _compare(net, m, profile, x, trials, seed):
+    spec = DesignBSpec(net, m)
+    samples = design_b_samples(spec, x, profile, trials, RngStream(seed))
+    return compare_design_b(spec, profile, stats_from_samples(samples, forward(net, x)))
+
+
 class TestComparisonReport:
     def test_reports_both_oracles(self, rng):
         net = random_linear_net(rng, depth=2, max_dim=3)
         profile = random_profile(rng, net)
         x = rng.normal(size=net.input_dim)
-        report = compare_design_b(DesignBSpec(net, 3), profile, x, 40_000, seed=5)
+        report = _compare(net, 3, profile, x, 40_000, seed=5)
         # the branchwise oracle matches the simulator; the corrected
         # recursion is reported but is not the simulator's law at depth 2
         assert report.rel_err_branchwise <= 0.05
         obj = report.to_json()
-        assert "note" in obj and obj["m"] == 3
+        assert "note" in obj and obj["m"] == 3 and obj["trials"] == 40_000
 
     def test_m1_oracles_coincide(self, rng):
         net = random_linear_net(rng, depth=2, max_dim=3)
         profile = random_profile(rng, net)
         x = rng.normal(size=net.input_dim)
-        report = compare_design_b(DesignBSpec(net, 1), profile, x, 40_000, seed=6)
+        report = _compare(net, 1, profile, x, 40_000, seed=6)
         np.testing.assert_allclose(report.recursion_corrected, report.branchwise, atol=1e-12)
         assert report.rel_err_recursion_corrected <= 0.05
-
-    def test_fractional_trials_and_seed_refused(self, rng):
-        net = random_linear_net(rng, depth=1, max_dim=2)
-        profile = random_profile(rng, net)
-        x = rng.normal(size=net.input_dim)
-        report = compare_design_b(DesignBSpec(net, 2), profile, x, 10.0, seed=1.0)
-        assert report.trials == 10 and isinstance(report.trials, int)
-        with pytest.raises(ValidationError, match="trials must be an integer"):
-            compare_design_b(DesignBSpec(net, 2), profile, x, 10.5, seed=1)
-        with pytest.raises(ValidationError, match="seed must be an integer"):
-            compare_design_b(DesignBSpec(net, 2), profile, x, 10, seed=True)
 
 
 class TestSpecJson:

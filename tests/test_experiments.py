@@ -140,6 +140,14 @@ class TestInsertIdentityLayers:
         deeper = insert_identity_layers(net, 2, slots=(1, 1, 1, 1))
         assert deeper.depth == net.depth + 2
 
+    def test_layer_count_follows_the_integer_rule(self, rng):
+        net = random_linear_net(rng, depth=2)
+        for n in (2.0, "2"):
+            assert insert_identity_layers(net, n, slots=(1, 1, 1, 1)).depth == net.depth + 2
+        for n in (2.5, True):
+            with pytest.raises(ValidationError, match="layer count must be an integer"):
+                insert_identity_layers(net, n, slots=(1, 1, 1, 1))
+
     def test_slot_out_of_range(self, rng):
         net = random_linear_net(rng, depth=3)
         with pytest.raises(ValidationError):

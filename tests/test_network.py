@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from optonoise import (
     Activation,
-    ConvergenceError,
     CovSpec,
     DesignASpec,
     DesignBSpec,
@@ -268,11 +267,16 @@ class TestOperatorNorm:
 
     def test_against_svd_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            m, n = rng.integers(1, 7, size=2)
-            W = rng.normal(size=(m, n))
+        cases = [rng.normal(size=rng.integers(1, 7, size=2)) for _ in range(50)]
+        # close top singular values, which a power iteration resolves
+        # slowly, and a nearly normal D S with S symmetric, as in the
+        # d = 64 benchmark's symmetric configs
+        cases += [np.diag([1.0, 0.9999]), np.diag([1.0, 0.999])]
+        G = rng.normal(size=(64, 64))
+        cases.append(rng.uniform(0.8, 1.0, size=64)[:, None] * (G + G.T) / math.sqrt(128))
+        for W in cases:
             assert operator_norm(W) == pytest.approx(
-                float(np.linalg.svd(W, compute_uv=False)[0]), rel=1e-8
+                float(np.linalg.svd(W, compute_uv=False)[0]), rel=1e-12
             )
 
     def test_bounded_by_frobenius_with_rank1_equality(self):
@@ -283,13 +287,6 @@ class TestOperatorNorm:
         u, v = rng.normal(size=4), rng.normal(size=3)
         rank1 = np.outer(u, v)
         assert operator_norm(rank1) == pytest.approx(np.linalg.norm(rank1), rel=1e-9)
-
-    def test_nonconvergence_carries_state(self):
-        # nearly-equal singular values converge too slowly for 3 iterations
-        with pytest.raises(ConvergenceError) as exc:
-            operator_norm(np.diag([1.0, 0.9999]), rtol=1e-12, max_iter=3)
-        assert exc.value.last is not None
-        assert exc.value.residual is not None
 
 
 class TestLipschitzBounds:
