@@ -472,21 +472,20 @@ def cmd_copies(ctx, net_path, targets_path):
     targets = _load_json(targets_path)
     depth = net.depth
     if "deltas" in targets and "kappas" in targets:
-        deltas = tuple(float(v) for v in targets["deltas"])
-        kappas = tuple(float(v) for v in targets["kappas"])
+        deltas, kappas = targets["deltas"], targets["kappas"]
     else:
         deltas, kappas = equal_split_targets(
-            depth, float(targets["deviation_target"]), float(targets["failure_target"])
+            depth, targets["deviation_target"], targets["failure_target"]
         )
     req = CopyBudgetRequest(
-        sigma_sq=float(targets["sigma_sq"]),
+        sigma_sq=targets["sigma_sq"],
         deltas=deltas,
         kappas=kappas,
         lipschitz=lipschitz_bounds(net),
-        deviation_target=float(targets["deviation_target"]),
-        failure_target=float(targets["failure_target"]),
-        hoeffding_C=float(targets.get("hoeffding_C", 1.0)),
-        hoeffding_c=float(targets.get("hoeffding_c", 0.25)),
+        deviation_target=targets["deviation_target"],
+        failure_target=targets["failure_target"],
+        hoeffding_C=targets.get("hoeffding_C", 1.0),
+        hoeffding_c=targets.get("hoeffding_c", 0.25),
     )
     budget = sufficient_copies(req, net.dims()[1:])
     payload = {"command": "copies", "net": net_path, "targets": targets}

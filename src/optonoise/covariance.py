@@ -31,11 +31,12 @@ noise only where the design has it:
   ``design_b_samples`` and its exact covariance.  At ``m = 1`` it folds:
   ``shared`` is zero and ``per_branch`` holds the whole covariance.
 
-For layer-independent ``D, W`` and noise, the recursion has a closed
-finite sum, a convergent infinite series under a contraction hypothesis,
-and a fixed point computable either by iteration or as the solution of a
-discrete Lyapunov equation; the plain closed form and series are the
-combine/split ones at ``m = 1``.
+For layer-independent ``D, W`` and noise, ``step_m`` without combine/split
+noise is one map ``B S B^T + R``, ``B = A/sqrt(m)``, ``R = D S_w D^T/m + S_a``.
+It has a closed finite sum, a convergent infinite series under a
+contraction hypothesis, and a fixed point computable either by iteration
+or as the solution of a discrete Lyapunov equation; the plain closed form
+and series are the combine/split ones at ``m = 1``.
 
 ``propagate_b`` averages the shared covariance of the branches down again
 at every layer, which a faithful simulation does not (see
@@ -63,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractionError, ConvergenceError, ValidationError
-from .network import Network, _integer, as_linear, operator_norm
+from .network import Network, _finite, _integer, as_linear, operator_norm
 from .noise import _ZERO, CovSpec, NoiseProfile
 
 __all__ = [
@@ -383,6 +384,13 @@ class SymmetricConfig:
         )
 
 
+def _layer_map(cfg: SymmetricConfig, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map ``step_m(S) = B S B^T + R`` of the config's layer, without
+    combine/split noise: ``B = A / sqrt(m)``, ``R = D S_w D^T / m + S_a``."""
+    d = cfg.dim
+    return cfg.A / math.sqrt(m), _dsd(cfg.e, cfg.sigma_w.matrix(d)) / m + cfg.sigma_a.matrix(d)
+
+
 def symmetric_closed_form(cfg: SymmetricConfig, L: int) -> np.ndarray:
     """Finite-depth plain output covariance: :func:`symmetric_closed_form_b` at ``m = 1``.
 
@@ -395,29 +403,25 @@ def symmetric_closed_form(cfg: SymmetricConfig, L: int) -> np.ndarray:
 def symmetric_closed_form_b(cfg: SymmetricConfig, L: int) -> np.ndarray:
     """Finite-depth combine/split covariance as an explicit power sum.
 
-    The layer-l noise injection ``D S_w D^T + m S_a`` is damped by
-    ``(1/m)^(L-l+1)`` and transported by ``A^(L-l)``; the modulation term
-    is damped by ``m^-L``.  The exponent is the one consistent with
-    iterating ``step_m``: each noise term enters one averaging inside its
-    own layer and one more per subsequent layer.  The sum is evaluated
-    independently of the recursion, so the two can be checked against
-    each other.  It is :func:`propagate_b` on the depth-L symmetric net, so
-    the exact output covariance of the tree with m copies per layer, not
-    that of the combine/split design.
+    ``sum_{k<L} B^k R (B^k)^T + B^L S_m (B^L)^T`` with ``(B, R)`` the
+    layer map ``step_m(S) = B S B^T + R``: the layer-l noise ``R`` is
+    transported by ``B^(L-l)``, so ``D S_w D^T + m S_a`` is damped by
+    ``(1/m)^(L-l+1)`` and the modulation term by ``m^-L``.  The sum is
+    evaluated independently of the recursion, so the two can be checked
+    against each other.  It is :func:`propagate_b` on the depth-L
+    symmetric net, so the exact output covariance of the tree with m
+    copies per layer, not that of the combine/split design.
     """
+    L = _integer(L, "depth L")
     if L < 1:
         raise ValidationError("depth L must be >= 1")
-    m = cfg.m
-    A = cfg.A
-    sigma_m, sigma_w, sigma_a = cfg.matrices()
-    Q = _dsd(cfg.e, sigma_w) + m * sigma_a
+    B, R = _layer_map(cfg, cfg.m)
     P = np.eye(cfg.dim)
-    total = np.zeros_like(Q)
-    for k in range(L):
-        # k = L - l: transported by A^k, damped by (1/m)^(k+1)
-        total = total + (m ** -(k + 1)) * (P @ Q @ P.T)
-        P = A @ P
-    total = total + float(m) ** -L * (P @ sigma_m @ P.T)
+    total = np.zeros_like(R)
+    for _ in range(L):
+        total = total + P @ R @ P.T
+        P = B @ P
+    total = total + P @ cfg.sigma_m.matrix(cfg.dim) @ P.T
     return _sym(total)
 
 
@@ -426,18 +430,18 @@ class SeriesResult(NamedTuple):
     terms: int
 
 
-def _series_ratio(cfg: SymmetricConfig, allow_spectral: bool) -> tuple[float, str]:
+def _series_ratio(cfg: SymmetricConfig, B: np.ndarray, allow_spectral: bool) -> tuple[float, str]:
     """Check the contraction hypothesis; return the tail ratio q and the criterion.
 
     The default hypothesis is the Frobenius criterion
     ``||D||_F ||W||_F < sqrt(m)`` ("frobenius"); with ``allow_spectral``
     the sharper sufficient condition ``||DW||_op^2 < m`` is accepted
     instead ("spectral-override").  The returned ratio
-    ``q = ||DW||_op^2 / m`` bounds successive term norms.
+    ``q = ||B||_op^2 = ||DW||_op^2 / m`` bounds successive term norms.
     """
     sqrt_m = math.sqrt(cfg.m)
     fro = cfg.frobenius_product()
-    q = operator_norm(cfg.A) ** 2 / sqrt_m**2
+    q = operator_norm(B) ** 2
     if fro < sqrt_m:
         return q, "frobenius"
     if allow_spectral and q < 1.0:
@@ -463,25 +467,23 @@ def limit_series(cfg: SymmetricConfig, tol: float = 1e-12, allow_spectral: bool 
 
 
 def limit_series_b(cfg: SymmetricConfig, tol: float = 1e-12, allow_spectral: bool = False) -> SeriesResult:
-    """Combine/split covariance limit ``sum_n m^-(n+1) A^n (D S_w D^T + m S_a) (A^n)^T``.
+    """Combine/split covariance limit ``sum_n B^n R (B^n)^T`` of the layer map.
 
     Exists whenever ``||D||_F ||W||_F < sqrt(m)`` (or, with the override,
-    ``||A||_op^2 < m``); the tail ratio is ``q = ||A||_op^2 / m``.  This is
-    the deep limit of ``step_m``: the tree with m copies per layer, not the
+    ``||A||_op^2 < m``); the tail ratio is ``q = ||B||_op^2``.  This is the
+    deep limit of ``step_m``: the tree with m copies per layer, not the
     combine/split design, whose shared part is not damped by m.
     """
-    m = cfg.m
-    q, _ = _series_ratio(cfg, allow_spectral)
-    _, sigma_w, sigma_a = cfg.matrices()
-    Q = _dsd(cfg.e, sigma_w) + m * sigma_a
-    A = cfg.A
+    tol = _finite(tol, "tol", "> 0")
+    B, R = _layer_map(cfg, cfg.m)
+    q, _ = _series_ratio(cfg, B, allow_spectral)
     threshold = tol * (1.0 - q)
-    total = np.zeros_like(Q)
-    term = Q / m
+    total = np.zeros_like(R)
+    term = R
     terms = 0
     while np.linalg.norm(term) >= threshold:
         total = total + term
-        term = (A @ term @ A.T) / m
+        term = B @ term @ B.T
         terms += 1
         if terms >= _SERIES_MAX_TERMS:
             raise ConvergenceError(
@@ -519,20 +521,19 @@ def fixed_point_solve(
     ``iterate`` applies the map from the modulation covariance until the
     Frobenius step falls below 1e-12; ``vectorized`` solves the fixed
     point directly as the discrete Lyapunov equation
-    ``S = (A/sqrt(m)) S (A/sqrt(m))^T + D S_w D^T / m + S_a`` by the
+    ``S = B S B^T + R`` of the layer map (:func:`_layer_map`) by the
     Bartels-Stewart Schur method (``scipy.linalg.solve_discrete_lyapunov``),
     in O(d^3) time and O(d^2) memory.  The fixed point is the deep-limit
     covariance of the tree with m copies per layer, not of combine/split.
     """
-    _, criterion = _series_ratio(cfg, allow_spectral)
-    sigma_m, sigma_w, sigma_a = cfg.matrices()
-    e, W, m = cfg.e, cfg.W, cfg.m
+    B, R = _layer_map(cfg, cfg.m)
+    _, criterion = _series_ratio(cfg, B, allow_spectral)
 
     def T(X):
-        return step_map_b(e, W, X, sigma_w, sigma_a, 0.0, 0.0, m)
+        return _sym(B @ X @ B.T + R)
 
     if method == "iterate":
-        X = _sym(sigma_m)
+        X = _sym(cfg.sigma_m.matrix(cfg.dim))
         for k in range(1, _FP_MAX_ITER + 1):
             X_next = T(X)
             step = float(np.linalg.norm(X_next - X))
@@ -549,9 +550,8 @@ def fixed_point_solve(
     if method == "vectorized":
         import scipy.linalg
 
-        rhs = _dsd(e, sigma_w) / m + sigma_a
         try:
-            x = scipy.linalg.solve_discrete_lyapunov(cfg.A / math.sqrt(m), rhs)
+            x = scipy.linalg.solve_discrete_lyapunov(B, R)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"Lyapunov equation could not be solved: {exc}")
         if not np.all(np.isfinite(x)):
@@ -620,12 +620,11 @@ def _last_ratio_is_stable(
             return False
         return s_curr / s_prev <= 1.0 + growth_tol
 
-    sigma_m, sigma_w, sigma_a = cfg.matrices()
-    e, W = cfg.e, cfg.W
-    X = _sym(sigma_m)
+    B, R = _layer_map(cfg, m)
+    X = _sym(cfg.sigma_m.matrix(cfg.dim))
     prev_norm = last_norm = float(np.linalg.norm(X))
     for _ in range(L):
-        X = step_map_b(e, W, X, sigma_w, sigma_a, 0.0, 0.0, m)
+        X = _sym(B @ X @ B.T + R)
         prev_norm = last_norm
         last_norm = float(np.linalg.norm(X))
         if not math.isfinite(last_norm) or last_norm > _OVERFLOW_GUARD:
@@ -649,10 +648,13 @@ def min_stable_m(
     iterates ``step_m``, so m is a uniform copy count of the tree; no m
     stabilizes combine/split when the spectral radius of ``A`` is >= 1.
     """
+    L = _integer(L, "depth L")
     if L < 50:
         raise ValidationError("min_stable_m needs depth L >= 50")
-    if growth_tol <= 0.0:
-        raise ValidationError("growth_tol must be positive")
+    growth_tol = _finite(growth_tol, "growth_tol", "> 0")
+    m_cap = _integer(m_cap, "m_cap")
+    if m_cap < 1:
+        raise ValidationError("m_cap must be >= 1")
     scalar = _scalar_scan_params(cfg)
     for m in range(1, m_cap + 1):
         if _last_ratio_is_stable(cfg, scalar, L, m, growth_tol):

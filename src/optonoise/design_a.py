@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import FeasibilityError, ValidationError
 # ``affine`` is unused here; bench/test_bench.py reads it on this module
-from .network import LipschitzReport, Network, _integer, affine, forward  # noqa: F401
+from .network import LipschitzReport, Network, _finite, _integer, affine, forward  # noqa: F401
 from .noise import NoiseProfile, RngStream, _sample
 
 __all__ = [
@@ -175,18 +175,15 @@ class CopyBudgetRequest:
     hoeffding_c: float = 0.25
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
-        object.__setattr__(self, "kappas", tuple(float(k) for k in self.kappas))
-        if self.sigma_sq < 0.0:
-            raise ValidationError("sigma_sq must be >= 0")
+        for name, bound in (("sigma_sq", ">= 0"), ("deviation_target", ""), ("failure_target", ""),
+                            ("hoeffding_C", "> 0"), ("hoeffding_c", "> 0")):
+            object.__setattr__(self, name, _finite(getattr(self, name), name, bound))
+        object.__setattr__(self, "deltas", tuple(_finite(d, "every delta", "> 0") for d in self.deltas))
+        object.__setattr__(self, "kappas", tuple(_finite(k, "every kappa") for k in self.kappas))
         if len(self.deltas) != len(self.kappas):
             raise ValidationError("deltas and kappas must have equal length")
-        if any(d <= 0.0 for d in self.deltas):
-            raise ValidationError("all deltas must be positive")
         if any(not 0.0 < k < 1.0 for k in self.kappas):
             raise ValidationError("all kappas must lie in (0, 1)")
-        if self.hoeffding_C <= 0.0 or self.hoeffding_c <= 0.0:
-            raise ValidationError("Hoeffding constants must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +251,8 @@ def equal_split_targets(
     The failure budget is shrunk by ``margin`` before being split so the
     product condition holds strictly.
     """
+    deviation_target = _finite(deviation_target, "deviation_target")
+    failure_target = _finite(failure_target, "failure_target")
     deltas = tuple(deviation_target / depth for _ in range(depth))
     kappa = 1.0 - (1.0 - margin * failure_target) ** (1.0 / depth)
     return deltas, tuple(kappa for _ in range(depth))
@@ -389,6 +388,7 @@ def deviation_check(
     trials = _integer(trials, "trials")
     if trials < 100:
         raise ValidationError("deviation_check needs trials >= 100")
+    deviation_allowance = _finite(deviation_allowance, "deviation_allowance", ">= 0")
     inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
     if not inputs:
         raise ValidationError("deviation_check needs at least one input")

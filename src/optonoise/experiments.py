@@ -18,7 +18,7 @@ from .covariance import SymmetricConfig, min_stable_m
 from .design_a import DesignASpec, design_a_samples, wilson_interval
 from .design_b import DesignBSpec, design_b_samples
 from .errors import ValidationError
-from .network import Activation, Layer, Network, _integer, forward, forward_trace
+from .network import Activation, Layer, Network, _finite, _integer, forward, forward_trace
 from .noise import CovSpec, NoiseProfile, RngStream, noisy_forward_samples
 
 __all__ = [
@@ -114,17 +114,6 @@ def normal_interval(samples: np.ndarray, confidence: float = 0.95) -> tuple[floa
     return mean - half, mean + half
 
 
-def _fraction(name: str, value) -> float:
-    """``value`` as a finite float ``>= 0``; text, bools and other types are refused."""
-    try:
-        fraction = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        fraction = math.nan
-    if not (math.isfinite(fraction) and fraction >= 0.0):
-        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-    return fraction
-
-
 def calibrate_noise(
     net: Network,
     calibration_inputs,
@@ -151,7 +140,7 @@ def calibrate_noise(
     if m_fraction is None:
         m_fraction = a_fraction
     w_fraction, a_fraction, m_fraction = (
-        _fraction(name, value) for name, value in (
+        _finite(value, name, ">= 0") for name, value in (
             ("w_fraction", w_fraction), ("a_fraction", a_fraction), ("m_fraction", m_fraction)
         )
     )
@@ -430,6 +419,7 @@ def scan_m_grid(d: int, norm_grid_W, norm_grid_D, L: int = 60, growth_tol: float
     per-layer growth factor; the tight default tolerance then separates
     growing from non-growing cells cleanly.
     """
+    d, L = _integer(d, "width d"), _integer(L, "depth L")
     if d < 1:
         raise ValidationError("width d must be >= 1")
     norms_w = [float(w) for w in norm_grid_W]

@@ -70,6 +70,21 @@ def _integer(value, what: str) -> int:
     return int(number)
 
 
+def _finite(value, what: str, bound: str = "") -> float:
+    """``value`` as a finite float, also ``>= 0`` or ``> 0`` when ``bound`` says so.
+
+    ``2``, ``0.5`` and ``"0.5"`` pass; nan, inf, text and bools are refused.
+    """
+    try:
+        number = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    below = number < 0.0 if bound == ">= 0" else number <= 0.0 if bound == "> 0" else False
+    if not math.isfinite(number) or below:
+        raise ValidationError(f"{what} must be finite{' and ' + bound if bound else ''}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True, eq=False)
 class Activation:
     """Layer activation: one of identity, tanh, relu, softmax, or an

@@ -146,6 +146,16 @@ class TestLimitCommand:
         np.testing.assert_allclose(json.loads(out)["sigma"], np.diag(s), rtol=1e-9, atol=1e-15)
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("mode", ["series", "series-b"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, mode, tol):
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"e": [0.5], "W": [[1.0]], "sigma_a": {"isotropic": 0.09}}))
+        code, out, err = run(capsys, ["limit", "--symmetric", path, "--mode", mode, "--tol", tol])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "tol must be" in err
+
+
 class TestDesignBCommand:
     def test_compare_draws_once(self, workspace, capsys, monkeypatch):
         from optonoise import design_b
@@ -367,6 +377,21 @@ class TestExitCodes:
         code, out, err = run(capsys, [a.format(**experiment_files) for a in args])
         assert code == 1
         assert err.startswith("error: ") and out == ""
+
+    @pytest.mark.parametrize("edit", [
+        {"sigma_sq": "abc"},
+        {"deltas": [math.nan, 0.25], "kappas": [0.01, 0.01]},
+        {"hoeffding_C": math.inf},
+        {"deviation_target": "abc"},
+    ], ids=["sigma-text", "delta-nan", "constant-inf", "target-text"])
+    def test_malformed_copy_targets_exit_1(self, experiment_files, tmp_path, capsys, edit):
+        targets = {"sigma_sq": 0.0025, "deviation_target": 0.5, "failure_target": 0.05, **edit}
+        targets_path = tmp_path / "targets.json"
+        targets_path.write_text(json.dumps(targets))
+        code, out, err = run(capsys, ["copies", "--net", experiment_files["net"],
+                                      "--targets", targets_path])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "must be finite" in err
 
     def test_integral_float_arguments_pass(self, experiment_files, capsys):
         outs = []

@@ -652,6 +652,103 @@ class TestMinStableMCap:
             min_stable_m(cfg, 60, growth_tol=1e-6, m_cap=10)
 
 
+def full_modulation_cfg():
+    """A full covariance forces ``min_stable_m`` onto its matrix path; it scans m = 1..3."""
+    d = 3
+    return SymmetricConfig(
+        np.ones(d), 1.5 * np.eye(d), CovSpec.full(np.eye(d)), CovSpec.zero(), CovSpec.zero()
+    )
+
+
+class TestLayerMap:
+    """Every layer-independent solver runs on one precomputed map ``(B, R)``."""
+
+    def test_map_is_step_map_b(self, rng):
+        from optonoise.covariance import _layer_map
+
+        for m in (1, 2, 3):
+            cfg = random_symmetric_cfg(rng, m=m)
+            B, R = _layer_map(cfg, m)
+            sigma_m, sigma_w, sigma_a = cfg.matrices()
+            want = step_map_b(cfg.e, cfg.W, sigma_m, sigma_w, sigma_a, 0.0, 0.0, m)
+            np.testing.assert_allclose(B @ sigma_m @ B.T + R, want, rtol=1e-13, atol=1e-15)
+
+    def test_solvers_never_call_step_map_b(self, rng, monkeypatch):
+        from optonoise import covariance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("step_map_b called")
+
+        monkeypatch.setattr(covariance, "step_map_b", refuse)
+        cfg = random_symmetric_cfg(rng, max_dim=3, contracting=True)
+        for c in (cfg, cfg.with_m(2)):
+            symmetric_closed_form(c, 3)
+            symmetric_closed_form_b(c, 3)
+            limit_series(c)
+            limit_series_b(c)
+            for method in ("iterate", "vectorized"):
+                fixed_point_solve(c, method)
+        assert min_stable_m(full_modulation_cfg(), 60, 1e-6) == 3
+
+    def test_one_map_per_solve_and_per_scanned_m(self, rng, monkeypatch):
+        from optonoise import covariance
+
+        calls = []
+        real = covariance._layer_map
+        monkeypatch.setattr(
+            covariance, "_layer_map", lambda cfg, m: calls.append(m) or real(cfg, m)
+        )
+        cfg = random_symmetric_cfg(rng, max_dim=3, contracting=True, m=2)
+        for method in ("iterate", "vectorized"):
+            calls.clear()
+            fixed_point_solve(cfg, method)
+            assert calls == [2]
+        calls.clear()
+        assert min_stable_m(full_modulation_cfg(), 60, 1e-6) == 3
+        assert calls == [1, 2, 3]
+
+
+class TestSolverArguments:
+    """The layer-independent solvers refuse malformed depths and tolerances."""
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("solver", [limit_series, limit_series_b])
+    def test_series_tol_must_be_finite_and_positive(self, solver, tol):
+        cfg = scalar_cfg(0.5, 1.0, sw=0.04, sa=0.09)
+        with pytest.raises(ValidationError, match="tol must be"):
+            solver(cfg, tol=tol)
+
+    @pytest.mark.parametrize("solver", [symmetric_closed_form, symmetric_closed_form_b])
+    def test_closed_form_depth_is_an_integer(self, solver):
+        cfg = scalar_cfg(0.5, 1.0, sm=1.0, sw=0.04, sa=0.09, m=2)
+        np.testing.assert_array_equal(solver(cfg, 2.0), solver(cfg, 2))
+        for L in (2.5, True, "x", np.nan):
+            with pytest.raises(ValidationError, match="depth L must be an integer"):
+                solver(cfg, L)
+
+    def test_min_stable_m_depth_is_an_integer(self):
+        cfg = scalar_cfg(1.0, 2.0, sm=1.0)
+        assert min_stable_m(cfg, 60.0, growth_tol=1e-6) == 4
+        for L in (60.5, True, "x"):
+            with pytest.raises(ValidationError, match="depth L must be an integer"):
+                min_stable_m(cfg, L)
+
+    @pytest.mark.parametrize("growth_tol", [np.nan, np.inf, 0.0, -1.0, "x"],
+                             ids=["nan", "inf", "zero", "negative", "text"])
+    def test_growth_tol_must_be_finite_and_positive(self, growth_tol):
+        with pytest.raises(ValidationError, match="growth_tol must be"):
+            min_stable_m(scalar_cfg(1.0, 2.0, sm=1.0), 60, growth_tol=growth_tol, m_cap=10)
+
+    def test_m_cap_is_an_integer_at_least_one(self):
+        cfg = scalar_cfg(1.0, 2.0, sm=1.0)
+        assert min_stable_m(cfg, 60, growth_tol=1e-6, m_cap=4.0) == 4
+        for m_cap in (4.5, True, "x"):
+            with pytest.raises(ValidationError, match="m_cap must be an integer"):
+                min_stable_m(cfg, 60, m_cap=m_cap)
+        with pytest.raises(ValidationError, match="m_cap must be >= 1"):
+            min_stable_m(cfg, 60, m_cap=0)
+
+
 class TestOraclesMatchSamplers:
     """Each linear-net oracle against its sampler on random small nets.
 

@@ -347,6 +347,38 @@ class TestSufficientCopies:
             sufficient_copies(request_for(net, 1.0, (2.0,), (0.05,), 1.0, 0.1), [2])
 
 
+class TestCopyBudgetInputs:
+    """Budget numbers are converted and checked where they enter."""
+
+    def base(self, net):
+        return dict(sigma_sq=0.25, deltas=(0.5,), kappas=(0.05,), lipschitz=lipschitz_bounds(net),
+                    deviation_target=1.0, failure_target=0.1)
+
+    def test_numbers_convert(self):
+        net = identity_net(2)
+        text = request_for(net, "0.25", ["0.5"], ("0.05",), 1, "0.1", C=1, c="1")
+        plain = request_for(net, 0.25, (0.5,), (0.05,), 1.0, 0.1, C=1.0, c=1.0)
+        assert text.hoeffding_C == 1.0 and isinstance(text.hoeffding_C, float)
+        assert sufficient_copies(text, [2]).bounds == sufficient_copies(plain, [2]).bounds
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_sq", "abc"), ("sigma_sq", math.nan), ("deltas", (math.nan,)), ("deltas", ("x",)),
+        ("kappas", (math.inf,)), ("deviation_target", math.inf), ("failure_target", math.nan),
+        ("hoeffding_C", math.inf), ("hoeffding_c", math.nan), ("hoeffding_C", True),
+    ])
+    def test_non_finite_refused(self, field, value):
+        kwargs = {**self.base(identity_net(2)), field: value}
+        with pytest.raises(ValidationError, match="must be finite"):
+            CopyBudgetRequest(**kwargs)
+
+    @pytest.mark.parametrize("target", ["deviation_target", "failure_target"])
+    @pytest.mark.parametrize("value", ["abc", math.nan, math.inf])
+    def test_equal_split_refuses_non_finite_targets(self, target, value):
+        targets = {"deviation_target": 1.0, "failure_target": 0.1, target: value}
+        with pytest.raises(ValidationError, match=f"{target} must be finite"):
+            equal_split_targets(2, **targets)
+
+
 class TestCommonVarianceBound:
     def test_max_over_diagonals(self):
         profile = NoiseProfile(
@@ -382,6 +414,15 @@ class TestDeviationCheck:
             deviation_allowance=0.0, trials=200, seed=0,
         )
         assert result.failure_rate == 1.0
+
+    @pytest.mark.parametrize("allowance", [math.nan, math.inf, -1.0, "x"],
+                             ids=["nan", "inf", "negative", "text"])
+    def test_allowance_must_be_finite_and_non_negative(self, rng, allowance):
+        net = random_linear_net(rng, depth=1)
+        spec = DesignASpec(net, (1, 1))
+        with pytest.raises(ValidationError, match="deviation_allowance must be"):
+            deviation_check(spec, NoiseProfile.zero(1), [np.zeros(net.input_dim)],
+                            allowance, trials=100, seed=0)
 
     def test_trial_floor(self, rng):
         net = random_linear_net(rng, depth=1)

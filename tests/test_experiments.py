@@ -443,6 +443,13 @@ class TestScanMGrid:
         assert matches == len(rows)
 
 
+    def test_width_and_depth_follow_the_integer_rule(self):
+        assert scan_m_grid(4.0, [4.0], [2.0], L=60.0) == scan_m_grid(4, [4.0], [2.0], L=60)
+        for d, L in ((4.5, 60), (True, 60), ("x", 60), (4, 60.5), (4, True)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                scan_m_grid(d, [4.0], [2.0], L=L)
+
+
 class TestWriteCsv:
     def test_header_decimals_and_determinism(self, tmp_path):
         rows = [
