@@ -50,6 +50,8 @@ from .experiments import (
 )
 from .idx import load_idx_images, load_idx_labels
 from .network import (
+    _array,
+    _finite,
     _integer,
     forward,
     lipschitz_bounds,
@@ -136,16 +138,13 @@ def _write_json(obj, indent: str, parts: list[str]) -> None:
 
 
 def _emit(ctx, result: dict, rows: list[dict] | None = None) -> None:
-    """Write the result as JSON, or as CSV when rows are tabular."""
+    """Write the result as JSON, or its rows as CSV under ``--format csv``."""
     output = ctx.obj.get("output")
-    fmt = ctx.obj.get("format", "json")
-    if rows is not None and fmt == "csv":
+    if ctx.obj["format"] == "csv":
         meta = result["meta"]
         for row in rows:
             row["config_hash"] = meta["config_hash"]
             row["generator"] = meta["generator"]
-        if output is None:
-            raise ValidationError("csv format needs --output")
         write_csv(output, rows)
         return
     text = _json_text(result) + "\n"
@@ -161,6 +160,13 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _object(obj, what: str) -> dict:
+    """``obj`` if it is a JSON object (a dict); otherwise a ``ValidationError`` naming ``what``."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _load_profile(path) -> NoiseProfile:
     return profile_from_json(_load_json(path))
 
@@ -170,10 +176,7 @@ def _parse_vector(text: str) -> np.ndarray:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot parse vector {text!r}: {exc}")
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError("input must be a flat JSON array")
-    return arr
+    return _array(value, "input", 1)
 
 
 def _int_list(values, what: str) -> list[int]:
@@ -199,11 +202,12 @@ def _parse_grid(text: str) -> list[float]:
         raise ValidationError(f"cannot parse grid {text!r}: {exc}")
 
 
-def _symmetric_config(obj: dict) -> SymmetricConfig:
+def _symmetric_config(path) -> SymmetricConfig:
+    obj = _object(_load_json(path), "symmetric config")
     try:
         return SymmetricConfig(
-            e=np.asarray(obj["e"], dtype=np.float64),
-            W=np.asarray(obj["W"], dtype=np.float64),
+            e=obj["e"],
+            W=obj["W"],
             sigma_m=covspec_from_json(obj.get("sigma_m", "zero")),
             sigma_w=covspec_from_json(obj.get("sigma_w", "zero")),
             sigma_a=covspec_from_json(obj.get("sigma_a", "zero")),
@@ -216,21 +220,20 @@ def _symmetric_config(obj: dict) -> SymmetricConfig:
 def _load_inputs(spec) -> tuple[np.ndarray, np.ndarray | None]:
     """Input matrix (and labels when the container carries them)."""
     if isinstance(spec, dict) and "synthetic" in spec:
-        syn = spec["synthetic"]
+        syn = _object(spec["synthetic"], "synthetic inputs")
         seed = _integer(syn.get("seed", 0), "synthetic seed")
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        shape = (_integer(syn["count"], "synthetic count"), _integer(syn["dim"], "synthetic dim"))
-        X = gen.normal(0.0, float(syn.get("scale", 1.0)), size=shape)
+        shape = (_integer(syn["count"], "synthetic count", 0), _integer(syn["dim"], "synthetic dim", 0))
+        X = gen.normal(0.0, _finite(syn.get("scale", 1.0), "synthetic scale", ">= 0"), size=shape)
         return X, None
     if isinstance(spec, str):
         if spec.endswith(".idx"):
             return load_idx_images(spec), None
         obj = _load_json(spec)
         if isinstance(obj, dict):
-            X = np.asarray(obj["inputs"], dtype=np.float64)
             labels = np.asarray(obj["labels"]) if "labels" in obj else None
-            return X, labels
-        return np.asarray(obj, dtype=np.float64), None
+            return _array(obj["inputs"], "inputs", 2), labels
+        return _array(obj, "inputs", 2), None
     raise ValidationError(f"cannot interpret inputs spec {spec!r}")
 
 
@@ -241,7 +244,7 @@ def _load_labels(spec) -> np.ndarray:
 
 
 def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
-    raw = _load_json(path)
+    raw = _object(_load_json(path), "experiment config")
     net = load_network(raw["network"])
     X, labels = _load_inputs(raw["inputs"])
     if raw.get("labels"):
@@ -250,7 +253,7 @@ def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
     if isinstance(profile_spec, dict) and "calibrate" in profile_spec:
         from .experiments import calibrate_noise
 
-        cal = profile_spec["calibrate"]
+        cal = _object(profile_spec["calibrate"], "calibrate")
         profile = calibrate_noise(
             net,
             list(X),
@@ -270,7 +273,7 @@ def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
         trials=_trials(ctx, raw.get("trials", 100)),
         seed=_seed(ctx, raw.get("seed", 0)),
         labels=labels,
-        confidence=float(raw.get("confidence", 0.95)),
+        confidence=raw.get("confidence", 0.95),
         config_hash=_config_hash(raw),
     )
     return cfg, raw
@@ -285,6 +288,10 @@ def _stats_json(stats) -> dict:
     }
 
 
+#: The commands whose results are tables, the only ones ``--format csv`` can write.
+_TABLE_COMMANDS = ("scan-m", "experiment")
+
+
 @click.group()
 @click.option("--seed", type=int, default=None, help="Seed overriding config files.")
 @click.option("--trials", type=int, default=None, help="Trial count overriding config files.")
@@ -296,6 +303,11 @@ def cli(ctx, seed, trials, config_path, output, fmt):
     """Noise modeling and noise-averaging designs for optical networks."""
     ctx.ensure_object(dict)
     ctx.obj.update(seed=seed, trials=trials, config=config_path, output=output, format=fmt)
+    if fmt == "csv" and ctx.invoked_subcommand not in _TABLE_COMMANDS:
+        raise ValidationError(f"--format csv needs a command that writes a table "
+                              f"({', '.join(_TABLE_COMMANDS)}), not {ctx.invoked_subcommand}")
+    if fmt == "csv" and output is None:
+        raise ValidationError("csv format needs --output")
 
 
 def _seed(ctx, default=0) -> int:
@@ -420,7 +432,7 @@ def cmd_covariance(ctx, net_path, profile_path, symmetric_path, depth, mode, m):
         return
     if symmetric_path is None or depth is None:
         raise ValidationError(f"mode {mode} needs --symmetric and --depth")
-    cfg = _symmetric_config(_load_json(symmetric_path))
+    cfg = _symmetric_config(symmetric_path)
     if mode == "closed-form":
         sigma = symmetric_closed_form(cfg, depth)
     else:
@@ -438,7 +450,7 @@ def cmd_covariance(ctx, net_path, profile_path, symmetric_path, depth, mode, m):
 @click.pass_context
 def cmd_limit(ctx, symmetric_path, mode, tol, allow_spectral):
     """Deep-network covariance limits and fixed points."""
-    cfg = _symmetric_config(_load_json(symmetric_path))
+    cfg = _symmetric_config(symmetric_path)
     payload = {"command": "limit", "symmetric": symmetric_path, "mode": mode,
                "tol": tol, "allow_spectral": allow_spectral}
     if mode == "series":
@@ -469,7 +481,7 @@ def cmd_limit(ctx, symmetric_path, mode, tol, allow_spectral):
 def cmd_copies(ctx, net_path, targets_path):
     """Sufficient replication-tree copy counts for deviation targets."""
     net = load_network(net_path)
-    targets = _load_json(targets_path)
+    targets = _object(_load_json(targets_path), "copy targets")
     depth = net.depth
     if "deltas" in targets and "kappas" in targets:
         deltas, kappas = targets["deltas"], targets["kappas"]

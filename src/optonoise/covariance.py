@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractionError, ConvergenceError, ValidationError
-from .network import Network, _finite, _integer, as_linear, operator_norm
+from .network import Network, _array, _finite, _integer, as_linear, operator_norm
 from .noise import _ZERO, CovSpec, NoiseProfile
 
 __all__ = [
@@ -101,18 +101,13 @@ def _dsd(e: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 def _as_coeffs(D) -> np.ndarray:
     """Accept a diagonal matrix or its diagonal as a vector."""
-    D = np.asarray(D, dtype=np.float64)
-    if D.ndim == 1:
-        return D
-    if D.ndim == 2 and D.shape[0] == D.shape[1]:
-        if np.any(D != np.diag(np.diag(D))):
-            raise ValidationError("activation matrix must be diagonal")
-        return np.diag(D).copy()
-    raise ValidationError("expected a diagonal matrix or a coefficient vector")
-
-
-def _all_finite(*arrays) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    try:
+        return _array(D, "activation coefficients", 1)
+    except ValidationError:
+        D = _array(D, "activation coefficients", 2)
+    if D.shape[0] != D.shape[1] or np.any(D != np.diag(np.diag(D))):
+        raise ValidationError("activation matrix must be diagonal")
+    return np.diag(D).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +125,7 @@ class LinearNet:
                     f"layer {i}: weights {W.shape} do not chain on dimension {prev}",
                     layer=i,
                 )
-            if not _all_finite(e, W):
+            if not (np.isfinite(e).all() and np.isfinite(W).all()):
                 raise ValidationError(
                     f"layer {i}: coefficients/weights contain non-finite values", layer=i
                 )
@@ -178,14 +173,6 @@ def trajectory_to_json(traj: Trajectory) -> dict:
     }
 
 
-def _copy_count(m) -> int:
-    """``m`` as a copy count: an integer (by ``network._integer``) ``>= 1``."""
-    m = _integer(m, "copy count m")
-    if m < 1:
-        raise ValidationError("copy count m must be >= 1")
-    return m
-
-
 def _step(e, W, shared, per, sigma_w, sigma_a, sigma_sum, sigma_spl, m):
     """One layer of the engine: the raw, unsymmetrized ``(shared', per')``
     of the module docstring.
@@ -216,7 +203,7 @@ def step_map_b(D, W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m: int)
     The engine step from ``shared = 0, per = sigma_prev`` with the two
     parts summed, re-symmetrized on output.
     """
-    m = _copy_count(m)
+    m = _integer(m, "copy count m", 1)
     e = _as_coeffs(D)
     W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl = (
         np.asarray(a, dtype=np.float64)
@@ -233,7 +220,7 @@ def _run(net: LinearNet, profile: NoiseProfile, fan_in, fan_out, combine_split=F
     docstring): lists of ``shared`` (None for zero) and ``per``
     covariances, layers 0..L.
     """
-    fan_in = [_copy_count(g) for g in fan_in]
+    fan_in = [_integer(g, "copy count m", 1) for g in fan_in]
     profile.validate_for(net)
     dims = net.dims()
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
@@ -313,7 +300,7 @@ def propagate_b_branchwise(net: LinearNet, profile: NoiseProfile, m: int) -> Bra
     the fresh weight/combine noise are averaged.  At ``m = 1`` the run is
     folded, so ``shared`` is zero (module docstring).
     """
-    m = _copy_count(m)
+    m = _integer(m, "copy count m", 1)
     shared, per = _run(net, profile, (m,) * net.depth, (m,) * net.depth, True)
     shared = tuple(np.zeros_like(p) if s is None else s for s, p in zip(shared, per))
     return BranchTrajectory(shared, tuple(per), m)
@@ -342,12 +329,12 @@ class SymmetricConfig:
 
     def __post_init__(self):
         e = _as_coeffs(self.e)
-        W = np.asarray(self.W, dtype=np.float64)
-        if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] != e.shape[0]:
+        W = _array(self.W, "W", 2)
+        if W.shape[0] != W.shape[1] or W.shape[0] != e.shape[0]:
             raise ValidationError("symmetric config needs square W matching e")
-        if not _all_finite(e, W):
+        if not (np.isfinite(e).all() and np.isfinite(W).all()):
             raise ValidationError("symmetric config: e/W contain non-finite values")
-        object.__setattr__(self, "m", _copy_count(self.m))
+        object.__setattr__(self, "m", _integer(self.m, "copy count m", 1))
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "W", W)
         for spec, name in ((self.sigma_m, "sigma_m"), (self.sigma_w, "sigma_w"), (self.sigma_a, "sigma_a")):
@@ -412,9 +399,7 @@ def symmetric_closed_form_b(cfg: SymmetricConfig, L: int) -> np.ndarray:
     symmetric net, so the exact output covariance of the tree with m
     copies per layer, not that of the combine/split design.
     """
-    L = _integer(L, "depth L")
-    if L < 1:
-        raise ValidationError("depth L must be >= 1")
+    L = _integer(L, "depth L", 1)
     B, R = _layer_map(cfg, cfg.m)
     P = np.eye(cfg.dim)
     total = np.zeros_like(R)
@@ -648,13 +633,9 @@ def min_stable_m(
     iterates ``step_m``, so m is a uniform copy count of the tree; no m
     stabilizes combine/split when the spectral radius of ``A`` is >= 1.
     """
-    L = _integer(L, "depth L")
-    if L < 50:
-        raise ValidationError("min_stable_m needs depth L >= 50")
+    L = _integer(L, "depth L", 50)
     growth_tol = _finite(growth_tol, "growth_tol", "> 0")
-    m_cap = _integer(m_cap, "m_cap")
-    if m_cap < 1:
-        raise ValidationError("m_cap must be >= 1")
+    m_cap = _integer(m_cap, "m_cap", 1)
     scalar = _scalar_scan_params(cfg)
     for m in range(1, m_cap + 1):
         if _last_ratio_is_stable(cfg, scalar, L, m, growth_tol):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import FeasibilityError, ValidationError
 # ``affine`` is unused here; bench/test_bench.py reads it on this module
-from .network import LipschitzReport, Network, _finite, _integer, affine, forward  # noqa: F401
+from .network import LipschitzReport, Network, _array, _finite, _integer, affine, forward  # noqa: F401
 from .noise import NoiseProfile, RngStream, _sample
 
 __all__ = [
@@ -73,14 +73,12 @@ class DesignASpec:
     copies: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "copies", tuple(_integer(n, "copy count") for n in self.copies))
+        object.__setattr__(self, "copies", tuple(_integer(n, "copy count", 1) for n in self.copies))
         if len(self.copies) != self.base.depth + 1:
             raise ValidationError(
                 f"copies vector has length {len(self.copies)}, "
                 f"expected depth + 1 = {self.base.depth + 1}"
             )
-        if any(n < 1 for n in self.copies):
-            raise ValidationError("all copy counts must be >= 1")
         if self.copies[-1] != 1:
             raise ValidationError("the last layer keeps a single copy (n_L = 1)")
 
@@ -134,8 +132,7 @@ def chi_mean(d: int) -> float:
     ``mu_d = sqrt(2) * Gamma((d+1)/2) / Gamma(d/2)``, evaluated through
     log-gamma so large dimensions stay accurate (relative error ~1e-12).
     """
-    if d < 1:
-        raise ValidationError("dimension must be >= 1")
+    d = _integer(d, "dimension", 1)
     return math.exp(0.5 * math.log(2.0) + math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
 
 
@@ -146,8 +143,7 @@ def subgaussian_norm_sq(d: int) -> float:
     bound as d grows (the denominator tends to 2 * 1 - 2 = 0); every
     finite d gets the exact finite value.
     """
-    if d < 1:
-        raise ValidationError("dimension must be >= 1")
+    d = _integer(d, "dimension", 1)
     r = 4.0 ** (1.0 / d)
     return 4.0 * r / (2.0 * r - 2.0)
 
@@ -178,8 +174,11 @@ class CopyBudgetRequest:
         for name, bound in (("sigma_sq", ">= 0"), ("deviation_target", ""), ("failure_target", ""),
                             ("hoeffding_C", "> 0"), ("hoeffding_c", "> 0")):
             object.__setattr__(self, name, _finite(getattr(self, name), name, bound))
-        object.__setattr__(self, "deltas", tuple(_finite(d, "every delta", "> 0") for d in self.deltas))
-        object.__setattr__(self, "kappas", tuple(_finite(k, "every kappa") for k in self.kappas))
+        for name, what, bound in (("deltas", "every delta", "> 0"), ("kappas", "every kappa", "")):
+            values = getattr(self, name)
+            if isinstance(values, str) or not np.iterable(values):
+                raise ValidationError(f"{name} must be a list, got {values!r}")
+            object.__setattr__(self, name, tuple(_finite(v, what, bound) for v in values))
         if len(self.deltas) != len(self.kappas):
             raise ValidationError("deltas and kappas must have equal length")
         if any(not 0.0 < k < 1.0 for k in self.kappas):
@@ -251,6 +250,7 @@ def equal_split_targets(
     The failure budget is shrunk by ``margin`` before being split so the
     product condition holds strictly.
     """
+    depth = _integer(depth, "depth", 1)
     deviation_target = _finite(deviation_target, "deviation_target")
     failure_target = _finite(failure_target, "failure_target")
     deltas = tuple(deviation_target / depth for _ in range(depth))
@@ -260,10 +260,7 @@ def equal_split_targets(
 
 def total_copies(copies) -> int:
     """Exact product of the copy counts (arbitrary precision)."""
-    counts = [_integer(n, "copy count") for n in copies]
-    if any(n < 1 for n in counts):
-        raise ValidationError("all copy counts must be >= 1")
-    return math.prod(counts)
+    return math.prod(_integer(n, "copy count", 1) for n in copies)
 
 
 def common_variance_bound(profile: NoiseProfile, input_dim: int, layer_dims) -> float:
@@ -294,7 +291,7 @@ def sufficient_copies(req: CopyBudgetRequest, dims) -> CopyBudget:
     ``M_l = prod_{k=l..L} n_k``; each real-valued bound is then ceiled.
     Raises :class:`FeasibilityError` when the targets are not feasible.
     """
-    dims = [int(d) for d in dims]
+    dims = [_integer(d, "every dimension", 1) for d in dims]
     L = len(dims)
     if L != len(req.deltas):
         raise ValidationError("deltas/kappas must have one entry per layer")
@@ -385,11 +382,9 @@ def deviation_check(
     behind the copy budget is input-independent, so a single input
     suffices for linear networks; a set is accepted for nonlinear hosts.
     """
-    trials = _integer(trials, "trials")
-    if trials < 100:
-        raise ValidationError("deviation_check needs trials >= 100")
+    trials = _integer(trials, "trials", 100)
     deviation_allowance = _finite(deviation_allowance, "deviation_allowance", ">= 0")
-    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
+    inputs = [_array(x, "every input", 1) for x in inputs]
     if not inputs:
         raise ValidationError("deviation_check needs at least one input")
     root = RngStream(seed)

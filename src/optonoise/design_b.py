@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import LinearNet, _copy_count, propagate_b, propagate_b_branchwise
+from .covariance import LinearNet, propagate_b, propagate_b_branchwise
 from .errors import ValidationError
-from .network import Network
+from .network import Network, _integer
 from .noise import NoiseProfile, RngStream, SampleStats, _sample
 
 __all__ = [
@@ -51,7 +51,7 @@ class DesignBSpec:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _copy_count(self.m))
+        object.__setattr__(self, "m", _integer(self.m, "copy count m", 1))
 
 
 def design_b_spec_to_json(spec: DesignBSpec) -> dict:

@@ -18,7 +18,7 @@ from .covariance import SymmetricConfig, min_stable_m
 from .design_a import DesignASpec, design_a_samples, wilson_interval
 from .design_b import DesignBSpec, design_b_samples
 from .errors import ValidationError
-from .network import Activation, Layer, Network, _finite, _integer, forward, forward_trace
+from .network import Activation, Layer, Network, _array, _finite, _integer, forward, forward_trace
 from .noise import CovSpec, NoiseProfile, RngStream, noisy_forward_samples
 
 __all__ = [
@@ -62,12 +62,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.design not in ("a", "b"):
             raise ValidationError(f"design must be 'a' or 'b', got {self.design!r}")
-        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials", 2))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        if self.trials < 2:
-            raise ValidationError("experiments need trials >= 2")
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[1] != self.network.input_dim:
+        inputs = _array(self.inputs, "inputs", 2)
+        if inputs.shape[1] != self.network.input_dim:
             raise ValidationError(
                 f"inputs must be an (N, {self.network.input_dim}) matrix"
             )
@@ -82,6 +80,7 @@ class ExperimentConfig:
             if np.any((labels < 0) | (labels >= classes)):
                 raise ValidationError(f"labels must lie in 0..{classes - 1}")
             object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "confidence", _finite(self.confidence, "confidence"))
         if not 0.0 < self.confidence < 1.0:
             raise ValidationError("confidence must lie in (0, 1)")
 
@@ -144,7 +143,7 @@ def calibrate_noise(
             ("w_fraction", w_fraction), ("a_fraction", a_fraction), ("m_fraction", m_fraction)
         )
     )
-    inputs = [np.asarray(x, dtype=np.float64) for x in calibration_inputs]
+    inputs = [_array(x, "every calibration input", 1) for x in calibration_inputs]
     if not inputs:
         raise ValidationError("calibration needs at least one input")
 
@@ -193,9 +192,7 @@ def insertion_tuple(n: int) -> tuple[int, int, int, int]:
     ``(floor((n+3)/4), floor((n+2)/4), floor((n+1)/4), floor(n/4))``:
     entries sum to n, are nonincreasing, and differ by at most one.
     """
-    n = _integer(n, "layer count")
-    if n < 0:
-        raise ValidationError("layer count must be >= 0")
+    n = _integer(n, "layer count", 0)
     return ((n + 3) // 4, (n + 2) // 4, (n + 1) // 4, n // 4)
 
 
@@ -266,9 +263,9 @@ def _design_samples(cfg: ExperimentConfig, net, profile, copies: int, x, stream)
 
 
 def _copies_grid(copies_grid) -> list[int]:
-    copies_grid = [_integer(n, "copies grid entry") for n in copies_grid]
-    if not copies_grid or any(n < 1 for n in copies_grid):
-        raise ValidationError("copies grid must be nonempty positive integers")
+    copies_grid = [_integer(n, "copies grid entry", 1) for n in copies_grid]
+    if not copies_grid:
+        raise ValidationError("copies grid must be nonempty")
     return copies_grid
 
 
@@ -387,12 +384,10 @@ def run_depth_sweep(
     row reproduces the base experiment draw for draw, and the variance axis
     shares underlying normals (common random numbers) across levels.
     """
-    n_grid = [_integer(n, "inserted layer count") for n in n_grid]
-    variance_grid = [float(v) for v in variance_grid]
+    n_grid = [_integer(n, "inserted layer count", 0) for n in n_grid]
+    variance_grid = [_finite(v, "every variance", ">= 0") for v in variance_grid]
     if not n_grid or not variance_grid:
         raise ValidationError("depth sweep needs nonempty grids")
-    if any(n < 0 for n in n_grid) or any(v < 0 for v in variance_grid):
-        raise ValidationError("grids must be nonnegative")
     root = RngStream(cfg.seed)
     rows = []
     for n_add in n_grid:
@@ -419,13 +414,9 @@ def scan_m_grid(d: int, norm_grid_W, norm_grid_D, L: int = 60, growth_tol: float
     per-layer growth factor; the tight default tolerance then separates
     growing from non-growing cells cleanly.
     """
-    d, L = _integer(d, "width d"), _integer(L, "depth L")
-    if d < 1:
-        raise ValidationError("width d must be >= 1")
-    norms_w = [float(w) for w in norm_grid_W]
-    norms_d = [float(x) for x in norm_grid_D]
-    if any(w <= 0 for w in norms_w) or any(x <= 0 for x in norms_d):
-        raise ValidationError("norm grids must be positive")
+    d, L = _integer(d, "width d", 1), _integer(L, "depth L")
+    norms_w = [_finite(w, "every W norm", "> 0") for w in norm_grid_W]
+    norms_d = [_finite(x, "every D norm", "> 0") for x in norm_grid_D]
     sqrt_d = math.sqrt(d)
     rows = []
     for norm_w in norms_w:

@@ -60,38 +60,34 @@ def _parse(data: bytes):
     raise IdxFormatError(f"unknown IDX magic 0x{magic:08x} at offset 0", offset=0)
 
 
+def _load(path, magic=None) -> np.ndarray:
+    """Parse the IDX file at ``path``; with ``magic``, refuse any other magic."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    found, parsed = _parse(data)
+    if magic is not None and found != magic:
+        kind = "image" if magic == IMAGE_MAGIC else "label"
+        raise IdxFormatError(
+            f"expected {kind} magic 0x{magic:08x}, found 0x{found:08x}",
+            offset=0,
+        )
+    return parsed
+
+
 def load_idx(path) -> np.ndarray:
     """Parse an IDX file, dispatching on its magic.
 
     Returns a ``(count, rows*cols)`` float image matrix in [0, 1] or an
     integer label vector.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return _parse(data)[1]
+    return _load(path)
 
 
 def load_idx_images(path) -> np.ndarray:
     """Parse an IDX image file; rejects any other magic."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, parsed = _parse(data)
-    if magic != IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"expected image magic 0x{IMAGE_MAGIC:08x}, found 0x{magic:08x}",
-            offset=0,
-        )
-    return parsed
+    return _load(path, IMAGE_MAGIC)
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Parse an IDX label file; rejects any other magic."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, parsed = _parse(data)
-    if magic != LABEL_MAGIC:
-        raise IdxFormatError(
-            f"expected label magic 0x{LABEL_MAGIC:08x}, found 0x{magic:08x}",
-            offset=0,
-        )
-    return parsed
+    return _load(path, LABEL_MAGIC)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,24 +51,43 @@ def affine(weights: np.ndarray, bias: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.einsum("ij,...j->...i", weights, h, optimize=False) + bias
 
 
-def _frozen(a) -> np.ndarray:
-    """A read-only float64 copy of ``a``; a copy, so the caller's array stays writable."""
-    a = np.array(a, dtype=np.float64)
+def _array(value, what: str, ndim: int) -> np.ndarray:
+    """``value`` as a float64 array of rank ``ndim``, not copied when it already is one.
+
+    Nested lists of numbers pass; text, ragged nesting and any other rank are refused.
+    """
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be numbers, got {reprlib.repr(value)}") from None
+    if a.ndim != ndim:
+        raise ValidationError(f"{what} must be a {ndim}-D array, got shape {a.shape}")
+    return a
+
+
+def _frozen(value, what: str, ndim: int) -> np.ndarray:
+    """A read-only copy of ``_array(value, what, ndim)``, so the caller's array stays writable."""
+    a = _array(value, what, ndim).copy()
     a.flags.writeable = False
     return a
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int: ``2``, ``2.0`` and ``"2"`` pass; ``2.5``, text and bools are refused."""
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int, refused below ``minimum``: ``2``, ``2.0`` and ``"2"``
+    pass; ``2.5``, text and bools are refused."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if isinstance(value, (bool, np.bool_)) or not number.is_integer():
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return int(number)
+        number = int(value)
+    else:
+        try:
+            real = float(value)
+        except (TypeError, ValueError, OverflowError):
+            real = math.nan
+        if isinstance(value, (bool, np.bool_)) or not real.is_integer():
+            raise ValidationError(f"{what} must be an integer, got {value!r}")
+        number = int(real)
+    if minimum is not None and number < minimum:
+        raise ValidationError(f"{what} must be >= {minimum}, got {value!r}")
+    return number
 
 
 def _finite(value, what: str, bound: str = "") -> float:
@@ -101,15 +121,7 @@ class Activation:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown activation kind {self.kind!r}")
         if self.kind == "diag":
-            try:
-                c = _frozen(self.coeffs)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"diag activation coefficients must be numbers, got {self.coeffs!r}"
-                ) from None
-            if c.ndim != 1:
-                raise ValidationError("diag activation needs a 1-D coefficient vector")
-            object.__setattr__(self, "coeffs", c)
+            object.__setattr__(self, "coeffs", _frozen(self.coeffs, "diag activation coefficients", 1))
         elif self.coeffs is not None:
             raise ValidationError(f"{self.kind!r} activation takes no coefficients")
 
@@ -179,13 +191,8 @@ class Layer:
     activation: Activation = field(default_factory=Activation.identity)
 
     def __post_init__(self):
-        w, b = _frozen(self.weights), _frozen(self.bias)
-        if w.ndim != 2:
-            raise ValidationError("layer weights must be a 2-D matrix")
-        if b.ndim != 1:
-            raise ValidationError("layer bias must be a 1-D vector")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "weights", _frozen(self.weights, "weights", 2))
+        object.__setattr__(self, "bias", _frozen(self.bias, "bias", 1))
 
     @property
     def in_dim(self) -> int:
@@ -209,7 +216,7 @@ class Network:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "input_dim", _integer(self.input_dim, "input_dim"))
+        object.__setattr__(self, "input_dim", _integer(self.input_dim, "input_dim", 1))
         issues = _issues(self)
         if issues:
             raise ValidationError("; ".join(issues))
@@ -230,8 +237,6 @@ class Network:
 def _issues(net: Network) -> list[str]:
     """Every broken structural invariant, each message naming its 1-based layer."""
     issues: list[str] = []
-    if net.input_dim < 1:
-        issues.append("input_dim must be a positive integer")
     if net.depth < 1:
         issues.append("network must have at least one layer")
     prev = net.input_dim
@@ -261,8 +266,8 @@ def _issues(net: Network) -> list[str]:
 
 
 def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != net.input_dim:
+    x = _array(x, "input", 1)
+    if x.shape[0] != net.input_dim:
         raise ValidationError(
             f"input has shape {x.shape}, expected a vector of length {net.input_dim}",
             layer=0,
@@ -298,9 +303,7 @@ def forward_trace(net: Network, x) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 def operator_norm(W) -> float:
     """Largest singular value of ``W``: LAPACK's exact matrix 2-norm."""
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise ValidationError("operator_norm expects a matrix")
+    W = _array(W, "W", 2)
     if not np.all(np.isfinite(W)):
         raise ValidationError("operator_norm expects finite entries")
     return float(np.linalg.norm(W, 2))
@@ -355,20 +358,13 @@ def _activation_to_json(act: Activation):
     return act.kind
 
 
-def _activation_from_json(obj, layer_index: int) -> Activation:
-    if isinstance(obj, str):
-        if obj in ("identity", "tanh", "relu", "softmax"):
-            return Activation(obj)
-        raise ValidationError(
-            f"layer {layer_index}: unknown activation {obj!r}", layer=layer_index
-        )
+def _activation_from_json(obj) -> Activation:
+    if obj in ("identity", "tanh", "relu", "softmax"):
+        return Activation(obj)
     if isinstance(obj, dict) and set(obj) == {"diag"}:
-        try:
-            return Activation.diag_linear(obj["diag"])
-        except ValidationError as exc:
-            raise ValidationError(f"layer {layer_index}: {exc}", layer=layer_index) from None
+        return Activation.diag_linear(obj["diag"])
     raise ValidationError(
-        f"layer {layer_index}: malformed activation entry", layer=layer_index
+        f"unknown activation {obj!r}" if isinstance(obj, str) else "malformed activation entry"
     )
 
 
@@ -395,19 +391,17 @@ def network_from_json(obj: dict) -> Network:
     """
     if not isinstance(obj, dict) or "input_dim" not in obj or "layers" not in obj:
         raise ValidationError("network JSON must have 'input_dim' and 'layers'")
+    if not isinstance(obj["layers"], list):
+        raise ValidationError("network JSON 'layers' must be a list")
     layers = []
     for i, entry in enumerate(obj["layers"], start=1):
         try:
-            w = np.array(entry["weights"], dtype=np.float64)
-            b = np.array(entry["bias"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"layer {i}: malformed weights/bias ({exc})", layer=i)
-        if w.ndim != 2:
-            raise ValidationError(f"layer {i}: weights must be a matrix", layer=i)
-        if b.ndim != 1:
-            raise ValidationError(f"layer {i}: bias must be a flat vector", layer=i)
-        act = _activation_from_json(entry.get("activation", "identity"), i)
-        layers.append(Layer(w, b, act))
+            if not isinstance(entry, dict) or "weights" not in entry or "bias" not in entry:
+                raise ValidationError("needs 'weights' and 'bias'")
+            act = _activation_from_json(entry.get("activation", "identity"))
+            layers.append(Layer(entry["weights"], entry["bias"], act))
+        except ValidationError as exc:
+            raise ValidationError(f"layer {i}: {exc}", layer=i) from None
     return Network(tuple(layers), obj["input_dim"])
 
 

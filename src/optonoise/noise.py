@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .network import Network, _check_input, _frozen, _integer, affine
+from .network import Network, _array, _check_input, _finite, _frozen, _integer, affine
 
 __all__ = [
     "CovSpec",
@@ -88,20 +88,19 @@ class CovSpec:
         if self.kind == "zero":
             return
         if self.kind == "isotropic":
-            if not (self.var >= 0.0) or not math.isfinite(self.var):
-                raise ValidationError("isotropic variance must be finite and >= 0")
+            object.__setattr__(self, "var", _finite(self.var, "isotropic variance", ">= 0"))
             return
         if self.kind == "diagonal":
-            v = _frozen(self.vec)
-            if v.ndim != 1 or not np.all(np.isfinite(v)) or np.any(v < 0.0):
+            v = _frozen(self.vec, "diagonal covariance", 1)
+            if not np.all(np.isfinite(v)) or np.any(v < 0.0):
                 raise ValidationError(
                     "diagonal covariance needs a finite nonnegative variance vector"
                 )
             object.__setattr__(self, "vec", v)
             return
         if self.kind == "full":
-            m = np.asarray(self.mat, dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            m = _array(self.mat, "full covariance", 2)
+            if m.shape[0] != m.shape[1]:
                 raise ValidationError("full covariance must be a square matrix")
             if not np.all(np.isfinite(m)):
                 raise ValidationError("full covariance must be finite")
@@ -116,8 +115,8 @@ class CovSpec:
             # factor F with F F^T = m, used for sampling; eigen-based so
             # semidefinite matrices are accepted
             factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-            object.__setattr__(self, "mat", _frozen(m))
-            object.__setattr__(self, "_factor", _frozen(factor))
+            object.__setattr__(self, "mat", _frozen(m, "full covariance", 2))
+            object.__setattr__(self, "_factor", _frozen(factor, "covariance factor", 2))
             return
         raise ValidationError(f"unknown covariance kind {self.kind!r}")
 
@@ -127,7 +126,7 @@ class CovSpec:
 
     @classmethod
     def isotropic(cls, var: float) -> "CovSpec":
-        return cls("isotropic", var=float(var))
+        return cls("isotropic", var=var)
 
     @classmethod
     def diagonal(cls, vec) -> "CovSpec":
@@ -291,6 +290,7 @@ class NoiseProfile:
 
     @classmethod
     def zero(cls, depth: int) -> "NoiseProfile":
+        depth = _integer(depth, "profile depth", 0)
         z = CovSpec.zero
         return cls(z(), tuple(z() for _ in range(depth)), tuple(z() for _ in range(depth)))
 
@@ -304,6 +304,8 @@ class NoiseProfile:
         combine_var: float = 0.0,
         split_var: float = 0.0,
     ) -> "NoiseProfile":
+        depth = _integer(depth, "profile depth", 0)
+
         def spec(v):
             return CovSpec.isotropic(v) if v else CovSpec.zero()
 
@@ -344,9 +346,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     copy.  The copies left at the end are averaged.
     """
     profile.validate_for(net)
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = _integer(trials, "trials", 1)
     x = _check_input(net, x)
     sites = _Sites(rng)
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
@@ -423,8 +423,8 @@ def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
     outer products (numpy's pairwise/blocked summation keeps accumulation
     error around 1e-10 relative at a million samples).
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 2:
+    samples = _array(samples, "samples", 2)
+    if samples.shape[0] < 2:
         raise ValidationError("need an (n, d) sample matrix with n >= 2")
     n = samples.shape[0]
     reference = np.asarray(reference, dtype=np.float64)
@@ -483,12 +483,15 @@ def profile_to_json(profile: NoiseProfile) -> dict:
 def profile_from_json(obj: dict) -> NoiseProfile:
     if not isinstance(obj, dict):
         raise ValidationError("noise profile JSON must be an object")
-    try:
-        modulation = covspec_from_json(obj.get("modulation", "zero"))
-        weight = tuple(covspec_from_json(s) for s in obj["weight"])
-        activation = tuple(covspec_from_json(s) for s in obj["activation"])
-    except KeyError as exc:
-        raise ValidationError(f"noise profile JSON is missing {exc}")
-    combine = covspec_from_json(obj.get("combine", "zero"))
-    split = covspec_from_json(obj.get("split", "zero"))
-    return NoiseProfile(modulation, weight, activation, combine, split)
+    for name in ("weight", "activation"):
+        if name not in obj:
+            raise ValidationError(f"noise profile JSON is missing {name!r}")
+        if not isinstance(obj[name], list):
+            raise ValidationError(f"{name} must be a list")
+    return NoiseProfile(
+        covspec_from_json(obj.get("modulation", "zero")),
+        tuple(map(covspec_from_json, obj["weight"])),
+        tuple(map(covspec_from_json, obj["activation"])),
+        covspec_from_json(obj.get("combine", "zero")),
+        covspec_from_json(obj.get("split", "zero")),
+    )

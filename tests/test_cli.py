@@ -411,8 +411,15 @@ class TestExitCodes:
          "m_fraction must be finite and >= 0"),
         ({"profile": {"calibrate": {"w_fraction": "abc", "a_fraction": 0.1}}},
          "w_fraction must be finite and >= 0, got 'abc'"),
+        ({"inputs": {"synthetic": {"count": -1, "dim": 2}}}, "synthetic count must be >= 0, got -1"),
+        ({"inputs": {"synthetic": 5}}, "synthetic inputs must be a JSON object, got int"),
+        ({"profile": {"calibrate": "x"}}, "calibrate must be a JSON object, got str"),
+        ({"confidence": "abc"}, "confidence must be finite, got 'abc'"),
+        ({"inputs": {"synthetic": {"count": 2, "dim": 2, "scale": "x"}}},
+         "synthetic scale must be finite and >= 0, got 'x'"),
     ], ids=["trials-fraction", "seed-fraction", "count-fraction", "dim-fraction",
-            "negative-m-fraction", "text-w-fraction"])
+            "negative-m-fraction", "text-w-fraction", "negative-count", "synthetic-number",
+            "calibrate-text", "text-confidence", "text-scale"])
     def test_malformed_config_entry_exits_1(self, experiment_files, capsys, edit, message):
         config_path = experiment_files["config"]
         with open(config_path, encoding="utf-8") as fh:
@@ -434,6 +441,58 @@ class TestExitCodes:
                                       "experiment", "accuracy", "--grid", "1"])
         assert code == 1
         assert "labels must be integers, got 0.5" in err and out == ""
+
+    def test_text_inputs_exit_1(self, experiment_files, capsys):
+        with open(experiment_files["config"], encoding="utf-8") as fh:
+            inputs_path = json.load(fh)["inputs"]
+        with open(inputs_path, encoding="utf-8") as fh:
+            inputs = json.load(fh)
+        with open(inputs_path, "w", encoding="utf-8") as fh:
+            json.dump({**inputs, "inputs": [["a"] * len(inputs["inputs"][0])] * 2}, fh)
+        code, out, err = run(capsys, ["--config", experiment_files["config"],
+                                      "experiment", "mse", "--grid", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: inputs must be numbers")
+
+    @pytest.mark.parametrize("args, content, message", [
+        (["copies", "--net", "{net}", "--targets", "{file}"], [1, 2],
+         "copy targets must be a JSON object, got list"),
+        (["copies", "--net", "{net}", "--targets", "{file}"],
+         {"sigma_sq": 0.0025, "deviation_target": 0.5, "failure_target": 0.05,
+          "deltas": 5, "kappas": 0.1}, "deltas must be a list, got 5"),
+        (["limit", "--mode", "series", "--symmetric", "{file}"], [1, 2],
+         "symmetric config must be a JSON object, got list"),
+        (["limit", "--mode", "series", "--symmetric", "{file}"],
+         {"e": ["x", 1], "W": [[0.1, 0.0], [0.0, 0.1]]}, "activation coefficients must be numbers"),
+        (["--config", "{file}", "experiment", "mse", "--grid", "1"], [1, 2],
+         "experiment config must be a JSON object, got list"),
+        (["simulate", "--net", "{net}", "--profile", "{file}", "--input", "{input}"],
+         {"weight": "zero", "activation": ["zero", "zero"]}, "weight must be a list"),
+        (["simulate", "--net", "{net}", "--profile", "{file}", "--input", "{input}"],
+         {"modulation": {"isotropic": "abc"}, "weight": ["zero"] * 2, "activation": ["zero"] * 2},
+         "isotropic variance must be finite and >= 0, got 'abc'"),
+        (["simulate", "--net", "{net}", "--profile", "{file}", "--input", "{input}"],
+         {"modulation": {"diagonal": ["a", 1]}, "weight": ["zero"] * 2, "activation": ["zero"] * 2},
+         "diagonal covariance must be numbers"),
+        (["simulate", "--net", "{net}", "--profile", "{file}", "--input", "{input}"],
+         {"modulation": {"full": "abc"}, "weight": ["zero"] * 2, "activation": ["zero"] * 2},
+         "full covariance must be numbers"),
+    ], ids=["targets-list", "deltas-number", "symmetric-list", "symmetric-e-text", "config-list",
+            "profile-weight-text", "profile-isotropic-text", "profile-diagonal-text",
+            "profile-full-text"])
+    def test_malformed_json_file_exits_1(self, experiment_files, tmp_path, capsys,
+                                         args, content, message):
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, [a.format(**experiment_files, file=path) for a in args])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("text", ['"abc"', '[1, "a"]', "[[1]]"], ids=["text", "text-entry", "matrix"])
+    def test_non_numeric_input_vector_exits_1(self, experiment_files, capsys, text):
+        code, out, err = run(capsys, ["forward", "--net", experiment_files["net"], "--input", text])
+        assert code == 1 and out == ""
+        assert err.startswith("error: input must be")
 
     def test_integral_float_config_counts_pass(self, experiment_files, capsys):
         config_path = experiment_files["config"]
@@ -484,7 +543,8 @@ class TestExitCodes:
          "layer 1: diag activation coefficients must be numbers"),
         ({"input_dim": "x", "layers": [{"weights": [[1.0]], "bias": [0.0]}]},
          "input_dim must be an integer"),
-    ], ids=["diag-text", "input-dim-text"])
+        ({"input_dim": 1, "layers": 5}, "network JSON 'layers' must be a list"),
+    ], ids=["diag-text", "input-dim-text", "layers-number"])
     def test_non_numeric_network_entry_exits_1(self, tmp_path, capsys, net_obj, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(net_obj))
@@ -624,3 +684,20 @@ def test_result_file_is_stdlib_indent_2_json(command_files, capsys, command):
     code, out, err = run(capsys, [a.format(**command_files) for a in JSON_COMMANDS[command]])
     assert code == 0, err
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+NO_TABLE_COMMANDS = {
+    **{name: args for name, args in JSON_COMMANDS.items()
+       if not name.startswith(("scan-m", "experiment"))},
+    "insert-layers": ["insert-layers", "--net", "{net}", "--n", "1", "--slots", "1,1,1,1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_TABLE_COMMANDS))
+def test_csv_format_needs_a_table_command(command_files, tmp_path, capsys, command):
+    out_path = tmp_path / "x.csv"
+    args = [a.format(**command_files) for a in NO_TABLE_COMMANDS[command]]
+    code, out, err = run(capsys, ["--format", "csv", "--output", out_path, *args])
+    assert code == 1 and out == ""
+    assert err.startswith("error: --format csv needs a command that writes a table")
+    assert not out_path.exists()

@@ -31,6 +31,7 @@ from optonoise import (
 )
 from optonoise.covariance import _run
 from optonoise.design_a import common_variance_bound, equal_split_targets, wilson_interval
+from optonoise.fixtures import fixture_network
 
 from conftest import (
     count_affine_calls,
@@ -208,6 +209,13 @@ class TestChiMean:
         with pytest.raises(ValidationError):
             chi_mean(0)
 
+    @pytest.mark.parametrize("d", [2.5, True], ids=["fraction", "bool"])
+    def test_rejects_non_integer_dimension(self, d):
+        with pytest.raises(ValidationError, match="dimension must be an integer"):
+            chi_mean(d)
+        with pytest.raises(ValidationError, match="dimension must be an integer"):
+            subgaussian_norm_sq(d)
+
 
 class TestSubgaussianNormSq:
     def test_dimension_one(self):
@@ -341,6 +349,14 @@ class TestSufficientCopies:
         loose = (0.25 * amp**2 / deltas[0] ** 2) * (tail_m1 + chi_mean(2)) ** 2
         assert budget.bounds[0] <= loose + 1e-12
 
+    def test_fractional_dimensions_refused(self):
+        net = fixture_network()
+        deltas, kappas = equal_split_targets(2, 0.5, 0.05)
+        req = request_for(net, 0.0025, deltas, kappas, 0.5, 0.05)
+        assert sufficient_copies(req, [16.0, 4]).copies == sufficient_copies(req, [16, 4]).copies
+        with pytest.raises(ValidationError, match="every dimension must be an integer, got 16.9"):
+            sufficient_copies(req, [16.9, 4.7])
+
     def test_infeasible_targets_rejected(self):
         net = identity_net(2)
         with pytest.raises(FeasibilityError):
@@ -370,6 +386,20 @@ class TestCopyBudgetInputs:
         kwargs = {**self.base(identity_net(2)), field: value}
         with pytest.raises(ValidationError, match="must be finite"):
             CopyBudgetRequest(**kwargs)
+
+    @pytest.mark.parametrize("field", ["deltas", "kappas"])
+    @pytest.mark.parametrize("value", [5, "abc"], ids=["number", "text"])
+    def test_scalar_split_refused(self, field, value):
+        kwargs = {**self.base(identity_net(2)), field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be a list"):
+            CopyBudgetRequest(**kwargs)
+
+    @pytest.mark.parametrize("depth, message", [
+        (2.5, "depth must be an integer, got 2.5"), (0, "depth must be >= 1, got 0"),
+    ], ids=["fraction", "zero"])
+    def test_equal_split_refuses_bad_depth(self, depth, message):
+        with pytest.raises(ValidationError, match=message):
+            equal_split_targets(depth, 1.0, 0.1)
 
     @pytest.mark.parametrize("target", ["deviation_target", "failure_target"])
     @pytest.mark.parametrize("value", ["abc", math.nan, math.inf])

@@ -428,6 +428,14 @@ class TestJsonFormat:
         assert "layer 2" in str(exc.value)
 
     @pytest.mark.parametrize("obj, message", [
+        ({"input_dim": 1, "layers": 5}, "'layers' must be a list"),
+        ({"input_dim": 1, "layers": [[1.0]]}, "layer 1: needs 'weights' and 'bias'"),
+        ({"input_dim": 1, "layers": [{"weights": [[1.0], [2.0, 3.0]], "bias": [0.0]}]},
+         "layer 1: weights must be numbers"),
+        ({"input_dim": 1, "layers": [{"weights": [1.0], "bias": [0.0]}]},
+         "layer 1: weights must be a 2-D array"),
+        ({"input_dim": 1, "layers": [{"weights": [[1.0]], "bias": "x"}]},
+         "layer 1: bias must be numbers"),
         ({"input_dim": "x", "layers": [{"weights": [[1.0]], "bias": [0.0]}]},
          "input_dim must be an integer, got 'x'"),
         ({"input_dim": 1.5, "layers": [{"weights": [[1.0]], "bias": [0.0]}]},
@@ -435,7 +443,8 @@ class TestJsonFormat:
         ({"input_dim": 1, "layers": [{"weights": [[1.0]], "bias": [0.0],
                                       "activation": {"diag": ["x"]}}]},
          "layer 1: diag activation coefficients must be numbers"),
-    ], ids=["input-dim-text", "input-dim-fraction", "diag-text"])
+    ], ids=["layers-number", "layer-list", "weights-ragged", "weights-vector", "bias-text",
+            "input-dim-text", "input-dim-fraction", "diag-text"])
     def test_rejects_non_numeric_entries(self, obj, message):
         with pytest.raises(ValidationError, match=message):
             network_from_json(obj)
@@ -447,6 +456,46 @@ class TestJsonFormat:
         }
         with pytest.raises(ValidationError):
             network_from_json(obj)
+
+
+class TestValueRules:
+    """The one rule per kind of value that every entry point applies."""
+
+    @pytest.mark.parametrize("value", ["abc", ["a", 1.0], {"a": 1}], ids=["text", "text-entry", "object"])
+    def test_array_refuses_non_numbers(self, value):
+        with pytest.raises(ValidationError, match="coefficients must be numbers"):
+            network._array(value, "coefficients", 1)
+
+    def test_array_refuses_ragged_nesting(self):
+        with pytest.raises(ValidationError, match="weights must be numbers"):
+            network._array([[1.0, 2.0], [3.0]], "weights", 2)
+
+    @pytest.mark.parametrize("value, ndim", [(1.0, 1), ([1.0, 2.0], 2), ([[1.0]], 1)])
+    def test_array_refuses_other_ranks(self, value, ndim):
+        with pytest.raises(ValidationError, match=rf"x must be a {ndim}-D array, got shape"):
+            network._array(value, "x", ndim)
+
+    def test_array_keeps_a_float64_array(self):
+        a = np.zeros((3, 2))
+        assert network._array(a, "x", 2) is a
+        converted = network._array([[1, 2]], "x", 2)
+        assert converted.dtype == np.float64 and converted.shape == (1, 2)
+
+    def test_frozen_is_a_read_only_copy(self):
+        a = np.zeros(3)
+        frozen = network._frozen(a, "x", 1)
+        assert frozen is not a and not frozen.flags.writeable and a.flags.writeable
+
+    def test_integer_bound(self):
+        assert network._integer(1, "n", 1) == 1
+        assert network._integer("2.0", "n", 2) == 2
+        assert network._integer(-3, "n") == -3
+        with pytest.raises(ValidationError, match="n must be >= 1, got 0"):
+            network._integer(0, "n", 1)
+        with pytest.raises(ValidationError, match=r"n must be >= 2, got 1.0"):
+            network._integer(1.0, "n", 2)
+        with pytest.raises(ValidationError, match="n must be an integer, got 0.5"):
+            network._integer(0.5, "n", 1)
 
 
 class TestDegenerateNetworks:

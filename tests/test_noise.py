@@ -476,6 +476,28 @@ class TestNoiseProfile:
         with pytest.raises(ValidationError):
             profile_from_json({"weight": ["zero", "zero"], "activation": ["zero"]})
 
+    @pytest.mark.parametrize("make", [NoiseProfile.zero, NoiseProfile.isotropic])
+    def test_depth_is_a_count(self, make):
+        assert make(2.0).depth == 2
+        with pytest.raises(ValidationError, match="profile depth must be an integer, got True"):
+            make(True)
+        with pytest.raises(ValidationError, match="profile depth must be >= 0, got -1"):
+            make(-1)
+
+    def test_isotropic_variance_is_a_real(self):
+        assert NoiseProfile.isotropic(2.0, weight_var="0.5").weight[1].var == 0.5
+        with pytest.raises(ValidationError, match="isotropic variance must be finite and >= 0"):
+            CovSpec.isotropic("abc")
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"weight": "zero", "activation": ["zero"]}, "weight must be a list"),
+        ({"weight": ["zero"], "activation": {"isotropic": 0.1}}, "activation must be a list"),
+        ({"weight": ["zero"]}, "noise profile JSON is missing 'activation'"),
+    ], ids=["weight-text", "activation-object", "activation-missing"])
+    def test_layer_lists_checked(self, obj, message):
+        with pytest.raises(ValidationError, match=message):
+            profile_from_json(obj)
+
 
 class TestCovSpecEdges:
     def test_negative_isotropic_rejected(self):
