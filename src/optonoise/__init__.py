@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 from .covariance import (
     BranchTrajectory,
-    CovarianceState,
     FixedPointResult,
     LinearNet,
     SeriesResult,
@@ -43,8 +42,6 @@ from .design_a import (
     chi_mean,
     common_variance_bound,
     design_a_samples,
-    design_a_spec_from_json,
-    design_a_spec_to_json,
     deviation_check,
     equal_split_targets,
     subgaussian_norm_sq,
@@ -55,8 +52,6 @@ from .design_b import (
     DesignBSpec,
     compare_design_b,
     design_b_samples,
-    design_b_spec_from_json,
-    design_b_spec_to_json,
     suggested_m,
 )
 from .errors import (
@@ -78,7 +73,7 @@ from .experiments import (
     run_mse_experiment,
     scan_m_grid,
 )
-from .idx import load_idx, load_idx_images, load_idx_labels
+from .idx import load_idx_images, load_idx_labels
 from .network import (
     Activation,
     Layer,

@@ -274,7 +274,6 @@ def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
         seed=_seed(ctx, raw.get("seed", 0)),
         labels=labels,
         confidence=raw.get("confidence", 0.95),
-        config_hash=_config_hash(raw),
     )
     return cfg, raw
 

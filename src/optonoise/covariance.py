@@ -64,12 +64,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractionError, ConvergenceError, ValidationError
-from .network import Network, _array, _finite, _integer, as_linear, operator_norm
+from .network import Network, _array, _finite, _frozen, _integer, as_linear, operator_norm
 from .noise import _ZERO, CovSpec, NoiseProfile
 
 __all__ = [
     "LinearNet",
-    "CovarianceState",
     "Trajectory",
     "BranchTrajectory",
     "SymmetricConfig",
@@ -112,14 +111,20 @@ def _as_coeffs(D) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinearNet:
-    """A linear network as ``(coeffs, weights)`` pairs, one per layer."""
+    """A linear network as ``(coeffs, weights)`` pairs, one per layer, held as
+    read-only copies."""
 
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
     input_dim: int
 
     def __post_init__(self):
+        pairs = tuple(
+            (_frozen(e, f"layer {i} coefficients", 1), _frozen(W, f"layer {i} weights", 2))
+            for i, (e, W) in enumerate(self.pairs, start=1)
+        )
+        object.__setattr__(self, "pairs", pairs)
         prev = self.input_dim
-        for i, (e, W) in enumerate(self.pairs, start=1):
+        for i, (e, W) in enumerate(pairs, start=1):
             if W.shape != (e.shape[0], prev):
                 raise ValidationError(
                     f"layer {i}: weights {W.shape} do not chain on dimension {prev}",
@@ -144,33 +149,18 @@ class LinearNet:
 
 
 @dataclass(frozen=True, eq=False)
-class CovarianceState:
-    """Symmetric PSD covariance attached to a layer index (0 = input)."""
-
-    sigma: np.ndarray
-    layer_index: int
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Covariances through all layers, ``states[l].layer_index == l``."""
+    """Covariances through all layers, ``sigmas[l]`` at layer ``l`` (0 = input)."""
 
-    states: tuple[CovarianceState, ...]
+    sigmas: tuple[np.ndarray, ...]
 
     @property
     def final(self) -> np.ndarray:
-        return self.states[-1].sigma
-
-    def sigmas(self) -> list[np.ndarray]:
-        return [s.sigma for s in self.states]
+        return self.sigmas[-1]
 
 
 def trajectory_to_json(traj: Trajectory) -> dict:
-    return {
-        "layers": [
-            {"index": s.layer_index, "sigma": s.sigma.tolist()} for s in traj.states
-        ]
-    }
+    return {"layers": [{"index": l, "sigma": s.tolist()} for l, s in enumerate(traj.sigmas)]}
 
 
 def _step(e, W, shared, per, sigma_w, sigma_a, sigma_sum, sigma_spl, m):
@@ -205,9 +195,15 @@ def step_map_b(D, W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m: int)
     """
     m = _integer(m, "copy count m", 1)
     e = _as_coeffs(D)
-    W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl = (
-        np.asarray(a, dtype=np.float64)
-        for a in (W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl)
+    W, sigma_prev, sigma_w, sigma_a = (
+        _array(a, what, 2)
+        for a, what in ((W, "W"), (sigma_prev, "sigma_prev"), (sigma_w, "sigma_w"),
+                        (sigma_a, "sigma_a"))
+    )
+    # a scalar 0 stands for no combine/split noise, as ``step_map`` passes it
+    sigma_sum, sigma_spl = (
+        _array(a, what, 0 if np.isscalar(a) else 2)
+        for a, what in ((sigma_sum, "sigma_sum"), (sigma_spl, "sigma_spl"))
     )
     if W.shape != (e.shape[0], sigma_prev.shape[0]):
         raise ValidationError("step_map_b: weight shape does not match inputs")
@@ -249,7 +245,7 @@ def propagate(net: LinearNet, profile: NoiseProfile) -> Trajectory:
     noisy evaluation of the unmodified linear network.
     """
     _, per = _run(net, profile, (1,) * net.depth, (1,) * net.depth)
-    return Trajectory(tuple(CovarianceState(sigma, l) for l, sigma in enumerate(per)))
+    return Trajectory(tuple(per))
 
 
 def propagate_b(net: LinearNet, profile: NoiseProfile, m: int) -> Trajectory:
@@ -265,7 +261,7 @@ def propagate_b(net: LinearNet, profile: NoiseProfile, m: int) -> Trajectory:
     derived in the module docstring.
     """
     _, per = _run(net, profile, (m,) * net.depth, (1,) * net.depth, True)
-    return Trajectory(tuple(CovarianceState(sigma, l) for l, sigma in enumerate(per)))
+    return Trajectory(tuple(per))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,10 +278,6 @@ class BranchTrajectory:
     shared: tuple[np.ndarray, ...]
     per_branch: tuple[np.ndarray, ...]
     m: int
-
-    @property
-    def final_branch(self) -> np.ndarray:
-        return self.shared[-1] + self.per_branch[-1]
 
     @property
     def output(self) -> np.ndarray:
@@ -314,7 +306,8 @@ def propagate_b_branchwise(net: LinearNet, profile: NoiseProfile, m: int) -> Bra
 @dataclass(frozen=True, eq=False)
 class SymmetricConfig:
     """One layer shape repeated at every depth: square ``W``, diagonal
-    coefficients ``e``, and layer-independent noise covariances.
+    coefficients ``e``, and layer-independent noise covariances; ``e`` and
+    ``W`` are read-only copies.
 
     ``m`` is the combine/split copy count; ``m = 1`` describes the plain
     design.
@@ -328,8 +321,8 @@ class SymmetricConfig:
     m: int = 1
 
     def __post_init__(self):
-        e = _as_coeffs(self.e)
-        W = _array(self.W, "W", 2)
+        e = _frozen(_as_coeffs(self.e), "e", 1)
+        W = _frozen(self.W, "W", 2)
         if W.shape[0] != W.shape[1] or W.shape[0] != e.shape[0]:
             raise ValidationError("symmetric config needs square W matching e")
         if not (np.isfinite(e).all() and np.isfinite(W).all()):
@@ -351,10 +344,6 @@ class SymmetricConfig:
     def frobenius_product(self) -> float:
         """The contraction hypothesis quantity ``||D||_F ||W||_F``."""
         return float(np.linalg.norm(self.e) * np.linalg.norm(self.W))
-
-    def matrices(self):
-        d = self.dim
-        return self.sigma_m.matrix(d), self.sigma_w.matrix(d), self.sigma_a.matrix(d)
 
     def with_m(self, m: int) -> "SymmetricConfig":
         return SymmetricConfig(self.e, self.W, self.sigma_m, self.sigma_w, self.sigma_a, m)

@@ -47,8 +47,6 @@ __all__ = [
     "FeasibilityReport",
     "DeviationCheckResult",
     "design_a_samples",
-    "design_a_spec_to_json",
-    "design_a_spec_from_json",
     "chi_mean",
     "subgaussian_norm_sq",
     "sufficient_copies",
@@ -81,20 +79,6 @@ class DesignASpec:
             )
         if self.copies[-1] != 1:
             raise ValidationError("the last layer keeps a single copy (n_L = 1)")
-
-
-def design_a_spec_to_json(spec: DesignASpec) -> dict:
-    from .network import network_to_json
-
-    return {"network": network_to_json(spec.base), "copies": list(spec.copies)}
-
-
-def design_a_spec_from_json(obj: dict) -> DesignASpec:
-    from .network import network_from_json
-
-    if not isinstance(obj, dict) or "network" not in obj or "copies" not in obj:
-        raise ValidationError("design spec JSON needs 'network' and 'copies'")
-    return DesignASpec(network_from_json(obj["network"]), tuple(obj["copies"]))
 
 
 def design_a_samples(

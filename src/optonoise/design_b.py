@@ -38,8 +38,6 @@ __all__ = [
     "suggested_m",
     "compare_design_b",
     "DesignBComparison",
-    "design_b_spec_to_json",
-    "design_b_spec_from_json",
 ]
 
 
@@ -52,20 +50,6 @@ class DesignBSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _integer(self.m, "copy count m", 1))
-
-
-def design_b_spec_to_json(spec: DesignBSpec) -> dict:
-    from .network import network_to_json
-
-    return {"network": network_to_json(spec.base), "m": spec.m}
-
-
-def design_b_spec_from_json(obj: dict) -> DesignBSpec:
-    from .network import network_from_json
-
-    if not isinstance(obj, dict) or "network" not in obj or "m" not in obj:
-        raise ValidationError("design spec JSON needs 'network' and 'm'")
-    return DesignBSpec(network_from_json(obj["network"]), obj["m"])
 
 
 def design_b_samples(

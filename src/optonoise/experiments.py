@@ -46,7 +46,6 @@ class ExperimentConfig:
     ``design`` selects the noise-averaging scheme: "a" (tree replication)
     or "b" (combine/split).  ``inputs`` is an ``(N, d_0)`` matrix;
     ``labels`` an optional integer vector for classification experiments.
-    ``config_hash`` is carried into every output row.
     """
 
     network: Network
@@ -57,7 +56,6 @@ class ExperimentConfig:
     seed: int
     labels: np.ndarray | None = None
     confidence: float = 0.95
-    config_hash: str = ""
 
     def __post_init__(self):
         if self.design not in ("a", "b"):

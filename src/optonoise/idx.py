@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IdxFormatError
 
-__all__ = ["IMAGE_MAGIC", "LABEL_MAGIC", "load_idx", "load_idx_images", "load_idx_labels"]
+__all__ = ["IMAGE_MAGIC", "LABEL_MAGIC", "load_idx_images", "load_idx_labels"]
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -60,27 +60,18 @@ def _parse(data: bytes):
     raise IdxFormatError(f"unknown IDX magic 0x{magic:08x} at offset 0", offset=0)
 
 
-def _load(path, magic=None) -> np.ndarray:
-    """Parse the IDX file at ``path``; with ``magic``, refuse any other magic."""
+def _load(path, magic: int) -> np.ndarray:
+    """Parse the IDX file at ``path``; refuse any magic but ``magic``."""
     with open(path, "rb") as fh:
         data = fh.read()
     found, parsed = _parse(data)
-    if magic is not None and found != magic:
+    if found != magic:
         kind = "image" if magic == IMAGE_MAGIC else "label"
         raise IdxFormatError(
             f"expected {kind} magic 0x{magic:08x}, found 0x{found:08x}",
             offset=0,
         )
     return parsed
-
-
-def load_idx(path) -> np.ndarray:
-    """Parse an IDX file, dispatching on its magic.
-
-    Returns a ``(count, rows*cols)`` float image matrix in [0, 1] or an
-    integer label vector.
-    """
-    return _load(path)
 
 
 def load_idx_images(path) -> np.ndarray:

@@ -195,10 +195,6 @@ class Layer:
         object.__setattr__(self, "bias", _frozen(self.bias, "bias", 1))
 
     @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
     def out_dim(self) -> int:
         return self.weights.shape[0]
 

@@ -176,15 +176,14 @@ class CovSpec:
         return float(np.max(np.diag(self.mat)))
 
 
-def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n, div: float = 1.0):
-    """A fresh ``(n, dim)`` block (``(*n, dim)`` for a tuple ``n``) of
-    independent rows from Normal(0, spec / div).
+def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: tuple, div: float = 1.0):
+    """A fresh ``(*n, dim)`` block of independent rows from Normal(0, spec / div).
 
     Zero specs never get here: :meth:`_Sites.add` skips them.  Dimensions
     are not checked here; every sampler checks the profile against the
     network on entry (:meth:`NoiseProfile.validate_for`).
     """
-    z = gen.standard_normal((*n, dim) if isinstance(n, tuple) else (n, dim))
+    z = gen.standard_normal((*n, dim))
     if spec.kind == "isotropic":
         z *= math.sqrt(spec.var / div)
     elif spec.kind == "diagonal":
@@ -221,9 +220,6 @@ class RngStream:
         entropy = self.seed & 0xFFFFFFFFFFFFFFFF
         seq = np.random.SeedSequence(entropy=entropy, spawn_key=self.path)
         return np.random.Generator(np.random.SFC64(seq))
-
-    def normal(self, shape) -> np.ndarray:
-        return self.generator().standard_normal(shape)
 
 
 class _Sites:
@@ -426,8 +422,12 @@ def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
     samples = _array(samples, "samples", 2)
     if samples.shape[0] < 2:
         raise ValidationError("need an (n, d) sample matrix with n >= 2")
-    n = samples.shape[0]
-    reference = np.asarray(reference, dtype=np.float64)
+    n, d = samples.shape
+    reference = _array(reference, "reference", 1)
+    if reference.shape[0] != d:
+        raise ValidationError(
+            f"reference has length {reference.shape[0]}, expected the sample width {d}"
+        )
     mean = samples.mean(axis=0)
     centered = samples - mean
     cov = centered.T @ centered / (n - 1)

@@ -14,10 +14,16 @@ MODULES = sorted(
 # single-vector evaluators; a single evaluation is ``*_samples(..., 1, rng)[0]``,
 # and the per-trial harness built on them: use ``*_samples`` with ``stats_from_samples``
 # and the structural check, which ``Network(...)`` runs at construction; the
-# relative-accuracy wrapper is the one division in ``run_accuracy_experiment``
+# relative-accuracy wrapper is the one division in ``run_accuracy_experiment``;
+# no command reads or writes a design spec file: build ``DesignASpec(net, copies)``
+# or ``DesignBSpec(net, m)``; the typed IDX loaders replace the dispatching one;
+# a trajectory holds its covariances as ``Trajectory.sigmas``
 REMOVED = (
     "noisy_forward", "eval_design_a", "eval_design_b", "sample_noise", "monte_carlo",
     "validate", "RelativeAccuracy",
+    "design_a_spec_to_json", "design_a_spec_from_json",
+    "design_b_spec_to_json", "design_b_spec_from_json",
+    "load_idx", "CovarianceState",
 )
 
 

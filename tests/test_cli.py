@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from fractions import Fraction
 from importlib import resources
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from optonoise import GENERATOR_NAME, NoiseProfile, forward, save_network
 from optonoise.cli import _json_text, cli_main
 from optonoise.fixtures import fixture_dataset
+from optonoise.idx import IMAGE_MAGIC, LABEL_MAGIC
 
 from conftest import random_linear_net, random_profile
 from optonoise.noise import profile_to_json
@@ -335,6 +337,81 @@ class TestExperimentCommands:
         lines = out_path.read_text().splitlines()
         assert lines[0].startswith("design,copies,mse,ci_low,ci_high,trials,seed")
         assert len(lines) == 3
+
+    @staticmethod
+    def rows(capsys, tmp_path, config, *command):
+        """The result rows of ``experiment <command>`` on ``config``."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code, out, err = run(capsys, ["--config", config_path, "experiment", *command])
+        assert code == 0, err
+        return json.loads(out)["rows"]
+
+    def test_synthetic_inputs(self, workspace, capsys):
+        tmp, net, net_path, profile_path = workspace
+        config = {"network": str(net_path), "profile": str(profile_path), "design": "a",
+                  "trials": 20, "seed": 2,
+                  "inputs": {"synthetic": {"count": 3, "dim": net.input_dim,
+                                           "seed": 4, "scale": 0.5}}}
+        synthetic = self.rows(capsys, tmp, config, "mse", "--grid", "1,2")
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
+        inputs_path = tmp / "inputs.json"
+        inputs_path.write_text(json.dumps(gen.normal(0.0, 0.5, size=(3, net.input_dim)).tolist()))
+        explicit = self.rows(capsys, tmp, {**config, "inputs": str(inputs_path)},
+                             "mse", "--grid", "1,2")
+        assert synthetic == explicit
+
+    def test_idx_image_inputs(self, workspace, capsys):
+        tmp, net, net_path, profile_path = workspace
+        pixels = [0, 51, 255, 128, 7, 200][: 2 * net.input_dim]
+        idx_path = tmp / "images.idx"
+        idx_path.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, 2, 1, net.input_dim) + bytes(pixels))
+        inputs_path = tmp / "inputs.json"
+        inputs_path.write_text(json.dumps((np.reshape(pixels, (2, -1)) / 255.0).tolist()))
+        config = {"network": str(net_path), "profile": str(profile_path), "design": "b",
+                  "trials": 20, "seed": 2, "inputs": str(idx_path)}
+        from_idx = self.rows(capsys, tmp, config, "mse", "--grid", "1,2")
+        assert from_idx == self.rows(capsys, tmp, {**config, "inputs": str(inputs_path)},
+                                     "mse", "--grid", "1,2")
+
+    def test_labels_file_overrides_container_labels(self, tmp_path, capsys):
+        inputs, labels = fixture_dataset()
+        inputs, labels = inputs[:6], labels[:6]
+        wrong = (labels + 1) % 4
+
+        def container(name, container_labels):
+            path = tmp_path / name
+            path.write_text(json.dumps({"inputs": inputs.tolist(),
+                                        "labels": container_labels.tolist()}))
+            return str(path)
+
+        json_labels = tmp_path / "labels.json"
+        json_labels.write_text(json.dumps(labels.tolist()))
+        idx_labels = tmp_path / "labels.idx"
+        idx_labels.write_bytes(struct.pack(">II", LABEL_MAGIC, len(labels))
+                               + bytes(labels.tolist()))
+        config = {"network": FIXTURE_NET, "design": "a", "trials": 20, "seed": 3,
+                  "profile": {"calibrate": {"w_fraction": 0.2, "a_fraction": 0.2}}}
+        command = ("accuracy", "--grid", "1,2")
+        right_inputs = container("right.json", labels)
+        want = self.rows(capsys, tmp_path, {**config, "inputs": right_inputs}, *command)
+        wrong_inputs = container("wrong.json", wrong)
+        assert self.rows(capsys, tmp_path, {**config, "inputs": wrong_inputs}, *command) != want
+        for labels_path in (json_labels, idx_labels):
+            overridden = {**config, "inputs": wrong_inputs, "labels": str(labels_path)}
+            assert self.rows(capsys, tmp_path, overridden, *command) == want
+
+    @pytest.mark.parametrize("spec", [5, {"file": "inputs.json"}, [[0.5, 0.5, 0.5]]],
+                             ids=["number", "object", "inline-list"])
+    def test_uninterpretable_inputs_spec_exits_1(self, experiment_files, capsys, spec):
+        with open(experiment_files["config"], encoding="utf-8") as fh:
+            config = {**json.load(fh), "inputs": spec}
+        with open(experiment_files["config"], "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code, out, err = run(capsys, ["--config", experiment_files["config"],
+                                      "experiment", "mse", "--grid", "1"])
+        assert code == 1 and out == ""
+        assert "cannot interpret inputs spec" in err
 
 
 @pytest.fixture

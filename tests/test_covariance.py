@@ -13,6 +13,7 @@ from optonoise import (
     DesignASpec,
     DesignBSpec,
     LinearNet,
+    NoiseProfile,
     RngStream,
     SymmetricConfig,
     ValidationError,
@@ -73,11 +74,39 @@ def random_symmetric_cfg(rng, max_dim=5, contracting=False, m=1):
     )
 
 
+def noise_matrices(cfg):
+    return tuple(spec.matrix(cfg.dim) for spec in (cfg.sigma_m, cfg.sigma_w, cfg.sigma_a))
+
+
 class TestSymmetricConfigCount:
     def test_fractional_m_refused(self):
         assert scalar_cfg(1.0, 0.5, m=2.0).m == 2
         with pytest.raises(ValidationError, match="copy count m must be an integer"):
             scalar_cfg(1.0, 0.5, m=2.5)
+
+
+class TestStoredArrays:
+    """Configs and linear nets hold read-only copies of the caller's arrays."""
+
+    def test_symmetric_config_copies_e_and_w(self):
+        e, W = np.array([0.5, 0.5]), np.eye(2)
+        cfg = SymmetricConfig(e, W, CovSpec.isotropic(1.0), CovSpec.isotropic(0.1), CovSpec.zero())
+        before = symmetric_closed_form(cfg, 3)
+        e[:], W[:] = 9.0, 9.0
+        np.testing.assert_array_equal(symmetric_closed_form(cfg, 3), before)
+        assert not (cfg.e.flags.writeable or cfg.W.flags.writeable)
+
+    def test_linear_net_copies_and_takes_lists(self):
+        e, W = np.array([0.5, 0.5]), np.eye(2)
+        net = LinearNet(((e, W),), 2)
+        listed = LinearNet((([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]),), 2)
+        profile = NoiseProfile.isotropic(1, modulation_var=1.0, weight_var=0.1)
+        before = propagate(net, profile).final
+        e[:], W[:] = 9.0, 9.0
+        np.testing.assert_array_equal(propagate(net, profile).final, before)
+        np.testing.assert_array_equal(propagate(listed, profile).final, before)
+        with pytest.raises(ValidationError, match="layer 1 weights must be numbers"):
+            LinearNet((([1.0], "x"),), 1)
 
 
 class TestPropagatorCopyCount:
@@ -195,6 +224,12 @@ class TestStepMapB:
         with pytest.raises(ValidationError):
             step_map_b([1.0], [[1.0]], [[1.0]], [[0.0]], [[0.0]], [[0.0]], [[0.0]], 0)
 
+    def test_text_is_refused_by_name(self):
+        with pytest.raises(ValidationError, match="W must be numbers"):
+            step_map_b([1.0], "x", [[1.0]], [[1.0]], [[0.0]], 0.0, 0.0, 1)
+        with pytest.raises(ValidationError, match="sigma_spl must be numbers"):
+            step_map_b([1.0], [[1.0]], [[1.0]], [[1.0]], [[0.0]], 0.0, "x", 1)
+
     def test_loewner_monotone_in_m(self, rng):
         # larger m always shrinks the output in the PSD order
         for _ in range(100):
@@ -237,7 +272,7 @@ class TestPropagate:
     def test_scalar_chain(self):
         cfg = scalar_cfg(0.5, 2.0, sm=1.0, sw=0.04, sa=0.09)
         traj = propagate(cfg.to_linear_net(2), cfg.to_profile(2))
-        sigmas = traj.sigmas()
+        sigmas = traj.sigmas
         assert sigmas[1][0, 0] == pytest.approx(1.1, rel=1e-12)
         assert sigmas[2][0, 0] == pytest.approx(1.2, rel=1e-12)
 
@@ -273,7 +308,7 @@ class TestPropagate:
         for _ in range(20):
             cfg = random_symmetric_cfg(rng, max_dim=4, contracting=True)
             traj = propagate(cfg.to_linear_net(6), cfg.to_profile(6))
-            sig = traj.sigmas()
+            sig = traj.sigmas
             factor = cfg.frobenius_product() ** 2
             for l in range(2, 7):
                 lhs = np.linalg.norm(sig[l] - sig[l - 1])
@@ -292,7 +327,7 @@ class TestPropagateB:
     def test_scalar_two_layer(self):
         cfg = scalar_cfg(1.0, 1.0, sm=1.0, sw=0.0, sa=1.0, m=2)
         traj = propagate_b(cfg.to_linear_net(2), cfg.to_profile(2), 2)
-        sigmas = traj.sigmas()
+        sigmas = traj.sigmas
         assert sigmas[1][0, 0] == pytest.approx(1.5, rel=1e-12)
         assert sigmas[2][0, 0] == pytest.approx(1.75, rel=1e-12)
 
@@ -351,8 +386,8 @@ class TestEngineModes:
     def test_propagate_ignores_combine_and_split(self, seed, depth):
         _, linnet, plain, with_cs = engine_case(seed, depth)
         a, b = propagate(linnet, with_cs), propagate(linnet, plain)
-        assert [s.layer_index for s in a.states] == list(range(depth + 1))
-        for x, y in zip(a.sigmas(), b.sigmas(), strict=True):
+        assert len(a.sigmas) == depth + 1
+        for x, y in zip(a.sigmas, b.sigmas, strict=True):
             np.testing.assert_array_equal(x, y)
 
     @settings(derandomize=True, deadline=None)
@@ -360,7 +395,7 @@ class TestEngineModes:
     def test_folded_m1_is_propagate(self, seed, depth):
         _, linnet, plain, _ = engine_case(seed, depth)
         folded, ref = propagate_b(linnet, plain, 1), propagate(linnet, plain)
-        for x, y in zip(folded.sigmas(), ref.sigmas(), strict=True):
+        for x, y in zip(folded.sigmas, ref.sigmas, strict=True):
             np.testing.assert_array_equal(x, y)
 
     @settings(derandomize=True, deadline=None)
@@ -379,7 +414,7 @@ class TestEngineModes:
         folded = propagate_b(linnet, with_cs, 1)
         for shared in branch.shared:
             np.testing.assert_array_equal(shared, np.zeros_like(shared))
-        for x, y in zip(branch.per_branch, folded.sigmas(), strict=True):
+        for x, y in zip(branch.per_branch, folded.sigmas, strict=True):
             np.testing.assert_array_equal(x, y)
 
     @settings(derandomize=True, deadline=None)
@@ -396,7 +431,7 @@ class TestEngineModes:
 class TestClosedForms:
     def test_single_term_expansion(self, rng):
         cfg = random_symmetric_cfg(rng)
-        sigma_m, sigma_w, sigma_a = cfg.matrices()
+        sigma_m, sigma_w, sigma_a = noise_matrices(cfg)
         A, e = cfg.A, cfg.e
         expected = A @ sigma_m @ A.T + (e[:, None] * sigma_w) * e[None, :] + sigma_a
         np.testing.assert_allclose(symmetric_closed_form(cfg, 1), expected, atol=1e-12)
@@ -433,7 +468,7 @@ class TestClosedForms:
 
     def test_b_variant_single_layer_expansion(self, rng):
         cfg = random_symmetric_cfg(rng, m=3)
-        sigma_m, sigma_w, sigma_a = cfg.matrices()
+        sigma_m, sigma_w, sigma_a = noise_matrices(cfg)
         A, e, m = cfg.A, cfg.e, cfg.m
         expected = (A @ sigma_m @ A.T + (e[:, None] * sigma_w) * e[None, :]) / m + sigma_a
         np.testing.assert_allclose(symmetric_closed_form_b(cfg, 1), expected, atol=1e-12)
@@ -643,6 +678,45 @@ class TestMinStableM:
         assert calls == [cfg]
 
 
+class TestMinStableMPaths:
+    """The scalar scan of scaled-identity configs against the matrix scan."""
+
+    @pytest.mark.parametrize(
+        "d, a, w, sm, sw, sa",
+        [(1, 1.0, 2.0, 1.0, 0.1, 0.2), (3, 0.8, 1.5, 0.5, 0.3, 0.05),
+         (4, 1.2, -1.1, 0.0, 0.2, 0.1), (2, 0.5, 3.0, 2.0, 0.5, 0.5)],
+    )
+    def test_scalar_path_matches_matrix_path(self, monkeypatch, d, a, w, sm, sw, sa):
+        from optonoise import covariance
+
+        def iso(v):
+            return CovSpec.isotropic(v) if v else CovSpec.zero()
+
+        cfg = SymmetricConfig(np.full(d, a), w * np.eye(d), iso(sm), iso(sw), iso(sa))
+        assert covariance._scalar_scan_params(cfg) is not None
+        fast = min_stable_m(cfg, 60)
+        monkeypatch.setattr(covariance, "_scalar_scan_params", lambda cfg: None)
+        assert min_stable_m(cfg, 60) == fast
+
+    @pytest.mark.parametrize(
+        "e, W",
+        [([1.0, 0.5], 1.5 * np.eye(2)), ([1.0, 1.0], [[1.5, 0.1], [0.0, 1.5]])],
+        ids=["non-constant-e", "w-not-scaled-identity"],
+    )
+    def test_refused_configs_take_the_matrix_path(self, monkeypatch, e, W):
+        from optonoise import covariance
+
+        cfg = SymmetricConfig(e, W, CovSpec.isotropic(1.0), CovSpec.isotropic(0.1), CovSpec.zero())
+        assert covariance._scalar_scan_params(cfg) is None
+        scanned = []
+        real = covariance._layer_map
+        monkeypatch.setattr(
+            covariance, "_layer_map", lambda cfg, m: scanned.append(m) or real(cfg, m)
+        )
+        m = min_stable_m(cfg, 60)
+        assert scanned == list(range(1, m + 1))
+
+
 class TestMinStableMCap:
     def test_cap_exhaustion_is_an_error(self):
         from optonoise import ConvergenceError
@@ -669,7 +743,7 @@ class TestLayerMap:
         for m in (1, 2, 3):
             cfg = random_symmetric_cfg(rng, m=m)
             B, R = _layer_map(cfg, m)
-            sigma_m, sigma_w, sigma_a = cfg.matrices()
+            sigma_m, sigma_w, sigma_a = noise_matrices(cfg)
             want = step_map_b(cfg.e, cfg.W, sigma_m, sigma_w, sigma_a, 0.0, 0.0, m)
             np.testing.assert_allclose(B @ sigma_m @ B.T + R, want, rtol=1e-13, atol=1e-15)
 

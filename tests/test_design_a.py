@@ -478,24 +478,6 @@ class TestDeviationCheck:
         assert low < 0.5 < high
 
 
-class TestSpecJson:
-    def test_round_trip(self, rng):
-        from optonoise import design_a_spec_from_json, design_a_spec_to_json
-
-        net = random_linear_net(rng, depth=2)
-        spec = DesignASpec(net, (3, 2, 1))
-        back = design_a_spec_from_json(design_a_spec_to_json(spec))
-        assert back.copies == spec.copies
-        x = rng.normal(size=net.input_dim)
-        np.testing.assert_array_equal(forward(back.base, x), forward(net, x))
-
-    def test_missing_keys_rejected(self):
-        from optonoise import design_a_spec_from_json
-
-        with pytest.raises(ValidationError):
-            design_a_spec_from_json({"copies": [1, 1]})
-
-
 class TestStreamAlignment:
     def test_all_ones_tree_matches_noisy_forward_draws(self, rng):
         # a degenerate tree touches exactly the stream sites of the

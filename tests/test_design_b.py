@@ -181,23 +181,6 @@ class TestComparisonReport:
         assert report.rel_err_recursion_corrected <= 0.05
 
 
-class TestSpecJson:
-    def test_round_trip(self, rng):
-        from optonoise import design_b_spec_from_json, design_b_spec_to_json
-
-        net = random_linear_net(rng, depth=2)
-        back = design_b_spec_from_json(design_b_spec_to_json(DesignBSpec(net, 4)))
-        assert back.m == 4
-        x = rng.normal(size=net.input_dim)
-        np.testing.assert_array_equal(forward(back.base, x), forward(net, x))
-
-    def test_missing_keys_rejected(self):
-        from optonoise import design_b_spec_from_json
-
-        with pytest.raises(ValidationError):
-            design_b_spec_from_json({"m": 2})
-
-
 class TestAgreementBoundary:
     def test_corrected_recursion_exact_at_depth_one(self, rng):
         # at depth 1 the branches' only shared history is one combine, so

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from optonoise import IdxFormatError, load_idx, load_idx_images, load_idx_labels
+from optonoise import IdxFormatError, load_idx_images, load_idx_labels
 from optonoise.idx import IMAGE_MAGIC, LABEL_MAGIC
 
 
@@ -33,7 +33,7 @@ class TestImages:
         path = tmp_path / "short.idx"
         path.write_bytes(struct.pack(">I", IMAGE_MAGIC))
         with pytest.raises(IdxFormatError) as exc:
-            load_idx(path)
+            load_idx_images(path)
         assert exc.value.offset == 4
 
     def test_truncated_pixels_report_offset(self, tmp_path):
@@ -67,15 +67,6 @@ class TestLabels:
         path = tmp_path / "junk.idx"
         path.write_bytes(struct.pack(">I", 0xDEADBEEF) + b"xx")
         with pytest.raises(IdxFormatError) as exc:
-            load_idx(path)
+            load_idx_labels(path)
         assert exc.value.offset == 0
 
-
-class TestDispatch:
-    def test_load_idx_dispatches_on_magic(self, tmp_path):
-        img = tmp_path / "img.idx"
-        img.write_bytes(image_bytes(1, 2, 1, [255, 0]))
-        lab = tmp_path / "lab.idx"
-        lab.write_bytes(label_bytes([5]))
-        assert load_idx(img).dtype == np.float64
-        assert load_idx(lab).dtype == np.int64

@@ -87,25 +87,29 @@ class TestCovSpec:
             np.testing.assert_allclose(back.matrix(2), spec.matrix(2))
 
 
+def normals(stream, n):
+    return stream.generator().standard_normal(n)
+
+
 class TestRngStream:
     def test_same_path_reproduces_bits(self):
-        a = RngStream(7, (1, 2, 3)).normal(8)
-        b = RngStream(7, (1, 2, 3)).normal(8)
+        a = normals(RngStream(7, (1, 2, 3)), 8)
+        b = normals(RngStream(7, (1, 2, 3)), 8)
         np.testing.assert_array_equal(a, b)
 
     def test_any_path_component_changes_stream(self):
-        base = RngStream(7).child(1, 2, 3).normal(8)
+        base = normals(RngStream(7).child(1, 2, 3), 8)
         for other in [(0, 2, 3), (1, 0, 3), (1, 2, 0), (1, 2, 3, 0)]:
-            alt = RngStream(7, other).normal(8)
+            alt = normals(RngStream(7, other), 8)
             assert not np.array_equal(base, alt)
 
     def test_seed_changes_stream(self):
-        assert not np.array_equal(RngStream(7).normal(4), RngStream(8).normal(4))
+        assert not np.array_equal(normals(RngStream(7), 4), normals(RngStream(8), 4))
 
     def test_seed_and_path_follow_the_integer_rule(self):
         same = RngStream(7.0, (1.0,)).child(np.int64(2), 3.0)
         assert same == RngStream(7, (1, 2, 3)) and same.path == (1, 2, 3)
-        np.testing.assert_array_equal(same.normal(4), RngStream(7, (1, 2, 3)).normal(4))
+        np.testing.assert_array_equal(normals(same, 4), normals(RngStream(7, (1, 2, 3)), 4))
         for bad in (lambda: RngStream(1.5), lambda: RngStream(True), lambda: RngStream("x")):
             with pytest.raises(ValidationError, match="seed must be an integer"):
                 bad()
@@ -126,12 +130,12 @@ class TestSampleNoise:
         # chi-squared concentration: sd of the sample variance at n=1e5 is
         # sigma^2 * sqrt(2/n) ~ 0.018, so [3.8, 4.2] is a >10-sigma corridor
         spec = CovSpec.isotropic(4.0)
-        draws = _draw(spec, 1, RngStream(11, (0,)).generator(), 100_000)
+        draws = _draw(spec, 1, RngStream(11, (0,)).generator(), (100_000,))
         var = draws.var(ddof=1)
         assert 3.8 <= var <= 4.2
         # a one-row block is the first row of any longer block on the same
         # stream, which makes a batch of one an exact single evaluation
-        single = _draw(spec, 1, RngStream(11, (0,)).generator(), 1)
+        single = _draw(spec, 1, RngStream(11, (0,)).generator(), (1,))
         np.testing.assert_array_equal(single, draws[:1])
 
     def test_full_correlation_fisher_interval(self):
@@ -139,7 +143,7 @@ class TestSampleNoise:
         # [0.89, 0.91] around rho = 0.9 is a >15-sigma corridor
         spec = CovSpec.full([[1.0, 0.9], [0.9, 1.0]])
         gen = RngStream(12, (0,)).generator()
-        draws = _draw(spec, 2, gen, 100_000)
+        draws = _draw(spec, 2, gen, (100_000,))
         corr = np.corrcoef(draws.T)[0, 1]
         assert 0.89 <= corr <= 0.91
 
@@ -147,7 +151,7 @@ class TestSampleNoise:
         rng = np.random.default_rng(0)
         A = rng.normal(size=(3, 3))
         spec = CovSpec.full(A @ A.T)
-        draws = _draw(spec, 3, RngStream(13, (0,)).generator(), 200_000)
+        draws = _draw(spec, 3, RngStream(13, (0,)).generator(), (200_000,))
         np.testing.assert_allclose(np.cov(draws.T), spec.matrix(3), rtol=0.05, atol=0.01)
 
 
@@ -391,6 +395,16 @@ class TestMonteCarlo:
         samples = noisy_forward_samples(identity_net(2), profile, np.zeros(2), 100_000, RngStream(21))
         stats = stats_from_samples(samples, np.zeros(2))
         assert 1.96 <= stats.mse_vs_reference <= 2.04
+
+    def test_text_reference_refused(self):
+        samples = np.zeros((4, 3))
+        with pytest.raises(ValidationError, match="reference must be numbers"):
+            stats_from_samples(samples, "x")
+
+    def test_reference_of_another_width_refused(self):
+        samples = np.random.default_rng(0).normal(size=(100, 3))
+        with pytest.raises(ValidationError, match="length 1, expected the sample width 3"):
+            stats_from_samples(samples, [0.0])
 
     def test_same_seed_bit_identical(self):
         profile = NoiseProfile.isotropic(1, modulation_var=1.0)
