@@ -98,17 +98,6 @@ def _dsd(e: np.ndarray, S: np.ndarray) -> np.ndarray:
     return (e[:, None] * S) * e[None, :]
 
 
-def _as_coeffs(D) -> np.ndarray:
-    """Accept a diagonal matrix or its diagonal as a vector."""
-    try:
-        return _array(D, "activation coefficients", 1)
-    except ValidationError:
-        D = _array(D, "activation coefficients", 2)
-    if D.shape[0] != D.shape[1] or np.any(D != np.diag(np.diag(D))):
-        raise ValidationError("activation matrix must be diagonal")
-    return np.diag(D).copy()
-
-
 @dataclass(frozen=True, eq=False)
 class LinearNet:
     """A linear network as ``(coeffs, weights)`` pairs, one per layer, held as
@@ -190,25 +179,26 @@ def step_map(D, W, sigma_prev, sigma_w, sigma_a) -> np.ndarray:
 def step_map_b(D, W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m: int) -> np.ndarray:
     """One combine/split covariance update with ``m`` copies per layer.
 
-    The engine step from ``shared = 0, per = sigma_prev`` with the two
-    parts summed, re-symmetrized on output.
+    The engine run at fan-in ``m`` and fan-out 1 on ``LinearNet(((D, W),), d_in)``
+    with ``sigma_prev`` as modulation covariance, so the arguments are checked as
+    that net and its ``NoiseProfile``: ``D`` is a coefficient vector, and every
+    covariance is square (``sigma_prev`` of width ``d_in``, the others ``d_out``),
+    symmetric to 1e-12 and PSD to -1e-10.  An exact scalar 0 for ``sigma_sum`` or
+    ``sigma_spl`` stands for no combine/split noise, as ``step_map`` passes it.
     """
-    m = _integer(m, "copy count m", 1)
-    e = _as_coeffs(D)
-    W, sigma_prev, sigma_w, sigma_a = (
-        _array(a, what, 2)
-        for a, what in ((W, "W"), (sigma_prev, "sigma_prev"), (sigma_w, "sigma_w"),
-                        (sigma_a, "sigma_a"))
-    )
-    # a scalar 0 stands for no combine/split noise, as ``step_map`` passes it
-    sigma_sum, sigma_spl = (
-        _array(a, what, 0 if np.isscalar(a) else 2)
-        for a, what in ((sigma_sum, "sigma_sum"), (sigma_spl, "sigma_spl"))
-    )
-    if W.shape != (e.shape[0], sigma_prev.shape[0]):
-        raise ValidationError("step_map_b: weight shape does not match inputs")
-    shared, per = _step(e, W, None, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m)
-    return _sym(shared + per)
+    e, W = _array(D, "activation coefficients", 1), _array(W, "W", 2)
+    specs = []
+    for cov, what in ((sigma_prev, "sigma_prev"), (sigma_w, "sigma_w"), (sigma_a, "sigma_a"),
+                      (sigma_sum, "sigma_sum"), (sigma_spl, "sigma_spl")):
+        zero = what in ("sigma_sum", "sigma_spl") and np.isscalar(cov) and cov == 0
+        try:
+            specs.append(_ZERO if zero else CovSpec.full(_array(cov, what, 2)))
+        except ValidationError as exc:
+            raise ValidationError(str(exc).replace("full covariance", what)) from None
+    prev, w, a, combine, split = specs
+    net = LinearNet(((e, W),), W.shape[1])
+    _, per = _run(net, NoiseProfile(prev, (w,), (a,), combine, split), (m,), (1,), True)
+    return per[1]
 
 
 def _run(net: LinearNet, profile: NoiseProfile, fan_in, fan_out, combine_split=False):
@@ -321,12 +311,8 @@ class SymmetricConfig:
     m: int = 1
 
     def __post_init__(self):
-        e = _frozen(_as_coeffs(self.e), "e", 1)
-        W = _frozen(self.W, "W", 2)
-        if W.shape[0] != W.shape[1] or W.shape[0] != e.shape[0]:
-            raise ValidationError("symmetric config needs square W matching e")
-        if not (np.isfinite(e).all() and np.isfinite(W).all()):
-            raise ValidationError("symmetric config: e/W contain non-finite values")
+        e, W = _array(self.e, "activation coefficients", 1), _array(self.W, "W", 2)
+        ((e, W),) = LinearNet(((e, W),), e.shape[0]).pairs
         object.__setattr__(self, "m", _integer(self.m, "copy count m", 1))
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "W", W)
@@ -582,32 +568,28 @@ def _last_ratio_is_stable(
         gain, noise_w, noise_a, var_m = scalar
         # trajectory is s_l * I, Frobenius norm s_l * sqrt(d); the ratio
         # test is unchanged by the sqrt(d) factor
-        s_prev = s_curr = var_m
+        prev = last = var_m
         for _ in range(L):
-            s_prev = s_curr
-            s_curr = (gain * s_prev + noise_w) / m + noise_a
-            if not math.isfinite(s_curr) or s_curr > _OVERFLOW_GUARD:
+            prev = last
+            last = (gain * prev + noise_w) / m + noise_a
+            if not math.isfinite(last) or last > _OVERFLOW_GUARD:
                 return False
-        if s_curr == 0.0:
-            return True
-        if s_prev == 0.0:
-            return False
-        return s_curr / s_prev <= 1.0 + growth_tol
-
-    B, R = _layer_map(cfg, m)
-    X = _sym(cfg.sigma_m.matrix(cfg.dim))
-    prev_norm = last_norm = float(np.linalg.norm(X))
-    for _ in range(L):
-        X = _sym(B @ X @ B.T + R)
-        prev_norm = last_norm
-        last_norm = float(np.linalg.norm(X))
-        if not math.isfinite(last_norm) or last_norm > _OVERFLOW_GUARD:
-            return False
-    if last_norm == 0.0:
+    else:
+        B, R = _layer_map(cfg, m)
+        X = _sym(cfg.sigma_m.matrix(cfg.dim))
+        prev = last = float(np.linalg.norm(X))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+            for _ in range(L):
+                X = _sym(B @ X @ B.T + R)
+                prev = last
+                last = float(np.linalg.norm(X))
+                if not math.isfinite(last) or last > _OVERFLOW_GUARD:
+                    return False
+    if last == 0.0:
         return True
-    if prev_norm == 0.0:
+    if prev == 0.0:
         return False
-    return last_norm / prev_norm <= 1.0 + growth_tol
+    return last / prev <= 1.0 + growth_tol
 
 
 def min_stable_m(

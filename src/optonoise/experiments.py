@@ -436,14 +436,11 @@ def scan_m_grid(d: int, norm_grid_W, norm_grid_D, L: int = 60, growth_tol: float
     return rows
 
 
-def write_csv(path, rows: list[dict], fieldnames=None) -> None:
-    """Write rows as CSV: comma separator, '.' decimals, mandatory header."""
+def write_csv(path, rows: list[dict]) -> None:
+    """Write rows as CSV: comma separator, '.' decimals, a header of the first row's keys."""
     if not rows:
         raise ValidationError("refusing to write an empty table")
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

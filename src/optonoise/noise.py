@@ -413,7 +413,7 @@ class SampleStats:
 
 
 def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
-    """Two-pass statistics of an ``(n, d)`` sample matrix.
+    """Two-pass statistics of an ``(n, d)`` finite sample matrix.
 
     The mean is taken first; the covariance is assembled from centered
     outer products (numpy's pairwise/blocked summation keeps accumulation
@@ -428,6 +428,10 @@ def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
         raise ValidationError(
             f"reference has length {reference.shape[0]}, expected the sample width {d}"
         )
+    if not np.isfinite(samples).all():
+        raise ValidationError("samples contain non-finite values")
+    if not np.isfinite(reference).all():
+        raise ValidationError("reference contains non-finite values")
     mean = samples.mean(axis=0)
     centered = samples - mean
     cov = centered.T @ centered / (n - 1)

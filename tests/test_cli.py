@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optonoise import GENERATOR_NAME, NoiseProfile, forward, save_network
+from optonoise import GENERATOR_NAME, Layer, Network, NoiseProfile, forward, save_network
 from optonoise.cli import _json_text, cli_main
 from optonoise.fixtures import fixture_dataset
 from optonoise.idx import IMAGE_MAGIC, LABEL_MAGIC
@@ -455,6 +455,20 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and out == ""
 
+    @pytest.mark.parametrize("command", [["simulate"], ["design-b", "--m", "2"],
+                                         ["design-a", "--copies", "[2, 1, 1]"]],
+                             ids=["simulate", "design-b", "design-a"])
+    def test_overflowing_samples_exit_1(self, tmp_path, capsys, command):
+        # two 1e160 gains overflow every noisy sample; the noiseless output stays 0
+        layers = [Layer(1e160 * np.eye(2), np.zeros(2)) for _ in range(2)]
+        save_network(Network(layers, 2), tmp_path / "net.json")
+        profile = NoiseProfile.isotropic(2, modulation_var=1.0)
+        (tmp_path / "profile.json").write_text(json.dumps(profile_to_json(profile)))
+        code, out, err = run(capsys, ["--trials", "10", *command, "--net", tmp_path / "net.json",
+                                      "--profile", tmp_path / "profile.json", "--input", "[0, 0]"])
+        assert code == 1 and out == ""
+        assert err == "error: samples contain non-finite values\n"
+
     @pytest.mark.parametrize("edit", [
         {"sigma_sq": "abc"},
         {"deltas": [math.nan, 0.25], "kappas": [0.01, 0.01]},
@@ -541,6 +555,9 @@ class TestExitCodes:
          "symmetric config must be a JSON object, got list"),
         (["limit", "--mode", "series", "--symmetric", "{file}"],
          {"e": ["x", 1], "W": [[0.1, 0.0], [0.0, 0.1]]}, "activation coefficients must be numbers"),
+        (["limit", "--mode", "series", "--symmetric", "{file}"],
+         {"e": [[0.5, 0.0], [0.0, 0.5]], "W": [[0.1, 0.0], [0.0, 0.1]]},
+         "activation coefficients must be a 1-D array, got shape (2, 2)"),
         (["--config", "{file}", "experiment", "mse", "--grid", "1"], [1, 2],
          "experiment config must be a JSON object, got list"),
         (["simulate", "--net", "{net}", "--profile", "{file}", "--input", "{input}"],
@@ -554,7 +571,8 @@ class TestExitCodes:
         (["simulate", "--net", "{net}", "--profile", "{file}", "--input", "{input}"],
          {"modulation": {"full": "abc"}, "weight": ["zero"] * 2, "activation": ["zero"] * 2},
          "full covariance must be numbers"),
-    ], ids=["targets-list", "deltas-number", "symmetric-list", "symmetric-e-text", "config-list",
+    ], ids=["targets-list", "deltas-number", "symmetric-list", "symmetric-e-text", "symmetric-e-matrix",
+            "config-list",
             "profile-weight-text", "profile-isotropic-text", "profile-diagonal-text",
             "profile-full-text"])
     def test_malformed_json_file_exits_1(self, experiment_files, tmp_path, capsys,

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from optonoise import (
     ContractionError,
+    ConvergenceError,
     CovSpec,
     DesignASpec,
     DesignBSpec,
     LinearNet,
+    Network,
     NoiseProfile,
     RngStream,
     SymmetricConfig,
@@ -153,6 +155,25 @@ class TestNonFiniteRejected:
         assert exc.value.layer == 2
 
 
+class TestSymmetricConfigChecks:
+    """``e`` and ``W`` are checked as the one-layer ``LinearNet(((e, W),), len(e))``."""
+
+    def test_matrix_coefficients_are_refused(self):
+        with pytest.raises(ValidationError, match="activation coefficients must be a 1-D array"):
+            SymmetricConfig(np.diag([0.5, 1.5]), np.eye(2), CovSpec.zero(), CovSpec.zero(),
+                            CovSpec.zero())
+
+    @pytest.mark.parametrize("W", [np.ones((2, 3)), np.eye(3)], ids=["not-square", "wrong-width"])
+    def test_w_must_be_square_on_e(self, W):
+        with pytest.raises(ValidationError, match=r"layer 1: weights \(\d, \d\) do not chain"):
+            SymmetricConfig([0.5, 1.5], W, CovSpec.zero(), CovSpec.zero(), CovSpec.zero())
+
+    def test_covariances_are_named(self):
+        with pytest.raises(ValidationError, match="sigma_w has dimension 3, expected 2"):
+            SymmetricConfig([0.5, 1.5], np.eye(2), CovSpec.zero(), CovSpec.diagonal(np.ones(3)),
+                            CovSpec.zero())
+
+
 class TestStepMap:
     def test_identity_fixed_point(self):
         out = step_map(np.ones(2), np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
@@ -167,11 +188,6 @@ class TestStepMap:
         # 0.25 * 4 * 1 + 0.25 * 0.04 + 0.09 = 1.1
         out = step_map([0.5], [[2.0]], [[1.0]], [[0.04]], [[0.09]])
         assert out[0, 0] == pytest.approx(1.1, rel=1e-15)
-
-    def test_accepts_diagonal_matrix_for_coefficients(self):
-        a = step_map(np.diag([0.5, 1.5]), np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-        b = step_map(np.array([0.5, 1.5]), np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-        np.testing.assert_array_equal(a, b)
 
     def test_rejects_nondiagonal_matrix(self):
         with pytest.raises(ValidationError):
@@ -229,6 +245,34 @@ class TestStepMapB:
             step_map_b([1.0], "x", [[1.0]], [[1.0]], [[0.0]], 0.0, 0.0, 1)
         with pytest.raises(ValidationError, match="sigma_spl must be numbers"):
             step_map_b([1.0], [[1.0]], [[1.0]], [[1.0]], [[0.0]], 0.0, "x", 1)
+
+    @pytest.mark.parametrize("args, message", [
+        (([1.0, 2.0], np.eye(2), np.eye(2), np.eye(3), np.zeros((2, 2)), 0.0, 0.0, 1),
+         "weight covariance of layer 1 has dimension 3, expected 2"),
+        (([1.0, 2.0], np.eye(2), np.eye(2), np.eye(2), [[0.0]], 0.0, 0.0, 1),
+         "activation covariance of layer 1 has dimension 1, expected 2"),
+        (([1.0, 2.0], np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), 0.5, 0.0, 1),
+         r"sigma_sum must be a 2-D array, got shape \(\)"),
+        (([1.0, 2.0], np.eye(2), np.eye(3), np.eye(2), np.zeros((2, 2)), 0.0, 0.0, 1),
+         "modulation covariance has dimension 3, expected 2"),
+        (([1.0, 2.0], [[1.0, np.nan], [0.0, 1.0]], np.eye(2), np.eye(2), np.zeros((2, 2)), 0.0,
+          0.0, 1), "layer 1: coefficients/weights contain non-finite values"),
+        (([1.0, 2.0], np.eye(2), np.eye(2), np.diag([1.0, -1.0]), np.zeros((2, 2)), 0.0, 0.0, 1),
+         "sigma_w is not PSD"),
+        (([1.0, 2.0], np.eye(2), np.eye(2), [[1.0, 0.1], [0.0, 1.0]], np.zeros((2, 2)), 0.0, 0.0,
+          1), r"sigma_w is not symmetric \(tol 1e-12\)"),
+        (([1.0, 2.0], np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), 0.0, 0.3, 1),
+         "sigma_spl must be a 2-D array"),
+    ], ids=["sigma_w-too-wide", "sigma_a-too-narrow", "scalar-sigma_sum", "sigma_prev-too-wide",
+            "nan-in-W", "indefinite-sigma_w", "asymmetric-sigma_w", "scalar-sigma_spl"])
+    def test_checks_arguments_as_one_layer_net_and_profile(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            step_map_b(*args)
+
+    def test_diagonal_matrix_of_coefficients_is_refused(self):
+        with pytest.raises(ValidationError, match="activation coefficients must be a 1-D array"):
+            step_map_b(np.diag([0.5, 1.5]), np.eye(2), np.eye(2), np.zeros((2, 2)),
+                       np.zeros((2, 2)), 0.0, 0.0, 1)
 
     def test_loewner_monotone_in_m(self, rng):
         # larger m always shrinks the output in the PSD order
@@ -545,6 +589,33 @@ class TestLimitSeriesB:
             limit_series_b(cfg.with_m(3))  # 1.8 >= sqrt(3)
 
 
+class TestSolverLimits:
+    """The refusals of the layer-independent solvers at their caps."""
+
+    def test_series_term_cap_is_a_convergence_error(self, monkeypatch):
+        from optonoise import covariance
+
+        monkeypatch.setattr(covariance, "_SERIES_MAX_TERMS", 3)
+        with pytest.raises(ConvergenceError, match="series did not meet the tail threshold") as exc:
+            limit_series_b(scalar_cfg(1.0, 1.0, sa=1.0, m=2))
+        assert exc.value.last[0, 0] == pytest.approx(1.75, rel=1e-15)  # 1 + 1/2 + 1/4
+        assert exc.value.residual == pytest.approx(0.125, rel=1e-15)
+
+    def test_iterate_cap_is_a_convergence_error(self, monkeypatch):
+        from optonoise import covariance
+
+        monkeypatch.setattr(covariance, "_FP_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="did not converge within 3 steps") as exc:
+            fixed_point_solve(scalar_cfg(1.0, 1.0, sm=1.0, sa=1.0, m=2), "iterate")
+        # s <- s/2 + 1 from s = 1: 1.5, 1.75, 1.875
+        assert exc.value.last[0, 0] == pytest.approx(1.875, rel=1e-15)
+        assert exc.value.residual == pytest.approx(0.125, rel=1e-15)
+
+    def test_unknown_fixed_point_method_is_refused(self):
+        with pytest.raises(ValidationError, match="unknown fixed-point method 'newton'"):
+            fixed_point_solve(scalar_cfg(0.5, 1.0, sw=0.04, sa=0.09), "newton")
+
+
 class TestFixedPoint:
     def test_scalar_matches_series(self):
         cfg = scalar_cfg(0.5, 1.0, sm=1.0, sw=0.04, sa=0.09)
@@ -681,12 +752,18 @@ class TestMinStableM:
 class TestMinStableMPaths:
     """The scalar scan of scaled-identity configs against the matrix scan."""
 
+    # the last two rows: at depth 400 the gain 6.25 overflows the guard at
+    # m = 1 only, so overflow counts as unstable and m = 7 (gain 0.89) is
+    # the answer; an all-zero trajectory counts as stable at m = 1
     @pytest.mark.parametrize(
-        "d, a, w, sm, sw, sa",
-        [(1, 1.0, 2.0, 1.0, 0.1, 0.2), (3, 0.8, 1.5, 0.5, 0.3, 0.05),
-         (4, 1.2, -1.1, 0.0, 0.2, 0.1), (2, 0.5, 3.0, 2.0, 0.5, 0.5)],
+        "d, a, w, sm, sw, sa, L, expected",
+        [(1, 1.0, 2.0, 1.0, 0.1, 0.2, 60, None), (3, 0.8, 1.5, 0.5, 0.3, 0.05, 60, None),
+         (4, 1.2, -1.1, 0.0, 0.2, 0.1, 60, None), (2, 0.5, 3.0, 2.0, 0.5, 0.5, 60, None),
+         (2, 1.0, 2.5, 1.0, 0.0, 0.0, 400, 7), (3, 1.5, 2.0, 0.0, 0.0, 0.0, 60, 1)],
+        ids=["1-1.0-2.0-1.0-0.1-0.2", "3-0.8-1.5-0.5-0.3-0.05", "4-1.2--1.1-0.0-0.2-0.1",
+             "2-0.5-3.0-2.0-0.5-0.5", "overflow-is-unstable", "all-zero-is-stable"],
     )
-    def test_scalar_path_matches_matrix_path(self, monkeypatch, d, a, w, sm, sw, sa):
+    def test_scalar_path_matches_matrix_path(self, monkeypatch, d, a, w, sm, sw, sa, L, expected):
         from optonoise import covariance
 
         def iso(v):
@@ -694,9 +771,10 @@ class TestMinStableMPaths:
 
         cfg = SymmetricConfig(np.full(d, a), w * np.eye(d), iso(sm), iso(sw), iso(sa))
         assert covariance._scalar_scan_params(cfg) is not None
-        fast = min_stable_m(cfg, 60)
+        fast = min_stable_m(cfg, L)
+        assert expected is None or fast == expected
         monkeypatch.setattr(covariance, "_scalar_scan_params", lambda cfg: None)
-        assert min_stable_m(cfg, 60) == fast
+        assert min_stable_m(cfg, L) == fast
 
     @pytest.mark.parametrize(
         "e, W",
@@ -824,7 +902,9 @@ class TestSolverArguments:
 
 
 class TestOraclesMatchSamplers:
-    """Each linear-net oracle against its sampler on random small nets.
+    """Each linear-net oracle against its sampler on random small nets, at
+    every layer: the sampler runs on each prefix of the net, with the
+    matching prefix of the profile, against the engine's covariance there.
 
     Tolerances are in Gaussian standard errors (``conftest.gaussian_gaps``);
     examples are derandomized, so every run checks the same nets.
@@ -839,6 +919,13 @@ class TestOraclesMatchSamplers:
         net = random_linear_net(rng, depth=depth, max_dim=4)
         return rng, net, random_profile(rng, net), rng.normal(size=net.input_dim)
 
+    def prefixes(self, net, profile):
+        """``(l, net, profile)`` cut after each layer ``l = 1..L``."""
+        for l in range(1, net.depth + 1):
+            cut = dataclasses.replace(profile, weight=profile.weight[:l],
+                                      activation=profile.activation[:l])
+            yield l, Network(net.layers[:l], net.input_dim), cut
+
     def assert_matches(self, samples, mean, cov):
         mean_gap, cov_gap = gaussian_gaps(samples, mean, cov)
         assert mean_gap <= self.MAX_SE and cov_gap <= self.MAX_SE, (mean_gap, cov_gap)
@@ -847,19 +934,21 @@ class TestOraclesMatchSamplers:
     @given(**NETS)
     def test_plain_propagate(self, depth, seed):
         _, net, profile, x = self.case(depth, seed)
-        cov = propagate(LinearNet.from_network(net), profile).final
-        samples = noisy_forward_samples(net, profile, x, self.TRIALS, RngStream(seed))
-        self.assert_matches(samples, forward(net, x), cov)
+        sigmas = propagate(LinearNet.from_network(net), profile).sigmas
+        for l, head, cut in self.prefixes(net, profile):
+            samples = noisy_forward_samples(head, cut, x, self.TRIALS, RngStream(seed))
+            self.assert_matches(samples, forward(head, x), sigmas[l])
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(copies=st.lists(st.integers(1, 3), min_size=3, max_size=3), **NETS)
     def test_tree(self, copies, depth, seed):
         _, net, profile, x = self.case(depth, seed)
-        copies = tuple(copies[:depth]) + (1,)
-        samples = design_a_samples(DesignASpec(net, copies), x, profile, self.TRIALS,
-                                   RngStream(seed))
-        cov = _run(LinearNet.from_network(net), profile, copies[:-1], (1,) * depth)[1][-1]
-        self.assert_matches(samples, forward(net, x), cov)
+        copies = tuple(copies[:depth])
+        per = _run(LinearNet.from_network(net), profile, copies, (1,) * depth)[1]
+        for l, head, cut in self.prefixes(net, profile):
+            samples = design_a_samples(DesignASpec(head, copies[:l] + (1,)), x, cut, self.TRIALS,
+                                       RngStream(seed))
+            self.assert_matches(samples, forward(head, x), per[l])
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(m=st.integers(1, 4), **NETS)
@@ -870,6 +959,7 @@ class TestOraclesMatchSamplers:
             combine=CovSpec.isotropic(float(rng.uniform(0.005, 0.04))),
             split=CovSpec.isotropic(float(rng.uniform(0.005, 0.04))),
         )
-        cov = propagate_b_branchwise(LinearNet.from_network(net), profile, m).output
-        samples = design_b_samples(DesignBSpec(net, m), x, profile, self.TRIALS, RngStream(seed))
-        self.assert_matches(samples, forward(net, x), cov)
+        traj = propagate_b_branchwise(LinearNet.from_network(net), profile, m)
+        for l, head, cut in self.prefixes(net, profile):
+            samples = design_b_samples(DesignBSpec(head, m), x, cut, self.TRIALS, RngStream(seed))
+            self.assert_matches(samples, forward(head, x), traj.shared[l] + traj.per_branch[l] / m)

@@ -406,6 +406,16 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="length 1, expected the sample width 3"):
             stats_from_samples(samples, [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_samples_refused(self, bad):
+        with pytest.raises(ValidationError, match="samples contain non-finite values"):
+            stats_from_samples([[1.0, 2.0], [2.0, bad]], [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_reference_refused(self, bad):
+        with pytest.raises(ValidationError, match="reference contains non-finite values"):
+            stats_from_samples([[1.0, 2.0], [2.0, 3.0]], [0.0, bad])
+
     def test_same_seed_bit_identical(self):
         profile = NoiseProfile.isotropic(1, modulation_var=1.0)
 
