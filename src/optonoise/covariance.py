@@ -553,7 +553,15 @@ def _scalar_scan_params(cfg: SymmetricConfig):
     var_m = cfg.sigma_m.var if cfg.sigma_m.kind == "isotropic" else 0.0
     var_w = cfg.sigma_w.var if cfg.sigma_w.kind == "isotropic" else 0.0
     var_a = cfg.sigma_a.var if cfg.sigma_a.kind == "isotropic" else 0.0
-    return (a * float(w_scale)) ** 2, a * a * var_w, var_a, var_m
+    gain = a * float(w_scale)
+    # an infinite square would count every m as unstable and walk the scan to m_cap
+    if not math.isfinite(gain * gain):
+        raise ValidationError(f"layer gain a*w = {gain:.6g} is too large: its square overflows")
+    if not math.isfinite(a * a * var_w):
+        raise ValidationError(
+            f"weight noise a^2*var_w = {a:.6g}^2 * {var_w:.6g} overflows"
+        )
+    return gain * gain, a * a * var_w, var_a, var_m
 
 
 def _last_ratio_is_stable(

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import FeasibilityError, ValidationError
 # ``affine`` is unused here; bench/test_bench.py reads it on this module
 from .network import LipschitzReport, Network, _array, _finite, _integer, affine, forward  # noqa: F401
-from .noise import NoiseProfile, RngStream, _sample
+from .noise import NoiseProfile, RngStream, _input_groups, _sample
 
 __all__ = [
     "DesignASpec",
@@ -86,8 +86,11 @@ def design_a_samples(
 ) -> np.ndarray:
     """``trials`` independent tree evaluations, vectorized over trials.
 
-    Returns ``(trials, d_L)``; ``trials=1`` gives one evaluation.  See
-    ``noise.noisy_forward_samples`` for the contract of batched draws.
+    Returns ``(trials, d_L)`` for an input vector ``x`` and ``(N, trials,
+    d_L)`` for an ``(N, d_0)`` input matrix; ``trials=1`` gives one
+    evaluation.  See ``noise.noisy_forward_samples`` for the contract of
+    batched draws; with a matrix, a level's block ``j`` is ``N * trials``
+    rows, input major.
 
     Activation noise is added per produced copy, right after the
     activation: this is exactly the evaluation of an appended identity
@@ -104,7 +107,8 @@ def design_a_samples(
     takes block ``j`` of the level's sites.  Levels over the kernel's byte
     budget run in chunks of whole subtrees, which changes no sample.  With
     all copy counts 1 the draws equal ``noisy_forward_samples``, and with a
-    zero profile every row equals the noiseless forward pass bit-exactly.
+    zero profile as well every row equals the noiseless forward pass
+    bit-exactly; with more copies, averaging identical copies may round.
     """
     ones = (1,) * spec.base.depth
     return _sample(spec.base, profile, x, trials, rng, spec.copies[:-1], ones)
@@ -365,19 +369,22 @@ def deviation_check(
     network stays strictly below the allowance.  The deviation bound
     behind the copy budget is input-independent, so a single input
     suffices for linear networks; a set is accepted for nonlinear hosts.
+    Inputs are drawn in groups of consecutive ones (``noise._input_groups``),
+    group ``k`` in one sampler call on ``RngStream(seed).child(k)``.
     """
     trials = _integer(trials, "trials", 100)
     deviation_allowance = _finite(deviation_allowance, "deviation_allowance", ">= 0")
     inputs = [_array(x, "every input", 1) for x in inputs]
     if not inputs:
         raise ValidationError("deviation_check needs at least one input")
+    references = [forward(spec.base, x) for x in inputs]
+    inputs, references = np.stack(inputs), np.stack(references)
     root = RngStream(seed)
     worst = np.zeros(trials)
-    for i, x in enumerate(inputs):
-        reference = forward(spec.base, x)
-        samples = design_a_samples(spec, x, profile, trials, root.child(i))
-        dev = np.linalg.norm(samples - reference, axis=1)
-        worst = np.maximum(worst, dev)
+    for k, group in enumerate(_input_groups(len(inputs), trials)):
+        samples = design_a_samples(spec, inputs[group], profile, trials, root.child(k))
+        dev = np.linalg.norm(samples - references[group, None], axis=2)
+        worst = np.maximum(worst, dev.max(axis=0))
     failures = int(np.sum(worst >= deviation_allowance))
     low, high = wilson_interval(failures, trials)
     return DeviationCheckResult(

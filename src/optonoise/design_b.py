@@ -57,7 +57,10 @@ def design_b_samples(
 ) -> np.ndarray:
     """``trials`` independent combine/split evaluations, trial-vectorized.
 
-    Returns ``(trials, d_L)``; ``trials=1`` gives one evaluation.  Each
+    Returns ``(trials, d_L)`` for an input vector ``x`` and ``(N, trials,
+    d_L)`` for an ``(N, d_0)`` input matrix, whose blocks are ``N * trials``
+    rows, input major (see ``noise.noisy_forward_samples``); ``trials=1``
+    gives one evaluation.  Each
     evaluation costs ``m * depth`` weighted additions; the simulator draws
     from the same law with one per layer, on the average of the m branches,
     with weight noise ``Sigma_w / m`` and combine noise ``Sigma_c / m**2``
@@ -66,8 +69,8 @@ def design_b_samples(
     ``alpha`` of the split and activation sites for branch ``alpha``.  With
     ``m = 1`` (and zero combine/split covariances) the draws coincide
     site-for-site with ``noise.noisy_forward_samples`` on the same stream,
-    and with a zero profile every row equals the noiseless forward pass
-    bit-exactly.
+    and with a zero profile as well every row equals the noiseless forward
+    pass bit-exactly; with more copies, averaging identical copies may round.
     """
     ms = (spec.m,) * spec.base.depth
     return _sample(spec.base, profile, x, trials, rng, ms, ms, combine_split=True)

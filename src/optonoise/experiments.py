@@ -19,7 +19,7 @@ from .design_a import DesignASpec, design_a_samples, wilson_interval
 from .design_b import DesignBSpec, design_b_samples
 from .errors import ValidationError
 from .network import Activation, Layer, Network, _array, _finite, _integer, forward, forward_trace
-from .noise import CovSpec, NoiseProfile, RngStream, noisy_forward_samples
+from .noise import CovSpec, NoiseProfile, RngStream, _input_groups, noisy_forward_samples
 
 __all__ = [
     "ExperimentConfig",
@@ -247,7 +247,8 @@ def insert_identity_layers(net: Network, n: int, slots=None) -> Network:
 
 
 def _design_samples(cfg: ExperimentConfig, net, profile, copies: int, x, stream):
-    """Samples of the configured design at one grid point.
+    """Samples of the configured design at one grid point, for an input
+    vector or an input matrix ``x``.
 
     Grid value ``copies`` means uniform per-layer counts ``(n, ..., n, 1)``
     for the tree design and ``m = copies`` for combine/split.  Streams are
@@ -271,23 +272,26 @@ def _grid_point(cfg: ExperimentConfig, net, profile, copies: int, references, ro
                 plain: bool = False) -> tuple[np.ndarray, int]:
     """Evaluate one ``(net, profile, copies)`` grid point over ``cfg.inputs``.
 
-    Input ``i`` draws on ``root.child(copies, i)``; ``references`` holds the
-    noiseless outputs, one row per input.  ``plain`` draws the unmodified
-    noisy network instead of the design.  Returns the per-trial squared
-    deviation per output coordinate, averaged over inputs, and the count of
-    correct argmax decisions (0 without labels).
+    The inputs are drawn in groups of consecutive ones
+    (``noise._input_groups``), group ``k`` in one sampler call on
+    ``root.child(copies, k)``; ``references`` holds the noiseless outputs,
+    one row per input.  ``plain`` draws the unmodified noisy network
+    instead of the design.  Returns the per-trial squared deviation per
+    output coordinate, averaged over inputs, and the count of correct
+    argmax decisions (0 without labels).
     """
     per_trial = np.zeros(cfg.trials)
     hits = 0
-    for i, (x, reference) in enumerate(zip(cfg.inputs, references)):
-        stream = root.child(copies, i)
+    for k, group in enumerate(_input_groups(cfg.inputs.shape[0], cfg.trials)):
+        xs, stream = cfg.inputs[group], root.child(copies, k)
         if plain:
-            samples = noisy_forward_samples(net, profile, x, cfg.trials, stream)
+            samples = noisy_forward_samples(net, profile, xs, cfg.trials, stream)
         else:
-            samples = _design_samples(cfg, net, profile, copies, x, stream)
-        per_trial += np.sum((samples - reference) ** 2, axis=1) / references.shape[1]
+            samples = _design_samples(cfg, net, profile, copies, xs, stream)
+        squares = np.sum((samples - references[group, None]) ** 2, axis=2)
+        per_trial += (squares / references.shape[1]).sum(axis=0)
         if cfg.labels is not None:
-            hits += int(np.count_nonzero(np.argmax(samples, axis=1) == cfg.labels[i]))
+            hits += int(np.count_nonzero(np.argmax(samples, axis=2) == cfg.labels[group, None]))
     return per_trial / cfg.inputs.shape[0], hits
 
 

@@ -51,8 +51,9 @@ def affine(weights: np.ndarray, bias: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.einsum("ij,...j->...i", weights, h, optimize=False) + bias
 
 
-def _array(value, what: str, ndim: int) -> np.ndarray:
-    """``value`` as a float64 array of rank ``ndim``, not copied when it already is one.
+def _array(value, what: str, ndim: int | tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float64 array of rank ``ndim`` (or of one of the ranks in
+    a tuple), not copied when it already is one.
 
     Nested lists of numbers pass; text, ragged nesting and any other rank are refused.
     """
@@ -60,8 +61,10 @@ def _array(value, what: str, ndim: int) -> np.ndarray:
         a = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be numbers, got {reprlib.repr(value)}") from None
-    if a.ndim != ndim:
-        raise ValidationError(f"{what} must be a {ndim}-D array, got shape {a.shape}")
+    ranks = ndim if isinstance(ndim, tuple) else (ndim,)
+    if a.ndim not in ranks:
+        rank = " or ".join(f"{n}-D" for n in ranks)
+        raise ValidationError(f"{what} must be a {rank} array, got shape {a.shape}")
     return a
 
 
@@ -261,11 +264,14 @@ def _issues(net: Network) -> list[str]:
     return issues
 
 
-def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
-    x = _array(x, "input", 1)
-    if x.shape[0] != net.input_dim:
+def _check_input(net: Network, x, rows: bool = False) -> np.ndarray:
+    """``x`` as a finite input vector; with ``rows`` an ``(N, d_0)`` matrix of
+    N >= 1 inputs passes too."""
+    x = _array(x, "input", (1, 2) if rows else 1)
+    if x.shape[-1] != net.input_dim or x.size == 0:
+        matrix = f" or an (N, {net.input_dim}) matrix with N >= 1" if rows else ""
         raise ValidationError(
-            f"input has shape {x.shape}, expected a vector of length {net.input_dim}",
+            f"input has shape {x.shape}, expected a vector of length {net.input_dim}{matrix}",
             layer=0,
         )
     if not np.all(np.isfinite(x)):

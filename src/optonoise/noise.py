@@ -11,15 +11,19 @@ forward pass ignores them.
 Randomness is organized as splittable streams keyed by ``(seed, path)``.
 A sampler call owns one stream per draw site ``(kind, layer)`` under its
 ``rng`` and builds it the first time the site draws; the copies of a
-layer take successive ``(trials, d)`` blocks of that one stream, copy
-``j`` block ``j``.  Distinct paths give statistically independent streams
-and the same ``(seed, path)`` reproduces the same samples bit-exactly.
+layer take successive blocks of that one stream, copy ``j`` block ``j``.
+A block holds one row per ``(input, trial)`` pair, input major: ``(trials,
+d)`` for an input vector, ``(N, trials, d)`` for an ``(N, d_0)`` input
+matrix.  Distinct paths give statistically independent streams and the
+same ``(seed, path)`` reproduces the same samples bit-exactly.
 
-All samplers run one layer kernel, :func:`_sample`, batched over trials
-and over the copies of a layer.  A single noisy evaluation is a batch of
-one, ``noisy_forward_samples(net, profile, x, 1, rng)[0]``; a one-row
+All samplers run one layer kernel, :func:`_sample`, batched over inputs,
+trials and the copies of a layer.  A single noisy evaluation is a batch
+of one, ``noisy_forward_samples(net, profile, x, 1, rng)[0]``; a one-row
 block equals the first row of any larger block on the same stream, so
-this is exact for the plain net and for the one-copy designs.
+this is exact for the plain net and for the one-copy designs.  Sweeps
+over many inputs draw them in groups of about ``_GROUP_ROWS`` rows, one
+sampler call per group (:func:`_input_groups`).
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ KIND_COMBINE = 3
 KIND_SPLIT = 4
 
 #: Recorded in output metadata so result files name their generator and
-#: stream layout: one block per copy of the kernel, not per physical copy.
-GENERATOR_NAME = "sfc64/seedseq-site-collapsed"
+#: stream layout: one block per copy of the kernel, not per physical copy,
+#: and sweeps draw groups of inputs in one call (:func:`_input_groups`).
+GENERATOR_NAME = "sfc64/seedseq-site-grouped"
 
 _SYM_TOL = 1e-12
 _PSD_PIVOT_TOL = 1e-10
@@ -64,6 +69,17 @@ _PSD_PIVOT_TOL = 1e-10
 #: trees run in chunks of whole subtrees, in index order, so every site
 #: takes its blocks in order and the samples do not depend on this number.
 _CHUNK_BYTES = 16 * 2**20
+
+#: Rows, inputs times trials, that a sweep draws in one sampler call.
+_GROUP_ROWS = 2048
+
+
+def _input_groups(count: int, trials: int) -> list[slice]:
+    """Slices of ``count`` inputs, ``max(1, _GROUP_ROWS // trials)``
+    consecutive ones each; a sweep draws group ``k`` on child ``k`` of its
+    stream, so at ``trials >= _GROUP_ROWS`` every input is its own group."""
+    step = max(1, _GROUP_ROWS // trials)
+    return [slice(s, s + step) for s in range(0, count, step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +242,8 @@ class _Sites:
     """The draw sites of one sampler call, one stream per ``(kind, layer)``.
 
     ``add`` builds the generator of ``rng.child(kind, layer)`` the first
-    time the site draws, and each call adds the next ``(trials, d)`` block
-    of Normal(0, spec / div) to every copy (first axis) of ``h``, so copy
+    time the site draws, and each call adds the next block of
+    Normal(0, spec / div) rows to every copy (first axis) of ``h``, so copy
     ``j`` of a layer takes block ``j``; with ``fan > 1`` each copy first
     becomes ``fan`` consecutive copies.  A zero spec never builds the
     stream, so zero-noise sites stay bit-exact and cost nothing.
@@ -332,18 +348,23 @@ class NoiseProfile:
 
 
 def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
-    """The layer kernel behind every sampler: ``(trials, d_L)`` samples.
+    """The layer kernel behind every sampler: ``(trials, d_L)`` samples of
+    an input vector ``x``, ``(N, trials, d_L)`` of an ``(N, d_0)`` matrix.
 
-    Layer ``l`` averages groups of ``g = fan_in[l-1]`` copies (layer 1:
-    modulated inputs, noise ``Sigma_m / g``), makes one weighted addition
-    per group with weight noise ``Sigma_w / g`` (with ``combine_split``,
-    combine noise ``Sigma_c / g**2``), fans it out to ``fan_out[l-1]``
-    copies with split noise, then activates and adds activation noise per
-    copy.  The copies left at the end are averaged.
+    Every block has the row shape ``(N, trials)`` (``N = 1`` for a vector),
+    input major, so a copy's block is ``N * trials`` rows of its site
+    stream.  Layer ``l`` averages groups of ``g = fan_in[l-1]`` copies
+    (layer 1: modulated inputs, noise ``Sigma_m / g``), makes one weighted
+    addition per group with weight noise ``Sigma_w / g`` (with
+    ``combine_split``, combine noise ``Sigma_c / g**2``), fans it out to
+    ``fan_out[l-1]`` copies with split noise, then activates and adds
+    activation noise per copy.  The copies left at the end are averaged.
     """
     profile.validate_for(net)
     trials = _integer(trials, "trials", 1)
-    x = _check_input(net, x)
+    x = _check_input(net, x, rows=True)
+    xs = x if x.ndim == 2 else x[None]
+    rows = (xs.shape[0], trials)
     sites = _Sites(rng)
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
     dims = net.dims()
@@ -351,10 +372,11 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     group_bytes = []
     for l in range(1, net.depth + 1):
         below = group_bytes[-1] * (fan_in[l - 1] // fan_out[l - 2]) if l > 1 else 0
-        group_bytes.append(max(below, 8 * trials * max(dims[l - 1], fan_out[l - 1] * dims[l])))
+        widest = max(dims[l - 1], fan_out[l - 1] * dims[l])
+        group_bytes.append(max(below, 8 * rows[0] * trials * widest))
 
     def groups(l, count):
-        """Outputs ``(count * f, trials, d_l)`` of the next ``count`` groups of layer ``l``."""
+        """Outputs ``(count * f, N, trials, d_l)`` of the next ``count`` groups of layer ``l``."""
         step = max(1, _CHUNK_BYTES // group_bytes[l - 1])
         if count > step:
             return np.concatenate(
@@ -362,12 +384,12 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
             )
         g = fan_in[l - 1]
         if l == 1:
-            h = np.broadcast_to(x, (count, trials, dims[0]))
+            h = np.broadcast_to(xs[:, None], (count, *rows, dims[0]))
             h = sites.add(h, profile.modulation, KIND_MODULATION, 0, g)
         else:
             h = groups(l - 1, count * g // fan_out[l - 2])
             if g > 1:
-                h = h.reshape(count, g, trials, dims[l - 1]).mean(axis=1)
+                h = h.reshape(count, g, *rows, dims[l - 1]).mean(axis=1)
         layer = net.layers[l - 1]
         h = affine(layer.weights, layer.bias, h)
         h = sites.add(h, profile.weight[l - 1], KIND_WEIGHT, l, g)
@@ -377,7 +399,8 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
         return sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l)
 
     out = groups(net.depth, 1)
-    return out[0] if out.shape[0] == 1 else out.mean(axis=0)
+    out = out[0] if out.shape[0] == 1 else out.mean(axis=0)
+    return out if x.ndim == 2 else out[0]
 
 
 def noisy_forward_samples(
@@ -388,11 +411,15 @@ def noisy_forward_samples(
     Modulation noise is added once to the input; each layer then adds
     weight noise inside the activation and activation noise after it.
     Draw sites are keyed ``(kind, layer)`` under ``rng`` and each emits
-    a ``(trials, d)`` block with trials as rows, so a batch is reproducible
-    as a whole and ``trials=1`` gives one evaluation.  With an all-zero
-    profile every row equals :func:`forward` bit-exactly.
+    one block with trials as rows, so a batch is reproducible as a whole
+    and ``trials=1`` gives one evaluation.  With an all-zero profile every
+    row equals :func:`forward` bit-exactly.
 
-    Returns an array of shape ``(trials, d_L)``.
+    ``x`` is one input vector, giving ``(trials, d_L)``, or an ``(N, d_0)``
+    matrix of inputs, giving ``(N, trials, d_L)``.  A matrix call draws
+    all ``N * trials`` rows of a site as one block, input major, so input
+    ``i`` takes rows ``i * trials`` to ``(i + 1) * trials - 1``; a one-row
+    matrix gives exactly the samples of its vector.
     """
     return _sample(net, profile, x, trials, rng, (1,) * net.depth, (1,) * net.depth)
 
@@ -417,7 +444,8 @@ def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
 
     The mean is taken first; the covariance is assembled from centered
     outer products (numpy's pairwise/blocked summation keeps accumulation
-    error around 1e-10 relative at a million samples).
+    error around 1e-10 relative at a million samples).  Finite samples
+    whose mean, covariance or squared deviation overflow are refused.
     """
     samples = _array(samples, "samples", 2)
     if samples.shape[0] < 2:
@@ -432,12 +460,16 @@ def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
         raise ValidationError("samples contain non-finite values")
     if not np.isfinite(reference).all():
         raise ValidationError("reference contains non-finite values")
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = centered.T @ centered / (n - 1)
-    cov = (cov + cov.T) / 2.0
-    dev = samples - reference
-    mse = float(np.mean(np.einsum("ij,ij->i", dev, dev)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        mean = samples.mean(axis=0)
+        centered = samples - mean
+        cov = centered.T @ centered / (n - 1)
+        cov = (cov + cov.T) / 2.0
+        dev = samples - reference
+        mse = float(np.mean(np.einsum("ij,ij->i", dev, dev)))
+    for what, value in (("mean", mean), ("covariance", cov), ("mean squared deviation", mse)):
+        if not np.all(np.isfinite(value)):
+            raise ValidationError(f"sample {what} overflows float64")
     return SampleStats(n=n, mean=mean, covariance=cov, mse_vs_reference=mse)
 
 

@@ -469,6 +469,25 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: samples contain non-finite values\n"
 
+    @pytest.mark.parametrize("command", [["simulate"], ["design-b", "--m", "2"],
+                                         ["design-a", "--copies", "[2, 1]"]],
+                             ids=["simulate", "design-b", "design-a"])
+    def test_overflowing_statistics_exit_1(self, tmp_path, capsys, command):
+        # one 1e160 gain keeps every sample finite, but their squares overflow
+        save_network(Network([Layer(1e160 * np.eye(2), np.zeros(2))], 2), tmp_path / "net.json")
+        profile = NoiseProfile.isotropic(1, modulation_var=1.0)
+        (tmp_path / "profile.json").write_text(json.dumps(profile_to_json(profile)))
+        code, out, err = run(capsys, ["--trials", "10", *command, "--net", tmp_path / "net.json",
+                                      "--profile", tmp_path / "profile.json", "--input", "[0, 0]"])
+        assert code == 1 and out == ""
+        assert err == "error: sample covariance overflows float64\n"
+
+    def test_scan_m_gain_whose_square_overflows_exits_1(self, capsys):
+        code, out, err = run(capsys, ["scan-m", "--d", "1", "--w-grid", "1e100:1e100:1",
+                                      "--d-grid", "1e100"])
+        assert code == 1 and out == ""
+        assert err == "error: layer gain a*w = 1e+200 is too large: its square overflows\n"
+
     @pytest.mark.parametrize("edit", [
         {"sigma_sq": "abc"},
         {"deltas": [math.nan, 0.25], "kappas": [0.01, 0.01]},

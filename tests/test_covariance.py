@@ -776,6 +776,17 @@ class TestMinStableMPaths:
         monkeypatch.setattr(covariance, "_scalar_scan_params", lambda cfg: None)
         assert min_stable_m(cfg, L) == fast
 
+    @pytest.mark.parametrize("a, w, sw, message", [
+        (1e100, 1e100, 0.0, r"^layer gain a\*w = 1e\+200 is too large: its square overflows$"),
+        (1e160, 1e-160, 1.0, r"^weight noise a\^2\*var_w = 1e\+160\^2 \* 1 overflows$"),
+    ], ids=["gain", "weight-noise"])
+    def test_overflowing_scalar_recursion_refused(self, a, w, sw, message):
+        # an infinite coefficient would count every m as unstable and walk to m_cap
+        sigma_w = CovSpec.isotropic(sw) if sw else CovSpec.zero()
+        cfg = SymmetricConfig([a], [[w]], CovSpec.isotropic(1.0), sigma_w, CovSpec.zero())
+        with pytest.raises(ValidationError, match=message):
+            min_stable_m(cfg, 60)
+
     @pytest.mark.parametrize(
         "e, W",
         [([1.0, 0.5], 1.5 * np.eye(2)), ([1.0, 1.0], [[1.5, 0.1], [0.0, 1.5]])],

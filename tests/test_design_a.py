@@ -32,6 +32,7 @@ from optonoise import (
 from optonoise.covariance import _run
 from optonoise.design_a import common_variance_bound, equal_split_targets, wilson_interval
 from optonoise.fixtures import fixture_network
+from optonoise.noise import _GROUP_ROWS, _input_groups
 
 from conftest import (
     count_affine_calls,
@@ -470,6 +471,27 @@ class TestDeviationCheck:
             deviation_check(*args, trials=100.5, seed=0)
         with pytest.raises(ValidationError, match="seed must be an integer"):
             deviation_check(*args, trials=100, seed=1.5)
+
+    @pytest.mark.parametrize("trials", [100, _GROUP_ROWS], ids=["groups-of-20", "one-per-group"])
+    def test_worst_deviation_over_input_groups(self, rng, trials):
+        # group k of the inputs draws one matrix call on RngStream(seed).child(k);
+        # at trials >= _GROUP_ROWS that is one vector call per input, as before
+        net = random_linear_net(rng, depth=2)
+        spec = DesignASpec(net, uniform_copies(net.depth, 2))
+        profile = random_profile(rng, net)
+        inputs = rng.normal(size=(25, net.input_dim))
+        root, worst = RngStream(3), np.zeros(trials)
+        for k, group in enumerate(_input_groups(len(inputs), trials)):
+            samples = design_a_samples(spec, inputs[group], profile, trials, root.child(k))
+            for x, rows in zip(inputs[group], samples):
+                if trials >= _GROUP_ROWS:
+                    np.testing.assert_array_equal(
+                        rows, design_a_samples(spec, x, profile, trials, root.child(k)))
+                worst = np.maximum(worst, np.linalg.norm(rows - forward(net, x), axis=1))
+        allowance = float(np.median(worst))
+        result = deviation_check(spec, profile, list(inputs), allowance, trials, seed=3)
+        assert result.failures == int(np.sum(worst >= allowance))
+        assert 0 < result.failures < trials
 
     def test_wilson_interval_basics(self):
         low, high = wilson_interval(0, 1000)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optonoise import (
     Activation,
@@ -28,8 +30,9 @@ from optonoise import (
     run_mse_experiment,
     scan_m_grid,
 )
-from optonoise import experiments
+from optonoise import experiments, noise
 from optonoise.experiments import normal_interval, plan_insertions, write_csv
+from optonoise.noise import _input_groups
 from optonoise.fixtures import fixture_dataset, fixture_network
 
 from conftest import random_linear_net, random_profile
@@ -321,8 +324,10 @@ class TestAccuracyExperiment:
         monkeypatch.setattr(experiments, "_design_samples", counting)
         cfg = ExperimentConfig(network=net, profile=profile, design="a",
                                inputs=X, trials=20, seed=5, labels=labels)
+        groups = _input_groups(len(X), 20)
         rows = run_accuracy_experiment(cfg, [1, 2])
-        assert calls == [2] * len(X)
+        # one sampler call per group of inputs, none for the reused copies=1 row
+        assert calls == [2] * len(groups)
         assert rows[0]["acc_design"] == rows[0]["acc_onn"]
         # with combine noise the one-copy combine/split run is its own draw
         noisy = NoiseProfile(profile.modulation, profile.weight, profile.activation,
@@ -331,12 +336,13 @@ class TestAccuracyExperiment:
                                inputs=X, trials=20, seed=5, labels=labels)
         calls.clear()
         row = run_accuracy_experiment(cfg, [1])[0]
-        assert calls == [1] * len(X)
+        assert calls == [1] * len(groups)
         root = RngStream(5)
         hits = sum(
-            int(np.sum(np.argmax(design_b_samples(DesignBSpec(net, 1), x, noisy, 20,
-                                                  root.child(1, i)), axis=1) == y))
-            for i, (x, y) in enumerate(zip(X, labels))
+            int(np.sum(np.argmax(design_b_samples(DesignBSpec(net, 1), X[group], noisy, 20,
+                                                  root.child(1, k)), axis=2)
+                       == labels[group, None]))
+            for k, group in enumerate(groups)
         )
         assert row["acc_design"] == hits / (20 * len(X))
 
@@ -364,6 +370,52 @@ class TestAccuracyExperiment:
                                design="b", inputs=X[:50], trials=5, seed=0, labels=labels[:50])
         row = run_accuracy_experiment(cfg, [1])[0]
         assert row["relative"] == "undefined"
+
+
+class TestInputGroups:
+    """Sweeps draw consecutive inputs in groups of ``_GROUP_ROWS // trials``."""
+
+    def test_group_sizes(self):
+        assert _input_groups(5, noise._GROUP_ROWS) == [slice(i, i + 1) for i in range(5)]
+        groups = _input_groups(25, noise._GROUP_ROWS // 10)
+        assert [(g.start, g.stop) for g in groups] == [(0, 10), (10, 20), (20, 30)]
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(
+        design=st.sampled_from(["a", "b"]),
+        extra_trials=st.integers(0, 40),
+        n_inputs=st.integers(1, 3),
+        copies=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_one_input_groups_keep_the_per_input_layout(self, fixture_setup, design, extra_trials,
+                                                        n_inputs, copies, seed):
+        # at trials >= _GROUP_ROWS every group is one input, and input i
+        # draws a vector call on root.child(copies, i), bit for bit
+        net, X, labels, profile = fixture_setup
+        trials = noise._GROUP_ROWS + extra_trials
+        X, labels = X[:n_inputs], labels[:n_inputs]
+        cfg = ExperimentConfig(network=net, profile=profile, design=design, inputs=X,
+                               trials=trials, seed=seed, labels=labels)
+        root = RngStream(seed)
+
+        def per_input(plain):
+            per_trial, hits = np.zeros(trials), 0
+            for i, x in enumerate(X):
+                stream = root.child(1 if plain else copies, i)
+                if plain:
+                    samples = noisy_forward_samples(net, profile, x, trials, stream)
+                else:
+                    samples = experiments._design_samples(cfg, net, profile, copies, x, stream)
+                per_trial += np.sum((samples - forward(net, x)) ** 2, axis=1) / net.output_dim
+                hits += int(np.count_nonzero(np.argmax(samples, axis=1) == labels[i]))
+            return per_trial / n_inputs, hits
+
+        per_trial, hits = per_input(plain=False)
+        assert run_mse_experiment(cfg, [copies])[0]["mse"] == per_trial.mean()
+        row = run_accuracy_experiment(cfg, [copies])[0]
+        assert row["acc_onn"] == per_input(plain=True)[1] / (trials * n_inputs)
+        assert row["acc_design"] == hits / (trials * n_inputs)
 
 
 class TestDepthSweep:

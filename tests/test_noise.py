@@ -379,6 +379,107 @@ class TestDegeneracyProperty:
         np.testing.assert_array_equal(single_out, plain)
 
 
+def _matrix_samplers(net, copies):
+    """The three samplers at ``copies`` copies per layer, keyed by wiring."""
+    tree = DesignASpec(net, (copies,) * net.depth + (1,))
+    combine_split = DesignBSpec(net, copies)
+    return {
+        "plain": lambda x, profile, trials, rng: noisy_forward_samples(net, profile, x, trials, rng),
+        "tree": lambda x, profile, trials, rng: design_a_samples(tree, x, profile, trials, rng),
+        "combine_split": lambda x, profile, trials, rng: design_b_samples(
+            combine_split, x, profile, trials, rng),
+    }
+
+
+class TestInputMatrix:
+    """An ``(N, d_0)`` input matrix draws every site's ``N * trials`` rows as one block."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        sampler=st.sampled_from(["plain", "tree", "combine_split"]),
+        kinds=st.lists(
+            st.sampled_from(["identity", "tanh", "relu", "softmax", "diag"]),
+            min_size=1,
+            max_size=3,
+        ),
+        n_inputs=st.integers(1, 4),
+        trials=st.integers(1, 5),
+        copies=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matrix_rows_are_vector_calls_and_forward(self, sampler, kinds, n_inputs, trials,
+                                                      copies, seed):
+        rng = np.random.default_rng(seed)
+        net = TestDegeneracyProperty.random_net(rng, kinds)
+        run = _matrix_samplers(net, copies)[sampler]
+        xs = rng.normal(size=(n_inputs, net.input_dim))
+        profile = random_profile(rng, net)
+        profile = NoiseProfile(profile.modulation, profile.weight, profile.activation,
+                               CovSpec.isotropic(0.01), CovSpec.isotropic(0.02))
+
+        out = run(xs, profile, trials, RngStream(seed))
+        assert out.shape == (n_inputs, trials, net.output_dim)
+        # a one-row matrix draws exactly what its vector draws
+        np.testing.assert_array_equal(run(xs[:1], profile, trials, RngStream(seed))[0],
+                                      run(xs[0], profile, trials, RngStream(seed)))
+        # under a zero profile every (input, trial) row is its vector call's
+        # row and the noiseless output; averaging several identical copies
+        # may round, so that is bit for bit at one copy only
+        zero = NoiseProfile.zero(net.depth)
+        for x, rows in zip(xs, run(xs, zero, trials, RngStream(seed))):
+            np.testing.assert_array_equal(rows, run(x, zero, trials, RngStream(seed)))
+            for row in rows:
+                if copies == 1 or sampler == "plain":
+                    np.testing.assert_array_equal(row, forward(net, x))
+                else:
+                    np.testing.assert_allclose(row, forward(net, x), rtol=1e-12, atol=1e-15)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        sampler=st.sampled_from(["plain", "tree", "combine_split"]),
+        width=st.integers(1, 5),
+        n_inputs=st.integers(1, 4),
+        trials=st.integers(1, 5),
+        copies=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_copy_j_takes_block_j_of_the_site_stream(self, sampler, width, n_inputs, trials,
+                                                     copies, seed):
+        # depth 2, the second layer the identity: the output averages the
+        # layer-1 copies, each a noiseless layer-1 output plus one block of a
+        # layer-1 site (tree nodes: weight site at var / copies; combine/split
+        # branches: activation site; plain net: one weight block)
+        rng = np.random.default_rng(seed)
+        d0, var = int(rng.integers(1, 5)), 0.3
+        first = Layer(rng.normal(size=(width, d0)), rng.normal(size=width), Activation.identity())
+        net = Network((first, identity_net(width).layers[0]), d0)
+        xs = rng.normal(size=(n_inputs, d0))
+        iso, zero = CovSpec.isotropic(var), CovSpec.zero()
+        if sampler == "combine_split":
+            kind, count, scale = KIND_ACTIVATION, copies, 1.0
+            profile = NoiseProfile(zero, (zero, zero), (iso, zero))
+        else:
+            kind = KIND_WEIGHT
+            count, scale = (1, 1.0) if sampler == "plain" else (copies, 1.0 / copies)
+            profile = NoiseProfile(zero, (iso, zero), (zero, zero))
+        out = _matrix_samplers(net, copies)[sampler](xs, profile, trials, RngStream(seed))
+
+        gen = RngStream(seed).child(kind, 1).generator()
+        blocks = gen.standard_normal((count, n_inputs, trials, width))
+        layer1 = np.stack([forward(Network((first,), d0), x) for x in xs])
+        expected = (layer1[:, None] + math.sqrt(var * scale) * blocks).mean(axis=0)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((0, 3)), r"shape \(0, 3\), expected .* or an \(N, 3\) matrix with N >= 1$"),
+        (np.zeros((2, 4)), r"shape \(2, 4\), expected .* or an \(N, 3\) matrix with N >= 1$"),
+        (np.zeros((1, 2, 3)), r"^input must be a 1-D or 2-D array, got shape \(1, 2, 3\)$"),
+    ], ids=["no-rows", "wrong-width", "rank-3"])
+    def test_malformed_input_matrix_refused(self, bad, message):
+        with pytest.raises(ValidationError, match=message):
+            noisy_forward_samples(identity_net(3), NoiseProfile.zero(1), bad, 2, RngStream(0))
+
+
 class TestMonteCarlo:
     def test_noiseless_evaluator(self):
         net = identity_net(2)
@@ -415,6 +516,16 @@ class TestMonteCarlo:
     def test_non_finite_reference_refused(self, bad):
         with pytest.raises(ValidationError, match="reference contains non-finite values"):
             stats_from_samples([[1.0, 2.0], [2.0, 3.0]], [0.0, bad])
+
+    @pytest.mark.parametrize("samples, reference, what", [
+        ([[1e160, 0.0], [-1e160, 1.0]], [0.0, 0.0], "covariance"),
+        ([[1e308, 0.0], [1e308, 1.0]], [0.0, 0.0], "mean"),
+        ([[1e160, 0.0], [1e160, 1.0]], [0.0, 0.0], "mean squared deviation"),
+    ], ids=["covariance", "mean", "mse"])
+    def test_overflowing_statistics_refused(self, samples, reference, what):
+        # finite samples whose statistics overflow float64
+        with pytest.raises(ValidationError, match=f"^sample {what} overflows float64$"):
+            stats_from_samples(samples, reference)
 
     def test_same_seed_bit_identical(self):
         profile = NoiseProfile.isotropic(1, modulation_var=1.0)
