@@ -106,9 +106,10 @@ def design_a_samples(
     ``Sigma_w / n_{l-1}`` (modulation ``Sigma_m / n_0`` at level 1), and
     takes block ``j`` of the level's sites.  Levels over the kernel's byte
     budget run in chunks of whole subtrees, which changes no sample.  With
-    all copy counts 1 the draws equal ``noisy_forward_samples``, and with a
-    zero profile as well every row equals the noiseless forward pass
-    bit-exactly; with more copies, averaging identical copies may round.
+    all copy counts 1 the draws equal ``noisy_forward_samples``.  With a
+    zero profile every row equals the noiseless forward pass bit-exactly at
+    any copy counts: copies that no noise reaches are identical, and the
+    kernel takes one of them instead of averaging.
     """
     ones = (1,) * spec.base.depth
     return _sample(spec.base, profile, x, trials, rng, spec.copies[:-1], ones)

@@ -68,9 +68,10 @@ def design_b_samples(
     ``(kind, l)``: one weight and one combine block for the beam, block
     ``alpha`` of the split and activation sites for branch ``alpha``.  With
     ``m = 1`` (and zero combine/split covariances) the draws coincide
-    site-for-site with ``noise.noisy_forward_samples`` on the same stream,
-    and with a zero profile as well every row equals the noiseless forward
-    pass bit-exactly; with more copies, averaging identical copies may round.
+    site-for-site with ``noise.noisy_forward_samples`` on the same stream.
+    With a zero profile every row equals the noiseless forward pass
+    bit-exactly at any ``m``: branches that no noise reaches are identical,
+    and the kernel takes one of them instead of averaging.
     """
     ms = (spec.m,) * spec.base.depth
     return _sample(spec.base, profile, x, trials, rng, ms, ms, combine_split=True)

@@ -40,15 +40,51 @@ __all__ = [
 _KINDS = ("identity", "tanh", "relu", "softmax", "diag")
 
 
+#: Rows of one gemm tile in :func:`_tiled`.  BLAS picks its kernel and
+#: blocking from the shape of the product, so a row of a plain ``h @ W.T``
+#: can round differently at another batch size; every product of fixed
+#: ``(8, d_in)`` tiles rounds each row the same way, whatever the batch.
+_TILE_ROWS = 8
+
+
+def _tiled(h: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``h @ matrix.T`` for a vector or a batch of row vectors, as a stack of
+    ``(_TILE_ROWS, d_in)`` gemm products.
+
+    Only the last partial tile is zero-padded, and a block of unit-stride
+    rows is not copied.  A row's bits do not depend on the batch around
+    it, its offset in the batch, or the BLAS thread count.  Overflow is
+    left to the caller: it yields inf or nan without a warning.
+    """
+    d_in, d_out = h.shape[-1], matrix.shape[0]
+    # BLAS needs unit-stride rows; numpy's fallback loop for other strides
+    # (a broadcast block) rounds differently
+    flat = np.ascontiguousarray(h.reshape(-1, d_in))
+    n = flat.shape[0]
+    full = n - n % _TILE_ROWS
+    out = np.empty((n, d_out))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if full:
+            np.matmul(flat[:full].reshape(-1, _TILE_ROWS, d_in), matrix.T,
+                      out=out[:full].reshape(-1, _TILE_ROWS, d_out))
+        if full < n:
+            tail = np.zeros((_TILE_ROWS, d_in))
+            tail[: n - full] = flat[full:]
+            out[full:] = (tail @ matrix.T)[: n - full]
+    return out.reshape(*h.shape[:-1], d_out)
+
+
 def affine(weights: np.ndarray, bias: np.ndarray, h: np.ndarray) -> np.ndarray:
     """``weights @ h + bias`` for a vector or a batch of row vectors.
 
-    Uses a non-optimized einsum so the reduction order over the contracted
-    axis is the same whether ``h`` is a single vector or a batch; a
-    zero-noise batched evaluation therefore reproduces the single-vector
-    forward pass bit-exactly, row for row.
+    The product runs as fixed 8-row gemm tiles (:func:`_tiled`), so a row's
+    bits do not depend on the batch it sits in: a zero-noise batched
+    evaluation reproduces the single-vector forward pass bit-exactly, row
+    for row.
     """
-    return np.einsum("ij,...j->...i", weights, h, optimize=False) + bias
+    out = _tiled(h, weights)
+    out += bias
+    return out
 
 
 def _array(value, what: str, ndim: int | tuple[int, ...]) -> np.ndarray:

@@ -18,10 +18,16 @@ matrix.  Distinct paths give statistically independent streams and the
 same ``(seed, path)`` reproduces the same samples bit-exactly.
 
 All samplers run one layer kernel, :func:`_sample`, batched over inputs,
-trials and the copies of a layer.  A single noisy evaluation is a batch
-of one, ``noisy_forward_samples(net, profile, x, 1, rng)[0]``; a one-row
-block equals the first row of any larger block on the same stream, so
-this is exact for the plain net and for the one-copy designs.  Sweeps
+trials and the copies of a layer.  Every weighted addition, and the
+factor product of a full covariance, runs as fixed 8-row gemm tiles
+(``network._tiled``), so a row's bits do not depend on the batch it sits
+in.  A single noisy evaluation is a batch of one,
+``noisy_forward_samples(net, profile, x, 1, rng)[0]``; a one-row block
+equals the first row of any larger block on the same stream, so this is
+exact for the plain net and for the one-copy designs.  Copies that no
+noise source reaches are identical, and the kernel takes copy 0 of them
+instead of averaging, so a zero profile reproduces the noiseless forward
+pass bit for bit at any copy count.  Sweeps
 over many inputs draw them in groups of about ``_GROUP_ROWS`` rows, one
 sampler call per group (:func:`_input_groups`).
 """
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .network import Network, _array, _check_input, _finite, _frozen, _integer, affine
+from .network import Network, _array, _check_input, _finite, _frozen, _integer, _tiled, affine
 
 __all__ = [
     "CovSpec",
@@ -205,7 +211,7 @@ def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: tuple, div: floa
     elif spec.kind == "diagonal":
         z *= np.sqrt(spec.vec / div)
     else:
-        z = z @ spec._factor.T
+        z = _tiled(z, spec._factor)
         z *= math.sqrt(1.0 / div)
     return z
 
@@ -359,6 +365,9 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     ``combine_split``, combine noise ``Sigma_c / g**2``), fans it out to
     ``fan_out[l-1]`` copies with split noise, then activates and adds
     activation noise per copy.  The copies left at the end are averaged.
+    Copies that no noise source reaches are identical; where the kernel
+    would average those, it takes copy 0, so a zero profile gives
+    :func:`forward` bit for bit.
     """
     profile.validate_for(net)
     trials = _integer(trials, "trials", 1)
@@ -368,6 +377,13 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     sites = _Sites(rng)
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
     dims = net.dims()
+    # quiet[l]: no noise source reaches the outputs of layer l (0: the
+    # modulated input), so their copies are identical and averaging them,
+    # which rounds, is replaced by taking copy 0
+    quiet = [profile.modulation.is_zero]
+    for l in range(net.depth):
+        sources = (profile.weight[l], combine, split, profile.activation[l])
+        quiet.append(quiet[-1] and all(spec.is_zero for spec in sources))
     # bytes one group of layer l holds at its widest level below it
     group_bytes = []
     for l in range(1, net.depth + 1):
@@ -389,7 +405,8 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
         else:
             h = groups(l - 1, count * g // fan_out[l - 2])
             if g > 1:
-                h = h.reshape(count, g, *rows, dims[l - 1]).mean(axis=1)
+                h = h.reshape(count, g, *rows, dims[l - 1])
+                h = h[:, 0] if quiet[l - 1] else h.mean(axis=1)
         layer = net.layers[l - 1]
         h = affine(layer.weights, layer.bias, h)
         h = sites.add(h, profile.weight[l - 1], KIND_WEIGHT, l, g)
@@ -399,7 +416,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
         return sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l)
 
     out = groups(net.depth, 1)
-    out = out[0] if out.shape[0] == 1 else out.mean(axis=0)
+    out = out[0] if out.shape[0] == 1 or quiet[-1] else out.mean(axis=0)
     return out if x.ndim == 2 else out[0]
 
 

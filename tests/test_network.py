@@ -120,6 +120,35 @@ def construction_issues(*args) -> list[str]:
     return str(exc.value).split("; ")
 
 
+class TestAffineRowStability:
+    """A row of ``affine`` has the same bits in any batch, at any offset, as a
+    vector, and under any leading axes."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        # above 256 inputs OpenBLAS splits the contracted axis into blocks
+        d_in=st.one_of(st.integers(1, 70), st.integers(257, 800)),
+        d_out=st.integers(1, 130),
+        batch=st.integers(1, 300),
+        offset=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_do_not_depend_on_the_batch(self, d_in, d_out, batch, offset, seed):
+        rng = np.random.default_rng(seed)
+        W, b = rng.normal(size=(d_out, d_in)), rng.normal(size=d_out)
+        rows = rng.normal(size=(offset + batch, d_in))
+        whole = network.affine(W, b, rows)
+        part = network.affine(W, b, rows[offset:])
+        np.testing.assert_array_equal(part, whole[offset:])
+        for row, out in zip(rows[offset:], part):
+            np.testing.assert_array_equal(network.affine(W, b, row), out)
+        np.testing.assert_array_equal(network.affine(W, b, rows[None, offset:]), part[None])
+        # a broadcast block, as the sampler's first layer passes it
+        block = np.broadcast_to(rows[offset], (3, 2, 5, d_in))
+        np.testing.assert_array_equal(network.affine(W, b, block),
+                                      np.broadcast_to(part[0], (3, 2, 5, d_out)))
+
+
 class TestValidate:
     def test_well_formed_chain(self):
         rng = np.random.default_rng(1)

@@ -155,6 +155,32 @@ class TestSampleNoise:
         np.testing.assert_allclose(np.cov(draws.T), spec.matrix(3), rtol=0.05, atol=0.01)
 
 
+class TestFullCovarianceRowStability:
+    """A one-row block of a full-covariance site is the first row of any larger block."""
+
+    @pytest.mark.parametrize("width", [3, 8, 16, 64])
+    def test_draw_prefix(self, width):
+        spec = random_covspec(np.random.default_rng(width), width, kind="full")
+        stream = RngStream(14, (width,))
+        whole = _draw(spec, width, stream.generator(), (500,), 3.0)
+        for t in (1, 2, 3, 7, 9, 100):
+            np.testing.assert_array_equal(_draw(spec, width, stream.generator(), (t,), 3.0),
+                                          whole[:t])
+
+    @pytest.mark.parametrize("width", [3, 8, 16, 64])
+    def test_sampler_prefix(self, width):
+        rng = np.random.default_rng(width + 1)
+        W = rng.normal(size=(width, width)) / np.sqrt(width)
+        net = Network((Layer(W, rng.normal(size=width), Activation.tanh()),), width)
+        full = [random_covspec(rng, width, kind="full") for _ in range(3)]
+        profile = NoiseProfile(full[0], (full[1],), (full[2],))
+        x = rng.normal(size=width)
+        whole = noisy_forward_samples(net, profile, x, 500, RngStream(15))
+        for t in (1, 2, 3, 7, 9, 100):
+            np.testing.assert_array_equal(noisy_forward_samples(net, profile, x, t, RngStream(15)),
+                                          whole[:t])
+
+
 def identity_net(dim):
     return Network((Layer(np.eye(dim), np.zeros(dim), Activation.identity()),), dim)
 
@@ -306,6 +332,26 @@ class TestSiteStreams:
         for a, b in zip(default, tiny):
             np.testing.assert_array_equal(a, b)
 
+    def test_copies_no_noise_reaches_are_not_averaged(self, monkeypatch):
+        # noise on layer 2 only: layer 2 takes copy 0 of its identical
+        # layer-1 copies in every chunk, also in chunks that run after an
+        # earlier chunk drew, so the bits do not depend on the chunk budget
+        import optonoise.noise as noise
+
+        rng = np.random.default_rng(26)
+        W1, W2, W3 = rng.normal(size=(16, 4)), rng.normal(size=(8, 16)), rng.normal(size=(2, 8))
+        net = Network((Layer(W1, rng.normal(size=16), Activation.tanh()),
+                       Layer(W2 / 4, rng.normal(size=8), Activation.tanh()),
+                       Layer(W3, np.zeros(2), Activation.identity())), 4)
+        iso, zero = CovSpec.isotropic(0.02), CovSpec.zero()
+        profile = NoiseProfile(zero, (zero, iso, zero), (zero, iso, zero))
+        xs = rng.normal(size=(8, 4))
+        tree = DesignASpec(net, (2, 3, 2, 1))
+        default = design_a_samples(tree, xs, profile, 5, RngStream(27))
+        monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
+        np.testing.assert_array_equal(design_a_samples(tree, xs, profile, 5, RngStream(27)),
+                                      default)
+
     @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
     def test_one_generator_per_nonzero_site(self, sampler, monkeypatch):
         rng = np.random.default_rng(22)
@@ -423,16 +469,12 @@ class TestInputMatrix:
         np.testing.assert_array_equal(run(xs[:1], profile, trials, RngStream(seed))[0],
                                       run(xs[0], profile, trials, RngStream(seed)))
         # under a zero profile every (input, trial) row is its vector call's
-        # row and the noiseless output; averaging several identical copies
-        # may round, so that is bit for bit at one copy only
+        # row and the noiseless output bit for bit, at every copy count
         zero = NoiseProfile.zero(net.depth)
         for x, rows in zip(xs, run(xs, zero, trials, RngStream(seed))):
             np.testing.assert_array_equal(rows, run(x, zero, trials, RngStream(seed)))
             for row in rows:
-                if copies == 1 or sampler == "plain":
-                    np.testing.assert_array_equal(row, forward(net, x))
-                else:
-                    np.testing.assert_allclose(row, forward(net, x), rtol=1e-12, atol=1e-15)
+                np.testing.assert_array_equal(row, forward(net, x))
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
