@@ -189,18 +189,24 @@ class Activation:
         return self.kind in ("identity", "diag")
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return y
+        """The activation of ``y`` as a new array; identity returns ``y``."""
+        return y if self.kind == "identity" else self._in_place(np.array(y, dtype=np.float64))
+
+    def _in_place(self, y: np.ndarray) -> np.ndarray:
+        """Activate the float64 array ``y`` in place and return it; the
+        samplers' layer kernel runs it on blocks it owns."""
         if self.kind == "tanh":
-            return np.tanh(y)
-        if self.kind == "relu":
-            return np.maximum(y, 0.0)
-        if self.kind == "softmax":
+            np.tanh(y, out=y)
+        elif self.kind == "relu":
+            np.maximum(y, 0.0, out=y)
+        elif self.kind == "softmax":
             # stabilized along the last axis so batched inputs work too
-            z = y - np.max(y, axis=-1, keepdims=True)
-            e = np.exp(z)
-            return e / np.sum(e, axis=-1, keepdims=True)
-        return self.coeffs * y
+            y -= np.max(y, axis=-1, keepdims=True)
+            np.exp(y, out=y)
+            y /= np.sum(y, axis=-1, keepdims=True)
+        elif self.kind == "diag":
+            y *= self.coeffs
+        return y
 
     def lipschitz_constant(self) -> float:
         """Lipschitz constant w.r.t. the 2-norm.

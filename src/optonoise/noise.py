@@ -30,11 +30,20 @@ instead of averaging, so a zero profile reproduces the noiseless forward
 pass bit for bit at any copy count.  Sweeps
 over many inputs draw them in groups of about ``_GROUP_ROWS`` rows, one
 sampler call per group (:func:`_input_groups`).
+
+Each sampler call starts one worker thread, and joins it before it
+returns or raises.  The worker only fills blocks with standard normals
+(``standard_normal(out=block)``) that the calling thread allocated: a
+layer's split and activation blocks, while the calling thread runs the
+layer's arithmetic and draws its weight and combine noise.  Every site's
+stream is drawn on one thread, in the same order as without the worker,
+so the samples do not depend on it.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +84,10 @@ _PSD_PIVOT_TOL = 1e-10
 #: trees run in chunks of whole subtrees, in index order, so every site
 #: takes its blocks in order and the samples do not depend on this number.
 _CHUNK_BYTES = 16 * 2**20
+
+#: Bytes of the scratch buffer through which the kernel's own thread draws
+#: the noise it adds in place.
+_SCRATCH_BYTES = 2**20
 
 #: Rows, inputs times trials, that a sweep draws in one sampler call.
 _GROUP_ROWS = 2048
@@ -198,14 +211,10 @@ class CovSpec:
         return float(np.max(np.diag(self.mat)))
 
 
-def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: tuple, div: float = 1.0):
-    """A fresh ``(*n, dim)`` block of independent rows from Normal(0, spec / div).
-
-    Zero specs never get here: :meth:`_Sites.add` skips them.  Dimensions
-    are not checked here; every sampler checks the profile against the
-    network on entry (:meth:`NoiseProfile.validate_for`).
-    """
-    z = gen.standard_normal((*n, dim))
+def _scale(z: np.ndarray, spec: CovSpec, div: float = 1.0) -> np.ndarray:
+    """Turn the standard normal rows of ``z`` into Normal(0, spec / div)
+    rows: in place, except that a full covariance's factor product
+    returns a new block."""
     if spec.kind == "isotropic":
         z *= math.sqrt(spec.var / div)
     elif spec.kind == "diagonal":
@@ -214,6 +223,16 @@ def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: tuple, div: floa
         z = _tiled(z, spec._factor)
         z *= math.sqrt(1.0 / div)
     return z
+
+
+def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: tuple, div: float = 1.0):
+    """A fresh ``(*n, dim)`` block of independent rows from Normal(0, spec / div).
+
+    Zero specs never get here: :class:`_Sites` skips them.  Dimensions
+    are not checked here; every sampler checks the profile against the
+    network on entry (:meth:`NoiseProfile.validate_for`).
+    """
+    return _scale(gen.standard_normal((*n, dim)), spec, div)
 
 
 @dataclass(frozen=True)
@@ -247,32 +266,75 @@ class RngStream:
 class _Sites:
     """The draw sites of one sampler call, one stream per ``(kind, layer)``.
 
-    ``add`` builds the generator of ``rng.child(kind, layer)`` the first
-    time the site draws, and each call adds the next block of
-    Normal(0, spec / div) rows to every copy (first axis) of ``h``, so copy
-    ``j`` of a layer takes block ``j``; with ``fan > 1`` each copy first
-    becomes ``fan`` consecutive copies.  A zero spec never builds the
-    stream, so zero-noise sites stay bit-exact and cost nothing.
+    The generator of ``rng.child(kind, layer)`` is built the first time
+    the site draws, and each draw takes the site's next block of
+    Normal(0, spec / div) rows, so copy ``j`` of a layer takes block
+    ``j``.  A zero spec never builds the stream, so zero-noise sites stay
+    bit-exact and cost nothing.  A site draws on one thread only, always
+    in the same order, so where a block is filled does not change its
+    bits.
+
+    - ``add`` returns a new array: ``h`` plus a block for every copy
+      (first axis) of ``h``; with ``fan > 1`` each copy first becomes
+      ``fan`` consecutive copies.  It never writes into ``h``.
+    - ``add_into`` adds the block into ``h`` in place, drawing it slice by
+      slice through one scratch buffer of about ``_SCRATCH_BYTES``; ``h``
+      must be a C-contiguous block that the caller owns.
+    - ``ahead`` allocates a block of the given shape and hands its fill,
+      ``standard_normal(out=block)`` and nothing else, to the call's
+      one-thread ``pool``; the returned function waits for the fill and
+      returns the scaled block.
     """
 
-    __slots__ = ("_rng", "_gens")
+    __slots__ = ("_rng", "_gens", "_pool")
 
-    def __init__(self, rng: RngStream):
+    def __init__(self, rng: RngStream, pool=None):
         self._rng = rng
         self._gens = {}
+        self._pool = pool
 
-    def add(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0, fan: int = 1):
-        if spec.is_zero:
-            return h if fan == 1 else np.repeat(h, fan, axis=0)
+    def _gen(self, kind: int, layer: int) -> np.random.Generator:
         key = (kind, layer)
         gen = self._gens.get(key)
         if gen is None:
             gen = self._gens[key] = self._rng.child(*key).generator()
+        return gen
+
+    def add(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0, fan: int = 1):
+        if spec.is_zero:
+            return h if fan == 1 else np.repeat(h, fan, axis=0)
         shape = h.shape
-        z = _draw(spec, shape[-1], gen, (shape[0] * fan, *shape[1:-1]), div)
+        z = _draw(spec, shape[-1], self._gen(kind, layer), (shape[0] * fan, *shape[1:-1]), div)
         fanned = z.reshape(shape[0], fan, *shape[1:])
         fanned += h[:, None]
         return z
+
+    def add_into(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0) -> None:
+        if spec.is_zero:
+            return
+        gen = self._gen(kind, layer)
+        rows = h.reshape(-1, h.shape[-1])
+        step = max(1, _SCRATCH_BYTES // (8 * rows.shape[1]))
+        # freed on return: a buffer kept across layers would sit between
+        # the large blocks on the heap and fragment it
+        scratch = np.empty(min(step, rows.shape[0]) * rows.shape[1])
+        for s in range(0, rows.shape[0], step):
+            part = rows[s : s + step]
+            z = scratch[: part.size].reshape(part.shape)
+            gen.standard_normal(out=z)
+            part += _scale(z, spec, div)
+
+    def ahead(self, spec: CovSpec, kind: int, layer: int, shape: tuple):
+        if spec.is_zero:
+            return None
+        z = np.empty(shape)
+        filled = self._pool.submit(self._gen(kind, layer).standard_normal, out=z)
+
+        def block() -> np.ndarray:
+            filled.result()
+            return _scale(z, spec)
+
+        return block
 
 
 _ZERO = CovSpec.zero()
@@ -368,13 +430,21 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     Copies that no noise source reaches are identical; where the kernel
     would average those, it takes copy 0, so a zero profile gives
     :func:`forward` bit for bit.
+
+    The call owns a one-thread pool.  After a layer's weighted addition
+    the kernel allocates its split and activation blocks and has the
+    worker fill them, while this thread adds weight and combine noise in
+    place into the affine output.  It then waits for the split block,
+    scales it and adds the output to it, activates that block in place
+    (:meth:`Activation._in_place`), and waits for, scales and adds the
+    activation block.  The pool is shut down, and its thread joined, when
+    the call returns or raises.
     """
     profile.validate_for(net)
     trials = _integer(trials, "trials", 1)
     x = _check_input(net, x, rows=True)
     xs = x if x.ndim == 2 else x[None]
     rows = (xs.shape[0], trials)
-    sites = _Sites(rng)
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
     dims = net.dims()
     # quiet[l]: no noise source reaches the outputs of layer l (0: the
@@ -408,14 +478,31 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
                 h = h.reshape(count, g, *rows, dims[l - 1])
                 h = h[:, 0] if quiet[l - 1] else h.mean(axis=1)
         layer = net.layers[l - 1]
+        f = fan_out[l - 1]
         h = affine(layer.weights, layer.bias, h)
-        h = sites.add(h, profile.weight[l - 1], KIND_WEIGHT, l, g)
-        h = sites.add(h, combine, KIND_COMBINE, l, g * g)
-        h = sites.add(h, split, KIND_SPLIT, l, fan=fan_out[l - 1])
-        h = layer.activation(h)
-        return sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l)
+        # the worker fills these while this thread adds weight and combine noise
+        shape = (count * f, *h.shape[1:])
+        split_block = sites.ahead(split, KIND_SPLIT, l, shape)
+        noise_block = sites.ahead(profile.activation[l - 1], KIND_ACTIVATION, l, shape)
+        sites.add_into(h, profile.weight[l - 1], KIND_WEIGHT, l, g)
+        sites.add_into(h, combine, KIND_COMBINE, l, g * g)
+        if split_block is not None:
+            y = split_block()
+            fanned = y.reshape(count, f, *h.shape[1:])
+            fanned += h[:, None]
+            h = y
+        elif f > 1:
+            h = np.repeat(h, f, axis=0)
+        h = layer.activation._in_place(h)
+        if noise_block is None:
+            return h
+        out = noise_block()
+        out += h
+        return out
 
-    out = groups(net.depth, 1)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        sites = _Sites(rng, pool)
+        out = groups(net.depth, 1)
     out = out[0] if out.shape[0] == 1 or quiet[-1] else out.mean(axis=0)
     return out if x.ndim == 2 else out[0]
 

@@ -149,6 +149,75 @@ class TestAffineRowStability:
                                       np.broadcast_to(part[0], (3, 2, 5, d_out)))
 
 
+def _activation_by_formula(act, y):
+    """Each activation kind written out, the definition in-place runs must match."""
+    if act.kind == "identity":
+        return y
+    if act.kind == "tanh":
+        return np.tanh(y)
+    if act.kind == "relu":
+        return np.maximum(y, 0.0)
+    if act.kind == "softmax":
+        e = np.exp(y - np.max(y, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
+    return act.coeffs * y
+
+
+class TestActivationInPlace:
+    """The samplers activate their own blocks in place; the bits are those
+    of ``Activation(y)`` and of the formula, and ``forward`` keeps them."""
+
+    KINDS = ["identity", "tanh", "relu", "softmax", "diag"]
+
+    @staticmethod
+    def _activation(kind, width, rng):
+        return Activation.diag_linear(rng.normal(size=width)) if kind == "diag" else Activation(kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_in_place_equals_call(self, kind):
+        rng = np.random.default_rng(4)
+        act = self._activation(kind, 5, rng)
+        y = rng.normal(size=(3, 7, 5)) * 4.0
+        # rows far out, where an unstabilized softmax overflows
+        y[0, 0] = [800.0, -800.0, 750.0, 0.0, 1e300]
+        y[1, 2] = [-1e300, -1e300, -1e300, -1e300, -1e300]
+        y[2, 3] = [0.0, -0.0, 1e-310, -1e-310, 0.0]
+        want = act(y.copy())
+        np.testing.assert_array_equal(want, _activation_by_formula(act, y))
+        block = y.copy()
+        got = act._in_place(block)
+        assert got is block
+        np.testing.assert_array_equal(got, want)
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_call_keeps_its_input(self, kind):
+        rng = np.random.default_rng(5)
+        act = self._activation(kind, 4, rng)
+        y = rng.normal(size=(6, 4))
+        before = y.copy()
+        act(y)
+        np.testing.assert_array_equal(y, before)
+        read_only = np.broadcast_to(before[0], (3, 4))
+        np.testing.assert_array_equal(act(read_only), _activation_by_formula(act, read_only))
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_forward_is_the_formula(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        dims = [int(rng.integers(1, 7)) for _ in range(len(kinds) + 1)]
+        net = Network(tuple(
+            Layer(rng.normal(size=(dims[l + 1], dims[l])) * 3.0, rng.normal(size=dims[l + 1]),
+                  self._activation(kind, dims[l + 1], rng))
+            for l, kind in enumerate(kinds)), dims[0])
+        x = rng.normal(size=dims[0]) * 10.0
+        h = x
+        for layer in net.layers:
+            h = _activation_by_formula(layer.activation, network.affine(layer.weights, layer.bias, h))
+        np.testing.assert_array_equal(forward(net, x), h)
+
+
 class TestValidate:
     def test_well_formed_chain(self):
         rng = np.random.default_rng(1)

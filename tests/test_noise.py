@@ -2,6 +2,12 @@
 
 import json
 import math
+import multiprocessing
+import sys
+import threading
+import tracemalloc
+import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ from optonoise import (
     propagate,
     stats_from_samples,
 )
+from optonoise import noise
 from optonoise.noise import (
     KIND_ACTIVATION,
     KIND_COMBINE,
@@ -153,6 +160,28 @@ class TestSampleNoise:
         spec = CovSpec.full(A @ A.T)
         draws = _draw(spec, 3, RngStream(13, (0,)).generator(), (200_000,))
         np.testing.assert_allclose(np.cov(draws.T), spec.matrix(3), rtol=0.05, atol=0.01)
+
+
+class TestSitesAddKeepsItsInput:
+    """``_Sites.add`` returns a new block and never writes into ``h``; the
+    literal reference samplers reuse one ``h`` for every branch."""
+
+    @pytest.mark.parametrize("fan", [1, 3])
+    @pytest.mark.parametrize("kind", ["zero", "isotropic", "diagonal", "full"])
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["owned", "broadcast"])
+    def test_input_unchanged(self, fan, kind, broadcast):
+        rng = np.random.default_rng(3)
+        spec = random_covspec(rng, 4, kind=kind)
+        if broadcast:
+            h = np.broadcast_to(rng.normal(size=4), (2, 5, 4))
+        else:
+            h = rng.normal(size=(2, 5, 4))
+        before = h.copy()
+        out = _Sites(RngStream(8)).add(h, spec, KIND_SPLIT, 1, 2.0, fan)
+        np.testing.assert_array_equal(h, before)
+        assert out.shape == (2 * fan, 5, 4)
+        if not spec.is_zero:
+            assert not np.shares_memory(out, h)
 
 
 class TestFullCovarianceRowStability:
@@ -714,3 +743,194 @@ class TestTrialOrderIndependence:
         np.testing.assert_array_equal(stats.mean, redone.mean)
         np.testing.assert_array_equal(stats.covariance, redone.covariance)
         assert stats.mse_vs_reference == redone.mse_vs_reference
+
+
+class _SyncExecutor:
+    """Stands in for the kernel's worker: runs every fill at once, on the
+    calling thread."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        done = Future()
+        done.set_result(fn(*args, **kwargs))
+        return done
+
+
+def _fork_child(conn, net, profile, x):
+    conn.send_bytes(noisy_forward_samples(net, profile, x, 50, RngStream(9)).tobytes())
+    conn.close()
+
+
+class TestDrawAhead:
+    """The worker thread that fills split and activation blocks changes no
+    sample, and no thread outlives a sampler call."""
+
+    @staticmethod
+    def _profile(rng, net):
+        dims = net.dims()
+
+        def spec(d):
+            return random_covspec(rng, d, kind=str(rng.choice(["full", "diagonal", "isotropic"])))
+
+        return NoiseProfile(spec(dims[0]), tuple(spec(d) for d in dims[1:]),
+                            tuple(spec(d) for d in dims[1:]), spec(dims[1]), spec(dims[1]))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["identity", "tanh", "relu", "softmax", "diag"]),
+            min_size=1,
+            max_size=3,
+        ),
+        width=st.integers(1, 5),
+        n_inputs=st.sampled_from([0, 1, 3]),
+        trials=st.integers(1, 6),
+        copies=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+        m=st.integers(1, 3),
+        tiny_chunks=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_worker_changes_no_bit(self, kinds, width, n_inputs, trials, copies, m,
+                                   tiny_chunks, seed):
+        rng = np.random.default_rng(seed)
+        d0 = int(rng.integers(1, 5))
+        layers = []
+        for l, kind in enumerate(kinds):
+            act = Activation.diag_linear(rng.uniform(0.3, 1.1, size=width)) if kind == "diag" \
+                else Activation(kind)
+            fan = d0 if l == 0 else width
+            layers.append(Layer(rng.normal(size=(width, fan)), rng.normal(size=width), act))
+        net = Network(tuple(layers), d0)
+        # combine and split noise have the width of every layer
+        profile = self._profile(rng, net)
+        x = rng.normal(size=d0) if n_inputs == 0 else rng.normal(size=(n_inputs, d0))
+        tree = DesignASpec(net, (*copies[: net.depth], 1))
+        samplers = (
+            lambda: noisy_forward_samples(net, profile, x, trials, RngStream(seed)),
+            lambda: design_a_samples(tree, x, profile, trials, RngStream(seed)),
+            lambda: design_b_samples(DesignBSpec(net, m), x, profile, trials, RngStream(seed)),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            if tiny_chunks:
+                mp.setattr(noise, "_CHUNK_BYTES", 1)
+            threaded = [run() for run in samplers]
+            mp.setattr(noise, "ThreadPoolExecutor", _SyncExecutor)
+            synchronous = [run() for run in samplers]
+        for got, want in zip(threaded, synchronous):
+            np.testing.assert_array_equal(got, want)
+
+    def _net_and_profile(self, depth=2, width=4):
+        rng = np.random.default_rng(5)
+        net = random_linear_net(rng, depth=depth, max_dim=width)
+        return net, NoiseProfile.isotropic(depth, 0.01, 0.02, 0.03, 0.04, 0.05), rng
+
+    def test_no_thread_outlives_a_call(self):
+        net, profile, rng = self._net_and_profile()
+        x = rng.normal(size=net.input_dim)
+        before = threading.active_count()
+        noisy_forward_samples(net, profile, x, 20, RngStream(1))
+        design_a_samples(DesignASpec(net, (2, 2, 1)), x, profile, 20, RngStream(1))
+        design_b_samples(DesignBSpec(net, 3), x, profile, 20, RngStream(1))
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_raising_call(self, monkeypatch):
+        net, profile, rng = self._net_and_profile()
+        real, calls = noise.affine, []
+
+        def failing_affine(*args):
+            calls.append(args)
+            if len(calls) == 2:  # layer 2, after layer 1 handed its fills out
+                raise RuntimeError("affine failed")
+            return real(*args)
+
+        monkeypatch.setattr(noise, "affine", failing_affine)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="affine failed"):
+            design_b_samples(DesignBSpec(net, 3), rng.normal(size=net.input_dim), profile,
+                             20, RngStream(1))
+        assert len(calls) == 2
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_keep_their_bits(self):
+        # more callers than cores, each call with its own worker, and a short
+        # switch interval so the threads interleave often
+        net, profile, rng = self._net_and_profile()
+        x = rng.normal(size=(3, net.input_dim))
+        spec = DesignBSpec(net, 3)
+        want = [design_b_samples(spec, x, profile, 200, RngStream(k)) for k in range(6)]
+        got = [None] * len(want)
+
+        def call(k):
+            got[k] = design_b_samples(spec, x, profile, 200, RngStream(k))
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(want))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_fork_child_samples_the_parents_bits(self):
+        net, profile, rng = self._net_and_profile()
+        x = rng.normal(size=net.input_dim)
+        want = noisy_forward_samples(net, profile, x, 50, RngStream(9))
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_fork_child, args=(send, net, profile, x))
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork whenever the process has another OS
+            # thread, and a multi-threaded BLAS keeps a pool of its own; the
+            # sampler's worker is gone by now (test_no_thread_outlives_a_call)
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            child.start()
+        send.close()
+        try:
+            assert receive.poll(60), "the forked child sent no samples"
+            got = np.frombuffer(receive.recv_bytes()).reshape(want.shape)
+        finally:
+            child.join(60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        np.testing.assert_array_equal(got, want)
+
+    def test_peak_memory_stays_near_two_blocks(self):
+        # 2e4 trials of a width-64 net, every source on: the affine output
+        # and the activation block are the two live blocks of a layer
+        trials, width, depth = 20_000, 64, 4
+        rng = np.random.default_rng(6)
+        net = Network(tuple(
+            Layer(rng.normal(size=(width, width)) / 8, rng.normal(size=width),
+                  Activation.diag_linear(rng.uniform(0.5, 1.0, size=width)))
+            for _ in range(depth)), width)
+        profile = NoiseProfile(
+            CovSpec.isotropic(0.01),
+            tuple(CovSpec.diagonal(np.full(width, 0.02)) for _ in range(depth)),
+            tuple(CovSpec.isotropic(0.03) for _ in range(depth)),
+        )
+        x = rng.normal(size=width)
+        block = trials * width * 8
+        tracemalloc.start()
+        try:
+            noisy_forward_samples(net, profile, x, trials, RngStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block + 2 * 2**20
