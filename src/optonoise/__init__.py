@@ -36,7 +36,6 @@ from .covariance import (
 )
 from .design_a import (
     CopyBudget,
-    CopyBudgetRequest,
     DesignASpec,
     budget_feasible,
     chi_mean,

@@ -31,10 +31,8 @@ from .covariance import (
     trajectory_to_json,
 )
 from .design_a import (
-    CopyBudgetRequest,
     DesignASpec,
     design_a_samples,
-    equal_split_targets,
     sufficient_copies,
 )
 from .design_b import DesignBSpec, compare_design_b, design_b_samples
@@ -54,7 +52,6 @@ from .network import (
     _finite,
     _integer,
     forward,
-    lipschitz_bounds,
     load_network,
     network_to_json,
     save_network,
@@ -475,30 +472,16 @@ def cmd_limit(ctx, symmetric_path, mode, tol, allow_spectral):
 @click.option("--net", "net_path", required=True, type=str)
 @click.option("--targets", "targets_path", required=True, type=str,
               help="JSON with sigma_sq, deviation_target, failure_target, "
-                   "optional deltas/kappas/hoeffding constants.")
+                   "optional deltas and kappas (both or neither) and hoeffding constants.")
 @click.pass_context
 def cmd_copies(ctx, net_path, targets_path):
     """Sufficient replication-tree copy counts for deviation targets."""
     net = load_network(net_path)
     targets = _object(_load_json(targets_path), "copy targets")
-    depth = net.depth
-    if "deltas" in targets and "kappas" in targets:
-        deltas, kappas = targets["deltas"], targets["kappas"]
-    else:
-        deltas, kappas = equal_split_targets(
-            depth, targets["deviation_target"], targets["failure_target"]
-        )
-    req = CopyBudgetRequest(
-        sigma_sq=targets["sigma_sq"],
-        deltas=deltas,
-        kappas=kappas,
-        lipschitz=lipschitz_bounds(net),
-        deviation_target=targets["deviation_target"],
-        failure_target=targets["failure_target"],
-        hoeffding_C=targets.get("hoeffding_C", 1.0),
-        hoeffding_c=targets.get("hoeffding_c", 0.25),
+    optional = {k: targets[k] for k in ("deltas", "kappas", "hoeffding_C", "hoeffding_c") if k in targets}
+    budget = sufficient_copies(
+        net, targets["sigma_sq"], targets["deviation_target"], targets["failure_target"], **optional
     )
-    budget = sufficient_copies(req, net.dims()[1:])
     payload = {"command": "copies", "net": net_path, "targets": targets}
     _emit(ctx, {"meta": _meta(payload), "budget": budget.to_json()})
 

@@ -37,14 +37,12 @@ import numpy as np
 
 from .errors import FeasibilityError, ValidationError
 # ``affine`` is unused here; bench/test_bench.py reads it on this module
-from .network import LipschitzReport, Network, _array, _finite, _integer, affine, forward  # noqa: F401
+from .network import Network, _array, _finite, _integer, affine, forward, lipschitz_bounds  # noqa: F401
 from .noise import NoiseProfile, RngStream, _input_groups, _sample
 
 __all__ = [
     "DesignASpec",
-    "CopyBudgetRequest",
     "CopyBudget",
-    "FeasibilityReport",
     "DeviationCheckResult",
     "design_a_samples",
     "chi_mean",
@@ -138,43 +136,6 @@ def subgaussian_norm_sq(d: int) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class CopyBudgetRequest:
-    """Inputs of the sufficient-copy computation.
-
-    ``sigma_sq`` is the common upper bound on all (diagonal) noise
-    variances; ``deltas``/``kappas`` split the total deviation target
-    ``deviation_target`` and failure budget ``failure_target`` across
-    layers.  ``hoeffding_C`` and ``hoeffding_c`` are the absolute
-    constants of the concentration inequality; no usable numeric values
-    are published, so the defaults (1, 1/4) are placeholders and are
-    flagged as such in emitted budgets.
-    """
-
-    sigma_sq: float
-    deltas: tuple[float, ...]
-    kappas: tuple[float, ...]
-    lipschitz: LipschitzReport
-    deviation_target: float
-    failure_target: float
-    hoeffding_C: float = 1.0
-    hoeffding_c: float = 0.25
-
-    def __post_init__(self):
-        for name, bound in (("sigma_sq", ">= 0"), ("deviation_target", ""), ("failure_target", ""),
-                            ("hoeffding_C", "> 0"), ("hoeffding_c", "> 0")):
-            object.__setattr__(self, name, _finite(getattr(self, name), name, bound))
-        for name, what, bound in (("deltas", "every delta", "> 0"), ("kappas", "every kappa", "")):
-            values = getattr(self, name)
-            if isinstance(values, str) or not np.iterable(values):
-                raise ValidationError(f"{name} must be a list, got {values!r}")
-            object.__setattr__(self, name, tuple(_finite(v, what, bound) for v in values))
-        if len(self.deltas) != len(self.kappas):
-            raise ValidationError("deltas and kappas must have equal length")
-        if any(not 0.0 < k < 1.0 for k in self.kappas):
-            raise ValidationError("all kappas must lie in (0, 1)")
-
-
-@dataclass(frozen=True, eq=False)
 class CopyBudget:
     """Computed per-layer copy counts and their exact total product.
 
@@ -200,16 +161,10 @@ class CopyBudget:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class FeasibilityReport:
-    feasible: bool
-    messages: tuple[str, ...]
+def budget_feasible(deltas, kappas, deviation_target: float, failure_target: float) -> tuple[str, ...]:
+    """The target-split conditions that fail, checked in exact rational arithmetic.
 
-
-def budget_feasible(deltas, kappas, deviation_target: float, failure_target: float) -> FeasibilityReport:
-    """Check the two target-split conditions in exact rational arithmetic.
-
-    Feasible iff ``sum(deltas) <= deviation_target`` and
+    Feasible (an empty tuple) iff ``sum(deltas) <= deviation_target`` and
     ``prod(1 - kappa) > 1 - failure_target``.  Floats are exact rationals,
     so both comparisons are performed without rounding.
     """
@@ -228,22 +183,25 @@ def budget_feasible(deltas, kappas, deviation_target: float, failure_target: flo
             f"prod(1 - kappa) = {float(prod):.6g} is not above "
             f"1 - failure target = {1.0 - failure_target:.6g}"
         )
-    return FeasibilityReport(feasible=not messages, messages=tuple(messages))
+    return tuple(messages)
+
+
+_FAILURE_MARGIN = 0.95
 
 
 def equal_split_targets(
-    depth: int, deviation_target: float, failure_target: float, margin: float = 0.95
+    depth: int, deviation_target: float, failure_target: float
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Equal per-layer split of the deviation and failure targets.
 
-    The failure budget is shrunk by ``margin`` before being split so the
-    product condition holds strictly.
+    The failure budget is shrunk by ``_FAILURE_MARGIN`` before being split
+    so the product condition holds strictly.
     """
     depth = _integer(depth, "depth", 1)
     deviation_target = _finite(deviation_target, "deviation_target")
     failure_target = _finite(failure_target, "failure_target")
     deltas = tuple(deviation_target / depth for _ in range(depth))
-    kappa = 1.0 - (1.0 - margin * failure_target) ** (1.0 / depth)
+    kappa = 1.0 - (1.0 - _FAILURE_MARGIN * failure_target) ** (1.0 / depth)
     return deltas, tuple(kappa for _ in range(depth))
 
 
@@ -252,46 +210,68 @@ def total_copies(copies) -> int:
     return math.prod(_integer(n, "copy count", 1) for n in copies)
 
 
-def common_variance_bound(profile: NoiseProfile, input_dim: int, layer_dims) -> float:
+def common_variance_bound(profile: NoiseProfile) -> float:
     """Largest diagonal entry over the modulation/weight/activation specs.
 
     The copy-budget bound assumes diagonal covariances with a common
     variance ceiling; full covariances are rejected.
     """
-    specs = [(profile.modulation, input_dim)] + [
-        (s, d) for s, d in zip(profile.weight, layer_dims)
-    ] + [(s, d) for s, d in zip(profile.activation, layer_dims)]
     bound = 0.0
-    for spec, dim in specs:
+    for spec in (profile.modulation, *profile.weight, *profile.activation):
         if spec.kind == "full":
-            raise ValidationError(
-                "the copy budget requires diagonal noise covariances"
-            )
-        bound = max(bound, spec.max_diagonal(dim))
+            raise ValidationError("the copy budget requires diagonal noise covariances")
+        bound = max(bound, spec.max_diagonal())
     return bound
 
 
-def sufficient_copies(req: CopyBudgetRequest, dims) -> CopyBudget:
-    """Per-layer copy counts guaranteeing the deviation/confidence targets.
+def _split(values, name: str, what: str, bound: str = "") -> tuple[float, ...]:
+    """A per-layer target list, each entry checked by :func:`_finite`."""
+    if isinstance(values, str) or not np.iterable(values):
+        raise ValidationError(f"{name} must be a list, got {values!r}")
+    return tuple(_finite(v, what, bound) for v in values)
 
-    ``dims`` are the layer output dimensions ``d_1 .. d_L``.  Counts are
-    computed back to front (``n_L = 1`` first) because each layer's bound
-    shrinks with the number of downstream averaging slots
+
+def sufficient_copies(net: Network, sigma_sq: float, deviation_target: float, failure_target: float,
+                      deltas=None, kappas=None, hoeffding_C: float = 1.0, hoeffding_c: float = 0.25) -> CopyBudget:
+    """Per-layer copy counts putting ``net``'s tree within the deviation/confidence targets.
+
+    ``sigma_sq`` is the common upper bound on all (diagonal) noise
+    variances (:func:`common_variance_bound`); the Lipschitz constants,
+    operator norms and widths come from ``net``.  ``deltas``/``kappas``
+    split the two targets across layers: both or neither, and neither
+    means :func:`equal_split_targets`.  ``hoeffding_C`` and
+    ``hoeffding_c`` are the absolute constants of the concentration
+    inequality; no usable numeric values are published, so the defaults
+    (1, 1/4) are placeholders and are flagged as such in emitted budgets.
+
+    Counts are computed back to front (``n_L = 1`` first) because each
+    layer's bound shrinks with the number of downstream averaging slots
     ``M_l = prod_{k=l..L} n_k``; each real-valued bound is then ceiled.
     Raises :class:`FeasibilityError` when the targets are not feasible.
     """
-    dims = [_integer(d, "every dimension", 1) for d in dims]
-    L = len(dims)
-    if L != len(req.deltas):
+    if (deltas is None) != (kappas is None):
+        raise ValidationError("deltas and kappas must be given together or not at all")
+    L = net.depth
+    if deltas is None:
+        deltas, kappas = equal_split_targets(L, deviation_target, failure_target)
+    sigma_sq = _finite(sigma_sq, "sigma_sq", ">= 0")
+    deviation_target = _finite(deviation_target, "deviation_target")
+    failure_target = _finite(failure_target, "failure_target")
+    hoeffding_C = _finite(hoeffding_C, "hoeffding_C", "> 0")
+    hoeffding_c = _finite(hoeffding_c, "hoeffding_c", "> 0")
+    deltas = _split(deltas, "deltas", "every delta", "> 0")
+    kappas = _split(kappas, "kappas", "every kappa")
+    if any(not 0.0 < k < 1.0 for k in kappas):
+        raise ValidationError("all kappas must lie in (0, 1)")
+    if len(deltas) != L or len(kappas) != L:
         raise ValidationError("deltas/kappas must have one entry per layer")
-    a = np.asarray(req.lipschitz.per_layer, dtype=np.float64)
-    w_ops = np.asarray(req.lipschitz.operator_norms, dtype=np.float64)
-    if a.shape[0] != L or w_ops.shape[0] != L:
-        raise ValidationError("Lipschitz report must have one entry per layer")
-    report = budget_feasible(req.deltas, req.kappas, req.deviation_target, req.failure_target)
-    if not report.feasible:
-        raise FeasibilityError("; ".join(report.messages))
+    broken = budget_feasible(deltas, kappas, deviation_target, failure_target)
+    if broken:
+        raise FeasibilityError("; ".join(broken))
 
+    lipschitz = lipschitz_bounds(net)
+    a, w_ops = lipschitz.per_layer, lipschitz.operator_norms
+    dims = net.dims()[1:]
     copies = [0] * (L + 1)
     bounds = [0.0] * (L + 1)
     copies[L] = 1
@@ -301,24 +281,22 @@ def sufficient_copies(req: CopyBudgetRequest, dims) -> CopyBudget:
         amp = math.prod(a[i] for i in range(l - 1, L)) * math.prod(
             w_ops[i] for i in range(l, L)
         )
-        delta = req.deltas[l - 1]
-        kappa = req.kappas[l - 1]
         d_l = dims[l - 1]
         tail = math.sqrt(
-            req.hoeffding_C**2
+            hoeffding_C**2
             * subgaussian_norm_sq(d_l)
-            * (-math.log(kappa / 2.0))
-            / (req.hoeffding_c * downstream)
+            * (-math.log(kappas[l - 1] / 2.0))
+            / (hoeffding_c * downstream)
         )
-        bound = (req.sigma_sq * amp**2 / delta**2) * (tail + chi_mean(d_l)) ** 2
+        bound = (sigma_sq * amp**2 / deltas[l - 1] ** 2) * (tail + chi_mean(d_l)) ** 2
         bounds[l - 1] = bound
         copies[l - 1] = max(1, math.ceil(bound))
     return CopyBudget(
         copies=tuple(copies),
         total=total_copies(copies),
         bounds=tuple(bounds),
-        hoeffding_C=req.hoeffding_C,
-        hoeffding_c=req.hoeffding_c,
+        hoeffding_C=hoeffding_C,
+        hoeffding_c=hoeffding_c,
     )
 
 

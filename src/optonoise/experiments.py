@@ -406,15 +406,18 @@ def run_depth_sweep(
     return rows
 
 
-def scan_m_grid(d: int, norm_grid_W, norm_grid_D, L: int = 60, growth_tol: float = 1e-6) -> list[dict]:
+_SCAN_GROWTH_TOL = 1e-6
+
+
+def scan_m_grid(d: int, norm_grid_W, norm_grid_D, L: int = 60) -> list[dict]:
     """Minimal stabilizing copy count over a grid of Frobenius norms.
 
     Each cell uses width-d scaled identities: ``W = (w/sqrt(d)) I`` and
     coefficients ``(x/sqrt(d))`` so the Frobenius norms match the grid
     values exactly.  The trajectory is driven by unit modulation
     covariance alone, which makes the depth-L norm ratio exactly the
-    per-layer growth factor; the tight default tolerance then separates
-    growing from non-growing cells cleanly.
+    per-layer growth factor; the tight tolerance ``_SCAN_GROWTH_TOL`` then
+    separates growing from non-growing cells cleanly.
     """
     d, L = _integer(d, "width d", 1), _integer(L, "depth L")
     norms_w = [_finite(w, "every W norm", "> 0") for w in norm_grid_W]
@@ -434,7 +437,7 @@ def scan_m_grid(d: int, norm_grid_W, norm_grid_D, L: int = 60, growth_tol: float
                 {
                     "norm_W": norm_w,
                     "norm_D": norm_d,
-                    "min_m": min_stable_m(cfg, L, growth_tol=growth_tol),
+                    "min_m": min_stable_m(cfg, L, growth_tol=_SCAN_GROWTH_TOL),
                 }
             )
     return rows

@@ -200,7 +200,7 @@ class CovSpec:
             return np.diag(self.vec)
         return self.mat.copy()
 
-    def max_diagonal(self, dim: int) -> float:
+    def max_diagonal(self) -> float:
         """Largest diagonal entry; used for the common variance bound."""
         if self.kind == "zero":
             return 0.0
@@ -275,8 +275,7 @@ class _Sites:
     bits.
 
     - ``add`` returns a new array: ``h`` plus a block for every copy
-      (first axis) of ``h``; with ``fan > 1`` each copy first becomes
-      ``fan`` consecutive copies.  It never writes into ``h``.
+      (first axis) of ``h``.  It never writes into ``h``.
     - ``add_into`` adds the block into ``h`` in place, drawing it slice by
       slice through one scratch buffer of about ``_SCRATCH_BYTES``; ``h``
       must be a C-contiguous block that the caller owns.
@@ -300,13 +299,11 @@ class _Sites:
             gen = self._gens[key] = self._rng.child(*key).generator()
         return gen
 
-    def add(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0, fan: int = 1):
+    def add(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0):
         if spec.is_zero:
-            return h if fan == 1 else np.repeat(h, fan, axis=0)
-        shape = h.shape
-        z = _draw(spec, shape[-1], self._gen(kind, layer), (shape[0] * fan, *shape[1:-1]), div)
-        fanned = z.reshape(shape[0], fan, *shape[1:])
-        fanned += h[:, None]
+            return h
+        z = _draw(spec, h.shape[-1], self._gen(kind, layer), h.shape[:-1], div)
+        z += h
         return z
 
     def add_into(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0) -> None:

@@ -29,7 +29,6 @@ import pytest
 
 from optonoise import (
     Activation,
-    CopyBudgetRequest,
     CovSpec,
     DesignASpec,
     DesignBSpec,
@@ -44,7 +43,6 @@ from optonoise import (
     forward,
     insert_identity_layers,
     insertion_tuple,
-    lipschitz_bounds,
     limit_series,
     limit_series_b,
     fixed_point_solve,
@@ -61,7 +59,7 @@ from optonoise import (
     symmetric_closed_form_b,
 )
 from optonoise.covariance import SymmetricConfig
-from optonoise.design_a import common_variance_bound, equal_split_targets
+from optonoise.design_a import common_variance_bound
 from optonoise.design_b import terminal_average_correction
 from optonoise.experiments import ExperimentConfig, run_depth_sweep, run_mse_experiment
 from optonoise.noise import _Sites
@@ -264,18 +262,7 @@ def test_criterion_06_copy_budget_guarantee():
     sigma_sq = 0.05**2
     profile = NoiseProfile.isotropic(2, weight_var=sigma_sq)
     deviation_target, failure_target = 0.5, 0.05
-    deltas, kappas = equal_split_targets(2, deviation_target, failure_target)
-    req = CopyBudgetRequest(
-        sigma_sq=common_variance_bound(profile, net.input_dim, net.dims()[1:]),
-        deltas=deltas,
-        kappas=kappas,
-        lipschitz=lipschitz_bounds(net),
-        deviation_target=deviation_target,
-        failure_target=failure_target,
-        hoeffding_C=1.0,
-        hoeffding_c=0.25,
-    )
-    budget = sufficient_copies(req, net.dims()[1:])
+    budget = sufficient_copies(net, common_variance_bound(profile), deviation_target, failure_target)
     if budget.total > 100_000:
         report(6, "copy budget guarantee", True,
                f"SKIPPED: computed budget {budget.total} exceeds the 1e5 cap")

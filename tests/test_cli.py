@@ -570,6 +570,12 @@ class TestExitCodes:
         (["copies", "--net", "{net}", "--targets", "{file}"],
          {"sigma_sq": 0.0025, "deviation_target": 0.5, "failure_target": 0.05,
           "deltas": 5, "kappas": 0.1}, "deltas must be a list, got 5"),
+        (["copies", "--net", "{net}", "--targets", "{file}"],
+         {"sigma_sq": 0.0025, "deviation_target": 0.5, "failure_target": 0.05, "deltas": [0.25, 0.25]},
+         "deltas and kappas must be given together or not at all"),
+        (["copies", "--net", "{net}", "--targets", "{file}"],
+         {"sigma_sq": 0.0025, "deviation_target": 0.5, "failure_target": 0.05, "kappas": [0.01, 0.01]},
+         "deltas and kappas must be given together or not at all"),
         (["limit", "--mode", "series", "--symmetric", "{file}"], [1, 2],
          "symmetric config must be a JSON object, got list"),
         (["limit", "--mode", "series", "--symmetric", "{file}"],
@@ -590,7 +596,7 @@ class TestExitCodes:
         (["simulate", "--net", "{net}", "--profile", "{file}", "--input", "{input}"],
          {"modulation": {"full": "abc"}, "weight": ["zero"] * 2, "activation": ["zero"] * 2},
          "full covariance must be numbers"),
-    ], ids=["targets-list", "deltas-number", "symmetric-list", "symmetric-e-text", "symmetric-e-matrix",
+    ], ids=["targets-list", "deltas-number", "deltas-only", "kappas-only", "symmetric-list", "symmetric-e-text", "symmetric-e-matrix",
             "config-list",
             "profile-weight-text", "profile-isotropic-text", "profile-diagonal-text",
             "profile-full-text"])

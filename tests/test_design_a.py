@@ -7,7 +7,6 @@ import pytest
 
 from optonoise import (
     Activation,
-    CopyBudgetRequest,
     CovSpec,
     DesignASpec,
     FeasibilityError,
@@ -31,7 +30,6 @@ from optonoise import (
 )
 from optonoise.covariance import _run
 from optonoise.design_a import common_variance_bound, equal_split_targets, wilson_interval
-from optonoise.fixtures import fixture_network
 from optonoise.noise import _GROUP_ROWS, _input_groups
 
 from conftest import (
@@ -234,22 +232,19 @@ class TestSubgaussianNormSq:
 
 class TestBudgetFeasible:
     def test_feasible_case(self):
-        report = budget_feasible([0.5, 0.5], [0.01, 0.01], 1.0, 0.05)
-        assert report.feasible  # 0.99^2 = 0.9801 > 0.95
+        assert budget_feasible([0.5, 0.5], [0.01, 0.01], 1.0, 0.05) == ()  # 0.99^2 = 0.9801 > 0.95
 
     def test_delta_sum_violation(self):
-        report = budget_feasible([0.6, 0.6], [0.01, 0.01], 1.0, 0.05)
-        assert not report.feasible
-        assert any("delta" in m for m in report.messages)
+        broken = budget_feasible([0.6, 0.6], [0.01, 0.01], 1.0, 0.05)
+        assert broken
+        assert any("delta" in m for m in broken)
 
     def test_kappa_product_violation(self):
-        report = budget_feasible([0.1, 0.1], [0.5, 0.5], 1.0, 0.5)
-        assert not report.feasible  # 0.25 <= 0.5
+        assert budget_feasible([0.1, 0.1], [0.5, 0.5], 1.0, 0.5)  # 0.25 <= 0.5
 
     def test_boundary_is_infeasible(self):
         # prod(1 - kappa) must be strictly above 1 - failure target
-        report = budget_feasible([0.5], [0.05], 1.0, 0.05)
-        assert not report.feasible
+        assert budget_feasible([0.5], [0.05], 1.0, 0.05)
 
 
 class TestTotalCopies:
@@ -270,24 +265,14 @@ class TestTotalCopies:
             total_copies([2.5, 2, 1])
 
 
-def request_for(net, sigma_sq, deltas, kappas, dev, fail, C=1.0, c=1.0):
-    return CopyBudgetRequest(
-        sigma_sq=sigma_sq,
-        deltas=deltas,
-        kappas=kappas,
-        lipschitz=lipschitz_bounds(net),
-        deviation_target=dev,
-        failure_target=fail,
-        hoeffding_C=C,
-        hoeffding_c=c,
-    )
+def budget_for(net, sigma_sq, deltas, kappas, dev, fail, C=1.0, c=1.0):
+    return sufficient_copies(net, sigma_sq, dev, fail, deltas, kappas, C, c)
 
 
 class TestSufficientCopies:
     def test_zero_noise_needs_single_copies(self):
         net = identity_net(2)
-        req = request_for(net, 0.0, (1.0,), (0.05,), 1.0, 0.1)
-        budget = sufficient_copies(req, [2])
+        budget = budget_for(net, 0.0, (1.0,), (0.05,), 1.0, 0.1)
         assert budget.copies == (1, 1)
         assert budget.total == 1
 
@@ -297,8 +282,7 @@ class TestSufficientCopies:
 
         mpmath.mp.dps = 50
         net = identity_net(1)
-        req = request_for(net, 1.0, (1.0,), (0.05,), 1.0, 0.1, C=1.0, c=1.0)
-        budget = sufficient_copies(req, [1])
+        budget = budget_for(net, 1.0, (1.0,), (0.05,), 1.0, 0.1, C=1.0, c=1.0)
 
         g = 4 * mpmath.mpf(4) ** mpmath.mpf("1") / (2 * mpmath.mpf(4) ** mpmath.mpf("1") - 2)
         mu = mpmath.sqrt(2) * mpmath.gamma(1) / mpmath.gamma(mpmath.mpf("0.5"))
@@ -310,24 +294,19 @@ class TestSufficientCopies:
         net = identity_net(2)
         previous = 0
         for sigma_sq in (0.001, 0.01, 0.1, 1.0, 4.0):
-            req = request_for(net, sigma_sq, (0.5,), (0.05,), 1.0, 0.1)
-            n0 = sufficient_copies(req, [2]).copies[0]
+            n0 = budget_for(net, sigma_sq, (0.5,), (0.05,), 1.0, 0.1).copies[0]
             assert n0 >= previous
             previous = n0
 
     def test_antitone_in_delta_and_kappa(self):
         net = identity_net(2)
         for deltas in [(0.2,), (0.4,), (0.8,)]:
-            n_small = sufficient_copies(request_for(net, 1.0, deltas, (0.05,), 1.0, 0.1), [2]).copies[0]
-            n_large = sufficient_copies(
-                request_for(net, 1.0, (deltas[0] * 1.2,), (0.05,), 1.5, 0.1), [2]
-            ).copies[0]
+            n_small = budget_for(net, 1.0, deltas, (0.05,), 1.0, 0.1).copies[0]
+            n_large = budget_for(net, 1.0, (deltas[0] * 1.2,), (0.05,), 1.5, 0.1).copies[0]
             assert n_large <= n_small
         for kappas in [(0.01,), (0.05,), (0.2,)]:
-            n_small = sufficient_copies(request_for(net, 1.0, (0.5,), kappas, 1.0, 0.5), [2]).copies[0]
-            n_large = sufficient_copies(
-                request_for(net, 1.0, (0.5,), (min(0.9, kappas[0] * 2),), 1.0, 0.95), [2]
-            ).copies[0]
+            n_small = budget_for(net, 1.0, (0.5,), kappas, 1.0, 0.5).copies[0]
+            n_large = budget_for(net, 1.0, (0.5,), (min(0.9, kappas[0] * 2),), 1.0, 0.95).copies[0]
             assert n_large <= n_small
 
     def test_downstream_credit(self):
@@ -341,42 +320,32 @@ class TestSufficientCopies:
             2,
         )
         deltas, kappas = equal_split_targets(2, 1.0, 0.1)
-        req = request_for(net, 0.25, deltas, kappas, 1.0, 0.1)
-        budget = sufficient_copies(req, [2, 2])
+        budget = budget_for(net, 0.25, deltas, kappas, 1.0, 0.1)
         assert budget.copies[-1] == 1
         # recompute the first-layer bound with M_1 forced to 1: it must not shrink
-        amp = req.lipschitz.per_layer[0] * req.lipschitz.per_layer[1] * req.lipschitz.operator_norms[1]
+        rep = lipschitz_bounds(net)
+        amp = rep.per_layer[0] * rep.per_layer[1] * rep.operator_norms[1]
         tail_m1 = math.sqrt(subgaussian_norm_sq(2) * -math.log(kappas[0] / 2))
         loose = (0.25 * amp**2 / deltas[0] ** 2) * (tail_m1 + chi_mean(2)) ** 2
         assert budget.bounds[0] <= loose + 1e-12
 
-    def test_fractional_dimensions_refused(self):
-        net = fixture_network()
-        deltas, kappas = equal_split_targets(2, 0.5, 0.05)
-        req = request_for(net, 0.0025, deltas, kappas, 0.5, 0.05)
-        assert sufficient_copies(req, [16.0, 4]).copies == sufficient_copies(req, [16, 4]).copies
-        with pytest.raises(ValidationError, match="every dimension must be an integer, got 16.9"):
-            sufficient_copies(req, [16.9, 4.7])
-
     def test_infeasible_targets_rejected(self):
         net = identity_net(2)
         with pytest.raises(FeasibilityError):
-            sufficient_copies(request_for(net, 1.0, (2.0,), (0.05,), 1.0, 0.1), [2])
+            budget_for(net, 1.0, (2.0,), (0.05,), 1.0, 0.1)
 
 
 class TestCopyBudgetInputs:
     """Budget numbers are converted and checked where they enter."""
 
-    def base(self, net):
-        return dict(sigma_sq=0.25, deltas=(0.5,), kappas=(0.05,), lipschitz=lipschitz_bounds(net),
-                    deviation_target=1.0, failure_target=0.1)
+    BASE = dict(sigma_sq=0.25, deltas=(0.5,), kappas=(0.05,), deviation_target=1.0, failure_target=0.1)
 
     def test_numbers_convert(self):
         net = identity_net(2)
-        text = request_for(net, "0.25", ["0.5"], ("0.05",), 1, "0.1", C=1, c="1")
-        plain = request_for(net, 0.25, (0.5,), (0.05,), 1.0, 0.1, C=1.0, c=1.0)
+        text = budget_for(net, "0.25", ["0.5"], ("0.05",), 1, "0.1", C=1, c="1")
+        plain = budget_for(net, 0.25, (0.5,), (0.05,), 1.0, 0.1, C=1.0, c=1.0)
         assert text.hoeffding_C == 1.0 and isinstance(text.hoeffding_C, float)
-        assert sufficient_copies(text, [2]).bounds == sufficient_copies(plain, [2]).bounds
+        assert text.bounds == plain.bounds
 
     @pytest.mark.parametrize("field, value", [
         ("sigma_sq", "abc"), ("sigma_sq", math.nan), ("deltas", (math.nan,)), ("deltas", ("x",)),
@@ -384,16 +353,28 @@ class TestCopyBudgetInputs:
         ("hoeffding_C", math.inf), ("hoeffding_c", math.nan), ("hoeffding_C", True),
     ])
     def test_non_finite_refused(self, field, value):
-        kwargs = {**self.base(identity_net(2)), field: value}
         with pytest.raises(ValidationError, match="must be finite"):
-            CopyBudgetRequest(**kwargs)
+            sufficient_copies(identity_net(2), **{**self.BASE, field: value})
 
     @pytest.mark.parametrize("field", ["deltas", "kappas"])
     @pytest.mark.parametrize("value", [5, "abc"], ids=["number", "text"])
     def test_scalar_split_refused(self, field, value):
-        kwargs = {**self.base(identity_net(2)), field: value}
         with pytest.raises(ValidationError, match=f"{field} must be a list"):
-            CopyBudgetRequest(**kwargs)
+            sufficient_copies(identity_net(2), **{**self.BASE, field: value})
+
+    @pytest.mark.parametrize("field", ["deltas", "kappas"])
+    def test_lone_split_refused(self, field):
+        kwargs = {**self.BASE}
+        del kwargs[field]
+        with pytest.raises(ValidationError, match="deltas and kappas must be given together"):
+            sufficient_copies(identity_net(2), **kwargs)
+
+    @pytest.mark.parametrize("deltas, kappas", [
+        ((0.25, 0.25), (0.02, 0.02)), ((0.5,), (0.02, 0.02)), ((0.25, 0.25), (0.05,)),
+    ], ids=["both-long", "kappas-long", "deltas-long"])
+    def test_split_length_must_match_depth(self, deltas, kappas):
+        with pytest.raises(ValidationError, match="deltas/kappas must have one entry per layer"):
+            sufficient_copies(identity_net(2), **{**self.BASE, "deltas": deltas, "kappas": kappas})
 
     @pytest.mark.parametrize("depth, message", [
         (2.5, "depth must be an integer, got 2.5"), (0, "depth must be >= 1, got 0"),
@@ -417,14 +398,23 @@ class TestCommonVarianceBound:
             (CovSpec.diagonal([0.3, 0.05]),),
             (CovSpec.isotropic(0.2),),
         )
-        assert common_variance_bound(profile, 2, [2]) == pytest.approx(0.3)
+        assert common_variance_bound(profile) == pytest.approx(0.3)
+
+    def test_last_activation_counts(self):
+        # the largest variance sits only in the last layer's activation spec
+        profile = NoiseProfile(
+            CovSpec.isotropic(0.01),
+            (CovSpec.isotropic(0.02), CovSpec.zero()),
+            (CovSpec.zero(), CovSpec.diagonal([0.1, 0.7])),
+        )
+        assert common_variance_bound(profile) == 0.7
 
     def test_full_rejected(self):
         profile = NoiseProfile(
             CovSpec.full([[0.1, 0.0], [0.0, 0.1]]), (CovSpec.zero(),), (CovSpec.zero(),)
         )
         with pytest.raises(ValidationError):
-            common_variance_bound(profile, 2, [2])
+            common_variance_bound(profile)
 
 
 class TestDeviationCheck:
@@ -564,13 +554,11 @@ class TestMultiLayerBudgetOracle:
                 depth, float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.02, 0.2))
             )
             C, c = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 1.0))
-            req = CopyBudgetRequest(
-                sigma_sq=sigma_sq, deltas=deltas, kappas=kappas, lipschitz=rep,
-                deviation_target=sum(deltas) + 1e-9,
-                failure_target=1 - float(np.prod([1 - k for k in kappas])) + 1e-9,
-                hoeffding_C=C, hoeffding_c=c,
-            )
-            got = sufficient_copies(req, net.dims()[1:]).copies
+            got = sufficient_copies(
+                net, sigma_sq, sum(deltas) + 1e-9,
+                1 - float(np.prod([1 - k for k in kappas])) + 1e-9,
+                deltas, kappas, C, c,
+            ).copies
             want = oracle(sigma_sq, deltas, kappas, rep.per_layer,
                           rep.operator_norms, net.dims()[1:], C, c)
             assert got == want

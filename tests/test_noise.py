@@ -166,20 +166,20 @@ class TestSitesAddKeepsItsInput:
     """``_Sites.add`` returns a new block and never writes into ``h``; the
     literal reference samplers reuse one ``h`` for every branch."""
 
-    @pytest.mark.parametrize("fan", [1, 3])
+    @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("kind", ["zero", "isotropic", "diagonal", "full"])
     @pytest.mark.parametrize("broadcast", [False, True], ids=["owned", "broadcast"])
-    def test_input_unchanged(self, fan, kind, broadcast):
+    def test_input_unchanged(self, copies, kind, broadcast):
         rng = np.random.default_rng(3)
         spec = random_covspec(rng, 4, kind=kind)
         if broadcast:
-            h = np.broadcast_to(rng.normal(size=4), (2, 5, 4))
+            h = np.broadcast_to(rng.normal(size=4), (copies, 5, 4))
         else:
-            h = rng.normal(size=(2, 5, 4))
+            h = rng.normal(size=(copies, 5, 4))
         before = h.copy()
-        out = _Sites(RngStream(8)).add(h, spec, KIND_SPLIT, 1, 2.0, fan)
+        out = _Sites(RngStream(8)).add(h, spec, KIND_SPLIT, 1, 2.0)
         np.testing.assert_array_equal(h, before)
-        assert out.shape == (2 * fan, 5, 4)
+        assert out.shape == (copies, 5, 4)
         if not spec.is_zero:
             assert not np.shares_memory(out, h)
 
