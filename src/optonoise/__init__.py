@@ -29,7 +29,6 @@ from .covariance import (
     propagate,
     propagate_b,
     propagate_b_branchwise,
-    step_map,
     step_map_b,
     symmetric_closed_form,
     symmetric_closed_form_b,
@@ -51,7 +50,6 @@ from .design_b import (
     DesignBSpec,
     compare_design_b,
     design_b_samples,
-    suggested_m,
 )
 from .errors import (
     ContractionError,

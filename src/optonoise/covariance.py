@@ -74,7 +74,6 @@ __all__ = [
     "SymmetricConfig",
     "SeriesResult",
     "FixedPointResult",
-    "step_map",
     "step_map_b",
     "propagate",
     "propagate_b",
@@ -171,11 +170,6 @@ def _step(e, W, shared, per, sigma_w, sigma_a, sigma_sum, sigma_spl, m):
     return shared_out, per_out
 
 
-def step_map(D, W, sigma_prev, sigma_w, sigma_a) -> np.ndarray:
-    """One plain-layer covariance update: :func:`step_map_b` at ``m = 1``."""
-    return step_map_b(D, W, sigma_prev, sigma_w, sigma_a, 0.0, 0.0, 1)
-
-
 def step_map_b(D, W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m: int) -> np.ndarray:
     """One combine/split covariance update with ``m`` copies per layer.
 
@@ -184,7 +178,8 @@ def step_map_b(D, W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m: int)
     that net and its ``NoiseProfile``: ``D`` is a coefficient vector, and every
     covariance is square (``sigma_prev`` of width ``d_in``, the others ``d_out``),
     symmetric to 1e-12 and PSD to -1e-10.  An exact scalar 0 for ``sigma_sum`` or
-    ``sigma_spl`` stands for no combine/split noise, as ``step_map`` passes it.
+    ``sigma_spl`` stands for no combine/split noise; with both and ``m = 1`` this is
+    the plain-layer update.
     """
     e, W = _array(D, "activation coefficients", 1), _array(W, "W", 2)
     specs = []

@@ -90,24 +90,28 @@ def design_a_samples(
     batched draws; with a matrix, a level's block ``j`` is ``N * trials``
     rows, input major.
 
-    Activation noise is added per produced copy, right after the
-    activation: this is exactly the evaluation of an appended identity
-    layer (unit weights, zero bias) whose weighted addition carries that
-    noise and keeps one copy.  To average activation noise as well, insert
-    explicit identity layers (``experiments.insert_identity_layers``) and
-    move the activation covariance into their weight slot.
+    Activation noise follows the activation of every copy, and the parent
+    node averages it with its copy: for the ``n_l`` children of a level
+    ``l + 1`` node the simulator draws one activation block at
+    ``Sigma_a / n_l``, which has the law of one block per child.  The
+    output (``n_L = 1``) keeps its activation noise whole; to average it as
+    well, insert explicit identity layers
+    (``experiments.insert_identity_layers``) and move the activation
+    covariance into their weight slot.
 
     A tree costs ``sum_l prod_{k>=l} n_k`` weighted additions, against the
     linear ``m * L`` of the combine/split design.  The simulator draws from
     the same law with ``n_{l-1}`` times fewer: node ``j`` of level ``l`` is
     one weighted addition of its children's average, with weight noise
     ``Sigma_w / n_{l-1}`` (modulation ``Sigma_m / n_0`` at level 1), and
-    takes block ``j`` of the level's sites.  Levels over the kernel's byte
-    budget run in chunks of whole subtrees, which changes no sample.  With
-    all copy counts 1 the draws equal ``noisy_forward_samples``.  With a
-    zero profile every row equals the noiseless forward pass bit-exactly at
-    any copy counts: copies that no noise reaches are identical, and the
-    kernel takes one of them instead of averaging.
+    takes block ``j`` of the level's weight site; block ``j`` of the level's
+    activation site belongs to node ``j`` of the level above.  Levels over
+    the kernel's byte budget run in chunks of whole subtrees, which changes
+    no sample.  With all copy counts 1 the draws equal
+    ``noisy_forward_samples``.  With a zero profile every row equals the
+    noiseless forward pass bit-exactly at any copy counts: copies that no
+    noise reaches are identical, and the kernel takes one of them instead
+    of averaging.
     """
     ones = (1,) * spec.base.depth
     return _sample(spec.base, profile, x, trials, rng, spec.copies[:-1], ones)

@@ -22,20 +22,17 @@ the discrepancy is visible rather than silently resolved.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import LinearNet, propagate_b, propagate_b_branchwise
-from .errors import ValidationError
 from .network import Network, _integer
 from .noise import NoiseProfile, RngStream, SampleStats, _sample
 
 __all__ = [
     "DesignBSpec",
     "design_b_samples",
-    "suggested_m",
     "compare_design_b",
     "DesignBComparison",
 ]
@@ -66,7 +63,9 @@ def design_b_samples(
     with weight noise ``Sigma_w / m`` and combine noise ``Sigma_c / m**2``
     (modulation ``Sigma_m / m``).  Layer ``l`` draws on the sites
     ``(kind, l)``: one weight and one combine block for the beam, block
-    ``alpha`` of the split and activation sites for branch ``alpha``.  With
+    ``alpha`` of the split site for branch ``alpha``, and one activation
+    block at ``Sigma_a / m`` for the m branches that the next beam (or the
+    output) averages, which has the law of one block per branch.  With
     ``m = 1`` (and zero combine/split covariances) the draws coincide
     site-for-site with ``noise.noisy_forward_samples`` on the same stream.
     With a zero profile every row equals the noiseless forward pass
@@ -75,27 +74,6 @@ def design_b_samples(
     """
     ms = (spec.m,) * spec.base.depth
     return _sample(spec.base, profile, x, trials, rng, ms, ms, combine_split=True)
-
-
-def suggested_m(D_norm: float, W_norm: float, variant: str = "theoretical", d: int = 1) -> int:
-    """Copy-count heuristics keeping a deep symmetric network's covariance bounded.
-
-    ``theoretical``: ``ceil((|D|_F |W|_F)^2)``, from the convergence
-    hypothesis of the covariance series.  ``empirical``: the observed
-    contour ``ceil((|D|_F |W|_F / d)^2)`` for width-d scaled identities,
-    which is what the grid scan reproduces.  Both bound the ``step_m``
-    family, the exact covariance of the tree with m copies per layer and no
-    combine/split noise; they do not stabilize combine/split itself.
-    """
-    if D_norm < 0.0 or W_norm < 0.0:
-        raise ValidationError("norms must be nonnegative")
-    if variant == "theoretical":
-        return max(1, math.ceil((D_norm * W_norm) ** 2))
-    if variant == "empirical":
-        if d < 1:
-            raise ValidationError("dimension must be >= 1 for the empirical variant")
-        return max(1, math.ceil((D_norm * W_norm / d) ** 2))
-    raise ValidationError(f"unknown variant {variant!r}")
 
 
 @dataclass(frozen=True, eq=False)

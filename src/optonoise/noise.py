@@ -12,9 +12,13 @@ Randomness is organized as splittable streams keyed by ``(seed, path)``.
 A sampler call owns one stream per draw site ``(kind, layer)`` under its
 ``rng`` and builds it the first time the site draws; the copies of a
 layer take successive blocks of that one stream, copy ``j`` block ``j``.
-A block holds one row per ``(input, trial)`` pair, input major: ``(trials,
-d)`` for an input vector, ``(N, trials, d)`` for an ``(N, d_0)`` input
-matrix.  Distinct paths give statistically independent streams and the
+Activation noise is the exception: a layer's activated copies are
+averaged in groups right away (the next layer's fan-in, or the final
+average), and the mean of ``g`` Normal(0, Sigma_a) blocks is one
+Normal(0, Sigma_a / g) block, so block ``j`` of an activation site is
+group ``j`` of the next average.  A block holds one row per ``(input,
+trial)`` pair, input major: ``(trials, d)`` for an input vector, ``(N,
+trials, d)`` for an ``(N, d_0)`` input matrix.  Distinct paths give statistically independent streams and the
 same ``(seed, path)`` reproduces the same samples bit-exactly.
 
 All samplers run one layer kernel, :func:`_sample`, batched over inputs,
@@ -74,15 +78,17 @@ KIND_SPLIT = 4
 
 #: Recorded in output metadata so result files name their generator and
 #: stream layout: one block per copy of the kernel, not per physical copy,
-#: and sweeps draw groups of inputs in one call (:func:`_input_groups`).
-GENERATOR_NAME = "sfc64/seedseq-site-grouped"
+#: one activation block per averaged group, and sweeps draw groups of
+#: inputs in one call (:func:`_input_groups`).
+GENERATOR_NAME = "sfc64/seedseq-site-averaged"
 
 _SYM_TOL = 1e-12
 _PSD_PIVOT_TOL = 1e-10
 
 #: Largest working set, in bytes, of one pass of the layer kernel.  Wider
-#: trees run in chunks of whole subtrees, in index order, so every site
-#: takes its blocks in order and the samples do not depend on this number.
+#: trees run in chunks of whole next-layer groups, in index order, so every
+#: site takes its blocks in order and the samples do not depend on this
+#: number.
 _CHUNK_BYTES = 16 * 2**20
 
 #: Bytes of the scratch buffer through which the kernel's own thread draws
@@ -282,7 +288,7 @@ class _Sites:
     - ``ahead`` allocates a block of the given shape and hands its fill,
       ``standard_normal(out=block)`` and nothing else, to the call's
       one-thread ``pool``; the returned function waits for the fill and
-      returns the scaled block.
+      returns the block scaled to Normal(0, spec / div).
     """
 
     __slots__ = ("_rng", "_gens", "_pool")
@@ -321,7 +327,7 @@ class _Sites:
             gen.standard_normal(out=z)
             part += _scale(z, spec, div)
 
-    def ahead(self, spec: CovSpec, kind: int, layer: int, shape: tuple):
+    def ahead(self, spec: CovSpec, kind: int, layer: int, shape: tuple, div: float = 1.0):
         if spec.is_zero:
             return None
         z = np.empty(shape)
@@ -329,7 +335,7 @@ class _Sites:
 
         def block() -> np.ndarray:
             filled.result()
-            return _scale(z, spec)
+            return _scale(z, spec, div)
 
         return block
 
@@ -418,24 +424,27 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
 
     Every block has the row shape ``(N, trials)`` (``N = 1`` for a vector),
     input major, so a copy's block is ``N * trials`` rows of its site
-    stream.  Layer ``l`` averages groups of ``g = fan_in[l-1]`` copies
-    (layer 1: modulated inputs, noise ``Sigma_m / g``), makes one weighted
-    addition per group with weight noise ``Sigma_w / g`` (with
-    ``combine_split``, combine noise ``Sigma_c / g**2``), fans it out to
-    ``fan_out[l-1]`` copies with split noise, then activates and adds
-    activation noise per copy.  The copies left at the end are averaged.
-    Copies that no noise source reaches are identical; where the kernel
-    would average those, it takes copy 0, so a zero profile gives
-    :func:`forward` bit for bit.
+    stream.  With ``fans = (*fan_in, fan_out[-1])``, ``fans[l]`` copies of
+    layer ``l`` are averaged into the input of one group of layer ``l + 1``
+    (layer 0: modulated inputs, noise ``Sigma_m / fans[0]``), and
+    ``fans[L]`` into the output.  Layer ``l`` makes one weighted addition
+    per group with weight noise ``Sigma_w / fans[l-1]`` (with
+    ``combine_split``, combine noise ``Sigma_c / fans[l-1]**2``), fans it
+    out to ``fan_out[l-1]`` copies with split noise and activates them.  It
+    then averages them in groups of ``fans[l]`` and adds one activation
+    block per group, at ``Sigma_a / fans[l]``: the law of activation noise
+    per copy, averaged.  Copies that no noise source reaches before their
+    activation noise are identical; where the kernel would average those,
+    it takes copy 0, so a zero profile gives :func:`forward` bit for bit.
 
     The call owns a one-thread pool.  After a layer's weighted addition
-    the kernel allocates its split and activation blocks and has the
-    worker fill them, while this thread adds weight and combine noise in
-    place into the affine output.  It then waits for the split block,
+    the kernel allocates its split block and its activation blocks and has
+    the worker fill them, while this thread adds weight and combine noise
+    in place into the affine output.  It then waits for the split block,
     scales it and adds the output to it, activates that block in place
-    (:meth:`Activation._in_place`), and waits for, scales and adds the
-    activation block.  The pool is shut down, and its thread joined, when
-    the call returns or raises.
+    (:meth:`Activation._in_place`), averages its groups, and waits for,
+    scales and adds the activation blocks.  The pool is shut down, and its
+    thread joined, when the call returns or raises.
     """
     profile.validate_for(net)
     trials = _integer(trials, "trials", 1)
@@ -444,53 +453,56 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     rows = (xs.shape[0], trials)
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
     dims = net.dims()
-    # quiet[l]: no noise source reaches the outputs of layer l (0: the
-    # modulated input), so their copies are identical and averaging them,
-    # which rounds, is replaced by taking copy 0
-    quiet = [profile.modulation.is_zero]
+    # group sizes of the averages: fans[l] copies of layer l feed one group
+    # of layer l + 1 (l = 0: modulated inputs), fans[L] the output
+    fans = (*fan_in, fan_out[-1])
+    # still[l]: no noise reaches the activated copies of layer l before
+    # their activation noise (0: the modulated inputs), so they are
+    # identical and averaging them, which rounds, is replaced by taking copy 0
+    quiet = profile.modulation.is_zero
+    still = [quiet]
     for l in range(net.depth):
-        sources = (profile.weight[l], combine, split, profile.activation[l])
-        quiet.append(quiet[-1] and all(spec.is_zero for spec in sources))
-    # bytes one group of layer l holds at its widest level below it
-    group_bytes = []
+        quiet = quiet and all(spec.is_zero for spec in (profile.weight[l], combine, split))
+        still.append(quiet)
+        quiet = quiet and profile.activation[l].is_zero
+    # bytes one next-layer group of layer l holds at its widest level below it
+    unit_bytes = [0]
     for l in range(1, net.depth + 1):
-        below = group_bytes[-1] * (fan_in[l - 1] // fan_out[l - 2]) if l > 1 else 0
-        widest = max(dims[l - 1], fan_out[l - 1] * dims[l])
-        group_bytes.append(max(below, 8 * rows[0] * trials * widest))
+        below = fans[l] // fan_out[l - 1]
+        widest = max(below * dims[l - 1], fans[l] * dims[l])
+        unit_bytes.append(max(unit_bytes[-1] * below, 8 * rows[0] * trials * widest))
 
     def groups(l, count):
-        """Outputs ``(count * f, N, trials, d_l)`` of the next ``count`` groups of layer ``l``."""
-        step = max(1, _CHUNK_BYTES // group_bytes[l - 1])
+        """Averaged inputs ``(count, N, trials, d_l)`` of the next ``count``
+        groups of layer ``l + 1``; at ``l = L`` the output."""
+        if l == 0:
+            h = np.broadcast_to(xs[:, None], (count, *rows, dims[0]))
+            return sites.add(h, profile.modulation, KIND_MODULATION, 0, fans[0])
+        step = max(1, _CHUNK_BYTES // unit_bytes[l])
         if count > step:
             return np.concatenate(
                 [groups(l, min(step, count - s)) for s in range(0, count, step)]
             )
-        g = fan_in[l - 1]
-        if l == 1:
-            h = np.broadcast_to(xs[:, None], (count, *rows, dims[0]))
-            h = sites.add(h, profile.modulation, KIND_MODULATION, 0, g)
-        else:
-            h = groups(l - 1, count * g // fan_out[l - 2])
-            if g > 1:
-                h = h.reshape(count, g, *rows, dims[l - 1])
-                h = h[:, 0] if quiet[l - 1] else h.mean(axis=1)
-        layer = net.layers[l - 1]
-        f = fan_out[l - 1]
-        h = affine(layer.weights, layer.bias, h)
+        layer, f, g = net.layers[l - 1], fan_out[l - 1], fans[l]
+        h = affine(layer.weights, layer.bias, groups(l - 1, count * g // f))
         # the worker fills these while this thread adds weight and combine noise
-        shape = (count * f, *h.shape[1:])
-        split_block = sites.ahead(split, KIND_SPLIT, l, shape)
-        noise_block = sites.ahead(profile.activation[l - 1], KIND_ACTIVATION, l, shape)
-        sites.add_into(h, profile.weight[l - 1], KIND_WEIGHT, l, g)
-        sites.add_into(h, combine, KIND_COMBINE, l, g * g)
+        split_block = sites.ahead(split, KIND_SPLIT, l, (count * g, *h.shape[1:]))
+        noise_block = sites.ahead(
+            profile.activation[l - 1], KIND_ACTIVATION, l, (count, *h.shape[1:]), g
+        )
+        sites.add_into(h, profile.weight[l - 1], KIND_WEIGHT, l, fans[l - 1])
+        sites.add_into(h, combine, KIND_COMBINE, l, fans[l - 1] ** 2)
         if split_block is not None:
             y = split_block()
-            fanned = y.reshape(count, f, *h.shape[1:])
+            fanned = y.reshape(-1, f, *h.shape[1:])
             fanned += h[:, None]
             h = y
         elif f > 1:
             h = np.repeat(h, f, axis=0)
         h = layer.activation._in_place(h)
+        if g > 1:
+            h = h.reshape(count, g, *h.shape[1:])
+            h = h[:, 0] if still[l] else h.mean(axis=1)
         if noise_block is None:
             return h
         out = noise_block()
@@ -499,8 +511,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         sites = _Sites(rng, pool)
-        out = groups(net.depth, 1)
-    out = out[0] if out.shape[0] == 1 or quiet[-1] else out.mean(axis=0)
+        out = groups(net.depth, 1)[0]
     return out if x.ndim == 2 else out[0]
 
 

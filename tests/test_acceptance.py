@@ -51,7 +51,6 @@ from optonoise import (
     propagate_b,
     propagate_b_branchwise,
     scan_m_grid,
-    step_map,
     step_map_b,
     stats_from_samples,
     sufficient_copies,
@@ -432,10 +431,11 @@ def test_criterion_10_degeneracy_suite(monkeypatch):
         design_b_samples(DesignBSpec(net, 1), x, zero, 1, RngStream(8))[0], ref
     ))
 
-    # scalar bit-identity of the two step maps at m = 1
+    # scalar bit-identity of the step map at m = 1 with combine/split given
+    # as the exact scalar 0 and as zero matrices
     S = np.array([[0.7]])
     checks.append(np.array_equal(
-        step_map([0.9], [[1.1]], S, [[0.04]], [[0.09]]),
+        step_map_b([0.9], [[1.1]], S, [[0.04]], [[0.09]], 0.0, 0.0, 1),
         step_map_b([0.9], [[1.1]], S, [[0.04]], [[0.09]], [[0.0]], [[0.0]], 1),
     ))
 

@@ -17,13 +17,15 @@ MODULES = sorted(
 # relative-accuracy wrapper is the one division in ``run_accuracy_experiment``;
 # no command reads or writes a design spec file: build ``DesignASpec(net, copies)``
 # or ``DesignBSpec(net, m)``; the typed IDX loaders replace the dispatching one;
-# a trajectory holds its covariances as ``Trajectory.sigmas``
+# a trajectory holds its covariances as ``Trajectory.sigmas``; the plain-layer
+# update is ``step_map_b(..., 0.0, 0.0, 1)``; the copy-count heuristics bounded
+# the tree, not combine/split, and ``scan-m`` gives the contour
 REMOVED = (
     "noisy_forward", "eval_design_a", "eval_design_b", "sample_noise", "monte_carlo",
     "validate", "RelativeAccuracy",
     "design_a_spec_to_json", "design_a_spec_from_json",
     "design_b_spec_to_json", "design_b_spec_from_json",
-    "load_idx", "CovarianceState",
+    "load_idx", "CovarianceState", "step_map", "suggested_m",
 )
 
 

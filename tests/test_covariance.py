@@ -30,7 +30,6 @@ from optonoise import (
     propagate_b,
     propagate_b_branchwise,
     stats_from_samples,
-    step_map,
     step_map_b,
     symmetric_closed_form,
     symmetric_closed_form_b,
@@ -176,22 +175,25 @@ class TestSymmetricConfigChecks:
 
 class TestStepMap:
     def test_identity_fixed_point(self):
-        out = step_map(np.ones(2), np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+        zero = np.zeros((2, 2))
+        out = step_map_b(np.ones(2), np.eye(2), np.eye(2), zero, zero, 0.0, 0.0, 1)
         np.testing.assert_array_equal(out, np.eye(2))
 
     def test_zero_weights_forget_input(self):
         sigma = np.array([[5.0, 1.0], [1.0, 7.0]])
-        out = step_map(np.ones(2), np.zeros((2, 2)), sigma, np.zeros((2, 2)), 0.3 * np.eye(2))
+        zero = np.zeros((2, 2))
+        out = step_map_b(np.ones(2), zero, sigma, zero, 0.3 * np.eye(2), 0.0, 0.0, 1)
         np.testing.assert_array_equal(out, 0.3 * np.eye(2))
 
     def test_scalar_arithmetic(self):
         # 0.25 * 4 * 1 + 0.25 * 0.04 + 0.09 = 1.1
-        out = step_map([0.5], [[2.0]], [[1.0]], [[0.04]], [[0.09]])
+        out = step_map_b([0.5], [[2.0]], [[1.0]], [[0.04]], [[0.09]], 0.0, 0.0, 1)
         assert out[0, 0] == pytest.approx(1.1, rel=1e-15)
 
     def test_rejects_nondiagonal_matrix(self):
         with pytest.raises(ValidationError):
-            step_map(np.ones((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+            step_map_b(np.ones((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
+                       0.0, 0.0, 1)
 
     def test_output_symmetric(self, rng):
         for _ in range(50):
@@ -200,7 +202,7 @@ class TestStepMap:
             W = rng.normal(size=(d, d + 1))
             S = rng.normal(size=(d + 1, d + 1))
             S = S @ S.T
-            out = step_map(e, W, S, np.eye(d), np.eye(d))
+            out = step_map_b(e, W, S, np.eye(d), np.eye(d), 0.0, 0.0, 1)
             np.testing.assert_array_equal(out, out.T)
 
 
@@ -215,7 +217,7 @@ class TestStepMapB:
             Sw = np.diag(rng.uniform(0.0, 1.0, size=d))
             Sa = np.diag(rng.uniform(0.0, 1.0, size=d))
             zero = np.zeros((d, d))
-            a = step_map(e, W, S, Sw, Sa)
+            a = step_map_b(e, W, S, Sw, Sa, 0.0, 0.0, 1)
             b = step_map_b(e, W, S, Sw, Sa, zero, zero, 1)
             np.testing.assert_array_equal(a, b)
 

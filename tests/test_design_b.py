@@ -19,7 +19,6 @@ from optonoise import (
     noisy_forward_samples,
     propagate_b_branchwise,
     stats_from_samples,
-    suggested_m,
 )
 
 from conftest import count_affine_calls, random_linear_net, random_profile
@@ -136,22 +135,6 @@ class TestEvalDesignB:
         for m in (2.7, True, "x"):
             with pytest.raises(ValidationError, match="copy count m must be an integer"):
                 DesignBSpec(net, m)
-
-
-class TestSuggestedM:
-    def test_unit_norms(self):
-        assert suggested_m(1.0, 1.0, "theoretical") == 1
-
-    def test_theoretical_arithmetic(self):
-        assert suggested_m(2.0, 1.5, "theoretical") == 9
-
-    def test_empirical_scaled_identities(self):
-        # width-4 identities: both Frobenius norms 2 give (2*2/4)^2 = 1
-        assert suggested_m(2.0, 2.0, "empirical", d=4) == 1
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValidationError):
-            suggested_m(1.0, 1.0, "exact")
 
 
 def _compare(net, m, profile, x, trials, seed):

@@ -356,10 +356,27 @@ class TestSiteStreams:
         calls.clear()
         monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
         tiny = run()
-        # the tiny budget runs the tree one node at a time: 6 + 2 + 1 calls
-        assert len(calls) == 9 + net.depth
+        # the tiny budget runs one next-layer group per chunk: the tree's
+        # layer 1 in two chunks of three nodes (one per level-2 node), its
+        # layers 2 and 3 in one each, and design B one call per layer
+        assert len(calls) == (2 + 1 + 1) + 3
         for a, b in zip(default, tiny):
             np.testing.assert_array_equal(a, b)
+
+    def test_design_b_draws_one_activation_block_per_average(self):
+        # depth 1, m = 3, activation noise only: the three branches average
+        # to the noiseless output plus one block of the activation site at
+        # var / 3, not the mean of three blocks at var
+        rng = np.random.default_rng(28)
+        W = rng.normal(size=(4, 3))
+        net = Network((Layer(W, rng.normal(size=4), Activation.tanh()),), 3)
+        var, zero = 0.2, CovSpec.zero()
+        profile = NoiseProfile(zero, (zero,), (CovSpec.isotropic(var),))
+        x, trials = rng.normal(size=3), 6
+        out = design_b_samples(DesignBSpec(net, 3), x, profile, trials, RngStream(29))
+        block = RngStream(29).child(KIND_ACTIVATION, 1).generator().standard_normal((trials, 4))
+        np.testing.assert_allclose(out, forward(net, x) + math.sqrt(var / 3) * block,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_copies_no_noise_reaches_are_not_averaged(self, monkeypatch):
         # noise on layer 2 only: layer 2 takes copy 0 of its identical
@@ -508,31 +525,33 @@ class TestInputMatrix:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
         sampler=st.sampled_from(["plain", "tree", "combine_split"]),
+        source=st.sampled_from(["weight", "activation"]),
         width=st.integers(1, 5),
         n_inputs=st.integers(1, 4),
         trials=st.integers(1, 5),
         copies=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_copy_j_takes_block_j_of_the_site_stream(self, sampler, width, n_inputs, trials,
-                                                     copies, seed):
-        # depth 2, the second layer the identity: the output averages the
-        # layer-1 copies, each a noiseless layer-1 output plus one block of a
-        # layer-1 site (tree nodes: weight site at var / copies; combine/split
-        # branches: activation site; plain net: one weight block)
+    def test_copy_j_takes_block_j_of_the_site_stream(self, sampler, source, width, n_inputs,
+                                                     trials, copies, seed):
+        # depth 2, the second layer the identity, noise on one layer-1 site:
+        # the output is the noiseless layer-1 output plus the average of the
+        # site's blocks.  Weight noise takes one block per layer-1 group (tree
+        # nodes at var / copies, the combine/split beam at var / copies, the
+        # plain net at var); activation noise takes one block per layer-2
+        # group, at var / copies where that group averages copies
         rng = np.random.default_rng(seed)
         d0, var = int(rng.integers(1, 5)), 0.3
         first = Layer(rng.normal(size=(width, d0)), rng.normal(size=width), Activation.identity())
         net = Network((first, identity_net(width).layers[0]), d0)
         xs = rng.normal(size=(n_inputs, d0))
         iso, zero = CovSpec.isotropic(var), CovSpec.zero()
-        if sampler == "combine_split":
-            kind, count, scale = KIND_ACTIVATION, copies, 1.0
-            profile = NoiseProfile(zero, (zero, zero), (iso, zero))
+        if source == "weight":
+            kind, profile = KIND_WEIGHT, NoiseProfile(zero, (iso, zero), (zero, zero))
         else:
-            kind = KIND_WEIGHT
-            count, scale = (1, 1.0) if sampler == "plain" else (copies, 1.0 / copies)
-            profile = NoiseProfile(zero, (iso, zero), (zero, zero))
+            kind, profile = KIND_ACTIVATION, NoiseProfile(zero, (zero, zero), (iso, zero))
+        count = copies if (sampler, source) == ("tree", "weight") else 1
+        scale = 1.0 if sampler == "plain" else 1.0 / copies
         out = _matrix_samplers(net, copies)[sampler](xs, profile, trials, RngStream(seed))
 
         gen = RngStream(seed).child(kind, 1).generator()
