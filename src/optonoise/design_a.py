@@ -87,8 +87,9 @@ def design_a_samples(
     Returns ``(trials, d_L)`` for an input vector ``x`` and ``(N, trials,
     d_L)`` for an ``(N, d_0)`` input matrix; ``trials=1`` gives one
     evaluation.  See ``noise.noisy_forward_samples`` for the contract of
-    batched draws; with a matrix, a level's block ``j`` is ``N * trials``
-    rows, input major.
+    batched draws.  The ``N * trials`` rows, input major, run in tiles of
+    ``noise._GROUP_ROWS``; in each tile a level's block ``j`` is the next
+    tile-sized block of the level's site.
 
     Activation noise follows the activation of every copy, and the parent
     node averages it with its copy: for the ``n_l`` children of a level
@@ -106,8 +107,8 @@ def design_a_samples(
     ``Sigma_w / n_{l-1}`` (modulation ``Sigma_m / n_0`` at level 1), and
     takes block ``j`` of the level's weight site; block ``j`` of the level's
     activation site belongs to node ``j`` of the level above.  Levels over
-    the kernel's byte budget run in chunks of whole subtrees, which changes
-    no sample.  With all copy counts 1 the draws equal
+    the kernel's byte budget in a tile run in chunks of whole subtrees,
+    which changes no sample.  With all copy counts 1 the draws equal
     ``noisy_forward_samples``.  With a zero profile every row equals the
     noiseless forward pass bit-exactly at any copy counts: copies that no
     noise reaches are identical, and the kernel takes one of them instead

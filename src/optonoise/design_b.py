@@ -55,17 +55,20 @@ def design_b_samples(
     """``trials`` independent combine/split evaluations, trial-vectorized.
 
     Returns ``(trials, d_L)`` for an input vector ``x`` and ``(N, trials,
-    d_L)`` for an ``(N, d_0)`` input matrix, whose blocks are ``N * trials``
-    rows, input major (see ``noise.noisy_forward_samples``); ``trials=1``
-    gives one evaluation.  Each
+    d_L)`` for an ``(N, d_0)`` input matrix (see
+    ``noise.noisy_forward_samples``); ``trials=1`` gives one evaluation.
+    The ``N * trials`` rows, input major, run in tiles of
+    ``noise._GROUP_ROWS``, and each block below is a tile's.  Each
     evaluation costs ``m * depth`` weighted additions; the simulator draws
     from the same law with one per layer, on the average of the m branches,
     with weight noise ``Sigma_w / m`` and combine noise ``Sigma_c / m**2``
     (modulation ``Sigma_m / m``).  Layer ``l`` draws on the sites
-    ``(kind, l)``: one weight and one combine block for the beam, block
-    ``alpha`` of the split site for branch ``alpha``, and one activation
-    block at ``Sigma_a / m`` for the m branches that the next beam (or the
-    output) averages, which has the law of one block per branch.  With
+    ``(kind, l)``: one weight and one combine block for the beam, the
+    tile's block ``alpha`` of the split site for branch ``alpha``, and one
+    activation block at ``Sigma_a / m`` for the m branches that the next
+    beam (or the output) averages, which has the law of one block per
+    branch.  Without split noise the m branches are identical until their
+    activation noise, and the beam is activated once.  With
     ``m = 1`` (and zero combine/split covariances) the draws coincide
     site-for-site with ``noise.noisy_forward_samples`` on the same stream.
     With a zero profile every row equals the noiseless forward pass

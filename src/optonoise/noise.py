@@ -10,20 +10,23 @@ forward pass ignores them.
 
 Randomness is organized as splittable streams keyed by ``(seed, path)``.
 A sampler call owns one stream per draw site ``(kind, layer)`` under its
-``rng`` and builds it the first time the site draws; the copies of a
-layer take successive blocks of that one stream, copy ``j`` block ``j``.
-Activation noise is the exception: a layer's activated copies are
-averaged in groups right away (the next layer's fan-in, or the final
-average), and the mean of ``g`` Normal(0, Sigma_a) blocks is one
-Normal(0, Sigma_a / g) block, so block ``j`` of an activation site is
-group ``j`` of the next average.  A block holds one row per ``(input,
-trial)`` pair, input major: ``(trials, d)`` for an input vector, ``(N,
-trials, d)`` for an ``(N, d_0)`` input matrix.  Distinct paths give statistically independent streams and the
-same ``(seed, path)`` reproduces the same samples bit-exactly.
+``rng`` and builds it the first time the site draws.  A block holds one
+row per ``(input, trial)`` pair, input major, and the call's rows run in
+tiles of ``_GROUP_ROWS`` rows, in order.  In each tile the copies of a
+layer take successive tile-sized blocks of the site's one stream, copy
+``j`` the next block ``j``.  A site with one copy per tile (every site of
+the plain net and of the one-copy designs) therefore reads its stream
+exactly as one block of all the call's rows would.  Activation noise is
+drawn per averaged group: a layer's activated copies are averaged in
+groups right away (the next layer's fan-in, or the final average), and
+the mean of ``g`` Normal(0, Sigma_a) blocks is one Normal(0, Sigma_a / g)
+block, so block ``j`` of an activation site in a tile is group ``j`` of
+the next average.  Distinct paths give statistically independent streams
+and the same ``(seed, path)`` reproduces the same samples bit-exactly.
 
-All samplers run one layer kernel, :func:`_sample`, batched over inputs,
-trials and the copies of a layer.  Every weighted addition, and the
-factor product of a full covariance, runs as fixed 8-row gemm tiles
+All samplers run one layer kernel, :func:`_sample`, batched over the
+rows of a tile and the copies of a layer.  Every weighted addition, and
+the factor product of a full covariance, runs as fixed 8-row gemm tiles
 (``network._tiled``), so a row's bits do not depend on the batch it sits
 in.  A single noisy evaluation is a batch of one,
 ``noisy_forward_samples(net, profile, x, 1, rng)[0]``; a one-row block
@@ -31,24 +34,27 @@ equals the first row of any larger block on the same stream, so this is
 exact for the plain net and for the one-copy designs.  Copies that no
 noise source reaches are identical, and the kernel takes copy 0 of them
 instead of averaging, so a zero profile reproduces the noiseless forward
-pass bit for bit at any copy count.  Sweeps
-over many inputs draw them in groups of about ``_GROUP_ROWS`` rows, one
-sampler call per group (:func:`_input_groups`).
+pass bit for bit at any copy count.  Sweeps over many inputs draw them in
+groups of about ``_GROUP_ROWS`` rows, one sampler call (and one tile) per
+group (:func:`_input_groups`).
 
 Each sampler call starts one worker thread, and joins it before it
-returns or raises.  The worker only fills blocks with standard normals
-(``standard_normal(out=block)``) that the calling thread allocated: a
-layer's split and activation blocks, while the calling thread runs the
-layer's arithmetic and draws its weight and combine noise.  Every site's
-stream is drawn on one thread, in the same order as without the worker,
-so the samples do not depend on it.
+returns or raises.  The kernel lists the call's noise blocks, its fills,
+in the order it uses them; the worker fills them with standard normals
+(``standard_normal(out=block)``) in that order, up to
+``_LOOKAHEAD_BYTES`` ahead of the calling thread and only into blocks
+that the calling thread allocated.  The calling thread runs a fill itself
+when the worker has not started it (:class:`_Pipeline`).  Each site's fills
+run one at a time, in list order, so the samples do not depend on which
+thread drew them.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,24 +84,26 @@ KIND_SPLIT = 4
 
 #: Recorded in output metadata so result files name their generator and
 #: stream layout: one block per copy of the kernel, not per physical copy,
-#: one activation block per averaged group, and sweeps draw groups of
-#: inputs in one call (:func:`_input_groups`).
-GENERATOR_NAME = "sfc64/seedseq-site-averaged"
+#: one activation block per averaged group, sweeps draw groups of inputs in
+#: one call (:func:`_input_groups`), and a site with several copies reads
+#: its stream tile by tile, ``_GROUP_ROWS`` rows per block.
+GENERATOR_NAME = "sfc64/seedseq-site-tiled"
 
 _SYM_TOL = 1e-12
 _PSD_PIVOT_TOL = 1e-10
 
-#: Largest working set, in bytes, of one pass of the layer kernel.  Wider
-#: trees run in chunks of whole next-layer groups, in index order, so every
-#: site takes its blocks in order and the samples do not depend on this
-#: number.
+#: Largest working set, in bytes, of one pass of the layer kernel over a
+#: tile.  Wider trees run in chunks of whole next-layer groups, in index
+#: order, so every site takes its blocks in order and the samples do not
+#: depend on this number.
 _CHUNK_BYTES = 16 * 2**20
 
-#: Bytes of the scratch buffer through which the kernel's own thread draws
-#: the noise it adds in place.
-_SCRATCH_BYTES = 2**20
+#: Bytes of fills that the worker may fill ahead of the calling thread
+#: (:class:`_Pipeline`); at 0 every fill runs on the calling thread.
+_LOOKAHEAD_BYTES = 4 * 2**20
 
-#: Rows, inputs times trials, that a sweep draws in one sampler call.
+#: Rows, inputs times trials, of one tile of the layer kernel, and of one
+#: sampler call of a sweep.
 _GROUP_ROWS = 2048
 
 
@@ -273,30 +281,21 @@ class _Sites:
     """The draw sites of one sampler call, one stream per ``(kind, layer)``.
 
     The generator of ``rng.child(kind, layer)`` is built the first time
-    the site draws, and each draw takes the site's next block of
-    Normal(0, spec / div) rows, so copy ``j`` of a layer takes block
-    ``j``.  A zero spec never builds the stream, so zero-noise sites stay
-    bit-exact and cost nothing.  A site draws on one thread only, always
-    in the same order, so where a block is filled does not change its
-    bits.
-
-    - ``add`` returns a new array: ``h`` plus a block for every copy
-      (first axis) of ``h``.  It never writes into ``h``.
-    - ``add_into`` adds the block into ``h`` in place, drawing it slice by
-      slice through one scratch buffer of about ``_SCRATCH_BYTES``; ``h``
-      must be a C-contiguous block that the caller owns.
-    - ``ahead`` allocates a block of the given shape and hands its fill,
-      ``standard_normal(out=block)`` and nothing else, to the call's
-      one-thread ``pool``; the returned function waits for the fill and
-      returns the block scaled to Normal(0, spec / div).
+    the site draws, and each draw takes the site's next block of rows, so
+    draws in the same order give the same blocks.  A zero spec never
+    builds the stream, so zero-noise sites stay bit-exact and cost
+    nothing.  ``add`` returns a new array: ``h`` plus a block of
+    Normal(0, spec / div) rows for every copy (first axis) of ``h``; it
+    never writes into ``h``.  The layer kernel reads its sites through
+    :class:`_Pipeline`; the literal reference samplers of the tests call
+    ``add``.
     """
 
-    __slots__ = ("_rng", "_gens", "_pool")
+    __slots__ = ("_rng", "_gens")
 
-    def __init__(self, rng: RngStream, pool=None):
+    def __init__(self, rng: RngStream):
         self._rng = rng
         self._gens = {}
-        self._pool = pool
 
     def _gen(self, kind: int, layer: int) -> np.random.Generator:
         key = (kind, layer)
@@ -312,32 +311,132 @@ class _Sites:
         z += h
         return z
 
-    def add_into(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0) -> None:
-        if spec.is_zero:
-            return
-        gen = self._gen(kind, layer)
-        rows = h.reshape(-1, h.shape[-1])
-        step = max(1, _SCRATCH_BYTES // (8 * rows.shape[1]))
-        # freed on return: a buffer kept across layers would sit between
-        # the large blocks on the heap and fragment it
-        scratch = np.empty(min(step, rows.shape[0]) * rows.shape[1])
-        for s in range(0, rows.shape[0], step):
-            part = rows[s : s + step]
-            z = scratch[: part.size].reshape(part.shape)
-            gen.standard_normal(out=z)
-            part += _scale(z, spec, div)
 
-    def ahead(self, spec: CovSpec, kind: int, layer: int, shape: tuple, div: float = 1.0):
-        if spec.is_zero:
-            return None
-        z = np.empty(shape)
-        filled = self._pool.submit(self._gen(kind, layer).standard_normal, out=z)
+class _Fill(NamedTuple):
+    """One noise block of a tile: ``shape`` standard normal rows of the
+    site ``(kind, layer)``, scaled to Normal(0, spec / div) when taken."""
 
-        def block() -> np.ndarray:
-            filled.result()
-            return _scale(z, spec, div)
+    spec: CovSpec
+    kind: int
+    layer: int
+    shape: tuple
+    div: float
 
-        return block
+
+class _Pipeline:
+    """Fills the fill list of one sampler call on a worker thread and the
+    calling thread.
+
+    ``take`` returns the next fill's block, scaled.  Before that it
+    allocates the buffers of the fills after it, while fewer than
+    ``_LOOKAHEAD_BYTES`` of handed-out fills wait to be taken, and hands
+    them out.  The worker runs ``standard_normal(out=buffer)`` on the
+    handed-out fills in list order.  A fill the worker has not started
+    when ``take`` reaches it runs on the calling thread; while the worker
+    runs it, the calling thread runs the next handed-out fill that nobody
+    has started instead of waiting.  A fill starts only after the previous
+    fill of its site has finished, so every site's stream is read in list
+    order and no block depends on the thread that filled it.  A fill that
+    raises on the worker raises again from the ``take`` that reaches it.
+    Used as a context manager: on exit the worker stops after the fill it
+    is running, and is joined.
+    """
+
+    def __init__(self, fills: list, sites: _Sites):
+        self._fills = fills
+        self._gens = [sites._gen(f.kind, f.layer) for f in fills]
+        # _after[i]: the index of the previous fill of fill i's site, or -1
+        last, self._after = {}, []
+        for i, f in enumerate(fills):
+            self._after.append(last.get((f.kind, f.layer), -1))
+            last[f.kind, f.layer] = i
+        self._bufs = [None] * len(fills)
+        self._started = [False] * len(fills)
+        self._done = [False] * len(fills)
+        self._failed = None  # (index, exception) of a worker fill that raised
+        self._next = 0  # the fill the next take returns
+        self._handed = 0  # fills below this index are handed out or taken
+        self._ahead = 0  # bytes of handed-out fills not yet taken
+        self._closed = False
+        self._cond = threading.Condition()
+        self._worker = threading.Thread(target=self._work, name="optonoise-fills", daemon=True)
+
+    def __enter__(self):
+        self._worker.start()
+        return self
+
+    def __exit__(self, *exc):
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        self._worker.join()
+        return False
+
+    def _claim(self, start: int) -> int | None:
+        """The first handed-out fill from ``start`` on that nobody has
+        started and whose site's previous fill is done, marked as started,
+        or None; the caller holds the lock."""
+        for i in range(start, self._handed):
+            if not self._started[i] and (self._after[i] < 0 or self._done[self._after[i]]):
+                self._started[i] = True
+                return i
+        return None
+
+    def _fill(self, i: int) -> None:
+        if self._bufs[i] is None:
+            self._bufs[i] = np.empty(self._fills[i].shape)
+        self._gens[i].standard_normal(out=self._bufs[i])
+        with self._cond:
+            self._done[i] = True
+            self._cond.notify_all()
+
+    def _work(self) -> None:
+        while True:
+            with self._cond:
+                while not self._closed and (i := self._claim(self._next)) is None:
+                    self._cond.wait()
+                if self._closed:
+                    return
+            try:
+                self._fill(i)
+            except BaseException as exc:
+                with self._cond:
+                    self._failed = (i, exc)
+                    self._done[i] = True
+                    self._cond.notify_all()
+                return
+
+    def take(self) -> np.ndarray:
+        i = self._next
+        with self._cond:
+            self._next += 1
+            if i < self._handed:
+                self._ahead -= self._bufs[i].nbytes
+            else:
+                self._handed = i + 1
+            while self._handed < len(self._fills) and self._ahead < _LOOKAHEAD_BYTES:
+                buf = self._bufs[self._handed] = np.empty(self._fills[self._handed].shape)
+                self._ahead += buf.nbytes
+                self._handed += 1
+            self._cond.notify_all()
+            here = not self._started[i]
+            self._started[i] = True
+        if here:
+            # every earlier fill has been taken, so the site's previous one is done
+            self._fill(i)
+        while True:
+            with self._cond:
+                if self._done[i]:
+                    break
+                j = self._claim(i + 1)
+                if j is None:
+                    self._cond.wait()
+                    continue
+            self._fill(j)
+        if self._failed is not None and self._failed[0] == i:
+            raise self._failed[1]
+        z, self._bufs[i], fill = self._bufs[i], None, self._fills[i]
+        return _scale(z, fill.spec, fill.div)
 
 
 _ZERO = CovSpec.zero()
@@ -418,39 +517,69 @@ class NoiseProfile:
             self.split.check_dim(dims[l + 1], "split covariance")
 
 
+def _fan_out(y: np.ndarray, h: np.ndarray, f: int) -> np.ndarray:
+    """Add copy ``i`` of ``h`` to the ``f`` split blocks ``y[i*f:(i+1)*f]``."""
+    fanned = y.reshape(-1, f, *h.shape[1:])
+    fanned += h[:, None]
+    return y
+
+
+def _average(h: np.ndarray, count: int, still: bool) -> np.ndarray:
+    """The means of ``count`` groups of consecutive copies of ``h``; copy 0
+    of each group where the copies are identical (``still``)."""
+    if h.shape[0] == count:
+        return h
+    h = h.reshape(count, -1, *h.shape[1:])
+    return h[:, 0] if still else h.mean(axis=1)
+
+
+def _drive(steps, take) -> None:
+    """Run a walk of the layer kernel: send every fill back the next block,
+    ``take()``, and every function its value."""
+    value = None
+    while True:
+        try:
+            step = steps.send(value)
+        except StopIteration:
+            return
+        value = take() if isinstance(step, _Fill) else step()
+
+
 def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     """The layer kernel behind every sampler: ``(trials, d_L)`` samples of
     an input vector ``x``, ``(N, trials, d_L)`` of an ``(N, d_0)`` matrix.
 
-    Every block has the row shape ``(N, trials)`` (``N = 1`` for a vector),
-    input major, so a copy's block is ``N * trials`` rows of its site
-    stream.  With ``fans = (*fan_in, fan_out[-1])``, ``fans[l]`` copies of
-    layer ``l`` are averaged into the input of one group of layer ``l + 1``
-    (layer 0: modulated inputs, noise ``Sigma_m / fans[0]``), and
-    ``fans[L]`` into the output.  Layer ``l`` makes one weighted addition
-    per group with weight noise ``Sigma_w / fans[l-1]`` (with
-    ``combine_split``, combine noise ``Sigma_c / fans[l-1]**2``), fans it
-    out to ``fan_out[l-1]`` copies with split noise and activates them.  It
-    then averages them in groups of ``fans[l]`` and adds one activation
-    block per group, at ``Sigma_a / fans[l]``: the law of activation noise
-    per copy, averaged.  Copies that no noise source reaches before their
-    activation noise are identical; where the kernel would average those,
-    it takes copy 0, so a zero profile gives :func:`forward` bit for bit.
+    The call's ``N * trials`` rows, input major, run in tiles of
+    ``_GROUP_ROWS`` rows, and each tile runs depth first through every
+    layer into its rows of one preallocated output.  Every block of a tile
+    has one row per tile row.  With ``fans = (*fan_in, fan_out[-1])``,
+    ``fans[l]`` copies of layer ``l`` are averaged into the input of one
+    group of layer ``l + 1`` (layer 0: modulated inputs, noise
+    ``Sigma_m / fans[0]``), and ``fans[L]`` into the output.  Layer ``l``
+    makes one weighted addition per group with weight noise
+    ``Sigma_w / fans[l-1]`` (with ``combine_split``, combine noise
+    ``Sigma_c / fans[l-1]**2``), fans it out to ``fan_out[l-1]`` copies
+    with split noise and activates them; ``fan_out[l-1]`` divides
+    ``fans[l]``.  Without split noise those copies are identical, so the
+    kernel activates the weighted addition once instead.  It then averages
+    the copies in groups of ``fans[l]`` and adds one activation block per
+    group, at ``Sigma_a / fans[l]``: the law of activation noise per copy,
+    averaged.  Copies that no noise source reaches before their activation
+    noise are identical; where the kernel would average those, it takes
+    copy 0, so a zero profile gives :func:`forward` bit for bit.
 
-    The call owns a one-thread pool.  After a layer's weighted addition
-    the kernel allocates its split block and its activation blocks and has
-    the worker fill them, while this thread adds weight and combine noise
-    in place into the affine output.  It then waits for the split block,
-    scales it and adds the output to it, activates that block in place
-    (:meth:`Activation._in_place`), averages its groups, and waits for,
-    scales and adds the activation blocks.  The pool is shut down, and its
-    thread joined, when the call returns or raises.
+    The walk is a generator: it yields a :class:`_Fill` for every noise
+    block, in the order it uses them, and a function for every step of
+    arithmetic, and is sent back the scaled block or the function's value.
+    Run with nothing sent back, it lists the call's fills, which
+    :class:`_Pipeline` then fills on the worker and this thread while the
+    walk runs again with its arithmetic.
     """
     profile.validate_for(net)
     trials = _integer(trials, "trials", 1)
     x = _check_input(net, x, rows=True)
     xs = x if x.ndim == 2 else x[None]
-    rows = (xs.shape[0], trials)
+    total = xs.shape[0] * trials
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
     dims = net.dims()
     # group sizes of the averages: fans[l] copies of layer l feed one group
@@ -470,49 +599,57 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     for l in range(1, net.depth + 1):
         below = fans[l] // fan_out[l - 1]
         widest = max(below * dims[l - 1], fans[l] * dims[l])
-        unit_bytes.append(max(unit_bytes[-1] * below, 8 * rows[0] * trials * widest))
+        unit_bytes.append(max(unit_bytes[-1] * below, 8 * min(total, _GROUP_ROWS) * widest))
 
-    def groups(l, count):
-        """Averaged inputs ``(count, N, trials, d_l)`` of the next ``count``
-        groups of layer ``l + 1``; at ``l = L`` the output."""
+    def walk(l, count, inputs, n):
+        """Averaged inputs ``(count, n, d_l)`` of the next ``count`` groups
+        of layer ``l + 1`` of a tile of ``n`` rows with the ``inputs``; at
+        ``l = L`` the output."""
         if l == 0:
-            h = np.broadcast_to(xs[:, None], (count, *rows, dims[0]))
-            return sites.add(h, profile.modulation, KIND_MODULATION, 0, fans[0])
+            h = np.broadcast_to(inputs, (count, n, dims[0]))
+            if profile.modulation.is_zero:
+                return h
+            z = yield _Fill(profile.modulation, KIND_MODULATION, 0, h.shape, fans[0])
+            return (yield lambda: np.add(z, h, out=z))
         step = max(1, _CHUNK_BYTES // unit_bytes[l])
         if count > step:
-            return np.concatenate(
-                [groups(l, min(step, count - s)) for s in range(0, count, step)]
-            )
+            parts = []
+            for s in range(0, count, step):
+                parts.append((yield from walk(l, min(step, count - s), inputs, n)))
+            return (yield lambda: np.concatenate(parts))
         layer, f, g = net.layers[l - 1], fan_out[l - 1], fans[l]
-        h = affine(layer.weights, layer.bias, groups(l - 1, count * g // f))
-        # the worker fills these while this thread adds weight and combine noise
-        split_block = sites.ahead(split, KIND_SPLIT, l, (count * g, *h.shape[1:]))
-        noise_block = sites.ahead(
-            profile.activation[l - 1], KIND_ACTIVATION, l, (count, *h.shape[1:]), g
-        )
-        sites.add_into(h, profile.weight[l - 1], KIND_WEIGHT, l, fans[l - 1])
-        sites.add_into(h, combine, KIND_COMBINE, l, fans[l - 1] ** 2)
-        if split_block is not None:
-            y = split_block()
-            fanned = y.reshape(-1, f, *h.shape[1:])
-            fanned += h[:, None]
-            h = y
-        elif f > 1:
-            h = np.repeat(h, f, axis=0)
-        h = layer.activation._in_place(h)
-        if g > 1:
-            h = h.reshape(count, g, *h.shape[1:])
-            h = h[:, 0] if still[l] else h.mean(axis=1)
-        if noise_block is None:
+        h = yield from walk(l - 1, count * g // f, inputs, n)
+        h = yield lambda: affine(layer.weights, layer.bias, h)
+        for spec, kind, div in ((profile.weight[l - 1], KIND_WEIGHT, fans[l - 1]),
+                                (combine, KIND_COMBINE, fans[l - 1] ** 2)):
+            if not spec.is_zero:
+                z = yield _Fill(spec, kind, l, (count * g // f, n, dims[l]), div)
+                h = yield lambda: np.add(h, z, out=h)
+        if not split.is_zero:
+            y = yield _Fill(split, KIND_SPLIT, l, (count * g, n, dims[l]), 1.0)
+            h = yield lambda: _fan_out(y, h, f)
+        h = yield lambda: _average(layer.activation._in_place(h), count, still[l])
+        noise = profile.activation[l - 1]
+        if noise.is_zero:
             return h
-        out = noise_block()
-        out += h
-        return out
+        z = yield _Fill(noise, KIND_ACTIVATION, l, (count, n, dims[l]), g)
+        return (yield lambda: np.add(z, h, out=z))
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        sites = _Sites(rng, pool)
-        out = groups(net.depth, 1)[0]
-    return out if x.ndim == 2 else out[0]
+    out = np.empty((total, dims[-1]))
+
+    def tiles():
+        for s in range(0, total, _GROUP_ROWS):
+            rows = slice(s, min(s + _GROUP_ROWS, total))
+            # the tile's input rows; a vector input broadcasts to all of them
+            inputs = xs[0] if xs.shape[0] == 1 else xs[np.arange(s, rows.stop) // trials]
+            h = yield from walk(net.depth, 1, inputs, rows.stop - s)
+            yield lambda: np.copyto(out[rows], h[0])
+
+    # the walk with None sent back for every step lists the call's fills
+    fills = [step for step in tiles() if isinstance(step, _Fill)]
+    with _Pipeline(fills, _Sites(rng)) as pipeline:
+        _drive(tiles(), pipeline.take)
+    return out.reshape(xs.shape[0], trials, -1) if x.ndim == 2 else out
 
 
 def noisy_forward_samples(
@@ -577,8 +714,13 @@ def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
         centered = samples - mean
         cov = centered.T @ centered / (n - 1)
         cov = (cov + cov.T) / 2.0
-        dev = samples - reference
-        mse = float(np.mean(np.einsum("ij,ij->i", dev, dev)))
+        # squared deviations row chunk by row chunk, without a deviation
+        # array the size of the samples
+        sq = np.empty(n)
+        for s in range(0, n, _GROUP_ROWS):
+            dev = samples[s : s + _GROUP_ROWS] - reference
+            np.einsum("ij,ij->i", dev, dev, out=sq[s : s + _GROUP_ROWS])
+        mse = float(np.mean(sq))
     for what, value in (("mean", mean), ("covariance", cov), ("mean squared deviation", mse)):
         if not np.all(np.isfinite(value)):
             raise ValidationError(f"sample {what} overflows float64")

@@ -21,7 +21,7 @@ from optonoise import (
     stats_from_samples,
 )
 
-from conftest import count_affine_calls, random_linear_net, random_profile
+from conftest import count_affine_calls, gaussian_gaps, random_linear_net, random_profile
 
 
 def identity_net(dim):
@@ -76,6 +76,29 @@ class TestEvalDesignB:
         oracle = propagate_b_branchwise(LinearNet.from_network(net), profile, m).output
         err = np.linalg.norm(stats.covariance - oracle) / np.linalg.norm(oracle)
         assert err <= 0.05
+
+    def test_zero_split_activates_each_beam_once(self, rng, monkeypatch):
+        # without split noise the m branches of a beam are identical until
+        # their activation noise, so the kernel activates the beam once, not
+        # m copies, and still draws the law of the branchwise recursion
+        shapes = []
+        real = Activation._in_place
+
+        def recording(self, y):
+            shapes.append(y.shape)
+            return real(self, y)
+
+        monkeypatch.setattr(Activation, "_in_place", recording)
+        net = random_linear_net(rng, depth=3, max_dim=4)
+        base = random_profile(rng, net)
+        profile = NoiseProfile(base.modulation, base.weight, base.activation,
+                               combine=CovSpec.isotropic(0.03))
+        x = rng.normal(size=net.input_dim)
+        samples = design_b_samples(DesignBSpec(net, 4), x, profile, 40_000, RngStream(6))
+        assert {shape[0] for shape in shapes} == {1}
+        oracle = propagate_b_branchwise(LinearNet.from_network(net), profile, 4).output
+        mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), oracle)
+        assert mean_gap <= 5.0 and cov_gap <= 5.0
 
     def test_combine_split_noise_consumed(self, rng):
         # combine noise enters once per layer divided by m; split noise per branch

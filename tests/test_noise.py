@@ -1,5 +1,6 @@
 """Noise model: covariance specs, splittable streams, Monte Carlo harness."""
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -7,7 +8,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from optonoise import (
     stats_from_samples,
 )
 from optonoise import noise
+from optonoise.network import affine
 from optonoise.noise import (
     KIND_ACTIVATION,
     KIND_COMBINE,
@@ -418,6 +419,72 @@ class TestSiteStreams:
         assert sorted(built) == sorted(expected)
 
 
+class TestTiles:
+    """A call's rows run in tiles of ``_GROUP_ROWS``; in each tile copy ``j``
+    of a site takes the site's next tile-sized block."""
+
+    ROWS = 2 * noise._GROUP_ROWS + 5
+
+    def test_design_b_reads_the_split_stream_tile_by_tile(self):
+        # depth 1, m = 3, split noise only, over two full tiles and one of
+        # five rows: each tile takes three blocks of its own rows in turn
+        rng = np.random.default_rng(30)
+        W = rng.normal(size=(4, 3))
+        net = Network((Layer(W, rng.normal(size=4), Activation.tanh()),), 3)
+        var, zero = 0.2, CovSpec.zero()
+        profile = NoiseProfile(zero, (zero,), (zero,), zero, CovSpec.isotropic(var))
+        x = rng.normal(size=3)
+        out = design_b_samples(DesignBSpec(net, 3), x, profile, self.ROWS, RngStream(31))
+        gen = RngStream(31).child(KIND_SPLIT, 1).generator()
+        h = forward(Network((Layer(W, net.layers[0].bias, Activation.identity()),), 3), x)
+        expected = np.concatenate([
+            np.tanh(h + math.sqrt(var) * gen.standard_normal((3, n, 4))).mean(axis=0)
+            for n in (noise._GROUP_ROWS, noise._GROUP_ROWS, 5)])
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+    def test_one_copy_sites_read_their_stream_as_one_block(self):
+        # the plain net over three inputs whose rows straddle tile borders:
+        # every site reads its stream as one block of all the call's rows
+        rng = np.random.default_rng(32)
+        net = TestDegeneracyProperty.random_net(rng, ["tanh", "diag"])
+        dims = net.dims()
+        iso = [CovSpec.isotropic(v) for v in (0.01, 0.02, 0.03, 0.04, 0.05)]
+        profile = NoiseProfile(iso[0], (iso[1], iso[2]), (iso[3], iso[4]))
+        trials = self.ROWS // 3
+        xs = rng.normal(size=(3, dims[0]))
+        out = noisy_forward_samples(net, profile, xs, trials, RngStream(33))
+
+        def block(kind, layer, var):
+            gen = RngStream(33).child(kind, layer).generator()
+            return math.sqrt(var) * gen.standard_normal((3 * trials, dims[layer]))
+
+        h = np.repeat(xs, trials, axis=0) + block(KIND_MODULATION, 0, 0.01)
+        for l, layer in enumerate(net.layers, start=1):
+            h = affine(layer.weights, layer.bias, h) + block(KIND_WEIGHT, l, (0.02, 0.03)[l - 1])
+            h = layer.activation(h) + block(KIND_ACTIVATION, l, (0.04, 0.05)[l - 1])
+        np.testing.assert_array_equal(out, h.reshape(3, trials, -1))
+
+    def test_one_tile_tree_keeps_its_samples(self):
+        # a tree over at most _GROUP_ROWS rows is one tile and reads every
+        # site as before tiling.  Powers-of-two weights, at most two nonzeros
+        # a row, and relu and diag activations keep every product exact, so
+        # no BLAS kernel rounds a row differently and the hash is portable.
+        W1 = np.array([[1.0, 0.5], [0.0, -2.0], [0.25, 0.0]])
+        W2 = np.array([[0.5, 0.0, 1.0], [0.0, 1.0, -0.5]])
+        net = Network((Layer(W1, np.array([0.5, -0.25, 0.0]), Activation.relu()),
+                       Layer(W2, np.array([0.125, 0.0]), Activation.diag_linear([0.75, 1.5]))), 2)
+        profile = NoiseProfile(
+            CovSpec.isotropic(0.01),
+            (CovSpec.diagonal([0.02, 0.01, 0.03]), CovSpec.isotropic(0.02)),
+            (CovSpec.isotropic(0.01), CovSpec.diagonal([0.01, 0.02])),
+        )
+        xs = np.array([[0.5, -1.0], [1.0, 0.25], [-0.5, 2.0], [0.0, 1.5]])
+        out = design_a_samples(DesignASpec(net, (3, 2, 1)), xs, profile, 500, RngStream(2024))
+        assert out.shape == (4, 500, 2)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "9d77c519fbbac96fc4b7dd4a7fbe92d338aea1edda6ee8f4e5da5c8560f58787")
+
+
 class TestDegeneracyProperty:
     """Zero-noise and one-copy runs of every sampler reproduce the plain net."""
 
@@ -764,33 +831,34 @@ class TestTrialOrderIndependence:
         assert stats.mse_vs_reference == redone.mse_vs_reference
 
 
-class _SyncExecutor:
-    """Stands in for the kernel's worker: runs every fill at once, on the
-    calling thread."""
-
-    def __init__(self, max_workers):
-        assert max_workers == 1
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args, **kwargs):
-        done = Future()
-        done.set_result(fn(*args, **kwargs))
-        return done
-
-
 def _fork_child(conn, net, profile, x):
     conn.send_bytes(noisy_forward_samples(net, profile, x, 50, RngStream(9)).tobytes())
     conn.close()
 
 
+class _ThreadRecordingGenerator:
+    """A generator that records the thread of every fill."""
+
+    def __init__(self, gen, threads):
+        self._gen, self._threads = gen, threads
+
+    def standard_normal(self, *args, **kwargs):
+        self._threads.append(threading.current_thread())
+        return self._gen.standard_normal(*args, **kwargs)
+
+
+def record_fill_threads(monkeypatch):
+    """Record the thread of every fill of the streams built from now on."""
+    threads = []
+    real = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self: _ThreadRecordingGenerator(real(self), threads))
+    return threads
+
+
 class TestDrawAhead:
-    """The worker thread that fills split and activation blocks changes no
-    sample, and no thread outlives a sampler call."""
+    """The worker thread that fills noise blocks ahead changes no sample,
+    and no thread outlives a sampler call."""
 
     @staticmethod
     def _profile(rng, net):
@@ -841,8 +909,11 @@ class TestDrawAhead:
             if tiny_chunks:
                 mp.setattr(noise, "_CHUNK_BYTES", 1)
             threaded = [run() for run in samplers]
-            mp.setattr(noise, "ThreadPoolExecutor", _SyncExecutor)
+            # with no lookahead every fill runs on the calling thread
+            mp.setattr(noise, "_LOOKAHEAD_BYTES", 0)
+            threads = record_fill_threads(mp)
             synchronous = [run() for run in samplers]
+        assert set(threads) <= {threading.main_thread()}
         for got, want in zip(threaded, synchronous):
             np.testing.assert_array_equal(got, want)
 
@@ -876,6 +947,32 @@ class TestDrawAhead:
             design_b_samples(DesignBSpec(net, 3), rng.normal(size=net.input_dim), profile,
                              20, RngStream(1))
         assert len(calls) == 2
+        assert threading.active_count() == before
+
+    def test_worker_fill_error_reaches_the_caller(self, monkeypatch):
+        # the calling thread's fills wait until the worker has tried one, so
+        # the worker certainly fills, and fails, before the call can finish
+        tried = threading.Event()
+
+        class FailingOnTheWorker:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def standard_normal(self, *args, **kwargs):
+                if threading.current_thread() is threading.main_thread():
+                    assert tried.wait(60), "the worker never started a fill"
+                    return self._gen.standard_normal(*args, **kwargs)
+                tried.set()
+                raise RuntimeError("fill failed on the worker")
+
+        real = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda self: FailingOnTheWorker(real(self)))
+        net, profile, rng = self._net_and_profile()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="fill failed on the worker"):
+            noisy_forward_samples(net, profile, rng.normal(size=net.input_dim), 20,
+                                  RngStream(1))
+        assert tried.is_set()
         assert threading.active_count() == before
 
     def test_concurrent_calls_keep_their_bits(self):
@@ -931,8 +1028,9 @@ class TestDrawAhead:
         np.testing.assert_array_equal(got, want)
 
     def test_peak_memory_stays_near_two_blocks(self):
-        # 2e4 trials of a width-64 net, every source on: the affine output
-        # and the activation block are the two live blocks of a layer
+        # 2e4 trials of a width-64 net, every source on: the output block,
+        # the fills handed out ahead, and the working set of one tile, a
+        # layer's input, affine output and noise blocks
         trials, width, depth = 20_000, 64, 4
         rng = np.random.default_rng(6)
         net = Network(tuple(
@@ -952,4 +1050,5 @@ class TestDrawAhead:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * block + 2 * 2**20
+        tile = noise._GROUP_ROWS * width * 8
+        assert peak <= block + noise._LOOKAHEAD_BYTES + 5 * tile
