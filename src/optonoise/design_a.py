@@ -87,9 +87,10 @@ def design_a_samples(
     Returns ``(trials, d_L)`` for an input vector ``x`` and ``(N, trials,
     d_L)`` for an ``(N, d_0)`` input matrix; ``trials=1`` gives one
     evaluation.  See ``noise.noisy_forward_samples`` for the contract of
-    batched draws.  The ``N * trials`` rows, input major, run in tiles of
-    ``noise._GROUP_ROWS``; in each tile a level's block ``j`` is the next
-    tile-sized block of the level's site.
+    batched draws.  The ``N * trials`` rows, input major, run in one or two
+    parts (``noise._sample``), each with its own sites, and each part in
+    tiles of ``noise._GROUP_ROWS``; in each tile a level's block ``j`` is
+    the next tile-sized block of the level's site.
 
     Activation noise follows the activation of every copy, and the parent
     node averages it with its copy: for the ``n_l`` children of a level

@@ -57,8 +57,9 @@ def design_b_samples(
     Returns ``(trials, d_L)`` for an input vector ``x`` and ``(N, trials,
     d_L)`` for an ``(N, d_0)`` input matrix (see
     ``noise.noisy_forward_samples``); ``trials=1`` gives one evaluation.
-    The ``N * trials`` rows, input major, run in tiles of
-    ``noise._GROUP_ROWS``, and each block below is a tile's.  Each
+    The ``N * trials`` rows, input major, run in one or two parts
+    (``noise._sample``), each with its own sites, and each part in tiles
+    of ``noise._GROUP_ROWS``; each block below is a tile's.  Each
     evaluation costs ``m * depth`` weighted additions; the simulator draws
     from the same law with one per layer, on the average of the m branches,
     with weight noise ``Sigma_w / m`` and combine noise ``Sigma_c / m**2``

@@ -9,44 +9,42 @@ the profile for the combine/split design sampler; the plain noisy
 forward pass ignores them.
 
 Randomness is organized as splittable streams keyed by ``(seed, path)``.
-A sampler call owns one stream per draw site ``(kind, layer)`` under its
-``rng`` and builds it the first time the site draws.  A block holds one
-row per ``(input, trial)`` pair, input major, and the call's rows run in
-tiles of ``_GROUP_ROWS`` rows, in order.  In each tile the copies of a
-layer take successive tile-sized blocks of the site's one stream, copy
-``j`` the next block ``j``.  A site with one copy per tile (every site of
-the plain net and of the one-copy designs) therefore reads its stream
-exactly as one block of all the call's rows would.  Activation noise is
-drawn per averaged group: a layer's activated copies are averaged in
-groups right away (the next layer's fan-in, or the final average), and
-the mean of ``g`` Normal(0, Sigma_a) blocks is one Normal(0, Sigma_a / g)
-block, so block ``j`` of an activation site in a tile is group ``j`` of
-the next average.  Distinct paths give statistically independent streams
-and the same ``(seed, path)`` reproduces the same samples bit-exactly.
+A block holds one row per ``(input, trial)`` pair, input major.  A sampler
+call of at least ``_SPLIT_ROWS`` rows runs in two parts: part 0 takes the
+first ``ceil(R / 2)`` of its ``R`` rows, part 1 the rest; a smaller call is
+part 0 alone.  Each part owns one stream per draw site ``(kind, layer)``:
+part 0 ``rng.child(kind, layer)``, part 1 ``rng.child(_PART_1, kind,
+layer)``, and builds it the first time the site draws.  A part's rows run
+in tiles of ``_GROUP_ROWS`` rows, in order.  In each tile the copies of a
+layer take successive tile-sized blocks of the site's stream, copy ``j``
+the next block ``j``.  A site with one copy per tile (every site of the
+plain net and of the one-copy designs) therefore reads its stream exactly
+as one block of all the part's rows would.  Activation noise is drawn per
+averaged group: a layer's activated copies are averaged in groups right
+away (the next layer's fan-in, or the final average), and the mean of
+``g`` Normal(0, Sigma_a) blocks is one Normal(0, Sigma_a / g) block, so
+block ``j`` of an activation site in a tile is group ``j`` of the next
+average.  Distinct paths give statistically independent streams and the
+same ``(seed, path)`` reproduces the same samples bit-exactly.
 
 All samplers run one layer kernel, :func:`_sample`, batched over the
 rows of a tile and the copies of a layer.  Every weighted addition, and
 the factor product of a full covariance, runs as fixed 8-row gemm tiles
 (``network._tiled``), so a row's bits do not depend on the batch it sits
 in.  A single noisy evaluation is a batch of one,
-``noisy_forward_samples(net, profile, x, 1, rng)[0]``; a one-row block
-equals the first row of any larger block on the same stream, so this is
-exact for the plain net and for the one-copy designs.  Copies that no
-noise source reaches are identical, and the kernel takes copy 0 of them
-instead of averaging, so a zero profile reproduces the noiseless forward
-pass bit for bit at any copy count.  Sweeps over many inputs draw them in
-groups of about ``_GROUP_ROWS`` rows, one sampler call (and one tile) per
-group (:func:`_input_groups`).
+``noisy_forward_samples(net, profile, x, 1, rng)[0]``; row 0 is in part 0
+of every call, and a one-row block equals the first row of any larger
+block on the same stream, so this is exact for the plain net and for the
+one-copy designs.  Copies that no noise source reaches are identical, and
+the kernel takes copy 0 of them instead of averaging, so a zero profile
+reproduces the noiseless forward pass bit for bit at any copy count.
+Sweeps over many inputs draw them in groups of about ``_GROUP_ROWS``
+rows, one sampler call per group (:func:`_input_groups`).
 
-Each sampler call starts one worker thread, and joins it before it
-returns or raises.  The kernel lists the call's noise blocks, its fills,
-in the order it uses them; the worker fills them with standard normals
-(``standard_normal(out=block)``) in that order, up to
-``_LOOKAHEAD_BYTES`` ahead of the calling thread and only into blocks
-that the calling thread allocated.  The calling thread runs a fill itself
-when the worker has not started it (:class:`_Pipeline`).  Each site's fills
-run one at a time, in list order, so the samples do not depend on which
-thread drew them.
+Part 1 runs on one worker thread that the call starts and joins before it
+returns or raises; an exception on the worker is raised again by the
+call.  The two parts share no generator and write disjoint rows of one
+output, so the samples do not depend on how the threads interleave.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,9 +82,10 @@ KIND_SPLIT = 4
 #: Recorded in output metadata so result files name their generator and
 #: stream layout: one block per copy of the kernel, not per physical copy,
 #: one activation block per averaged group, sweeps draw groups of inputs in
-#: one call (:func:`_input_groups`), and a site with several copies reads
-#: its stream tile by tile, ``_GROUP_ROWS`` rows per block.
-GENERATOR_NAME = "sfc64/seedseq-site-tiled"
+#: one call (:func:`_input_groups`), a site with several copies reads its
+#: stream tile by tile, ``_GROUP_ROWS`` rows per block, and a call of at
+#: least ``_SPLIT_ROWS`` rows reads its second half from the part-1 sites.
+GENERATOR_NAME = "sfc64/seedseq-site-parts"
 
 _SYM_TOL = 1e-12
 _PSD_PIVOT_TOL = 1e-10
@@ -95,16 +93,25 @@ _PSD_PIVOT_TOL = 1e-10
 #: Largest working set, in bytes, of one pass of the layer kernel over a
 #: tile.  Wider trees run in chunks of whole next-layer groups, in index
 #: order, so every site takes its blocks in order and the samples do not
-#: depend on this number.
-_CHUNK_BYTES = 16 * 2**20
-
-#: Bytes of fills that the worker may fill ahead of the calling thread
-#: (:class:`_Pipeline`); at 0 every fill runs on the calling thread.
-_LOOKAHEAD_BYTES = 4 * 2**20
+#: depend on this number.  It is kept small because the worker thread of a
+#: two-part call allocates from its own malloc heap, which keeps or hands
+#: back the memory its passes free depending on the order of the frees;
+#: passes of a few MiB keep that, and so the resident size, steady from run
+#: to run.
+_CHUNK_BYTES = 4 * 2**20
 
 #: Rows, inputs times trials, of one tile of the layer kernel, and of one
 #: sampler call of a sweep.
 _GROUP_ROWS = 2048
+
+#: Rows, inputs times trials, from which a sampler call runs its second
+#: half on a worker thread; below it the thread's start-up and join cost
+#: more than the overlap saves.
+_SPLIT_ROWS = 1024
+
+#: First path component of part 1's sites, ``rng.child(_PART_1, kind,
+#: layer)``.  The kind codes stop at 4, so no site of part 0 has this path.
+_PART_1 = 5
 
 
 def _input_groups(count: int, trials: int) -> list[slice]:
@@ -242,9 +249,9 @@ def _scale(z: np.ndarray, spec: CovSpec, div: float = 1.0) -> np.ndarray:
 def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: tuple, div: float = 1.0):
     """A fresh ``(*n, dim)`` block of independent rows from Normal(0, spec / div).
 
-    Zero specs never get here: :class:`_Sites` skips them.  Dimensions
-    are not checked here; every sampler checks the profile against the
-    network on entry (:meth:`NoiseProfile.validate_for`).
+    Zero specs never get here: ``_Sites.add`` and the layer kernel skip
+    them.  Dimensions are not checked here; every sampler checks the
+    profile against the network on entry (:meth:`NoiseProfile.validate_for`).
     """
     return _scale(gen.standard_normal((*n, dim)), spec, div)
 
@@ -278,17 +285,17 @@ class RngStream:
 
 
 class _Sites:
-    """The draw sites of one sampler call, one stream per ``(kind, layer)``.
+    """The draw sites of one part of a sampler call, one stream per
+    ``(kind, layer)``.
 
     The generator of ``rng.child(kind, layer)`` is built the first time
     the site draws, and each draw takes the site's next block of rows, so
-    draws in the same order give the same blocks.  A zero spec never
-    builds the stream, so zero-noise sites stay bit-exact and cost
-    nothing.  ``add`` returns a new array: ``h`` plus a block of
-    Normal(0, spec / div) rows for every copy (first axis) of ``h``; it
-    never writes into ``h``.  The layer kernel reads its sites through
-    :class:`_Pipeline`; the literal reference samplers of the tests call
-    ``add``.
+    draws in the same order give the same blocks.  Callers never draw a
+    zero spec, so zero-noise sites build no stream, stay bit-exact and
+    cost nothing.  ``draw`` returns a new ``shape`` block of
+    Normal(0, spec / div) rows.  ``add`` returns ``h`` plus one such block
+    for every copy (first axis) of ``h``, a new array, or ``h`` itself for
+    a zero spec; it never writes into ``h``.  One thread uses a ``_Sites``.
     """
 
     __slots__ = ("_rng", "_gens")
@@ -297,146 +304,19 @@ class _Sites:
         self._rng = rng
         self._gens = {}
 
-    def _gen(self, kind: int, layer: int) -> np.random.Generator:
+    def draw(self, spec: CovSpec, kind: int, layer: int, shape: tuple, div: float = 1.0):
         key = (kind, layer)
         gen = self._gens.get(key)
         if gen is None:
             gen = self._gens[key] = self._rng.child(*key).generator()
-        return gen
+        return _draw(spec, shape[-1], gen, shape[:-1], div)
 
     def add(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0):
         if spec.is_zero:
             return h
-        z = _draw(spec, h.shape[-1], self._gen(kind, layer), h.shape[:-1], div)
+        z = self.draw(spec, kind, layer, h.shape, div)
         z += h
         return z
-
-
-class _Fill(NamedTuple):
-    """One noise block of a tile: ``shape`` standard normal rows of the
-    site ``(kind, layer)``, scaled to Normal(0, spec / div) when taken."""
-
-    spec: CovSpec
-    kind: int
-    layer: int
-    shape: tuple
-    div: float
-
-
-class _Pipeline:
-    """Fills the fill list of one sampler call on a worker thread and the
-    calling thread.
-
-    ``take`` returns the next fill's block, scaled.  Before that it
-    allocates the buffers of the fills after it, while fewer than
-    ``_LOOKAHEAD_BYTES`` of handed-out fills wait to be taken, and hands
-    them out.  The worker runs ``standard_normal(out=buffer)`` on the
-    handed-out fills in list order.  A fill the worker has not started
-    when ``take`` reaches it runs on the calling thread; while the worker
-    runs it, the calling thread runs the next handed-out fill that nobody
-    has started instead of waiting.  A fill starts only after the previous
-    fill of its site has finished, so every site's stream is read in list
-    order and no block depends on the thread that filled it.  A fill that
-    raises on the worker raises again from the ``take`` that reaches it.
-    Used as a context manager: on exit the worker stops after the fill it
-    is running, and is joined.
-    """
-
-    def __init__(self, fills: list, sites: _Sites):
-        self._fills = fills
-        self._gens = [sites._gen(f.kind, f.layer) for f in fills]
-        # _after[i]: the index of the previous fill of fill i's site, or -1
-        last, self._after = {}, []
-        for i, f in enumerate(fills):
-            self._after.append(last.get((f.kind, f.layer), -1))
-            last[f.kind, f.layer] = i
-        self._bufs = [None] * len(fills)
-        self._started = [False] * len(fills)
-        self._done = [False] * len(fills)
-        self._failed = None  # (index, exception) of a worker fill that raised
-        self._next = 0  # the fill the next take returns
-        self._handed = 0  # fills below this index are handed out or taken
-        self._ahead = 0  # bytes of handed-out fills not yet taken
-        self._closed = False
-        self._cond = threading.Condition()
-        self._worker = threading.Thread(target=self._work, name="optonoise-fills", daemon=True)
-
-    def __enter__(self):
-        self._worker.start()
-        return self
-
-    def __exit__(self, *exc):
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        self._worker.join()
-        return False
-
-    def _claim(self, start: int) -> int | None:
-        """The first handed-out fill from ``start`` on that nobody has
-        started and whose site's previous fill is done, marked as started,
-        or None; the caller holds the lock."""
-        for i in range(start, self._handed):
-            if not self._started[i] and (self._after[i] < 0 or self._done[self._after[i]]):
-                self._started[i] = True
-                return i
-        return None
-
-    def _fill(self, i: int) -> None:
-        if self._bufs[i] is None:
-            self._bufs[i] = np.empty(self._fills[i].shape)
-        self._gens[i].standard_normal(out=self._bufs[i])
-        with self._cond:
-            self._done[i] = True
-            self._cond.notify_all()
-
-    def _work(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and (i := self._claim(self._next)) is None:
-                    self._cond.wait()
-                if self._closed:
-                    return
-            try:
-                self._fill(i)
-            except BaseException as exc:
-                with self._cond:
-                    self._failed = (i, exc)
-                    self._done[i] = True
-                    self._cond.notify_all()
-                return
-
-    def take(self) -> np.ndarray:
-        i = self._next
-        with self._cond:
-            self._next += 1
-            if i < self._handed:
-                self._ahead -= self._bufs[i].nbytes
-            else:
-                self._handed = i + 1
-            while self._handed < len(self._fills) and self._ahead < _LOOKAHEAD_BYTES:
-                buf = self._bufs[self._handed] = np.empty(self._fills[self._handed].shape)
-                self._ahead += buf.nbytes
-                self._handed += 1
-            self._cond.notify_all()
-            here = not self._started[i]
-            self._started[i] = True
-        if here:
-            # every earlier fill has been taken, so the site's previous one is done
-            self._fill(i)
-        while True:
-            with self._cond:
-                if self._done[i]:
-                    break
-                j = self._claim(i + 1)
-                if j is None:
-                    self._cond.wait()
-                    continue
-            self._fill(j)
-        if self._failed is not None and self._failed[0] == i:
-            raise self._failed[1]
-        z, self._bufs[i], fill = self._bufs[i], None, self._fills[i]
-        return _scale(z, fill.spec, fill.div)
 
 
 _ZERO = CovSpec.zero()
@@ -533,30 +413,21 @@ def _average(h: np.ndarray, count: int, still: bool) -> np.ndarray:
     return h[:, 0] if still else h.mean(axis=1)
 
 
-def _drive(steps, take) -> None:
-    """Run a walk of the layer kernel: send every fill back the next block,
-    ``take()``, and every function its value."""
-    value = None
-    while True:
-        try:
-            step = steps.send(value)
-        except StopIteration:
-            return
-        value = take() if isinstance(step, _Fill) else step()
-
-
 def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     """The layer kernel behind every sampler: ``(trials, d_L)`` samples of
     an input vector ``x``, ``(N, trials, d_L)`` of an ``(N, d_0)`` matrix.
 
-    The call's ``N * trials`` rows, input major, run in tiles of
-    ``_GROUP_ROWS`` rows, and each tile runs depth first through every
-    layer into its rows of one preallocated output.  Every block of a tile
-    has one row per tile row.  With ``fans = (*fan_in, fan_out[-1])``,
-    ``fans[l]`` copies of layer ``l`` are averaged into the input of one
-    group of layer ``l + 1`` (layer 0: modulated inputs, noise
-    ``Sigma_m / fans[0]``), and ``fans[L]`` into the output.  Layer ``l``
-    makes one weighted addition per group with weight noise
+    The call's ``R = N * trials`` rows, input major, run in one part, or at
+    ``R >= _SPLIT_ROWS`` in two: rows ``0 .. ceil(R / 2) - 1`` on this
+    thread, drawn from the sites of ``rng``, and the rest on one worker
+    thread, drawn from the sites of ``rng.child(_PART_1)``.  Each part runs
+    its rows in tiles of ``_GROUP_ROWS`` rows, and each tile runs depth
+    first through every layer into its rows of one preallocated output.
+    Every block of a tile has one row per tile row.  With ``fans =
+    (*fan_in, fan_out[-1])``, ``fans[l]`` copies of layer ``l`` are averaged
+    into the input of one group of layer ``l + 1`` (layer 0: modulated
+    inputs, noise ``Sigma_m / fans[0]``), and ``fans[L]`` into the output.
+    Layer ``l`` makes one weighted addition per group with weight noise
     ``Sigma_w / fans[l-1]`` (with ``combine_split``, combine noise
     ``Sigma_c / fans[l-1]**2``), fans it out to ``fan_out[l-1]`` copies
     with split noise and activates them; ``fan_out[l-1]`` divides
@@ -567,13 +438,6 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     averaged.  Copies that no noise source reaches before their activation
     noise are identical; where the kernel would average those, it takes
     copy 0, so a zero profile gives :func:`forward` bit for bit.
-
-    The walk is a generator: it yields a :class:`_Fill` for every noise
-    block, in the order it uses them, and a function for every step of
-    arithmetic, and is sent back the scaled block or the function's value.
-    Run with nothing sent back, it lists the call's fills, which
-    :class:`_Pipeline` then fills on the worker and this thread while the
-    walk runs again with its arithmetic.
     """
     profile.validate_for(net)
     trials = _integer(trials, "trials", 1)
@@ -601,54 +465,57 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
         widest = max(below * dims[l - 1], fans[l] * dims[l])
         unit_bytes.append(max(unit_bytes[-1] * below, 8 * min(total, _GROUP_ROWS) * widest))
 
-    def walk(l, count, inputs, n):
+    def walk(sites, l, count, inputs, n):
         """Averaged inputs ``(count, n, d_l)`` of the next ``count`` groups
-        of layer ``l + 1`` of a tile of ``n`` rows with the ``inputs``; at
-        ``l = L`` the output."""
+        of layer ``l + 1`` of a tile of ``n`` rows with the ``inputs``,
+        drawn from ``sites``; at ``l = L`` the output."""
         if l == 0:
             h = np.broadcast_to(inputs, (count, n, dims[0]))
-            if profile.modulation.is_zero:
-                return h
-            z = yield _Fill(profile.modulation, KIND_MODULATION, 0, h.shape, fans[0])
-            return (yield lambda: np.add(z, h, out=z))
+            return sites.add(h, profile.modulation, KIND_MODULATION, 0, fans[0])
         step = max(1, _CHUNK_BYTES // unit_bytes[l])
         if count > step:
-            parts = []
-            for s in range(0, count, step):
-                parts.append((yield from walk(l, min(step, count - s), inputs, n)))
-            return (yield lambda: np.concatenate(parts))
+            return np.concatenate([walk(sites, l, min(step, count - s), inputs, n)
+                                   for s in range(0, count, step)])
         layer, f, g = net.layers[l - 1], fan_out[l - 1], fans[l]
-        h = yield from walk(l - 1, count * g // f, inputs, n)
-        h = yield lambda: affine(layer.weights, layer.bias, h)
+        h = affine(layer.weights, layer.bias, walk(sites, l - 1, count * g // f, inputs, n))
         for spec, kind, div in ((profile.weight[l - 1], KIND_WEIGHT, fans[l - 1]),
                                 (combine, KIND_COMBINE, fans[l - 1] ** 2)):
             if not spec.is_zero:
-                z = yield _Fill(spec, kind, l, (count * g // f, n, dims[l]), div)
-                h = yield lambda: np.add(h, z, out=h)
+                h += sites.draw(spec, kind, l, h.shape, div)
         if not split.is_zero:
-            y = yield _Fill(split, KIND_SPLIT, l, (count * g, n, dims[l]), 1.0)
-            h = yield lambda: _fan_out(y, h, f)
-        h = yield lambda: _average(layer.activation._in_place(h), count, still[l])
-        noise = profile.activation[l - 1]
-        if noise.is_zero:
-            return h
-        z = yield _Fill(noise, KIND_ACTIVATION, l, (count, n, dims[l]), g)
-        return (yield lambda: np.add(z, h, out=z))
+            h = _fan_out(sites.draw(split, KIND_SPLIT, l, (count * g, n, dims[l])), h, f)
+        h = _average(layer.activation._in_place(h), count, still[l])
+        return sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l, g)
 
     out = np.empty((total, dims[-1]))
 
-    def tiles():
-        for s in range(0, total, _GROUP_ROWS):
-            rows = slice(s, min(s + _GROUP_ROWS, total))
+    def run(sites, start, stop):
+        """Rows ``start .. stop - 1`` of the output, tile by tile."""
+        for s in range(start, stop, _GROUP_ROWS):
+            e = min(s + _GROUP_ROWS, stop)
             # the tile's input rows; a vector input broadcasts to all of them
-            inputs = xs[0] if xs.shape[0] == 1 else xs[np.arange(s, rows.stop) // trials]
-            h = yield from walk(net.depth, 1, inputs, rows.stop - s)
-            yield lambda: np.copyto(out[rows], h[0])
+            inputs = xs[0] if xs.shape[0] == 1 else xs[np.arange(s, e) // trials]
+            out[s:e] = walk(sites, net.depth, 1, inputs, e - s)[0]
 
-    # the walk with None sent back for every step lists the call's fills
-    fills = [step for step in tiles() if isinstance(step, _Fill)]
-    with _Pipeline(fills, _Sites(rng)) as pipeline:
-        _drive(tiles(), pipeline.take)
+    if total < _SPLIT_ROWS:
+        run(_Sites(rng), 0, total)
+    else:
+        half, failed = -(-total // 2), []
+
+        def part_1():
+            try:
+                run(_Sites(rng.child(_PART_1)), half, total)
+            except BaseException as exc:  # raised again by the calling thread
+                failed.append(exc)
+
+        worker = threading.Thread(target=part_1, name="optonoise-part-1", daemon=True)
+        worker.start()
+        try:
+            run(_Sites(rng), 0, half)
+        finally:
+            worker.join()
+        if failed:
+            raise failed[0]
     return out.reshape(xs.shape[0], trials, -1) if x.ndim == 2 else out
 
 
@@ -659,16 +526,17 @@ def noisy_forward_samples(
 
     Modulation noise is added once to the input; each layer then adds
     weight noise inside the activation and activation noise after it.
-    Draw sites are keyed ``(kind, layer)`` under ``rng`` and each emits
-    one block with trials as rows, so a batch is reproducible as a whole
-    and ``trials=1`` gives one evaluation.  With an all-zero profile every
-    row equals :func:`forward` bit-exactly.
-
     ``x`` is one input vector, giving ``(trials, d_L)``, or an ``(N, d_0)``
-    matrix of inputs, giving ``(N, trials, d_L)``.  A matrix call draws
-    all ``N * trials`` rows of a site as one block, input major, so input
-    ``i`` takes rows ``i * trials`` to ``(i + 1) * trials - 1``; a one-row
-    matrix gives exactly the samples of its vector.
+    matrix of inputs, giving ``(N, trials, d_L)``.  The call's ``R = N *
+    trials`` rows are input major, so input ``i`` takes rows ``i * trials``
+    to ``(i + 1) * trials - 1``.  Every site is drawn as one block of a
+    part's rows: all ``R`` rows from ``rng.child(kind, layer)``, or at
+    ``R >= _SPLIT_ROWS`` the first ``ceil(R / 2)`` from there and the rest
+    from ``rng.child(_PART_1, kind, layer)``.  So a batch is reproducible
+    as a whole, ``trials=1`` gives one evaluation, row 0 of any call is
+    that evaluation, and a one-row matrix gives exactly the samples of its
+    vector.  With an all-zero profile every row equals :func:`forward`
+    bit-exactly.
     """
     return _sample(net, profile, x, trials, rng, (1,) * net.depth, (1,) * net.depth)
 
@@ -691,10 +559,11 @@ class SampleStats:
 def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
     """Two-pass statistics of an ``(n, d)`` finite sample matrix.
 
-    The mean is taken first; the covariance is assembled from centered
-    outer products (numpy's pairwise/blocked summation keeps accumulation
-    error around 1e-10 relative at a million samples).  Finite samples
-    whose mean, covariance or squared deviation overflow are refused.
+    The mean is taken first; the second pass walks the samples in chunks of
+    ``_GROUP_ROWS`` rows and sums the chunks' centered outer products and
+    squared deviations from the reference, so it holds no deviation array
+    the size of the samples.  Finite samples whose mean, covariance or
+    squared deviation overflow are refused.
     """
     samples = _array(samples, "samples", 2)
     if samples.shape[0] < 2:
@@ -705,21 +574,22 @@ def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
         raise ValidationError(
             f"reference has length {reference.shape[0]}, expected the sample width {d}"
         )
-    if not np.isfinite(samples).all():
-        raise ValidationError("samples contain non-finite values")
     if not np.isfinite(reference).all():
         raise ValidationError("reference contains non-finite values")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         mean = samples.mean(axis=0)
-        centered = samples - mean
-        cov = centered.T @ centered / (n - 1)
-        cov = (cov + cov.T) / 2.0
-        # squared deviations row chunk by row chunk, without a deviation
-        # array the size of the samples
+        cov = np.zeros((d, d))
         sq = np.empty(n)
         for s in range(0, n, _GROUP_ROWS):
-            dev = samples[s : s + _GROUP_ROWS] - reference
+            chunk = samples[s : s + _GROUP_ROWS]
+            if not np.isfinite(chunk).all():
+                raise ValidationError("samples contain non-finite values")
+            dev = chunk - mean
+            cov += dev.T @ dev
+            np.subtract(chunk, reference, out=dev)
             np.einsum("ij,ij->i", dev, dev, out=sq[s : s + _GROUP_ROWS])
+        cov /= n - 1
+        cov = (cov + cov.T) / 2.0
         mse = float(np.mean(sq))
     for what, value in (("mean", mean), ("covariance", cov), ("mean squared deviation", mse)):
         if not np.all(np.isfinite(value)):

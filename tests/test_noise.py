@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -420,14 +421,18 @@ class TestSiteStreams:
 
 
 class TestTiles:
-    """A call's rows run in tiles of ``_GROUP_ROWS``; in each tile copy ``j``
-    of a site takes the site's next tile-sized block."""
+    """A call's two parts run their rows in tiles of ``_GROUP_ROWS``; in each
+    tile copy ``j`` of a site takes the next tile-sized block of the part's
+    stream of that site."""
 
     ROWS = 2 * noise._GROUP_ROWS + 5
+    HALF = noise._GROUP_ROWS + 3  # ceil(ROWS / 2), the rows of part 0
 
     def test_design_b_reads_the_split_stream_tile_by_tile(self):
-        # depth 1, m = 3, split noise only, over two full tiles and one of
-        # five rows: each tile takes three blocks of its own rows in turn
+        # depth 1, m = 3, split noise only, over two parts: part 0 runs a
+        # full tile and one of three rows on the site rng.child(KIND_SPLIT, 1),
+        # part 1 a full tile and one of two rows on rng.child(_PART_1,
+        # KIND_SPLIT, 1); each tile takes three blocks of its own rows in turn
         rng = np.random.default_rng(30)
         W = rng.normal(size=(4, 3))
         net = Network((Layer(W, rng.normal(size=4), Activation.tanh()),), 3)
@@ -435,16 +440,19 @@ class TestTiles:
         profile = NoiseProfile(zero, (zero,), (zero,), zero, CovSpec.isotropic(var))
         x = rng.normal(size=3)
         out = design_b_samples(DesignBSpec(net, 3), x, profile, self.ROWS, RngStream(31))
-        gen = RngStream(31).child(KIND_SPLIT, 1).generator()
         h = forward(Network((Layer(W, net.layers[0].bias, Activation.identity()),), 3), x)
-        expected = np.concatenate([
-            np.tanh(h + math.sqrt(var) * gen.standard_normal((3, n, 4))).mean(axis=0)
-            for n in (noise._GROUP_ROWS, noise._GROUP_ROWS, 5)])
-        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        expected = []
+        for path, tiles in (((KIND_SPLIT, 1), (noise._GROUP_ROWS, 3)),
+                            ((noise._PART_1, KIND_SPLIT, 1), (noise._GROUP_ROWS, 2))):
+            gen = RngStream(31).child(*path).generator()
+            expected += [np.tanh(h + math.sqrt(var) * gen.standard_normal((3, n, 4))).mean(axis=0)
+                         for n in tiles]
+        np.testing.assert_allclose(out, np.concatenate(expected), rtol=1e-12, atol=1e-12)
 
     def test_one_copy_sites_read_their_stream_as_one_block(self):
-        # the plain net over three inputs whose rows straddle tile borders:
-        # every site reads its stream as one block of all the call's rows
+        # the plain net over three inputs whose rows straddle tile and part
+        # borders: every site reads each part's stream as one block of the
+        # part's rows
         rng = np.random.default_rng(32)
         net = TestDegeneracyProperty.random_net(rng, ["tanh", "diag"])
         dims = net.dims()
@@ -455,8 +463,11 @@ class TestTiles:
         out = noisy_forward_samples(net, profile, xs, trials, RngStream(33))
 
         def block(kind, layer, var):
-            gen = RngStream(33).child(kind, layer).generator()
-            return math.sqrt(var) * gen.standard_normal((3 * trials, dims[layer]))
+            part_0 = RngStream(33).child(kind, layer).generator()
+            part_1 = RngStream(33).child(noise._PART_1, kind, layer).generator()
+            return math.sqrt(var) * np.concatenate([
+                part_0.standard_normal((self.HALF, dims[layer])),
+                part_1.standard_normal((self.ROWS - self.HALF, dims[layer]))])
 
         h = np.repeat(xs, trials, axis=0) + block(KIND_MODULATION, 0, 0.01)
         for l, layer in enumerate(net.layers, start=1):
@@ -465,8 +476,9 @@ class TestTiles:
         np.testing.assert_array_equal(out, h.reshape(3, trials, -1))
 
     def test_one_tile_tree_keeps_its_samples(self):
-        # a tree over at most _GROUP_ROWS rows is one tile and reads every
-        # site as before tiling.  Powers-of-two weights, at most two nonzeros
+        # a tree over 2 000 rows runs two parts of 1 000 rows, one tile
+        # each, so each part reads a site with several copies as one block
+        # per copy.  Powers-of-two weights, at most two nonzeros
         # a row, and relu and diag activations keep every product exact, so
         # no BLAS kernel rounds a row differently and the hash is portable.
         W1 = np.array([[1.0, 0.5], [0.0, -2.0], [0.25, 0.0]])
@@ -482,7 +494,7 @@ class TestTiles:
         out = design_a_samples(DesignASpec(net, (3, 2, 1)), xs, profile, 500, RngStream(2024))
         assert out.shape == (4, 500, 2)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "9d77c519fbbac96fc4b7dd4a7fbe92d338aea1edda6ee8f4e5da5c8560f58787")
+            "3962b566275140f5bc3c520d33091bb20b90fd5f1dc36c9d1a566e69c120082c")
 
 
 class TestDegeneracyProperty:
@@ -684,6 +696,27 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match=f"^sample {what} overflows float64$"):
             stats_from_samples(samples, reference)
 
+    def test_covariance_matches_np_cov(self):
+        # correlated columns over three chunks of _GROUP_ROWS rows and a
+        # partial one
+        rng = np.random.default_rng(40)
+        samples = rng.normal(size=(3 * noise._GROUP_ROWS + 7, 5)) @ rng.normal(size=(5, 5)) + 3.0
+        got = stats_from_samples(samples, np.zeros(5)).covariance
+        want = np.cov(samples, rowvar=False)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_peak_memory_stays_within_a_few_chunks(self):
+        # 100 000 x 64 samples are 49 chunks of _GROUP_ROWS rows; the second
+        # pass holds a few chunks, not a deviation array the size of the samples
+        samples = np.random.default_rng(41).normal(size=(100_000, 64))
+        tracemalloc.start()
+        try:
+            stats_from_samples(samples, np.zeros(64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * noise._GROUP_ROWS * 64 * 8
+
     def test_same_seed_bit_identical(self):
         profile = NoiseProfile.isotropic(1, modulation_var=1.0)
 
@@ -856,9 +889,23 @@ def record_fill_threads(monkeypatch):
     return threads
 
 
+class _InlineThread:
+    """Stands in for ``threading.Thread``: runs its target on ``start``."""
+
+    def __init__(self, target, name=None, daemon=None):
+        self._target = target
+
+    def start(self):
+        self._target()
+
+    def join(self):
+        pass
+
+
 class TestDrawAhead:
-    """The worker thread that fills noise blocks ahead changes no sample,
-    and no thread outlives a sampler call."""
+    """A call of at least ``_SPLIT_ROWS`` rows draws its second part on a
+    worker thread ahead of the calling thread's first part; the worker
+    changes no sample, and no thread outlives a sampler call."""
 
     @staticmethod
     def _profile(rng, net):
@@ -879,7 +926,10 @@ class TestDrawAhead:
         ),
         width=st.integers(1, 5),
         n_inputs=st.sampled_from([0, 1, 3]),
-        trials=st.integers(1, 6),
+        # row counts on both sides of _SPLIT_ROWS, odd ones among them
+        trials=st.one_of(st.integers(1, 6), st.sampled_from(
+            [noise._SPLIT_ROWS // 3, noise._SPLIT_ROWS // 3 + 1,
+             noise._SPLIT_ROWS - 1, noise._SPLIT_ROWS, noise._SPLIT_ROWS + 1])),
         copies=st.lists(st.integers(1, 3), min_size=3, max_size=3),
         m=st.integers(1, 3),
         tiny_chunks=st.booleans(),
@@ -909,13 +959,45 @@ class TestDrawAhead:
             if tiny_chunks:
                 mp.setattr(noise, "_CHUNK_BYTES", 1)
             threaded = [run() for run in samplers]
-            # with no lookahead every fill runs on the calling thread
-            mp.setattr(noise, "_LOOKAHEAD_BYTES", 0)
+            # part 1 runs inline, before part 0
+            mp.setattr(noise, "threading", SimpleNamespace(Thread=_InlineThread))
             threads = record_fill_threads(mp)
-            synchronous = [run() for run in samplers]
+            inline = [run() for run in samplers]
         assert set(threads) <= {threading.main_thread()}
-        for got, want in zip(threaded, synchronous):
+        for got, want in zip(threaded, inline):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [noise._SPLIT_ROWS - 1, noise._SPLIT_ROWS + 1],
+                             ids=["one-part", "two-parts"])
+    def test_parts_read_their_own_streams(self, rows, monkeypatch):
+        # the plain net over R rows: at R >= _SPLIT_ROWS the first ceil(R / 2)
+        # rows read every site rng.child(kind, layer) as one block, and the
+        # rest rng.child(_PART_1, kind, layer), on one other thread; below
+        # it all R rows read rng.child(kind, layer) and no thread starts
+        rng = np.random.default_rng(34)
+        net = TestDegeneracyProperty.random_net(rng, ["tanh", "relu"])
+        dims = net.dims()
+        iso = [CovSpec.isotropic(v) for v in (0.01, 0.02, 0.03, 0.04, 0.05)]
+        profile = NoiseProfile(iso[0], (iso[1], iso[2]), (iso[3], iso[4]))
+        x = rng.normal(size=dims[0])
+        threads = record_fill_threads(monkeypatch)
+        out = noisy_forward_samples(net, profile, x, rows, RngStream(35))
+        split = rows >= noise._SPLIT_ROWS
+        assert len(set(threads) - {threading.main_thread()}) == split
+        half = -(-rows // 2) if split else rows
+
+        def block(kind, layer, var):
+            part_0 = RngStream(35).child(kind, layer).generator()
+            part_1 = RngStream(35).child(noise._PART_1, kind, layer).generator()
+            return math.sqrt(var) * np.concatenate([
+                part_0.standard_normal((half, dims[layer])),
+                part_1.standard_normal((rows - half, dims[layer]))])
+
+        h = x + block(KIND_MODULATION, 0, 0.01)
+        for l, layer in enumerate(net.layers, start=1):
+            h = affine(layer.weights, layer.bias, h) + block(KIND_WEIGHT, l, (0.02, 0.03)[l - 1])
+            h = layer.activation(h) + block(KIND_ACTIVATION, l, (0.04, 0.05)[l - 1])
+        np.testing.assert_array_equal(out, h)
 
     def _net_and_profile(self, depth=2, width=4):
         rng = np.random.default_rng(5)
@@ -925,54 +1007,51 @@ class TestDrawAhead:
     def test_no_thread_outlives_a_call(self):
         net, profile, rng = self._net_and_profile()
         x = rng.normal(size=net.input_dim)
+        rows = noise._SPLIT_ROWS
         before = threading.active_count()
-        noisy_forward_samples(net, profile, x, 20, RngStream(1))
-        design_a_samples(DesignASpec(net, (2, 2, 1)), x, profile, 20, RngStream(1))
-        design_b_samples(DesignBSpec(net, 3), x, profile, 20, RngStream(1))
+        noisy_forward_samples(net, profile, x, rows, RngStream(1))
+        design_a_samples(DesignASpec(net, (2, 2, 1)), x, profile, rows, RngStream(1))
+        design_b_samples(DesignBSpec(net, 3), x, profile, rows, RngStream(1))
         assert threading.active_count() == before
 
     def test_no_thread_outlives_a_raising_call(self, monkeypatch):
+        # the calling thread's part fails at layer 2 while the worker's runs
         net, profile, rng = self._net_and_profile()
         real, calls = noise.affine, []
 
         def failing_affine(*args):
-            calls.append(args)
-            if len(calls) == 2:  # layer 2, after layer 1 handed its fills out
-                raise RuntimeError("affine failed")
+            if threading.current_thread() is threading.main_thread():
+                calls.append(args)
+                if len(calls) == 2:
+                    raise RuntimeError("affine failed")
             return real(*args)
 
         monkeypatch.setattr(noise, "affine", failing_affine)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="affine failed"):
             design_b_samples(DesignBSpec(net, 3), rng.normal(size=net.input_dim), profile,
-                             20, RngStream(1))
+                             noise._SPLIT_ROWS, RngStream(1))
         assert len(calls) == 2
         assert threading.active_count() == before
 
     def test_worker_fill_error_reaches_the_caller(self, monkeypatch):
-        # the calling thread's fills wait until the worker has tried one, so
-        # the worker certainly fills, and fails, before the call can finish
-        tried = threading.Event()
-
+        # every draw of the worker's part fails; the calling thread's succeed
         class FailingOnTheWorker:
             def __init__(self, gen):
                 self._gen = gen
 
             def standard_normal(self, *args, **kwargs):
-                if threading.current_thread() is threading.main_thread():
-                    assert tried.wait(60), "the worker never started a fill"
-                    return self._gen.standard_normal(*args, **kwargs)
-                tried.set()
-                raise RuntimeError("fill failed on the worker")
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("fill failed on the worker")
+                return self._gen.standard_normal(*args, **kwargs)
 
         real = RngStream.generator
         monkeypatch.setattr(RngStream, "generator", lambda self: FailingOnTheWorker(real(self)))
         net, profile, rng = self._net_and_profile()
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="fill failed on the worker"):
-            noisy_forward_samples(net, profile, rng.normal(size=net.input_dim), 20,
-                                  RngStream(1))
-        assert tried.is_set()
+            noisy_forward_samples(net, profile, rng.normal(size=net.input_dim),
+                                  noise._SPLIT_ROWS, RngStream(1))
         assert threading.active_count() == before
 
     def test_concurrent_calls_keep_their_bits(self):
@@ -980,12 +1059,12 @@ class TestDrawAhead:
         # switch interval so the threads interleave often
         net, profile, rng = self._net_and_profile()
         x = rng.normal(size=(3, net.input_dim))
-        spec = DesignBSpec(net, 3)
-        want = [design_b_samples(spec, x, profile, 200, RngStream(k)) for k in range(6)]
+        spec, trials = DesignBSpec(net, 3), noise._SPLIT_ROWS // 3 + 1
+        want = [design_b_samples(spec, x, profile, trials, RngStream(k)) for k in range(6)]
         got = [None] * len(want)
 
         def call(k):
-            got[k] = design_b_samples(spec, x, profile, 200, RngStream(k))
+            got[k] = design_b_samples(spec, x, profile, trials, RngStream(k))
 
         callers = [threading.Thread(target=call, args=(k,)) for k in range(len(want))]
         interval = sys.getswitchinterval()
@@ -1028,9 +1107,9 @@ class TestDrawAhead:
         np.testing.assert_array_equal(got, want)
 
     def test_peak_memory_stays_near_two_blocks(self):
-        # 2e4 trials of a width-64 net, every source on: the output block,
-        # the fills handed out ahead, and the working set of one tile, a
-        # layer's input, affine output and noise blocks
+        # 2e4 trials of a width-64 net, every source on: the output block
+        # and the working sets of one tile of each part, a layer's input,
+        # affine output and noise blocks
         trials, width, depth = 20_000, 64, 4
         rng = np.random.default_rng(6)
         net = Network(tuple(
@@ -1051,4 +1130,28 @@ class TestDrawAhead:
         finally:
             tracemalloc.stop()
         tile = noise._GROUP_ROWS * width * 8
-        assert peak <= block + noise._LOOKAHEAD_BYTES + 5 * tile
+        assert peak <= block + 5 * tile
+
+    def test_part_of_a_wide_tree_holds_a_few_tiles(self, monkeypatch):
+        # 4 copies per layer of a width-64 net over 2 000 rows: 256 leaves
+        # per row, run in passes of whole subtrees.  The worker's heap keeps
+        # what its part frees, so each part's passes stay a few tiles; the
+        # parts run one after the other here, so the peak is one part's
+        trials, width, depth = 2_000, 64, 4
+        rng = np.random.default_rng(8)
+        net = Network(tuple(
+            Layer(rng.normal(size=(width, width)) / 8, rng.normal(size=width),
+                  Activation.diag_linear(rng.uniform(0.5, 1.0, size=width)))
+            for _ in range(depth)), width)
+        tree = DesignASpec(net, (4, 4, 4, 4, 1))
+        profile = NoiseProfile.isotropic(depth, 0.01, 0.02, 0.03)
+        monkeypatch.setattr(noise, "threading", SimpleNamespace(Thread=_InlineThread))
+        x = rng.normal(size=width)
+        tracemalloc.start()
+        try:
+            design_a_samples(tree, x, profile, trials, RngStream(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tile = noise._GROUP_ROWS * width * 8
+        assert peak <= trials * width * 8 + 8 * tile
