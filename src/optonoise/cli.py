@@ -253,7 +253,7 @@ def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
         cal = _object(profile_spec["calibrate"], "calibrate")
         profile = calibrate_noise(
             net,
-            list(X),
+            X,
             w_fraction=cal["w_fraction"],
             a_fraction=cal["a_fraction"],
             m_fraction=cal.get("m_fraction"),

@@ -195,6 +195,15 @@ def budget_feasible(deltas, kappas, deviation_target: float, failure_target: flo
 _FAILURE_MARGIN = 0.95
 
 
+def _targets(deviation_target, failure_target) -> tuple[float, float]:
+    """``deviation_target > 0`` and ``0 < failure_target <= 1``, checked by name."""
+    deviation = _finite(deviation_target, "deviation_target", "> 0")
+    failure = _finite(failure_target, "failure_target")
+    if not 0.0 < failure <= 1.0:
+        raise ValidationError(f"failure_target must lie in (0, 1], got {failure_target!r}")
+    return deviation, failure
+
+
 def equal_split_targets(
     depth: int, deviation_target: float, failure_target: float
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -204,8 +213,7 @@ def equal_split_targets(
     so the product condition holds strictly.
     """
     depth = _integer(depth, "depth", 1)
-    deviation_target = _finite(deviation_target, "deviation_target")
-    failure_target = _finite(failure_target, "failure_target")
+    deviation_target, failure_target = _targets(deviation_target, failure_target)
     deltas = tuple(deviation_target / depth for _ in range(depth))
     kappa = 1.0 - (1.0 - _FAILURE_MARGIN * failure_target) ** (1.0 / depth)
     return deltas, tuple(kappa for _ in range(depth))
@@ -217,7 +225,7 @@ def total_copies(copies) -> int:
 
 
 def common_variance_bound(profile: NoiseProfile) -> float:
-    """Largest diagonal entry over the modulation/weight/activation specs.
+    """Largest variance, isotropic or diagonal entry, over the modulation/weight/activation specs.
 
     The copy-budget bound assumes diagonal covariances with a common
     variance ceiling; full covariances are rejected.
@@ -226,7 +234,10 @@ def common_variance_bound(profile: NoiseProfile) -> float:
     for spec in (profile.modulation, *profile.weight, *profile.activation):
         if spec.kind == "full":
             raise ValidationError("the copy budget requires diagonal noise covariances")
-        bound = max(bound, spec.max_diagonal())
+        if spec.kind == "isotropic":
+            bound = max(bound, spec.var)
+        elif spec.kind == "diagonal":
+            bound = max(bound, float(np.max(spec.vec, initial=0.0)))
     return bound
 
 
@@ -257,12 +268,11 @@ def sufficient_copies(net: Network, sigma_sq: float, deviation_target: float, fa
     """
     if (deltas is None) != (kappas is None):
         raise ValidationError("deltas and kappas must be given together or not at all")
+    deviation_target, failure_target = _targets(deviation_target, failure_target)
     L = net.depth
     if deltas is None:
         deltas, kappas = equal_split_targets(L, deviation_target, failure_target)
     sigma_sq = _finite(sigma_sq, "sigma_sq", ">= 0")
-    deviation_target = _finite(deviation_target, "deviation_target")
-    failure_target = _finite(failure_target, "failure_target")
     hoeffding_C = _finite(hoeffding_C, "hoeffding_C", "> 0")
     hoeffding_c = _finite(hoeffding_c, "hoeffding_c", "> 0")
     deltas = _split(deltas, "deltas", "every delta", "> 0")
@@ -353,17 +363,17 @@ def deviation_check(
     the trial fails unless the maximum deviation from the noiseless
     network stays strictly below the allowance.  The deviation bound
     behind the copy budget is input-independent, so a single input
-    suffices for linear networks; a set is accepted for nonlinear hosts.
-    Inputs are drawn in groups of consecutive ones (``noise._input_groups``),
-    group ``k`` in one sampler call on ``RngStream(seed).child(k)``.
+    suffices for linear networks; a set, a list of input vectors or an
+    ``(N, d_0)`` matrix, is accepted for nonlinear hosts.  Inputs are drawn
+    in groups of consecutive ones (``noise._input_groups``), group ``k`` in
+    one sampler call on ``RngStream(seed).child(k)``.
     """
     trials = _integer(trials, "trials", 100)
     deviation_allowance = _finite(deviation_allowance, "deviation_allowance", ">= 0")
-    inputs = [_array(x, "every input", 1) for x in inputs]
-    if not inputs:
+    if len(inputs) == 0:
         raise ValidationError("deviation_check needs at least one input")
-    references = [forward(spec.base, x) for x in inputs]
-    inputs, references = np.stack(inputs), np.stack(references)
+    inputs = _array(inputs, "inputs", 2)
+    references = forward(spec.base, inputs)
     root = RngStream(seed)
     worst = np.zeros(trials)
     for k, group in enumerate(_input_groups(len(inputs), trials)):

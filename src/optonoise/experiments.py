@@ -120,15 +120,16 @@ def calibrate_noise(
 ) -> NoiseProfile:
     """Build a noise profile from per-layer signal diameters.
 
-    The noiseless network is run over the calibration set; each layer's
-    signal diameter is the largest per-coordinate range (max minus min
-    across the calibration inputs) of its pre-activations (for
-    weighted-addition noise) and of its activations (for activation
-    noise).  The standard deviation at a layer is then ``fraction *
-    diameter``, i.e. the variance is its square.  Modulation noise is
-    calibrated the same way on the raw inputs; by default it reuses
-    ``a_fraction`` (re-modulating an activation and modulating the input
-    are the same physical step), pass ``m_fraction`` to override.
+    The noiseless network is run once over the calibration set, a list of
+    input vectors or an ``(N, d_0)`` matrix; each layer's signal diameter
+    is the largest per-coordinate range (max minus min across the
+    calibration inputs) of its pre-activations (for weighted-addition
+    noise) and of its activations (for activation noise).  The standard
+    deviation at a layer is then ``fraction * diameter``, i.e. the variance
+    is its square.  Modulation noise is calibrated the same way on the raw
+    inputs; by default it reuses ``a_fraction`` (re-modulating an activation
+    and modulating the input are the same physical step), pass
+    ``m_fraction`` to override.
 
     A zero diameter (in particular any single-input calibration set, where
     per-coordinate ranges collapse) produces a zero variance at that
@@ -141,21 +142,13 @@ def calibrate_noise(
             ("w_fraction", w_fraction), ("a_fraction", a_fraction), ("m_fraction", m_fraction)
         )
     )
-    inputs = [_array(x, "every calibration input", 1) for x in calibration_inputs]
-    if not inputs:
+    if len(calibration_inputs) == 0:
         raise ValidationError("calibration needs at least one input")
+    inputs = _array(calibration_inputs, "calibration inputs", 2)
+    preacts, acts = forward_trace(net, inputs)
 
-    preacts = [[] for _ in range(net.depth)]
-    acts = [[] for _ in range(net.depth)]
-    for x in inputs:
-        z, a = forward_trace(net, x)
-        for l in range(net.depth):
-            preacts[l].append(z[l])
-            acts[l].append(a[l])
-
-    def diameter(vectors, what):
-        stacked = np.stack(vectors)
-        diam = float((stacked.max(axis=0) - stacked.min(axis=0)).max())
+    def diameter(matrix, what):
+        diam = float((matrix.max(axis=0) - matrix.min(axis=0)).max())
         if diam == 0.0:
             warnings.warn(
                 f"zero signal diameter at {what}; calibrated variance is 0",
@@ -295,10 +288,6 @@ def _grid_point(cfg: ExperimentConfig, net, profile, copies: int, references, ro
     return per_trial / cfg.inputs.shape[0], hits
 
 
-def _references(cfg: ExperimentConfig, net) -> np.ndarray:
-    return np.array([forward(net, x) for x in cfg.inputs])
-
-
 def _mse_columns(cfg: ExperimentConfig, per_trial: np.ndarray) -> dict:
     low, high = normal_interval(per_trial, cfg.confidence)
     return {"mse": float(per_trial.mean()), "ci_low": low, "ci_high": high}
@@ -319,7 +308,7 @@ def run_mse_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
     """
     copies_grid = _copies_grid(copies_grid)
     root = RngStream(cfg.seed)
-    references = _references(cfg, cfg.network)
+    references = forward(cfg.network, cfg.inputs)
     rows = []
     for copies in copies_grid:
         per_trial, _ = _grid_point(cfg, cfg.network, cfg.profile, copies, references, root)
@@ -344,7 +333,7 @@ def run_accuracy_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
     if cfg.labels is None:
         raise ValidationError("accuracy experiments need labels")
     root = RngStream(cfg.seed)
-    references = _references(cfg, cfg.network)
+    references = forward(cfg.network, cfg.inputs)
     noiseless_hits = int(np.count_nonzero(np.argmax(references, axis=1) == cfg.labels))
     acc_nn = noiseless_hits / cfg.inputs.shape[0]
 
@@ -394,7 +383,7 @@ def run_depth_sweep(
     rows = []
     for n_add in n_grid:
         net = insert_identity_layers(cfg.network, n_add, slots)
-        references = _references(cfg, net)
+        references = forward(net, cfg.inputs)
         for var in variance_grid:
             profile = NoiseProfile.isotropic(net.depth, weight_var=var, activation_var=var)
             per_trial, hits = _grid_point(cfg, net, profile, copies, references, root)

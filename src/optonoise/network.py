@@ -306,14 +306,13 @@ def _issues(net: Network) -> list[str]:
     return issues
 
 
-def _check_input(net: Network, x, rows: bool = False) -> np.ndarray:
-    """``x`` as a finite input vector; with ``rows`` an ``(N, d_0)`` matrix of
-    N >= 1 inputs passes too."""
-    x = _array(x, "input", (1, 2) if rows else 1)
+def _check_input(net: Network, x) -> np.ndarray:
+    """``x`` as a finite input vector or an ``(N, d_0)`` matrix of N >= 1 inputs."""
+    x = _array(x, "input", (1, 2))
     if x.shape[-1] != net.input_dim or x.size == 0:
-        matrix = f" or an (N, {net.input_dim}) matrix with N >= 1" if rows else ""
         raise ValidationError(
-            f"input has shape {x.shape}, expected a vector of length {net.input_dim}{matrix}",
+            f"input has shape {x.shape}, expected a vector of length {net.input_dim} "
+            f"or an (N, {net.input_dim}) matrix with N >= 1",
             layer=0,
         )
     if not np.all(np.isfinite(x)):
@@ -322,7 +321,9 @@ def _check_input(net: Network, x, rows: bool = False) -> np.ndarray:
 
 
 def forward(net: Network, x) -> np.ndarray:
-    """Evaluate the noiseless network on one input vector."""
+    """Evaluate the noiseless network on an input vector or on each row of an
+    ``(N, d_0)`` matrix; row ``i`` equals the call on ``x[i]`` bit for bit,
+    as :func:`affine` runs fixed gemm tiles and activations act row by row."""
     h = _check_input(net, x)
     for layer in net.layers:
         h = layer.activation(affine(layer.weights, layer.bias, h))
@@ -333,7 +334,8 @@ def forward_trace(net: Network, x) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Noiseless evaluation keeping per-layer pre-activations and activations.
 
     Returns ``(preacts, acts)`` where ``preacts[l] = W x + b`` and
-    ``acts[l]`` the activated value, for ``l = 0..L-1``.
+    ``acts[l]`` the activated value, for ``l = 0..L-1``; for an ``(N, d_0)``
+    input matrix each entry has one row per input, as in :func:`forward`.
     """
     h = _check_input(net, x)
     preacts, acts = [], []

@@ -221,16 +221,6 @@ class CovSpec:
             return np.diag(self.vec)
         return self.mat.copy()
 
-    def max_diagonal(self) -> float:
-        """Largest diagonal entry; used for the common variance bound."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "isotropic":
-            return self.var
-        if self.kind == "diagonal":
-            return float(np.max(self.vec)) if self.vec.size else 0.0
-        return float(np.max(np.diag(self.mat)))
-
 
 def _scale(z: np.ndarray, spec: CovSpec, div: float = 1.0) -> np.ndarray:
     """Turn the standard normal rows of ``z`` into Normal(0, spec / div)
@@ -264,14 +254,18 @@ class RngStream:
     SFC64 bit generator seeded by ``SeedSequence(seed, spawn_key=path)``.
     The seed sequence hashes the path into the generator state, so streams
     with distinct paths are independent and each is reproducible from its
-    ``(seed, path)`` alone.
+    ``(seed, path)`` alone.  Seeds are signed 64-bit integers, so no two
+    share the two's-complement bits that seed the generator.
     """
 
     seed: int
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        seed = _integer(self.seed, "seed")
+        if not -(2**63) <= seed < 2**63:
+            raise ValidationError(f"seed must lie in [-2**63, 2**63), got {seed}")
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "path", tuple(_integer(i, "stream path index") for i in self.path))
 
     def child(self, *indices: int) -> "RngStream":
@@ -441,7 +435,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
     """
     profile.validate_for(net)
     trials = _integer(trials, "trials", 1)
-    x = _check_input(net, x, rows=True)
+    x = _check_input(net, x)
     xs = x if x.ndim == 2 else x[None]
     total = xs.shape[0] * trials
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)

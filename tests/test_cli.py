@@ -482,6 +482,36 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: sample covariance overflows float64\n"
 
+    @pytest.mark.parametrize("args, message", [
+        (["scan-m", "--d", "2", "--w-grid", "1:2", "--d-grid", "1"],
+         "grid spec '1:2' must be lo:hi:count"),
+        (["scan-m", "--d", "2", "--w-grid", "1:2:3:4", "--d-grid", "1"],
+         "grid spec '1:2:3:4' must be lo:hi:count"),
+        (["covariance", "--mode", "trajectory", "--profile", "{profile}"],
+         "mode trajectory needs --net and --profile"),
+        (["--format", "csv", "scan-m", "--d", "2", "--w-grid", "1", "--d-grid", "1"],
+         "csv format needs --output"),
+        (["experiment", "mse", "--grid", "1"], "experiment commands need --config"),
+    ], ids=["grid-two-fields", "grid-four-fields", "trajectory-without-net",
+            "csv-without-output", "experiment-without-config"])
+    def test_missing_option_or_malformed_spec_exits_1(self, experiment_files, capsys, args,
+                                                       message):
+        code, out, err = run(capsys, [a.format(**experiment_files) for a in args])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("seed, expected", [
+        (-(2**63), 0), (2**63 - 1, 0), (-(2**63) - 1, 1), (2**63, 1), (2**64, 1),
+    ], ids=["lowest", "highest", "below", "above", "wraps-to-0"])
+    def test_seed_outside_signed_64_bits_exits_1(self, experiment_files, capsys, seed, expected):
+        args = ["--seed", str(seed), "--trials", "10", "simulate", *SAMPLER]
+        code, out, err = run(capsys, [a.format(**experiment_files) for a in args])
+        assert code == expected
+        if expected:
+            assert out == "" and err == f"error: seed must lie in [-2**63, 2**63), got {seed}\n"
+        else:
+            assert json.loads(out)["meta"]["seed"] == seed
+
     def test_scan_m_gain_whose_square_overflows_exits_1(self, capsys):
         code, out, err = run(capsys, ["scan-m", "--d", "1", "--w-grid", "1e100:1e100:1",
                                       "--d-grid", "1e100"])
@@ -596,10 +626,22 @@ class TestExitCodes:
         (["simulate", "--net", "{net}", "--profile", "{file}", "--input", "{input}"],
          {"modulation": {"full": "abc"}, "weight": ["zero"] * 2, "activation": ["zero"] * 2},
          "full covariance must be numbers"),
+        (["copies", "--net", "{net}", "--targets", "{file}"],
+         {"sigma_sq": 0.0025, "deviation_target": 0.5, "failure_target": 1.04},
+         "failure_target must lie in (0, 1], got 1.04"),
+        (["copies", "--net", "{net}", "--targets", "{file}"],
+         {"sigma_sq": 0.0025, "deviation_target": 0.5, "failure_target": 1.5},
+         "failure_target must lie in (0, 1], got 1.5"),
+        (["copies", "--net", "{net}", "--targets", "{file}"],
+         {"sigma_sq": 0.0025, "deviation_target": -0.5, "failure_target": 0.05},
+         "deviation_target must be finite and > 0, got -0.5"),
+        (["limit", "--mode", "series", "--symmetric", "{file}"], {"e": [0.5, 0.5]},
+         "symmetric config is missing 'W'"),
     ], ids=["targets-list", "deltas-number", "deltas-only", "kappas-only", "symmetric-list", "symmetric-e-text", "symmetric-e-matrix",
             "config-list",
             "profile-weight-text", "profile-isotropic-text", "profile-diagonal-text",
-            "profile-full-text"])
+            "profile-full-text", "failure-target-1.04", "failure-target-1.5",
+            "deviation-target-negative", "symmetric-without-W"])
     def test_malformed_json_file_exits_1(self, experiment_files, tmp_path, capsys,
                                          args, content, message):
         path = tmp_path / "file.json"

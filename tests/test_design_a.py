@@ -1,6 +1,7 @@
 """Tree-replication design: evaluator, copy budgets, deviation guarantee."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -390,6 +391,30 @@ class TestCopyBudgetInputs:
         with pytest.raises(ValidationError, match=f"{target} must be finite"):
             equal_split_targets(2, **targets)
 
+    @pytest.mark.parametrize("target, value, message", [
+        ("deviation_target", -0.5, "deviation_target must be finite and > 0, got -0.5"),
+        ("deviation_target", 0.0, "deviation_target must be finite and > 0, got 0.0"),
+        ("failure_target", 1.5, "failure_target must lie in (0, 1], got 1.5"),
+        ("failure_target", 1.04, "failure_target must lie in (0, 1], got 1.04"),
+        ("failure_target", 0.0, "failure_target must lie in (0, 1], got 0.0"),
+        ("failure_target", -0.1, "failure_target must lie in (0, 1], got -0.1"),
+    ], ids=["deviation-negative", "deviation-zero", "failure-1.5", "failure-1.04", "failure-zero",
+            "failure-negative"])
+    @pytest.mark.parametrize("split", ["equal", "given", "equal_split_targets"])
+    def test_targets_out_of_range_refused_by_name(self, target, value, message, split):
+        targets = {"deviation_target": 1.0, "failure_target": 0.1, target: value}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            if split == "equal_split_targets":
+                equal_split_targets(1, **targets)
+            elif split == "equal":
+                sufficient_copies(identity_net(2), 0.25, **targets)
+            else:
+                sufficient_copies(identity_net(2), 0.25, deltas=(0.5,), kappas=(0.05,), **targets)
+
+    def test_failure_target_of_one_passes(self):
+        budget = sufficient_copies(identity_net(2), 0.25, 1.0, 1.0)
+        assert budget.copies[-1] == 1
+
 
 class TestCommonVarianceBound:
     def test_max_over_diagonals(self):
@@ -482,6 +507,14 @@ class TestDeviationCheck:
         result = deviation_check(spec, profile, list(inputs), allowance, trials, seed=3)
         assert result.failures == int(np.sum(worst >= allowance))
         assert 0 < result.failures < trials
+        matrix = deviation_check(spec, profile, inputs, allowance, trials, seed=3)
+        assert matrix.failures == result.failures
+
+    @pytest.mark.parametrize("inputs", [[], np.zeros((0, 2))], ids=["empty-list", "no-rows"])
+    def test_empty_input_set_refused(self, inputs):
+        spec = DesignASpec(identity_net(2), (1, 1))
+        with pytest.raises(ValidationError, match="deviation_check needs at least one input"):
+            deviation_check(spec, NoiseProfile.zero(1), inputs, 1.0, trials=100, seed=0)
 
     def test_wilson_interval_basics(self):
         low, high = wilson_interval(0, 1000)

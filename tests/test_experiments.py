@@ -1,6 +1,7 @@
 """Calibration, identity-layer insertion, sweeps, and the grid scan."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from optonoise import (
 )
 from optonoise import experiments, noise
 from optonoise.experiments import normal_interval, plan_insertions, write_csv
-from optonoise.noise import _input_groups
+from optonoise.noise import _input_groups, profile_to_json
 from optonoise.fixtures import fixture_dataset, fixture_network
 
 from conftest import random_linear_net, random_profile
@@ -84,6 +85,18 @@ class TestCalibrateNoise:
         inputs = [np.zeros(net.input_dim), np.ones(net.input_dim)]
         profile = calibrate_noise(net, inputs, 0.1, 0.1, m_fraction=0.5)
         assert profile.modulation.var == pytest.approx(0.25, rel=1e-9)  # (0.5 * 1)^2
+
+    def test_matrix_and_list_of_vectors_calibrate_alike(self, rng):
+        net = random_linear_net(rng, depth=3)
+        inputs = rng.normal(size=(7, net.input_dim))
+        by_rows = profile_to_json(calibrate_noise(net, list(inputs), 0.1, 0.2))
+        assert profile_to_json(calibrate_noise(net, inputs, 0.1, 0.2)) == by_rows
+
+    @pytest.mark.parametrize("inputs", [[], np.zeros((0, 2))], ids=["empty-list", "no-rows"])
+    def test_empty_calibration_set_refused(self, inputs):
+        net = Network((Layer(np.eye(2), np.zeros(2)),), 2)
+        with pytest.raises(ValidationError, match="calibration needs at least one input"):
+            calibrate_noise(net, inputs, 0.1, 0.1)
 
 
 class TestInsertionTuple:
@@ -260,6 +273,19 @@ class TestMseExperiment:
                               (["x", "0"], "'x'")):
             with pytest.raises(ValidationError, match=f"labels must be integers, got {shown}"):
                 config(labels)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("inputs", np.zeros((2, 7)), "inputs must be an (N, {d}) matrix"),
+        ("labels", [0, 0, 0], "labels must have one entry per input"),
+        ("confidence", 1.0, "confidence must lie in (0, 1)"),
+        ("confidence", 0.0, "confidence must lie in (0, 1)"),
+    ], ids=["inputs-width", "labels-length", "confidence-one", "confidence-zero"])
+    def test_config_fields_checked(self, rng, field, value, message):
+        cfg = small_config(rng, n_inputs=2)
+        kwargs = {"inputs": cfg.inputs, "trials": 4, "seed": 0, field: value}
+        with pytest.raises(ValidationError,
+                           match=re.escape(message.format(d=cfg.network.input_dim)) + "$"):
+            ExperimentConfig(network=cfg.network, profile=cfg.profile, design="b", **kwargs)
 
     def test_empty_input_set_refused(self, rng):
         cfg = small_config(rng)

@@ -112,6 +112,42 @@ class TestForward:
         net = single_layer(np.eye(2), activation=Activation.relu())
         np.testing.assert_array_equal(forward(net, [-1.0, 2.0]), [0.0, 2.0])
 
+    @pytest.mark.parametrize("kind", ["identity", "tanh", "relu", "softmax", "diag"])
+    def test_matrix_rows_equal_vector_calls(self, kind):
+        rng = np.random.default_rng(23)
+        dims = (5, 9, 7, 4)
+        layers = []
+        for d_in, d_out in zip(dims, dims[1:]):
+            act = Activation.diag_linear(rng.normal(size=d_out)) if kind == "diag" else Activation(kind)
+            layers.append(Layer(rng.normal(size=(d_out, d_in)), rng.normal(size=d_out), act))
+        net = Network(tuple(layers), dims[0])
+        # two full 8-row gemm tiles and a partial one; the far-out rows put
+        # softmax's largest entry far above the rest, where exp underflows
+        X = rng.normal(size=(19, dims[0]))
+        X[4] *= 1e4
+        X[-1] *= -1e6
+        outputs = forward(net, X)
+        preacts, acts = forward_trace(net, X)
+        assert outputs.shape == (19, dims[-1])
+        for i, x in enumerate(X):
+            np.testing.assert_array_equal(outputs[i], forward(net, x))
+            z, a = forward_trace(net, x)
+            for l in range(net.depth):
+                np.testing.assert_array_equal(preacts[l][i], z[l])
+                np.testing.assert_array_equal(acts[l][i], a[l])
+        np.testing.assert_array_equal(acts[-1], outputs)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((0, 2)), r"input has shape \(0, 2\), expected a vector of length 2 or an \(N, 2\)"),
+        (np.zeros((3, 3)), r"input has shape \(3, 3\)"),
+        (np.zeros((1, 2, 2)), "input must be a 1-D or 2-D array"),
+    ], ids=["no-rows", "wrong-width", "rank-3"])
+    def test_malformed_input_matrix_refused(self, bad, message):
+        net = single_layer(np.eye(2))
+        for evaluate in (forward, forward_trace):
+            with pytest.raises(ValidationError, match=message):
+                evaluate(net, bad)
+
 
 def construction_issues(*args) -> list[str]:
     """The issues ``Network(*args)`` reports, split from its one error."""

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import re
 import sys
 import threading
 import tracemalloc
@@ -125,6 +126,20 @@ class TestRngStream:
         for bad in (lambda: RngStream(1).child(2.9), lambda: RngStream(1, (0, False))):
             with pytest.raises(ValidationError, match="stream path index must be an integer"):
                 bad()
+
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1], ids=["lowest", "highest"])
+    def test_seeds_at_the_ends_of_the_range_keep_their_bits(self, seed):
+        stream = RngStream(seed).child(1, 2)
+        assert stream.seed == seed
+        # the generator is seeded by the seed's 64-bit two's-complement pattern
+        seq = np.random.SeedSequence(seed % 2**64, spawn_key=(1, 2))
+        expected = np.random.Generator(np.random.SFC64(seq)).standard_normal(4)
+        np.testing.assert_array_equal(normals(stream, 4), expected)
+
+    @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**63, 2**64], ids=["below", "above", "wraps-to-0"])
+    def test_seeds_outside_signed_64_bits_refused(self, seed):
+        with pytest.raises(ValidationError, match=rf"seed must lie in \[-2\*\*63, 2\*\*63\), got {seed}$"):
+            RngStream(seed)
 
 
 class TestSampleNoise:
@@ -822,6 +837,20 @@ class TestNoiseProfile:
     def test_layer_lists_checked(self, obj, message):
         with pytest.raises(ValidationError, match=message):
             profile_from_json(obj)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: noisy_forward_samples(Network((Layer([[1.0]], [0.0]),) * 2, 1),
+                                       NoiseProfile.zero(3), [0.0], 2, RngStream(0)),
+         "profile depth 3 does not match network depth 2"),
+        (lambda: CovSpec.full([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+         "full covariance must be a square matrix"),
+        (lambda: covspec_from_json({"isotropic": 0.1, "diagonal": [0.1]}),
+         "malformed covariance spec: {'isotropic': 0.1, 'diagonal': [0.1]}"),
+        (lambda: profile_from_json(["zero"]), "noise profile JSON must be an object"),
+    ], ids=["depth-mismatch", "full-not-square", "covspec-two-keys", "profile-list"])
+    def test_malformed_spec_or_profile_refused(self, make, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            make()
 
 
 class TestCovSpecEdges:
