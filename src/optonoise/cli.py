@@ -63,7 +63,6 @@ from .noise import (
     covspec_from_json,
     noisy_forward_samples,
     profile_from_json,
-    stats_from_samples,
 )
 
 __all__ = ["cli", "cli_main", "main_entry"]
@@ -218,7 +217,7 @@ def _load_inputs(spec) -> tuple[np.ndarray, np.ndarray | None]:
     """Input matrix (and labels when the container carries them)."""
     if isinstance(spec, dict) and "synthetic" in spec:
         syn = _object(spec["synthetic"], "synthetic inputs")
-        seed = _integer(syn.get("seed", 0), "synthetic seed")
+        seed = _integer(syn.get("seed", 0), "synthetic seed", 0)
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         shape = (_integer(syn["count"], "synthetic count", 0), _integer(syn["dim"], "synthetic dim", 0))
         X = gen.normal(0.0, _finite(syn.get("scale", 1.0), "synthetic scale", ">= 0"), size=shape)
@@ -340,8 +339,8 @@ def cmd_simulate(ctx, net_path, profile_path, input_text):
     profile = _load_profile(profile_path)
     x = _parse_vector(input_text)
     seed, trials = _seed(ctx), _trials(ctx)
-    samples = noisy_forward_samples(net, profile, x, trials, RngStream(seed))
-    stats = stats_from_samples(samples, forward(net, x))
+    stats = noisy_forward_samples(net, profile, x, trials, RngStream(seed),
+                                  reference=forward(net, x))
     payload = {"command": "simulate", "net": net_path, "profile": profile_path,
                "input": x.tolist(), "trials": trials, "seed": seed}
     _emit(ctx, {"meta": _meta(payload, seed), "stats": _stats_json(stats)})
@@ -361,8 +360,7 @@ def cmd_design_a(ctx, net_path, profile_path, input_text, copies):
     copy_vec = _int_list(json.loads(copies), "--copies")
     seed, trials = _seed(ctx), _trials(ctx)
     spec = DesignASpec(net, tuple(copy_vec))
-    samples = design_a_samples(spec, x, profile, trials, RngStream(seed))
-    stats = stats_from_samples(samples, forward(net, x))
+    stats = design_a_samples(spec, x, profile, trials, RngStream(seed), reference=forward(net, x))
     payload = {"command": "design-a", "net": net_path, "profile": profile_path,
                "input": x.tolist(), "copies": copy_vec, "trials": trials, "seed": seed}
     _emit(ctx, {"meta": _meta(payload, seed), "stats": _stats_json(stats)})
@@ -382,8 +380,7 @@ def cmd_design_b(ctx, net_path, profile_path, input_text, m, compare):
     x = _parse_vector(input_text)
     seed, trials = _seed(ctx), _trials(ctx)
     spec = DesignBSpec(net, m)
-    samples = design_b_samples(spec, x, profile, trials, RngStream(seed))
-    stats = stats_from_samples(samples, forward(net, x))
+    stats = design_b_samples(spec, x, profile, trials, RngStream(seed), reference=forward(net, x))
     payload = {"command": "design-b", "net": net_path, "profile": profile_path,
                "input": x.tolist(), "m": m, "trials": trials, "seed": seed}
     result = {"meta": _meta(payload, seed), "stats": _stats_json(stats)}

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import FeasibilityError, ValidationError
 # ``affine`` is unused here; bench/test_bench.py reads it on this module
 from .network import Network, _array, _finite, _integer, affine, forward, lipschitz_bounds  # noqa: F401
-from .noise import NoiseProfile, RngStream, _input_groups, _sample
+from .noise import NoiseProfile, RngStream, SampleStats, _input_groups, _sample
 
 __all__ = [
     "DesignASpec",
@@ -80,8 +80,8 @@ class DesignASpec:
 
 
 def design_a_samples(
-    spec: DesignASpec, x, profile: NoiseProfile, trials: int, rng: RngStream
-) -> np.ndarray:
+    spec: DesignASpec, x, profile: NoiseProfile, trials: int, rng: RngStream, *, reference=None
+) -> np.ndarray | SampleStats:
     """``trials`` independent tree evaluations, vectorized over trials.
 
     Returns ``(trials, d_L)`` for an input vector ``x`` and ``(N, trials,
@@ -113,10 +113,12 @@ def design_a_samples(
     ``noisy_forward_samples``.  With a zero profile every row equals the
     noiseless forward pass bit-exactly at any copy counts: copies that no
     noise reaches are identical, and the kernel takes one of them instead
-    of averaging.
+    of averaging.  With a ``reference`` the call returns the
+    :class:`SampleStats` of its rows against it instead, folded in tile by
+    tile (see ``noise.noisy_forward_samples``).
     """
     ones = (1,) * spec.base.depth
-    return _sample(spec.base, profile, x, trials, rng, spec.copies[:-1], ones)
+    return _sample(spec.base, profile, x, trials, rng, spec.copies[:-1], ones, reference=reference)
 
 
 def chi_mean(d: int) -> float:

@@ -50,8 +50,8 @@ class DesignBSpec:
 
 
 def design_b_samples(
-    spec: DesignBSpec, x, profile: NoiseProfile, trials: int, rng: RngStream
-) -> np.ndarray:
+    spec: DesignBSpec, x, profile: NoiseProfile, trials: int, rng: RngStream, *, reference=None
+) -> np.ndarray | SampleStats:
     """``trials`` independent combine/split evaluations, trial-vectorized.
 
     Returns ``(trials, d_L)`` for an input vector ``x`` and ``(N, trials,
@@ -74,10 +74,14 @@ def design_b_samples(
     site-for-site with ``noise.noisy_forward_samples`` on the same stream.
     With a zero profile every row equals the noiseless forward pass
     bit-exactly at any ``m``: branches that no noise reaches are identical,
-    and the kernel takes one of them instead of averaging.
+    and the kernel takes one of them instead of averaging.  With a
+    ``reference`` the call returns the :class:`SampleStats` of its rows
+    against it instead, folded in tile by tile (see
+    ``noise.noisy_forward_samples``).
     """
     ms = (spec.m,) * spec.base.depth
-    return _sample(spec.base, profile, x, trials, rng, ms, ms, combine_split=True)
+    return _sample(spec.base, profile, x, trials, rng, ms, ms, combine_split=True,
+                   reference=reference)
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,6 +45,14 @@ Part 1 runs on one worker thread that the call starts and joins before it
 returns or raises; an exception on the worker is raised again by the
 call.  The two parts share no generator and write disjoint rows of one
 output, so the samples do not depend on how the threads interleave.
+
+Monte Carlo statistics are built from merged tiles.  Given a
+``reference``, a sampler folds each tile into its part's running mean,
+centred cross-product and squared deviation (:class:`_Moments`) on the
+thread that drew it, and merges part 0 with part 1 at the end, so the
+call holds a few tiles, not its ``R`` rows.  :func:`stats_from_samples`
+cuts a sample matrix into the same parts and tiles (:func:`_parts`), so
+both give the same statistics bit for bit.
 """
 
 from __future__ import annotations
@@ -112,6 +120,15 @@ _SPLIT_ROWS = 1024
 #: First path component of part 1's sites, ``rng.child(_PART_1, kind,
 #: layer)``.  The kind codes stop at 4, so no site of part 0 has this path.
 _PART_1 = 5
+
+
+def _parts(rows: int) -> list[list[slice]]:
+    """The tiles of each part of a sampler call of ``rows`` rows: below
+    ``_SPLIT_ROWS`` one part, else rows ``0 .. ceil(rows / 2) - 1`` and the
+    rest; ``_GROUP_ROWS`` rows a tile from each part's start."""
+    cuts = (0, rows) if rows < _SPLIT_ROWS else (0, -(-rows // 2), rows)
+    return [[slice(s, min(s + _GROUP_ROWS, stop)) for s in range(start, stop, _GROUP_ROWS)]
+            for start, stop in zip(cuts, cuts[1:])]
 
 
 def _input_groups(count: int, trials: int) -> list[slice]:
@@ -266,7 +283,8 @@ class RngStream:
         if not -(2**63) <= seed < 2**63:
             raise ValidationError(f"seed must lie in [-2**63, 2**63), got {seed}")
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "path", tuple(_integer(i, "stream path index") for i in self.path))
+        path = tuple(_integer(i, "stream path index", 0) for i in self.path)
+        object.__setattr__(self, "path", path)
 
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + indices)
@@ -407,16 +425,19 @@ def _average(h: np.ndarray, count: int, still: bool) -> np.ndarray:
     return h[:, 0] if still else h.mean(axis=1)
 
 
-def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
+def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, reference=None):
     """The layer kernel behind every sampler: ``(trials, d_L)`` samples of
-    an input vector ``x``, ``(N, trials, d_L)`` of an ``(N, d_0)`` matrix.
+    an input vector ``x``, ``(N, trials, d_L)`` of an ``(N, d_0)`` matrix,
+    or with a ``reference`` their :class:`SampleStats` against it.
 
     The call's ``R = N * trials`` rows, input major, run in one part, or at
     ``R >= _SPLIT_ROWS`` in two: rows ``0 .. ceil(R / 2) - 1`` on this
     thread, drawn from the sites of ``rng``, and the rest on one worker
     thread, drawn from the sites of ``rng.child(_PART_1)``.  Each part runs
-    its rows in tiles of ``_GROUP_ROWS`` rows, and each tile runs depth
-    first through every layer into its rows of one preallocated output.
+    its rows in tiles of ``_GROUP_ROWS`` rows (:func:`_parts`), and each
+    tile runs depth first through every layer into the part's sink: its
+    rows of one preallocated output, or with a ``reference`` the part's
+    :class:`_Moments`, which the thread that drew the tile folds it into.
     Every block of a tile has one row per tile row.  With ``fans =
     (*fan_in, fan_out[-1])``, ``fans[l]`` copies of layer ``l`` are averaged
     into the input of one group of layer ``l + 1`` (layer 0: modulated
@@ -481,41 +502,47 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False):
         h = _average(layer.activation._in_place(h), count, still[l])
         return sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l, g)
 
-    out = np.empty((total, dims[-1]))
-
-    def run(sites, start, stop):
-        """Rows ``start .. stop - 1`` of the output, tile by tile."""
-        for s in range(start, stop, _GROUP_ROWS):
-            e = min(s + _GROUP_ROWS, stop)
-            # the tile's input rows; a vector input broadcasts to all of them
-            inputs = xs[0] if xs.shape[0] == 1 else xs[np.arange(s, e) // trials]
-            out[s:e] = walk(sites, net.depth, 1, inputs, e - s)[0]
-
-    if total < _SPLIT_ROWS:
-        run(_Sites(rng), 0, total)
+    parts = _parts(total)
+    if reference is None:
+        out = np.empty((total, dims[-1]))
+        sinks = [out] * len(parts)
     else:
-        half, failed = -(-total // 2), []
+        sinks = [_Moments(reference, dims[-1]) for _ in parts]
+
+    def run(sites, tiles, sink):
+        """The rows of ``tiles``, in order, each tile into ``sink``."""
+        for t in tiles:
+            # the tile's input rows; a vector input broadcasts to all of them
+            inputs = xs[0] if xs.shape[0] == 1 else xs[np.arange(t.start, t.stop) // trials]
+            sink[t] = walk(sites, net.depth, 1, inputs, t.stop - t.start)[0]
+
+    if len(parts) == 1:
+        run(_Sites(rng), parts[0], sinks[0])
+    else:
+        failed = []
 
         def part_1():
             try:
-                run(_Sites(rng.child(_PART_1)), half, total)
+                run(_Sites(rng.child(_PART_1)), parts[1], sinks[1])
             except BaseException as exc:  # raised again by the calling thread
                 failed.append(exc)
 
         worker = threading.Thread(target=part_1, name="optonoise-part-1", daemon=True)
         worker.start()
         try:
-            run(_Sites(rng), 0, half)
+            run(_Sites(rng), parts[0], sinks[0])
         finally:
             worker.join()
         if failed:
             raise failed[0]
+    if reference is not None:
+        return _merged(sinks)
     return out.reshape(xs.shape[0], trials, -1) if x.ndim == 2 else out
 
 
 def noisy_forward_samples(
-    net: Network, profile: NoiseProfile, x, trials: int, rng: RngStream
-) -> np.ndarray:
+    net: Network, profile: NoiseProfile, x, trials: int, rng: RngStream, *, reference=None
+) -> np.ndarray | SampleStats:
     """``trials`` independent noisy evaluations, vectorized over the trial axis.
 
     Modulation noise is added once to the input; each layer then adds
@@ -531,17 +558,25 @@ def noisy_forward_samples(
     that evaluation, and a one-row matrix gives exactly the samples of its
     vector.  With an all-zero profile every row equals :func:`forward`
     bit-exactly.
+
+    With a ``reference`` vector of width ``d_L`` the call returns the
+    :class:`SampleStats` of all ``R`` rows against it instead, folded in
+    tile by tile, so it never holds the ``R`` rows: the same draws, and
+    bit for bit ``stats_from_samples(samples.reshape(-1, d_L), reference)``.
     """
-    return _sample(net, profile, x, trials, rng, (1,) * net.depth, (1,) * net.depth)
+    ones = (1,) * net.depth
+    return _sample(net, profile, x, trials, rng, ones, ones, reference=reference)
 
 
 @dataclass(frozen=True, eq=False)
 class SampleStats:
-    """Summary of a Monte Carlo run.
+    """Summary of a Monte Carlo run, merged from the run's tiles.
 
     ``covariance`` is the unbiased (n-1 divisor) sample covariance;
     ``mse_vs_reference`` is the mean squared 2-norm of the deviation from
-    the reference vector.
+    the reference vector.  Each tile of ``_GROUP_ROWS`` rows contributes
+    its own mean, centred cross-product and summed squared deviation, and
+    tiles merge in row order by Chan's pairwise update (:class:`_Moments`).
     """
 
     n: int
@@ -550,45 +585,94 @@ class SampleStats:
     mse_vs_reference: float
 
 
-def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
-    """Two-pass statistics of an ``(n, d)`` finite sample matrix.
+class _Moments:
+    """Running statistics of the tiles of one part of a run against
+    ``reference``: row count, mean, centred cross-product and summed
+    squared deviation from the reference.
 
-    The mean is taken first; the second pass walks the samples in chunks of
-    ``_GROUP_ROWS`` rows and sums the chunks' centered outer products and
-    squared deviations from the reference, so it holds no deviation array
-    the size of the samples.  Finite samples whose mean, covariance or
-    squared deviation overflow are refused.
+    ``moments[rows] = tile`` folds a tile in, so a part's sink is either
+    its rows of an output array or its ``_Moments``; the row slice is not
+    needed.  A tile must be finite.  ``merge`` is Chan's pairwise update;
+    overflow is left to :meth:`stats`, which refuses it.
+    """
+
+    __slots__ = ("reference", "n", "mean", "m2", "sq")
+
+    def __init__(self, reference, width: int):
+        reference = _array(reference, "reference", 1)
+        if reference.shape[0] != width:
+            raise ValidationError(
+                f"reference has length {reference.shape[0]}, expected the sample width {width}"
+            )
+        if not np.isfinite(reference).all():
+            raise ValidationError("reference contains non-finite values")
+        self.reference, self.n, self.mean, self.m2, self.sq = reference, 0, None, None, 0.0
+
+    def __setitem__(self, rows: slice, tile: np.ndarray) -> None:
+        if not np.isfinite(tile).all():
+            raise ValidationError("samples contain non-finite values")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = tile.mean(axis=0)
+            dev = tile - mean
+            m2 = dev.T @ dev
+            np.subtract(tile, self.reference, out=dev)
+            self.merge(tile.shape[0], mean, m2, np.einsum("ij,ij->", dev, dev))
+
+    def merge(self, n: int, mean: np.ndarray, m2: np.ndarray, sq) -> None:
+        """Add ``n`` rows of the given mean, cross-product and squared deviation."""
+        if not self.n:
+            self.n, self.mean, self.m2, self.sq = n, mean, m2, sq
+            return
+        total = self.n + n
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = mean - self.mean
+            self.mean = self.mean + delta * (n / total)
+            self.m2 = self.m2 + m2 + np.outer(delta, delta * (self.n * n / total))
+            self.sq = self.sq + sq
+        self.n = total
+
+    def stats(self) -> SampleStats:
+        n = self.n
+        if n < 2:
+            raise ValidationError("need an (n, d) sample matrix with n >= 2")
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = self.m2 / (n - 1)
+            cov = (cov + cov.T) / 2.0
+            mse = float(self.sq / n)
+        for what, value in (("mean", self.mean), ("covariance", cov),
+                            ("mean squared deviation", mse)):
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"sample {what} overflows float64")
+        return SampleStats(n=n, mean=self.mean, covariance=cov, mse_vs_reference=mse)
+
+
+def _merged(parts: list[_Moments]) -> SampleStats:
+    """The statistics of a run's parts, merged in order."""
+    first, *rest = parts
+    for part in rest:
+        first.merge(part.n, part.mean, part.m2, part.sq)
+    return first.stats()
+
+
+def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
+    """Statistics of an ``(n, d)`` finite sample matrix, merged from tiles.
+
+    The rows are cut as a sampler call of ``n`` rows cuts them
+    (:func:`_parts`), and each part's tiles are folded in by
+    :class:`_Moments`, so the samples of a call give bit for bit the
+    statistics that the call returns with ``reference=``, and no deviation
+    array the size of the samples is held.  Finite samples whose mean,
+    covariance or squared deviation overflow are refused.
     """
     samples = _array(samples, "samples", 2)
     if samples.shape[0] < 2:
         raise ValidationError("need an (n, d) sample matrix with n >= 2")
-    n, d = samples.shape
-    reference = _array(reference, "reference", 1)
-    if reference.shape[0] != d:
-        raise ValidationError(
-            f"reference has length {reference.shape[0]}, expected the sample width {d}"
-        )
-    if not np.isfinite(reference).all():
-        raise ValidationError("reference contains non-finite values")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        mean = samples.mean(axis=0)
-        cov = np.zeros((d, d))
-        sq = np.empty(n)
-        for s in range(0, n, _GROUP_ROWS):
-            chunk = samples[s : s + _GROUP_ROWS]
-            if not np.isfinite(chunk).all():
-                raise ValidationError("samples contain non-finite values")
-            dev = chunk - mean
-            cov += dev.T @ dev
-            np.subtract(chunk, reference, out=dev)
-            np.einsum("ij,ij->i", dev, dev, out=sq[s : s + _GROUP_ROWS])
-        cov /= n - 1
-        cov = (cov + cov.T) / 2.0
-        mse = float(np.mean(sq))
-    for what, value in (("mean", mean), ("covariance", cov), ("mean squared deviation", mse)):
-        if not np.all(np.isfinite(value)):
-            raise ValidationError(f"sample {what} overflows float64")
-    return SampleStats(n=n, mean=mean, covariance=cov, mse_vs_reference=mse)
+    parts = []
+    for tiles in _parts(samples.shape[0]):
+        parts.append(_Moments(reference, samples.shape[1]))
+        for t in tiles:
+            parts[-1][t] = samples[t]
+    return _merged(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -557,9 +557,11 @@ class TestExitCodes:
         ({"confidence": "abc"}, "confidence must be finite, got 'abc'"),
         ({"inputs": {"synthetic": {"count": 2, "dim": 2, "scale": "x"}}},
          "synthetic scale must be finite and >= 0, got 'x'"),
+        ({"inputs": {"synthetic": {"count": 4, "dim": 8, "seed": -1}}},
+         "synthetic seed must be >= 0, got -1"),
     ], ids=["trials-fraction", "seed-fraction", "count-fraction", "dim-fraction",
             "negative-m-fraction", "text-w-fraction", "negative-count", "synthetic-number",
-            "calibrate-text", "text-confidence", "text-scale"])
+            "calibrate-text", "text-confidence", "text-scale", "negative-synthetic-seed"])
     def test_malformed_config_entry_exits_1(self, experiment_files, capsys, edit, message):
         config_path = experiment_files["config"]
         with open(config_path, encoding="utf-8") as fh:

@@ -127,6 +127,13 @@ class TestRngStream:
             with pytest.raises(ValidationError, match="stream path index must be an integer"):
                 bad()
 
+    @pytest.mark.parametrize("make", [lambda: RngStream(1, (-1,)), lambda: RngStream(1).child(-1),
+                                      lambda: RngStream(1, (2,)).child(0, -1)],
+                             ids=["path", "child", "deeper-child"])
+    def test_negative_path_index_refused_at_construction(self, make):
+        with pytest.raises(ValidationError, match=r"^stream path index must be >= 0, got -1$"):
+            make()
+
     @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1], ids=["lowest", "highest"])
     def test_seeds_at_the_ends_of_the_range_keep_their_bits(self, seed):
         stream = RngStream(seed).child(1, 2)
@@ -570,10 +577,12 @@ def _matrix_samplers(net, copies):
     tree = DesignASpec(net, (copies,) * net.depth + (1,))
     combine_split = DesignBSpec(net, copies)
     return {
-        "plain": lambda x, profile, trials, rng: noisy_forward_samples(net, profile, x, trials, rng),
-        "tree": lambda x, profile, trials, rng: design_a_samples(tree, x, profile, trials, rng),
-        "combine_split": lambda x, profile, trials, rng: design_b_samples(
-            combine_split, x, profile, trials, rng),
+        "plain": lambda x, profile, trials, rng, **kw: noisy_forward_samples(
+            net, profile, x, trials, rng, **kw),
+        "tree": lambda x, profile, trials, rng, **kw: design_a_samples(
+            tree, x, profile, trials, rng, **kw),
+        "combine_split": lambda x, profile, trials, rng, **kw: design_b_samples(
+            combine_split, x, profile, trials, rng, **kw),
     }
 
 
@@ -1083,17 +1092,25 @@ class TestDrawAhead:
                                   noise._SPLIT_ROWS, RngStream(1))
         assert threading.active_count() == before
 
-    def test_concurrent_calls_keep_their_bits(self):
+    @pytest.mark.parametrize("streamed", [False, True], ids=["samples", "stats"])
+    def test_concurrent_calls_keep_their_bits(self, streamed):
         # more callers than cores, each call with its own worker, and a short
         # switch interval so the threads interleave often
         net, profile, rng = self._net_and_profile()
         x = rng.normal(size=(3, net.input_dim))
         spec, trials = DesignBSpec(net, 3), noise._SPLIT_ROWS // 3 + 1
-        want = [design_b_samples(spec, x, profile, trials, RngStream(k)) for k in range(6)]
+        kw = {"reference": np.zeros(net.dims()[-1])} if streamed else {}
+
+        def sample(k):
+            out = design_b_samples(spec, x, profile, trials, RngStream(k), **kw)
+            return np.concatenate([out.mean, out.covariance.ravel(), [out.mse_vs_reference]]) \
+                if streamed else out
+
+        want = [sample(k) for k in range(6)]
         got = [None] * len(want)
 
         def call(k):
-            got[k] = design_b_samples(spec, x, profile, trials, RngStream(k))
+            got[k] = sample(k)
 
         callers = [threading.Thread(target=call, args=(k,)) for k in range(len(want))]
         interval = sys.getswitchinterval()
@@ -1184,3 +1201,80 @@ class TestDrawAhead:
             tracemalloc.stop()
         tile = noise._GROUP_ROWS * width * 8
         assert peak <= trials * width * 8 + 8 * tile
+
+
+class TestStreamedStats:
+    """With ``reference=`` a sampler folds each tile into running statistics
+    on the thread that drew it and returns them instead of the samples:
+    bit for bit the statistics of the same call's samples."""
+
+    @pytest.mark.parametrize("rows", [2, 1023, 1024, 2049, 5000])
+    @pytest.mark.parametrize("matrix", [False, True], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
+    def test_equal_the_statistics_of_the_samples(self, sampler, matrix, rows):
+        rng = np.random.default_rng(rows)
+        net = TestDegeneracyProperty.random_net(rng, ["tanh", "diag"])
+        run = _matrix_samplers(net, 2)[sampler]
+        profile = NoiseProfile.isotropic(net.depth, 0.01, 0.02, 0.03, 0.04, 0.05)
+        n_inputs = (3 if rows % 3 == 0 else 2) if matrix else 1
+        x = rng.normal(size=(n_inputs, net.input_dim)) if matrix else rng.normal(size=net.input_dim)
+        reference = rng.normal(size=net.dims()[-1])
+        samples = run(x, profile, rows // n_inputs, RngStream(rows))
+        got = run(x, profile, rows // n_inputs, RngStream(rows), reference=reference)
+        want = stats_from_samples(samples.reshape(-1, net.dims()[-1]), reference)
+        assert got.n == want.n == rows
+        np.testing.assert_array_equal(got.mean, want.mean)
+        np.testing.assert_array_equal(got.covariance, want.covariance)
+        assert got.mse_vs_reference == want.mse_vs_reference
+
+    def test_peak_memory_stays_within_a_few_tiles(self):
+        # 1e5 trials of a width-64 net would be 51.2 MB of samples; streamed,
+        # each part holds one tile's working set and its running statistics
+        trials, width = 100_000, 64
+        rng = np.random.default_rng(9)
+        net = Network(tuple(
+            Layer(rng.normal(size=(width, width)) / 8, rng.normal(size=width),
+                  Activation.diag_linear(rng.uniform(0.5, 1.0, size=width)))
+            for _ in range(2)), width)
+        profile = NoiseProfile(CovSpec.isotropic(0.01),
+                               tuple(CovSpec.diagonal(np.full(width, 0.02)) for _ in range(2)),
+                               tuple(CovSpec.isotropic(0.03) for _ in range(2)))
+        x = rng.normal(size=width)
+        tracemalloc.start()
+        try:
+            stats = noisy_forward_samples(net, profile, x, trials, RngStream(4),
+                                          reference=forward(net, x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.n == trials
+        tile = noise._GROUP_ROWS * width * 8
+        # about 4.3 tiles here; the samples would take 48.8 tiles
+        assert peak <= 8 * tile
+
+    def test_overflow_in_part_1_reaches_the_caller(self):
+        # input 0 fills part 0 with finite rows; input 1's gain overflows
+        # every row of part 1, which the worker thread refuses
+        net = Network((Layer(1e300 * np.eye(2), np.zeros(2)),), 2)
+        profile = NoiseProfile.isotropic(1, activation_var=1.0)
+        x = np.array([[0.0, 0.0], [1e10, 1e10]])
+        trials = noise._SPLIT_ROWS
+        samples = noisy_forward_samples(net, profile, x, trials, RngStream(3))
+        assert np.isfinite(samples[0]).all() and not np.isfinite(samples[1]).any()
+        before = threading.active_count()
+        with pytest.raises(ValidationError, match="^samples contain non-finite values$"):
+            noisy_forward_samples(net, profile, x, trials, RngStream(3), reference=np.zeros(2))
+        assert threading.active_count() == before
+
+    def test_reference_is_checked_before_sampling(self, monkeypatch):
+        net = identity_net(2)
+        draws = record_generators(monkeypatch)
+        with pytest.raises(ValidationError, match="length 1, expected the sample width 2"):
+            noisy_forward_samples(net, NoiseProfile.isotropic(1, 1.0), np.zeros(2), 10,
+                                  RngStream(1), reference=[0.0])
+        assert draws == []
+
+    def test_one_row_refused(self):
+        with pytest.raises(ValidationError, match="n >= 2"):
+            noisy_forward_samples(identity_net(2), NoiseProfile.isotropic(1, 1.0), np.zeros(2), 1,
+                                  RngStream(1), reference=np.zeros(2))
