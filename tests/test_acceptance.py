@@ -168,6 +168,55 @@ def test_criterion_02_design_b_covariance_vs_recursion():
     assert not failed, f"failed {failed}; details: {detail}"
 
 
+def test_criterion_02_companion_with_combine_and_split_noise():
+    # criterion 2's hosts draw no combine or split noise, design B's own
+    # sources; this companion turns both on (isotropic, so they fit every
+    # width) and runs checks (a)-(d) at criterion 2's tolerances
+    rng = np.random.default_rng(1012)
+    branchwise_errors, agreeing_errors, agreeing_gaps, depths = [], [], [], []
+    worst_min_eig = math.inf
+    for _ in range(20):
+        net = random_linear_net(rng, max_dim=6)
+        depths.append(net.depth)
+        base = random_profile(rng, net)
+        combine, split = (random_covspec(rng, None, kind="isotropic") for _ in range(2))
+        profile = NoiseProfile(base.modulation, base.weight, base.activation, combine, split)
+        x = rng.normal(size=net.input_dim)
+        linnet = LinearNet.from_network(net)
+        for m in (1, 2, 4):
+            samples = design_b_samples(
+                DesignBSpec(net, m), x, profile, 100_000, RngStream(int(rng.integers(2**31)))
+            )
+            stats = stats_from_samples(samples, forward(net, x))
+            corrected = terminal_average_correction(
+                propagate_b(linnet, profile, m).final, profile, net, m
+            )
+            branchwise = propagate_b_branchwise(linnet, profile, m).output
+            branchwise_errors.append(rel_frobenius(stats.covariance, branchwise))
+            if m == 1 or net.depth == 1:
+                agreeing_errors.append(rel_frobenius(stats.covariance, corrected))
+                agreeing_gaps.append(rel_frobenius(corrected, branchwise))
+            else:
+                gap = np.linalg.eigvalsh(branchwise - corrected)[0] / np.linalg.norm(branchwise)
+                worst_min_eig = min(worst_min_eig, float(gap))
+    checks = {
+        "(a) simulator vs branchwise <= 0.05": max(branchwise_errors) <= 0.05,
+        "(b) simulator vs corrected recursion <= 0.05 where they agree": max(agreeing_errors) <= 0.05,
+        "(b) corrected recursion equals branchwise to 1e-12": max(agreeing_gaps) <= 1e-12,
+        "(c) branchwise - corrected is PSD": worst_min_eig >= -1e-12,
+        "(d) depths 1 and >= 2 sampled": min(depths) == 1 and max(depths) >= 2,
+    }
+    failed = [name for name, passed in checks.items() if not passed]
+    detail = (
+        f"worst rel Frobenius vs branchwise {max(branchwise_errors):.4f}, "
+        f"vs corrected recursion where exact {max(agreeing_errors):.4f}, "
+        f"recursion gap there {max(agreeing_gaps):.1e}, gap min eigenvalue {worst_min_eig:.1e}, "
+        f"depths sampled {sorted(set(depths))}"
+    )
+    report(2, "design B with combine/split noise vs per-layer recursion", not failed, detail)
+    assert not failed, f"failed {failed}; details: {detail}"
+
+
 def test_criterion_03_closed_forms_equal_recursions():
     rng = np.random.default_rng(1003)
     worst = 0.0
