@@ -6,6 +6,7 @@ combine/split design branch by branch.  The package samplers draw from the
 same laws with one weighted addition per averaged group; the tests compare
 the two in mean and covariance.  Both take the package's draw sites, so
 with all copy counts 1 they reproduce the package samplers bit for bit.
+Every average of copies goes through :func:`_average`.
 """
 
 import numpy as np
@@ -21,6 +22,11 @@ from optonoise.noise import (
 )
 
 
+def _average(values):
+    """The mean of a list of equally shaped blocks."""
+    return sum(values[1:], values[0]) / len(values)
+
+
 def _node(net, profile, x, trials, sites, copies, level):
     """``(trials, d)`` block of the next tree node at ``level``.
 
@@ -31,14 +37,12 @@ def _node(net, profile, x, trials, sites, copies, level):
         base = np.broadcast_to(x, (trials, x.shape[0]))
         return sites.add(base, profile.modulation, KIND_MODULATION, 0)
     layer = net.layers[level - 1]
-    fan_in = copies[level - 1]
-    acc = None
-    for _ in range(fan_in):
+    weighted = []
+    for _ in range(copies[level - 1]):
         child = _node(net, profile, x, trials, sites, copies, level - 1)
         xi = affine(layer.weights, layer.bias, child)
-        xi = sites.add(xi, profile.weight[level - 1], KIND_WEIGHT, level)
-        acc = xi if acc is None else acc + xi
-    h = layer.activation(acc / fan_in)
+        weighted.append(sites.add(xi, profile.weight[level - 1], KIND_WEIGHT, level))
+    h = layer.activation(_average(weighted))
     return sites.add(h, profile.activation[level - 1], KIND_ACTIVATION, level)
 
 
@@ -56,16 +60,16 @@ def literal_design_b_samples(spec, x, profile, trials, rng):
     base = np.broadcast_to(x, (trials, net.input_dim))
     branches = [sites.add(base, profile.modulation, KIND_MODULATION, 0) for _ in range(m)]
     for l, layer in enumerate(net.layers, start=1):
-        combined = None
+        weighted = []
         for value in branches:
             xi = affine(layer.weights, layer.bias, value)
-            xi = sites.add(xi, profile.weight[l - 1], KIND_WEIGHT, l)
-            combined = xi if combined is None else combined + xi
-        combined = sites.add(combined, profile.combine, KIND_COMBINE, l)
-        shared = combined / m
+            weighted.append(sites.add(xi, profile.weight[l - 1], KIND_WEIGHT, l))
+        # the combined beam is the sum of the m values plus combine noise,
+        # normalized by m: their average plus Sigma_c / m**2
+        shared = sites.add(_average(weighted), profile.combine, KIND_COMBINE, l, m * m)
         branches = []
         for _ in range(m):
             y = sites.add(shared, profile.split, KIND_SPLIT, l)
             h = layer.activation(y)
             branches.append(sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l))
-    return sum(branches[1:], branches[0]) / m
+    return _average(branches)

@@ -27,7 +27,9 @@ from optonoise import (
 )
 from optonoise.covariance import _run
 
+import reference_samplers
 from conftest import gaussian_gaps, random_linear_net, random_profile
+from optonoise.noise import KIND_ACTIVATION, KIND_COMBINE, KIND_SPLIT, _Sites
 from reference_samplers import literal_design_b_samples, literal_tree_samples
 
 MAX_SE = 5.0
@@ -159,3 +161,87 @@ class TestOneCopy:
                 design_b_samples(DesignBSpec(net, 1), x, profile, 3, RngStream(32)),
                 literal_design_b_samples(DesignBSpec(net, 1), x, profile, 3, RngStream(32)),
             )
+
+
+class _WrongSites(_Sites):
+    """Draw sites that get one source's law wrong: its divisor times
+    ``factor``, or with ``shared`` one block for every ``shared``
+    consecutive draws of the source."""
+
+    def __init__(self, rng, kind, factor=1.0, shared=1):
+        super().__init__(rng)
+        self.kind, self.factor, self.shared, self.calls, self.block = kind, factor, shared, 0, None
+
+    def add(self, h, spec, kind, layer, div=1.0):
+        if kind != self.kind or spec.is_zero:
+            return super().add(h, spec, kind, layer, div)
+        if self.shared == 1:
+            return super().add(h, spec, kind, layer, div * self.factor)
+        if self.calls % self.shared == 0:
+            self.block = self.draw(spec, kind, layer, h.shape, div)
+        self.calls += 1
+        return h + self.block
+
+
+class TestOraclePower:
+    """The linear oracle check flags literal samplers that break one law.
+
+    Each wrong-law sampler is a literal reference sampler with one divisor
+    changed; the honest sampler passes at the same seed, so the flag comes
+    from the change.  The wrong samplers sit outside the package kernel.
+    """
+
+    TRIALS = 40_000
+    M = 4
+    COPIES = (3, 2, 1)
+
+    @staticmethod
+    def _copy_0(values):
+        return values[0]
+
+    def _laws(self, sampler):
+        m = self.M if sampler == "combine_split" else self.COPIES[1]
+        laws = {
+            "honest": {},
+            # Sigma_a per copy times the copies averaged: the mean keeps all of it
+            "activation undivided": {"sites": dict(kind=KIND_ACTIVATION, factor=1.0 / m)},
+            "average takes copy 0": {"average": self._copy_0},
+        }
+        if sampler == "combine_split":
+            laws["combine at m, not m**2"] = {"sites": dict(kind=KIND_COMBINE, factor=1.0 / m)}
+            laws["one split block for all branches"] = {"sites": dict(kind=KIND_SPLIT, shared=m)}
+        return laws
+
+    @pytest.mark.parametrize("sampler, law", [
+        ("combine_split", "honest"),
+        ("combine_split", "combine at m, not m**2"),
+        ("combine_split", "one split block for all branches"),
+        ("combine_split", "activation undivided"),
+        ("combine_split", "average takes copy 0"),
+        ("tree", "honest"),
+        ("tree", "activation undivided"),
+        ("tree", "average takes copy 0"),
+    ])
+    def test_wrong_laws_are_flagged(self, sampler, law, monkeypatch):
+        rng = np.random.default_rng(715)
+        net = random_linear_net(rng, depth=2, max_dim=4)
+        profile = NoiseProfile.isotropic(2, 0.02, 0.03, 0.03, 0.03, 0.03)
+        x = rng.normal(size=net.input_dim)
+        linnet = LinearNet.from_network(net)
+        change = self._laws(sampler)[law]
+        if "sites" in change:
+            monkeypatch.setattr(reference_samplers, "_Sites",
+                                lambda r: _WrongSites(r, **change["sites"]))
+        if "average" in change:
+            monkeypatch.setattr(reference_samplers, "_average", change["average"])
+        if sampler == "combine_split":
+            cov = propagate_b_branchwise(linnet, profile, self.M).output
+            samples = literal_design_b_samples(DesignBSpec(net, self.M), x, profile,
+                                               self.TRIALS, RngStream(716))
+        else:
+            cov = _run(linnet, profile, self.COPIES[:-1], (1,) * net.depth)[1][-1]
+            samples = literal_tree_samples(DesignASpec(net, self.COPIES), x, profile,
+                                           self.TRIALS, RngStream(716))
+        mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), cov)
+        flagged = mean_gap > MAX_SE or cov_gap > MAX_SE
+        assert flagged == (law != "honest"), (mean_gap, cov_gap)
