@@ -509,32 +509,33 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     else:
         sinks = [_Moments(reference, dims[-1]) for _ in parts]
 
+    # the first exception of either part; the other part stops at its next tile
+    failed = []
+
     def run(sites, tiles, sink):
         """The rows of ``tiles``, in order, each tile into ``sink``."""
-        for t in tiles:
-            # the tile's input rows; a vector input broadcasts to all of them
-            inputs = xs[0] if xs.shape[0] == 1 else xs[np.arange(t.start, t.stop) // trials]
-            sink[t] = walk(sites, net.depth, 1, inputs, t.stop - t.start)[0]
+        try:
+            for t in tiles:
+                if failed:
+                    return
+                # the tile's input rows; a vector input broadcasts to all of them
+                inputs = xs[0] if xs.shape[0] == 1 else xs[np.arange(t.start, t.stop) // trials]
+                sink[t] = walk(sites, net.depth, 1, inputs, t.stop - t.start)[0]
+        except BaseException as exc:  # raised again by the calling thread
+            failed.append(exc)
 
     if len(parts) == 1:
         run(_Sites(rng), parts[0], sinks[0])
     else:
-        failed = []
-
-        def part_1():
-            try:
-                run(_Sites(rng.child(_PART_1)), parts[1], sinks[1])
-            except BaseException as exc:  # raised again by the calling thread
-                failed.append(exc)
-
-        worker = threading.Thread(target=part_1, name="optonoise-part-1", daemon=True)
+        worker = threading.Thread(target=lambda: run(_Sites(rng.child(_PART_1)), parts[1], sinks[1]),
+                                  name="optonoise-part-1", daemon=True)
         worker.start()
         try:
             run(_Sites(rng), parts[0], sinks[0])
         finally:
             worker.join()
-        if failed:
-            raise failed[0]
+    if failed:
+        raise failed[0]
     if reference is not None:
         return _merged(sinks)
     return out.reshape(xs.shape[0], trials, -1) if x.ndim == 2 else out

@@ -1092,6 +1092,33 @@ class TestDrawAhead:
                                   noise._SPLIT_ROWS, RngStream(1))
         assert threading.active_count() == before
 
+    def test_a_failing_part_stops_the_other(self, monkeypatch):
+        # part 1 fails at its first draw; part 0, three tiles with one draw
+        # each, waits in its first draw until the worker has ended, and then
+        # runs no further tile
+        fills = []
+
+        class WaitsForTheWorker:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def standard_normal(self, *args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("fill failed on the worker")
+                fills.append(args)
+                for thread in threading.enumerate():
+                    if thread.name == "optonoise-part-1":
+                        thread.join()
+                return self._gen.standard_normal(*args, **kwargs)
+
+        real = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda self: WaitsForTheWorker(real(self)))
+        net = Network((Layer(np.eye(2), np.zeros(2), Activation.tanh()),), 2)
+        profile = NoiseProfile.isotropic(1, activation_var=0.1)
+        with pytest.raises(RuntimeError, match="fill failed on the worker"):
+            noisy_forward_samples(net, profile, np.zeros(2), 6 * noise._GROUP_ROWS, RngStream(1))
+        assert len(fills) == 1
+
     @pytest.mark.parametrize("streamed", [False, True], ids=["samples", "stats"])
     def test_concurrent_calls_keep_their_bits(self, streamed):
         # more callers than cores, each call with its own worker, and a short
