@@ -107,9 +107,16 @@ def design_a_samples(
     one weighted addition of its children's average, with weight noise
     ``Sigma_w / n_{l-1}`` (modulation ``Sigma_m / n_0`` at level 1), and
     takes block ``j`` of the level's weight site; block ``j`` of the level's
-    activation site belongs to node ``j`` of the level above.  Levels over
-    the kernel's byte budget in a tile run in chunks of whole subtrees,
-    which changes no sample.  With all copy counts 1 the draws equal
+    activation site belongs to node ``j`` of the level above.  A level with
+    a linear activation (identity or diag) draws fewer still: the mean of
+    its nodes is one weighted addition of the mean of their children, so it
+    makes one weighted addition per node of the level above and draws its
+    weight and activation noise as one block of its merged site at the
+    averaged covariance; the levels below it run as many realizations of
+    each subtree as it averages, and on a linear net the tree costs one
+    weighted addition and one block per layer, as the plain net does.
+    Levels over the kernel's byte budget in a tile run in chunks of whole
+    subtrees, which changes no sample.  With all copy counts 1 the draws equal
     ``noisy_forward_samples``.  With a zero profile every row equals the
     noiseless forward pass bit-exactly at any copy counts: copies that no
     noise reaches are identical, and the kernel takes one of them instead

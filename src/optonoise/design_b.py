@@ -69,7 +69,11 @@ def design_b_samples(
     activation block at ``Sigma_a / m`` for the m branches that the next
     beam (or the output) averages, which has the law of one block per
     branch.  Without split noise the m branches are identical until their
-    activation noise, and the beam is activated once.  With
+    activation noise, and the beam is activated once.  A layer with a
+    linear activation (identity or diag) activates the beam once and draws
+    all four sources as one block of its merged site, at ``D (Sigma_w / m +
+    Sigma_c / m**2 + Sigma_spl / m) D + Sigma_a / m``, the law of the m
+    branches' average; on a linear net that is one block per layer.  With
     ``m = 1`` (and zero combine/split covariances) the draws coincide
     site-for-site with ``noise.noisy_forward_samples`` on the same stream.
     With a zero profile every row equals the noiseless forward pass

@@ -24,8 +24,14 @@ averaged group: a layer's activated copies are averaged in groups right
 away (the next layer's fan-in, or the final average), and the mean of
 ``g`` Normal(0, Sigma_a) blocks is one Normal(0, Sigma_a / g) block, so
 block ``j`` of an activation site in a tile is group ``j`` of the next
-average.  Distinct paths give statistically independent streams and the
-same ``(seed, path)`` reproduces the same samples bit-exactly.
+average.  A layer whose activation is linear (identity or diag) draws
+all its noise from one merged site ``(_KIND_LINEAR, layer)`` instead: the
+mean of its copies is the weighted addition of the mean of their inputs,
+plus one Gaussian block, so it averages before the weighted addition and
+takes block ``j`` of the merged site for group ``j``, at the summed,
+averaged covariance of its weight, combine, split and activation noise.
+Distinct paths give statistically independent streams and the same
+``(seed, path)`` reproduces the same samples bit-exactly.
 
 All samplers run one layer kernel, :func:`_sample`, batched over the
 rows of a tile and the copies of a layer.  Every weighted addition, and
@@ -43,8 +49,9 @@ rows, one sampler call per group (:func:`_input_groups`).
 
 Part 1 runs on one worker thread that the call starts and joins before it
 returns or raises; an exception on the worker is raised again by the
-call.  The two parts share no generator and write disjoint rows of one
-output, so the samples do not depend on how the threads interleave.
+call, and an exception in either part stops the other at its next tile.
+The two parts share no generator and write disjoint rows of one output,
+so the samples do not depend on how the threads interleave.
 
 Monte Carlo statistics are built from merged tiles.  Given a
 ``reference``, a sampler folds each tile into its part's running mean,
@@ -86,14 +93,18 @@ KIND_WEIGHT = 1
 KIND_ACTIVATION = 2
 KIND_COMBINE = 3
 KIND_SPLIT = 4
+#: The one merged site of a linear layer, which draws all of the layer's
+#: weight, combine, split and activation noise at once.
+_KIND_LINEAR = 6
 
 #: Recorded in output metadata so result files name their generator and
 #: stream layout: one block per copy of the kernel, not per physical copy,
-#: one activation block per averaged group, sweeps draw groups of inputs in
-#: one call (:func:`_input_groups`), a site with several copies reads its
-#: stream tile by tile, ``_GROUP_ROWS`` rows per block, and a call of at
-#: least ``_SPLIT_ROWS`` rows reads its second half from the part-1 sites.
-GENERATOR_NAME = "sfc64/seedseq-site-parts"
+#: one activation block per averaged group, one merged block per group of a
+#: linear layer, sweeps draw groups of inputs in one call
+#: (:func:`_input_groups`), a site with several copies reads its stream tile
+#: by tile, ``_GROUP_ROWS`` rows per block, and a call of at least
+#: ``_SPLIT_ROWS`` rows reads its second half from the part-1 sites.
+GENERATOR_NAME = "sfc64/seedseq-merged-linear"
 
 _SYM_TOL = 1e-12
 _PSD_PIVOT_TOL = 1e-10
@@ -118,7 +129,7 @@ _GROUP_ROWS = 2048
 _SPLIT_ROWS = 1024
 
 #: First path component of part 1's sites, ``rng.child(_PART_1, kind,
-#: layer)``.  The kind codes stop at 4, so no site of part 0 has this path.
+#: layer)``.  No kind code is 5, so no site of part 0 has this path.
 _PART_1 = 5
 
 
@@ -304,10 +315,11 @@ class _Sites:
     the site draws, and each draw takes the site's next block of rows, so
     draws in the same order give the same blocks.  Callers never draw a
     zero spec, so zero-noise sites build no stream, stay bit-exact and
-    cost nothing.  ``draw`` returns a new ``shape`` block of
-    Normal(0, spec / div) rows.  ``add`` returns ``h`` plus one such block
-    for every copy (first axis) of ``h``, a new array, or ``h`` itself for
-    a zero spec; it never writes into ``h``.  One thread uses a ``_Sites``.
+    cost nothing.  ``normals`` returns the site's next ``shape`` block of
+    standard normals, and ``draw`` such a block of Normal(0, spec / div)
+    rows.  ``add`` returns ``h`` plus one such block for every copy (first
+    axis) of ``h``, a new array, or ``h`` itself for a zero spec; it never
+    writes into ``h``.  One thread uses a ``_Sites``.
     """
 
     __slots__ = ("_rng", "_gens")
@@ -316,12 +328,19 @@ class _Sites:
         self._rng = rng
         self._gens = {}
 
-    def draw(self, spec: CovSpec, kind: int, layer: int, shape: tuple, div: float = 1.0):
+    def _generator(self, kind: int, layer: int) -> np.random.Generator:
         key = (kind, layer)
         gen = self._gens.get(key)
         if gen is None:
             gen = self._gens[key] = self._rng.child(*key).generator()
-        return _draw(spec, shape[-1], gen, shape[:-1], div)
+        return gen
+
+    def normals(self, kind: int, layer: int, shape: tuple) -> np.ndarray:
+        """The site's next ``shape`` block of standard normals."""
+        return self._generator(kind, layer).standard_normal(shape)
+
+    def draw(self, spec: CovSpec, kind: int, layer: int, shape: tuple, div: float = 1.0):
+        return _draw(spec, shape[-1], self._generator(kind, layer), shape[:-1], div)
 
     def add(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0):
         if spec.is_zero:
@@ -425,6 +444,29 @@ def _average(h: np.ndarray, count: int, still: bool) -> np.ndarray:
     return h[:, 0] if still else h.mean(axis=1)
 
 
+def _linear_law(activation, dim: int, inner, outer: CovSpec, outer_div: int):
+    """The law of one merged draw of a linear layer: ``D (sum of spec / div
+    over the (spec, div) pairs of inner) D + outer / outer_div``, with ``D``
+    the diagonal of the linear ``activation``.  None when every spec is
+    zero; else the standard deviation (a number, or a vector) that scales a
+    block of standard normals when no spec is full, or a factor ``F`` with
+    ``F F^T`` the covariance, whose product the block then takes."""
+    terms = [(spec, div, True) for spec, div in inner] + [(outer, outer_div, False)]
+    terms = [term for term in terms if not term[0].is_zero]
+    if not terms:
+        return None
+    identity = activation.kind == "identity"
+    e = None if identity else activation.diag_coefficients(dim)
+    if any(spec.kind == "full" for spec, _, _ in terms):
+        gain = 1.0 if identity else np.outer(e, e)
+        cov = sum(spec.matrix(dim) * (gain if through else 1.0) / div for spec, div, through in terms)
+        eigval, eigvec = np.linalg.eigh(cov)
+        return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    gain = 1.0 if identity else e * e
+    return np.sqrt(sum((spec.var if spec.kind == "isotropic" else spec.vec)
+                       * (gain if through else 1.0) / div for spec, div, through in terms))
+
+
 def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, reference=None):
     """The layer kernel behind every sampler: ``(trials, d_L)`` samples of
     an input vector ``x``, ``(N, trials, d_L)`` of an ``(N, d_0)`` matrix,
@@ -453,6 +495,28 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     averaged.  Copies that no noise source reaches before their activation
     noise are identical; where the kernel would average those, it takes
     copy 0, so a zero profile gives :func:`forward` bit for bit.
+
+    A layer whose activation is linear averages before its weighted
+    addition.  Each group of ``walk(l)`` is the mean of ``ks[l]``
+    independent realizations of a layer-``l`` group (``ks[L] = 1``).  A
+    linear layer ``l`` makes one weighted addition on the groups of layer
+    ``l - 1`` at ``ks[l-1] = ks[l] * fans[l] / fan_out[l-1]``, activates
+    once, and adds one block of its merged site at ``D (Sigma_w / (F *
+    ks[l-1]) + Sigma_c / (F**2 * ks[l-1]) + Sigma_spl / (ks[l] * fans[l]))
+    D + Sigma_a / (ks[l] * fans[l])``, with ``F = fans[l-1]`` and ``D`` the
+    diagonal of the activation; the merged law is built once per call.
+    Below a nonlinear layer ``ks`` is 1 again, and the modulation noise is
+    at ``Sigma_m / (fans[0] * ks[0])``.  A nonlinear layer with ``ks[l] >
+    1`` runs realization ``j`` of all its groups after realization ``j -
+    1``, sums them in order, divides by ``ks[l]`` and adds one activation
+    block at ``Sigma_a / (ks[l] * fans[l])``, or takes realization 0 where
+    its copies are identical.  A net with no linear layer has every ``ks``
+    1.  Whole realizations and groups run in passes of at most
+    ``_CHUNK_BYTES``, which changes no sample.
+
+    Each part records its exception in a list both threads share and stops
+    at its next tile once the other part has failed; the calling thread
+    raises the first one.
     """
     profile.validate_for(net)
     trials = _integer(trials, "trials", 1)
@@ -473,24 +537,36 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
         quiet = quiet and all(spec.is_zero for spec in (profile.weight[l], combine, split))
         still.append(quiet)
         quiet = quiet and profile.activation[l].is_zero
-    # bytes one next-layer group of layer l holds at its widest level below it
+    linear = [False] + [layer.activation.is_linear for layer in net.layers]
+    # ks[l]: the independent realizations of a group of layer l that one
+    # group of walk(l) averages.  A linear layer averages its inputs before
+    # its one weighted addition, so layer l - 1 runs ks[l] realizations of
+    # each of its fans[l] / fan_out[l-1] weighted additions; a nonlinear
+    # layer runs its realizations one by one, so below it ks is 1 again
+    ks = [1] * (net.depth + 1)
+    for l in range(net.depth, 0, -1):
+        if linear[l]:
+            ks[l - 1] = ks[l] * fans[l] // fan_out[l - 1]
+    # laws[l]: the one merged draw per group of a linear layer l, built once
+    laws = [None] * (net.depth + 1)
+    for l in range(1, net.depth + 1):
+        if linear[l]:
+            copies, inner = ks[l] * fans[l], fans[l - 1] * ks[l - 1]
+            laws[l] = _linear_law(
+                net.layers[l - 1].activation, dims[l],
+                ((profile.weight[l - 1], inner), (combine, fans[l - 1] * inner), (split, copies)),
+                profile.activation[l - 1], copies)
+    # bytes one group of layer l holds at its widest level below it
     unit_bytes = [0]
     for l in range(1, net.depth + 1):
-        below = fans[l] // fan_out[l - 1]
-        widest = max(below * dims[l - 1], fans[l] * dims[l])
+        below, copies = (1, 1) if linear[l] else (fans[l] // fan_out[l - 1], fans[l])
+        widest = max(below * dims[l - 1], copies * dims[l])
         unit_bytes.append(max(unit_bytes[-1] * below, 8 * min(total, _GROUP_ROWS) * widest))
 
-    def walk(sites, l, count, inputs, n):
-        """Averaged inputs ``(count, n, d_l)`` of the next ``count`` groups
-        of layer ``l + 1`` of a tile of ``n`` rows with the ``inputs``,
-        drawn from ``sites``; at ``l = L`` the output."""
-        if l == 0:
-            h = np.broadcast_to(inputs, (count, n, dims[0]))
-            return sites.add(h, profile.modulation, KIND_MODULATION, 0, fans[0])
-        step = max(1, _CHUNK_BYTES // unit_bytes[l])
-        if count > step:
-            return np.concatenate([walk(sites, l, min(step, count - s), inputs, n)
-                                   for s in range(0, count, step)])
+    def groups(sites, l, count, inputs, n):
+        """One realization ``(count, n, d_l)`` of the next ``count`` groups
+        of a nonlinear layer ``l``, before their activation noise: each the
+        mean of ``fans[l]`` activated copies, or copy 0 where ``still[l]``."""
         layer, f, g = net.layers[l - 1], fan_out[l - 1], fans[l]
         h = affine(layer.weights, layer.bias, walk(sites, l - 1, count * g // f, inputs, n))
         for spec, kind, div in ((profile.weight[l - 1], KIND_WEIGHT, fans[l - 1]),
@@ -499,8 +575,40 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
                 h += sites.draw(spec, kind, l, h.shape, div)
         if not split.is_zero:
             h = _fan_out(sites.draw(split, KIND_SPLIT, l, (count * g, n, dims[l])), h, f)
-        h = _average(layer.activation._in_place(h), count, still[l])
-        return sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l, g)
+        return _average(layer.activation._in_place(h), count, still[l])
+
+    def walk(sites, l, count, inputs, n):
+        """The next ``count`` groups ``(count, n, d_l)`` of layer ``l`` of a
+        tile of ``n`` rows with the ``inputs``, drawn from ``sites``: each
+        the mean of ``ks[l]`` independent realizations of the averaged input
+        of one group of layer ``l + 1``; at ``l = L`` the output."""
+        if l == 0:
+            h = np.broadcast_to(inputs, (count, n, dims[0]))
+            return sites.add(h, profile.modulation, KIND_MODULATION, 0, fans[0] * ks[0])
+        step = max(1, _CHUNK_BYTES // unit_bytes[l])
+        if count > step:
+            return np.concatenate([walk(sites, l, min(step, count - s), inputs, n)
+                                   for s in range(0, count, step)])
+        layer, k = net.layers[l - 1], ks[l]
+        if linear[l]:
+            h = affine(layer.weights, layer.bias, walk(sites, l - 1, count, inputs, n))
+            h = layer.activation._in_place(h)
+            if laws[l] is not None:
+                z = sites.normals(_KIND_LINEAR, l, h.shape)
+                h += _tiled(z, laws[l]) if laws[l].ndim == 2 else np.multiply(z, laws[l], out=z)
+            return h
+        if k == 1 or still[l]:
+            h = groups(sites, l, count, inputs, n)
+        else:
+            # realization j of all count groups follows realization j - 1,
+            # in passes of whole realizations, and they are summed in order
+            h, per = np.zeros((count, n, dims[l])), max(1, step // count)
+            for s in range(0, k, per):
+                for z in groups(sites, l, min(per, k - s) * count, inputs, n).reshape(
+                        -1, count, n, dims[l]):
+                    h += z
+            h /= k
+        return sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l, k * fans[l])
 
     parts = _parts(total)
     if reference is None:

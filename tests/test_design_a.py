@@ -164,14 +164,27 @@ class TestEvalDesignA:
         import optonoise.noise as noise
 
         calls = count_affine_calls(monkeypatch, noise)
-        net = random_linear_net(rng, depth=3, max_dim=3)
+        dims = [int(d) for d in rng.integers(1, 4, size=4)]
+        net = Network(tuple(Layer(rng.normal(size=(dims[l + 1], dims[l])), np.zeros(dims[l + 1]),
+                                  Activation.tanh()) for l in range(3)), dims[0])
         copies = (2, 3, 2, 1)
         design_a_samples(DesignASpec(net, copies), np.zeros(net.input_dim),
                          NoiseProfile.zero(3), 1, RngStream(0))
-        # the physical layer l performs prod_{k >= l-1} n_k weighted
-        # additions; the simulator makes one call per layer on the
+        # on tanh layers the physical layer l performs prod_{k >= l-1} n_k
+        # weighted additions; the simulator makes one call per layer on the
         # prod_{k >= l} n_k nodes of level l, n_{l-1} times fewer
         assert [args[2].shape[0] for args in calls] == [math.prod(copies[l:]) for l in range(1, 4)]
+
+    def test_linear_layers_make_one_affine_call_each(self, rng, monkeypatch):
+        # a linear layer averages its inputs before its weighted addition, so
+        # a linear tree makes one call per layer, on one group per row
+        import optonoise.noise as noise
+
+        calls = count_affine_calls(monkeypatch, noise)
+        net = random_linear_net(rng, depth=3, max_dim=3)
+        design_a_samples(DesignASpec(net, (2, 3, 2, 1)), np.zeros(net.input_dim),
+                         NoiseProfile.isotropic(3, 0.01, 0.02, 0.03), 5, RngStream(0))
+        assert [args[2].shape[:2] for args in calls] == [(1, 5)] * 3
 
 
 class TestTreeOracle:

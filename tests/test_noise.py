@@ -339,22 +339,25 @@ class TestSiteStreams:
     """One stream per ``(kind, layer)`` site per call; copy ``j`` takes block ``j``."""
 
     def test_two_leaf_tree_takes_consecutive_blocks(self):
-        # the two modulated leaves of a level-1 node collapse into one block
-        # of the modulation site at variance var / 2; two level-1 nodes take
-        # consecutive blocks
+        # relu layers with unit weights: the two modulated leaves of a
+        # level-1 node collapse into one block of the modulation site at
+        # variance var / 2; two level-1 nodes take consecutive blocks
         d, trials, var = 3, 5, 0.3
         x = np.array([0.5, -1.0, 2.0])
         gen = RngStream(21).child(KIND_MODULATION, 0).generator()
         z0 = gen.standard_normal((trials, d))
         z1 = gen.standard_normal((trials, d))
+        relu = Layer(np.eye(d), np.zeros(d), Activation.relu())
         profile = NoiseProfile.isotropic(1, modulation_var=var)
-        out = design_a_samples(DesignASpec(identity_net(d), (2, 1)), x, profile, trials, RngStream(21))
-        np.testing.assert_array_equal(out, x + math.sqrt(var / 2) * z0)
-        net = Network(identity_net(d).layers * 2, d)
+        out = design_a_samples(DesignASpec(Network((relu,), d), (2, 1)), x, profile, trials,
+                               RngStream(21))
+        np.testing.assert_array_equal(out, np.maximum(x + math.sqrt(var / 2) * z0, 0.0))
+        net = Network((relu, relu), d)
         profile = NoiseProfile.isotropic(2, modulation_var=var)
         out = design_a_samples(DesignASpec(net, (1, 2, 1)), x, profile, trials, RngStream(21))
         s = math.sqrt(var)
-        np.testing.assert_array_equal(out, ((x + s * z0) + (x + s * z1)) / 2)
+        np.testing.assert_array_equal(
+            out, (np.maximum(x + s * z0, 0.0) + np.maximum(x + s * z1, 0.0)) / 2)
 
     def test_samples_do_not_depend_on_chunk_budget(self, monkeypatch):
         import optonoise.noise as noise
@@ -386,6 +389,25 @@ class TestSiteStreams:
         assert len(calls) == (2 + 1 + 1) + 3
         for a, b in zip(default, tiny):
             np.testing.assert_array_equal(a, b)
+
+    def test_realizations_under_linear_layers_do_not_depend_on_chunk_budget(self, monkeypatch):
+        # a (2, 2, 2, 2, 1) tree runs 4 realizations of each group of its
+        # first tanh layer under two identity layers: at the default budget
+        # in one pass, at a tiny one in four, summed in the same order
+        import optonoise.noise as noise
+
+        rng = np.random.default_rng(43)
+        net = TestDegeneracyProperty.random_net(rng, ["tanh", "identity", "identity", "tanh"])
+        profile = random_profile(rng, net)
+        tree = DesignASpec(net, (2, 2, 2, 2, 1))
+        xs = rng.normal(size=(3, net.input_dim))
+        calls = count_affine_calls(monkeypatch, noise)
+        default = design_a_samples(tree, xs, profile, 5, RngStream(44))
+        assert len(calls) == 4
+        monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
+        np.testing.assert_array_equal(design_a_samples(tree, xs, profile, 5, RngStream(44)),
+                                      default)
+        assert len(calls) == 4 + 3 + 4
 
     def test_design_b_draws_one_activation_block_per_average(self):
         # depth 1, m = 3, activation noise only: the three branches average
@@ -425,7 +447,7 @@ class TestSiteStreams:
     @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
     def test_one_generator_per_nonzero_site(self, sampler, monkeypatch):
         rng = np.random.default_rng(22)
-        net = random_linear_net(rng, depth=2, max_dim=3)
+        net = TestDegeneracyProperty.random_net(rng, ["tanh", "relu"])
         iso, zero = CovSpec.isotropic(0.1), CovSpec.zero()
         profile = NoiseProfile(iso, (iso, zero), (zero, iso), iso, iso)
         x = rng.normal(size=net.input_dim)
@@ -440,6 +462,67 @@ class TestSiteStreams:
             expected += [(KIND_COMBINE, 1), (KIND_COMBINE, 2), (KIND_SPLIT, 1), (KIND_SPLIT, 2)]
         assert all(len(path) == 2 for path in built)
         assert sorted(built) == sorted(expected)
+
+    @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
+    def test_one_generator_per_noisy_linear_layer(self, sampler, monkeypatch):
+        # a linear layer draws its weight, combine, split and activation
+        # noise from one merged site; a layer with none of them builds none
+        rng = np.random.default_rng(22)
+        net = random_linear_net(rng, depth=3, max_dim=3)
+        iso, zero = CovSpec.isotropic(0.1), CovSpec.zero()
+        profile = NoiseProfile(iso, (iso, zero, zero), (zero, iso, zero), iso, iso)
+        x = rng.normal(size=net.input_dim)
+        built = record_generators(monkeypatch)
+        if sampler == "plain":
+            noisy_forward_samples(net, profile, x, 4, RngStream(23))
+        elif sampler == "tree":
+            design_a_samples(DesignASpec(net, (3, 2, 2, 1)), x, profile, 4, RngStream(23))
+        else:
+            design_b_samples(DesignBSpec(net, 3), x, profile, 4, RngStream(23))
+        expected = [(KIND_MODULATION, 0), (noise._KIND_LINEAR, 1), (noise._KIND_LINEAR, 2)]
+        if sampler == "combine_split":
+            expected.append((noise._KIND_LINEAR, 3))
+        assert sorted(built) == sorted(expected)
+
+    def test_merged_linear_site_draws_the_averaged_law(self):
+        # tree (2, 3, 1) on unit weights, a diag layer e = (0.5, 2) under an
+        # identity layer.  Layer 2 averages 3 level-1 nodes of 2 leaves each,
+        # so one block carries each law:
+        #   modulation 0.06 / 6 = 0.01,
+        #   layer 1: e**2 * 0.12 / 6 + 0.03 / 3 = (0.015, 0.09),
+        #   layer 2: 0.09 / 3 + 0.01 = 0.04
+        e, trials = np.array([0.5, 2.0]), 7
+        net = Network((Layer(np.eye(2), np.zeros(2), Activation.diag_linear(e)),
+                       Layer(np.eye(2), np.zeros(2), Activation.identity())), 2)
+        iso = CovSpec.isotropic
+        profile = NoiseProfile(iso(0.06), (iso(0.12), iso(0.09)), (iso(0.03), iso(0.01)))
+        x = np.array([0.25, -1.5])
+        out = design_a_samples(DesignASpec(net, (2, 3, 1)), x, profile, trials, RngStream(40))
+
+        def block(*path):
+            return RngStream(40).child(*path).generator().standard_normal((trials, 2))
+
+        h = e * (x + math.sqrt(0.01) * block(KIND_MODULATION, 0))
+        h = h + np.sqrt([0.015, 0.09]) * block(noise._KIND_LINEAR, 1)
+        np.testing.assert_allclose(out, h + math.sqrt(0.04) * block(noise._KIND_LINEAR, 2),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
+    def test_part_0_kind_codes_never_equal_the_part_1_prefix(self, sampler, monkeypatch):
+        # every source on, linear and nonlinear layers, two parts: part 0's
+        # sites are (kind, layer) with kind != _PART_1, part 1's the same
+        # sites under the prefix _PART_1
+        rng = np.random.default_rng(41)
+        net = TestDegeneracyProperty.random_net(rng, ["tanh", "identity", "diag", "relu"])
+        dims = net.dims()
+        iso = CovSpec.isotropic(0.01)
+        profile = NoiseProfile(iso, (iso,) * 4, (iso,) * 4, iso, iso)
+        built = record_generators(monkeypatch)
+        _matrix_samplers(net, 2)[sampler](rng.normal(size=(2, dims[0])), profile,
+                                          noise._SPLIT_ROWS, RngStream(42))
+        part_0 = {path for path in built if len(path) == 2}
+        assert part_0 and all(path[0] != noise._PART_1 for path in part_0)
+        assert {path for path in built if len(path) == 3} == {(noise._PART_1, *p) for p in part_0}
 
 
 class TestTiles:
@@ -472,11 +555,11 @@ class TestTiles:
         np.testing.assert_allclose(out, np.concatenate(expected), rtol=1e-12, atol=1e-12)
 
     def test_one_copy_sites_read_their_stream_as_one_block(self):
-        # the plain net over three inputs whose rows straddle tile and part
-        # borders: every site reads each part's stream as one block of the
-        # part's rows
+        # the plain tanh/relu net over three inputs whose rows straddle tile
+        # and part borders: every site reads each part's stream as one block
+        # of the part's rows
         rng = np.random.default_rng(32)
-        net = TestDegeneracyProperty.random_net(rng, ["tanh", "diag"])
+        net = TestDegeneracyProperty.random_net(rng, ["tanh", "relu"])
         dims = net.dims()
         iso = [CovSpec.isotropic(v) for v in (0.01, 0.02, 0.03, 0.04, 0.05)]
         profile = NoiseProfile(iso[0], (iso[1], iso[2]), (iso[3], iso[4]))
@@ -499,10 +582,11 @@ class TestTiles:
 
     def test_one_tile_tree_keeps_its_samples(self):
         # a tree over 2 000 rows runs two parts of 1 000 rows, one tile
-        # each, so each part reads a site with several copies as one block
-        # per copy.  Powers-of-two weights, at most two nonzeros
-        # a row, and relu and diag activations keep every product exact, so
-        # no BLAS kernel rounds a row differently and the hash is portable.
+        # each, so each part reads the relu layer's sites with several
+        # copies as one block per copy, and the diag layer's merged site as
+        # one block.  Powers-of-two weights, at most two nonzeros a row, and
+        # relu and diag activations keep every product exact, so no BLAS
+        # kernel rounds a row differently and the hash is portable.
         W1 = np.array([[1.0, 0.5], [0.0, -2.0], [0.25, 0.0]])
         W2 = np.array([[0.5, 0.0, 1.0], [0.0, 1.0, -0.5]])
         net = Network((Layer(W1, np.array([0.5, -0.25, 0.0]), Activation.relu()),
@@ -516,7 +600,7 @@ class TestTiles:
         out = design_a_samples(DesignASpec(net, (3, 2, 1)), xs, profile, 500, RngStream(2024))
         assert out.shape == (4, 500, 2)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "3962b566275140f5bc3c520d33091bb20b90fd5f1dc36c9d1a566e69c120082c")
+            "39f19c849f59efe5994c157f593a37a3e08393ccba7533b0d632125353ed47dc")
 
 
 class TestDegeneracyProperty:
@@ -637,15 +721,16 @@ class TestInputMatrix:
     )
     def test_copy_j_takes_block_j_of_the_site_stream(self, sampler, source, width, n_inputs,
                                                      trials, copies, seed):
-        # depth 2, the second layer the identity, noise on one layer-1 site:
-        # the output is the noiseless layer-1 output plus the average of the
-        # site's blocks.  Weight noise takes one block per layer-1 group (tree
-        # nodes at var / copies, the combine/split beam at var / copies, the
-        # plain net at var); activation noise takes one block per layer-2
-        # group, at var / copies where that group averages copies
+        # depth 2, a tanh layer under a noiseless identity layer, noise on
+        # one layer-1 site: the output is the average of the tanh copies of
+        # the weighted addition plus their weight blocks, plus the activation
+        # block.  Weight noise takes one block per layer-1 group (tree nodes
+        # at var / copies, the combine/split beam at var / copies, the plain
+        # net at var); activation noise takes one block per layer-2 group,
+        # at var / copies where that group averages copies
         rng = np.random.default_rng(seed)
         d0, var = int(rng.integers(1, 5)), 0.3
-        first = Layer(rng.normal(size=(width, d0)), rng.normal(size=width), Activation.identity())
+        first = Layer(rng.normal(size=(width, d0)), rng.normal(size=width), Activation.tanh())
         net = Network((first, identity_net(width).layers[0]), d0)
         xs = rng.normal(size=(n_inputs, d0))
         iso, zero = CovSpec.isotropic(var), CovSpec.zero()
@@ -658,9 +743,12 @@ class TestInputMatrix:
         out = _matrix_samplers(net, copies)[sampler](xs, profile, trials, RngStream(seed))
 
         gen = RngStream(seed).child(kind, 1).generator()
-        blocks = gen.standard_normal((count, n_inputs, trials, width))
-        layer1 = np.stack([forward(Network((first,), d0), x) for x in xs])
-        expected = (layer1[:, None] + math.sqrt(var * scale) * blocks).mean(axis=0)
+        blocks = math.sqrt(var * scale) * gen.standard_normal((count, n_inputs, trials, width))
+        pre = affine(first.weights, first.bias, xs)[:, None]
+        if source == "weight":
+            expected = np.tanh(pre + blocks).mean(axis=0)
+        else:
+            expected = (np.tanh(pre) + blocks).mean(axis=0)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("bad, message", [

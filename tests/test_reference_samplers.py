@@ -48,6 +48,14 @@ def nonlinear_net(rng, dims):
     return Network(tuple(layers), dims[0])
 
 
+def mixed_net(rng, dims, kinds):
+    """Layers of the given activation kinds, all of one construction."""
+    layers = tuple(Layer(rng.normal(size=(dims[l + 1], dims[l])) / np.sqrt(dims[l]),
+                         rng.normal(size=dims[l + 1]) * 0.3, Activation(kind))
+                   for l, kind in enumerate(kinds))
+    return Network(layers, dims[0])
+
+
 def with_combine_split(profile, combine=0.03, split=0.02):
     return NoiseProfile(
         profile.modulation, profile.weight, profile.activation,
@@ -110,6 +118,25 @@ class TestNonlinearAgreement:
         spec = DesignBSpec(net, m)
         a = design_b_samples(spec, x, profile, self.TRIALS, RngStream(seed))
         b = literal_design_b_samples(spec, x, profile, self.TRIALS, RngStream(seed + 1000))
+        mean_gap, cov_gap = moment_gaps(a, b)
+        assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
+
+
+    @pytest.mark.parametrize("sampler, seed", [("tree", 705), ("combine_split", 706)])
+    def test_identity_layers_between_tanh_layers(self, sampler, seed):
+        # the identity layers average their inputs before their weighted
+        # additions and draw one merged block per group; under them the tree
+        # runs 4 realizations of each group of the first tanh layer
+        rng = np.random.default_rng(seed)
+        net = mixed_net(rng, (2, 3, 3, 3, 2), ("tanh", "identity", "identity", "tanh"))
+        profile = with_combine_split(random_profile(rng, net, scale=0.3))
+        x = rng.normal(size=net.input_dim)
+        if sampler == "tree":
+            spec, collapsed, literal = DesignASpec(net, (2, 2, 2, 2, 1)), *TREE.values()
+        else:
+            spec, collapsed, literal = DesignBSpec(net, 3), *COMBINE_SPLIT.values()
+        a = collapsed(spec, x, profile, self.TRIALS, RngStream(seed))
+        b = literal(spec, x, profile, self.TRIALS, RngStream(seed + 1000))
         mean_gap, cov_gap = moment_gaps(a, b)
         assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
 
