@@ -539,10 +539,10 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
         quiet = quiet and profile.activation[l].is_zero
     linear = [False] + [layer.activation.is_linear for layer in net.layers]
     # ks[l]: the independent realizations of a group of layer l that one
-    # group of walk(l) averages.  A linear layer averages its inputs before
-    # its one weighted addition, so layer l - 1 runs ks[l] realizations of
-    # each of its fans[l] / fan_out[l-1] weighted additions; a nonlinear
-    # layer runs its realizations one by one, so below it ks is 1 again
+    # group of walk(l) averages.  A linear layer averages the inputs of all
+    # its weighted additions before making one, so each of its groups
+    # averages ks[l] * fans[l] / fan_out[l-1] groups of layer l - 1; a
+    # nonlinear layer runs its realizations one by one, so below it ks is 1
     ks = [1] * (net.depth + 1)
     for l in range(net.depth, 0, -1):
         if linear[l]:
@@ -602,7 +602,8 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
         else:
             # realization j of all count groups follows realization j - 1,
             # in passes of whole realizations, and they are summed in order
-            h, per = np.zeros((count, n, dims[l])), max(1, step // count)
+            h = np.zeros((count, n, dims[l]))
+            per = max(1, step // count)
             for s in range(0, k, per):
                 for z in groups(sites, l, min(per, k - s) * count, inputs, n).reshape(
                         -1, count, n, dims[l]):

@@ -1196,15 +1196,17 @@ class TestDrawAhead:
                 fills.append(args)
                 for thread in threading.enumerate():
                     if thread.name == "optonoise-part-1":
-                        thread.join()
+                        thread.join(timeout=60)
                 return self._gen.standard_normal(*args, **kwargs)
 
         real = RngStream.generator
         monkeypatch.setattr(RngStream, "generator", lambda self: WaitsForTheWorker(real(self)))
         net = Network((Layer(np.eye(2), np.zeros(2), Activation.tanh()),), 2)
         profile = NoiseProfile.isotropic(1, activation_var=0.1)
+        before = threading.active_count()
         with pytest.raises(RuntimeError, match="fill failed on the worker"):
             noisy_forward_samples(net, profile, np.zeros(2), 6 * noise._GROUP_ROWS, RngStream(1))
+        assert threading.active_count() == before
         assert len(fills) == 1
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["samples", "stats"])
