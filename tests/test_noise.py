@@ -1319,6 +1319,30 @@ class TestDrawAhead:
         tile = noise._GROUP_ROWS * width * 8
         assert peak <= trials * width * 8 + 8 * tile
 
+    def test_realizations_under_linear_layers_hold_a_few_tiles(self, monkeypatch):
+        # a tanh layer under three diag layers of a (4, 4, 4, 4, 1) tree:
+        # each output group averages 16 realizations of a 4-copy tanh group,
+        # 64 copies that would take 32 tiles at once; they run in passes of
+        # whole realizations within the byte budget
+        trials, width = 2_000, 64
+        rng = np.random.default_rng(9)
+        acts = [Activation.tanh()] + [Activation.diag_linear(rng.uniform(0.5, 1.0, size=width))
+                                      for _ in range(3)]
+        net = Network(tuple(Layer(rng.normal(size=(width, width)) / 8, rng.normal(size=width), act)
+                            for act in acts), width)
+        tree = DesignASpec(net, (4, 4, 4, 4, 1))
+        profile = NoiseProfile.isotropic(4, 0.01, 0.02, 0.03)
+        monkeypatch.setattr(noise, "threading", SimpleNamespace(Thread=_InlineThread))
+        x = rng.normal(size=width)
+        tracemalloc.start()
+        try:
+            design_a_samples(tree, x, profile, trials, RngStream(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tile = noise._GROUP_ROWS * width * 8
+        assert peak <= trials * width * 8 + 8 * tile
+
 
 class TestStreamedStats:
     """With ``reference=`` a sampler folds each tile into running statistics
