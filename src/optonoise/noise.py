@@ -511,7 +511,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     1``, sums them in order, divides by ``ks[l]`` and adds one activation
     block at ``Sigma_a / (ks[l] * fans[l])``, or takes realization 0 where
     its copies are identical.  A net with no linear layer has every ``ks``
-    1.  Whole realizations and groups run in passes of at most
+    1.  Whole realizations and groups run in passes of about
     ``_CHUNK_BYTES``, which changes no sample.
 
     Each part records its exception in a list both threads share and stops

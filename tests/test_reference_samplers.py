@@ -191,11 +191,11 @@ class TestOneCopy:
 
 
 class _WrongSites(_Sites):
-    """Draw sites that get one source's law wrong: its divisor times
-    ``factor``, or with ``shared`` one block for every ``shared``
-    consecutive draws of the source."""
+    """Draw sites that get one source's law wrong: its divisor at layer
+    ``l`` times ``factor(l)``, or with ``shared`` one block for every
+    ``shared`` consecutive draws of the source."""
 
-    def __init__(self, rng, kind, factor=1.0, shared=1):
+    def __init__(self, rng, kind, factor=lambda layer: 1.0, shared=1):
         super().__init__(rng)
         self.kind, self.factor, self.shared, self.calls, self.block = kind, factor, shared, 0, None
 
@@ -203,7 +203,7 @@ class _WrongSites(_Sites):
         if kind != self.kind or spec.is_zero:
             return super().add(h, spec, kind, layer, div)
         if self.shared == 1:
-            return super().add(h, spec, kind, layer, div * self.factor)
+            return super().add(h, spec, kind, layer, div * self.factor(layer))
         if self.calls % self.shared == 0:
             self.block = self.draw(spec, kind, layer, h.shape, div)
         self.calls += 1
@@ -227,15 +227,22 @@ class TestOraclePower:
         return values[0]
 
     def _laws(self, sampler):
-        m = self.M if sampler == "combine_split" else self.COPIES[1]
+        m = self.M
+
+        def averaged(layer):
+            # the copies that the average after this layer takes
+            return m if sampler == "combine_split" else self.COPIES[layer]
+
         laws = {
             "honest": {},
             # Sigma_a per copy times the copies averaged: the mean keeps all of it
-            "activation undivided": {"sites": dict(kind=KIND_ACTIVATION, factor=1.0 / m)},
+            "activation undivided": {"sites": dict(kind=KIND_ACTIVATION,
+                                                   factor=lambda layer: 1.0 / averaged(layer))},
             "average takes copy 0": {"average": self._copy_0},
         }
         if sampler == "combine_split":
-            laws["combine at m, not m**2"] = {"sites": dict(kind=KIND_COMBINE, factor=1.0 / m)}
+            laws["combine at m, not m**2"] = {"sites": dict(kind=KIND_COMBINE,
+                                                            factor=lambda layer: 1.0 / m)}
             laws["one split block for all branches"] = {"sites": dict(kind=KIND_SPLIT, shared=m)}
         return laws
 
