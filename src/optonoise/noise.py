@@ -37,7 +37,9 @@ All samplers run one layer kernel, :func:`_sample`, batched over the
 rows of a tile and the copies of a layer.  Every weighted addition, and
 the factor product of a full covariance, runs as fixed 8-row gemm tiles
 (``network._tiled``), so a row's bits do not depend on the batch it sits
-in.  A single noisy evaluation is a batch of one,
+in.  The kernel builds every draw site's law once per call (:func:`_law`);
+a site whose covariances are all zero is silent and touches no stream.
+A single noisy evaluation is a batch of one,
 ``noisy_forward_samples(net, profile, x, 1, rng)[0]``; row 0 is in part 0
 of every call, and a one-row block equals the first row of any larger
 block on the same stream, so this is exact for the plain net and for the
@@ -222,7 +224,9 @@ class CovSpec:
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or (self.kind == "isotropic" and self.var == 0.0)
+        """All zeros, whatever the kind: such a spec draws nothing."""
+        values = {"isotropic": self.var, "diagonal": self.vec, "full": self.mat}.get(self.kind, 0.0)
+        return not np.any(values)
 
     @property
     def dimension(self) -> int | None:
@@ -250,28 +254,34 @@ class CovSpec:
         return self.mat.copy()
 
 
-def _scale(z: np.ndarray, spec: CovSpec, div: float = 1.0) -> np.ndarray:
-    """Turn the standard normal rows of ``z`` into Normal(0, spec / div)
-    rows: in place, except that a full covariance's factor product
-    returns a new block."""
-    if spec.kind == "isotropic":
-        z *= math.sqrt(spec.var / div)
-    elif spec.kind == "diagonal":
-        z *= np.sqrt(spec.vec / div)
-    else:
-        z = _tiled(z, spec._factor)
-        z *= math.sqrt(1.0 / div)
-    return z
-
-
-def _draw(spec: CovSpec, dim: int, gen: np.random.Generator, n: tuple, div: float = 1.0):
-    """A fresh ``(*n, dim)`` block of independent rows from Normal(0, spec / div).
-
-    Zero specs never get here: ``_Sites.add`` and the layer kernel skip
-    them.  Dimensions are not checked here; every sampler checks the
-    profile against the network on entry (:meth:`NoiseProfile.validate_for`).
-    """
-    return _scale(gen.standard_normal((*n, dim)), spec, div)
+def _law(dim: int, terms, activation=None):
+    """The law of one draw site, the only place a covariance becomes a
+    draw: the sum of ``spec / div`` over the ``(spec, div)`` pairs of
+    ``terms``, one pair unless a linear ``activation`` is given (a merged
+    site), whose diagonal ``D`` maps every term but the last to ``D spec D``.
+    None when every spec is zero (a silent site); else the standard
+    deviation, a number or a vector, that scales standard normals, or where
+    a spec is full a pair ``(F, s)``: normals times ``F^T`` times ``s``.  A
+    lone full spec keeps its cached factor, ``s = sqrt(1 / div)``; a merged
+    site factors its summed covariance, ``s = 1``.  Dimensions are checked
+    on sampler entry (:meth:`NoiseProfile.validate_for`), not here."""
+    live = [(spec, div, activation is not None and i < len(terms) - 1)
+            for i, (spec, div) in enumerate(terms) if not spec.is_zero]
+    if not live:
+        return None
+    identity = activation is None or activation.kind == "identity"
+    e = None if identity else activation.diag_coefficients(dim)
+    if all(spec.kind != "full" for spec, _, _ in live):
+        gain = 1.0 if identity else e * e
+        return np.sqrt(sum((spec.var if spec.kind == "isotropic" else spec.vec)
+                           * (gain if through else 1.0) / div for spec, div, through in live))
+    if activation is None:
+        (spec, div, _), = live
+        return spec._factor, math.sqrt(1.0 / div)
+    gain = 1.0 if identity else np.outer(e, e)
+    cov = sum(spec.matrix(dim) * (gain if through else 1.0) / div for spec, div, through in live)
+    eigval, eigvec = np.linalg.eigh(cov)
+    return eigvec * np.sqrt(np.clip(eigval, 0.0, None)), 1.0
 
 
 @dataclass(frozen=True)
@@ -313,13 +323,14 @@ class _Sites:
 
     The generator of ``rng.child(kind, layer)`` is built the first time
     the site draws, and each draw takes the site's next block of rows, so
-    draws in the same order give the same blocks.  Callers never draw a
-    zero spec, so zero-noise sites build no stream, stay bit-exact and
-    cost nothing.  ``normals`` returns the site's next ``shape`` block of
-    standard normals, and ``draw`` such a block of Normal(0, spec / div)
-    rows.  ``add`` returns ``h`` plus one such block for every copy (first
-    axis) of ``h``, a new array, or ``h`` itself for a zero spec; it never
-    writes into ``h``.  One thread uses a ``_Sites``.
+    draws in the same order give the same blocks.  Draws take a site's law
+    from :func:`_law`, which the layer kernel builds once per call for
+    every site; a silent site (law None) builds no stream, stays bit-exact
+    and costs nothing.  ``draw`` returns the site's next ``shape`` block
+    from a law, and ``plus`` returns ``h`` plus one such block for every
+    copy (first axis) of ``h``, a new array, or ``h`` itself for a silent
+    site; it never writes into ``h``.  ``add`` is ``plus`` at the law of
+    Normal(0, spec / div).  One thread uses a ``_Sites``.
     """
 
     __slots__ = ("_rng", "_gens")
@@ -335,19 +346,24 @@ class _Sites:
             gen = self._gens[key] = self._rng.child(*key).generator()
         return gen
 
-    def normals(self, kind: int, layer: int, shape: tuple) -> np.ndarray:
-        """The site's next ``shape`` block of standard normals."""
-        return self._generator(kind, layer).standard_normal(shape)
+    def draw(self, law, kind: int, layer: int, shape: tuple) -> np.ndarray:
+        """The site's next ``shape`` block from a law that is not silent."""
+        z = self._generator(kind, layer).standard_normal(shape)
+        if isinstance(law, tuple):  # a factor and a scale
+            factor, law = law
+            z = _tiled(z, factor)
+        z *= law
+        return z
 
-    def draw(self, spec: CovSpec, kind: int, layer: int, shape: tuple, div: float = 1.0):
-        return _draw(spec, shape[-1], self._generator(kind, layer), shape[:-1], div)
-
-    def add(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0):
-        if spec.is_zero:
+    def plus(self, h, law, kind: int, layer: int):
+        if law is None:
             return h
-        z = self.draw(spec, kind, layer, h.shape, div)
+        z = self.draw(law, kind, layer, h.shape)
         z += h
         return z
+
+    def add(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0):
+        return self.plus(h, _law(h.shape[-1], ((spec, div),)), kind, layer)
 
 
 _ZERO = CovSpec.zero()
@@ -444,29 +460,6 @@ def _average(h: np.ndarray, count: int, still: bool) -> np.ndarray:
     return h[:, 0] if still else h.mean(axis=1)
 
 
-def _linear_law(activation, dim: int, inner, outer: CovSpec, outer_div: int):
-    """The law of one merged draw of a linear layer: ``D (sum of spec / div
-    over the (spec, div) pairs of inner) D + outer / outer_div``, with ``D``
-    the diagonal of the linear ``activation``.  None when every spec is
-    zero; else the standard deviation (a number, or a vector) that scales a
-    block of standard normals when no spec is full, or a factor ``F`` with
-    ``F F^T`` the covariance, whose product the block then takes."""
-    terms = [(spec, div, True) for spec, div in inner] + [(outer, outer_div, False)]
-    terms = [term for term in terms if not term[0].is_zero]
-    if not terms:
-        return None
-    identity = activation.kind == "identity"
-    e = None if identity else activation.diag_coefficients(dim)
-    if any(spec.kind == "full" for spec, _, _ in terms):
-        gain = 1.0 if identity else np.outer(e, e)
-        cov = sum(spec.matrix(dim) * (gain if through else 1.0) / div for spec, div, through in terms)
-        eigval, eigvec = np.linalg.eigh(cov)
-        return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    gain = 1.0 if identity else e * e
-    return np.sqrt(sum((spec.var if spec.kind == "isotropic" else spec.vec)
-                       * (gain if through else 1.0) / div for spec, div, through in terms))
-
-
 def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, reference=None):
     """The layer kernel behind every sampler: ``(trials, d_L)`` samples of
     an input vector ``x``, ``(N, trials, d_L)`` of an ``(N, d_0)`` matrix,
@@ -496,6 +489,10 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     noise are identical; where the kernel would average those, it takes
     copy 0, so a zero profile gives :func:`forward` bit for bit.
 
+    Before any tile, one pass up the layers builds every site's law
+    ``laws[l][kind]`` (:func:`_law`; None: silent) and reads the copy-0
+    flags ``still[l]`` from them; both parts draw every block from them.
+
     A layer whose activation is linear averages before its weighted
     addition.  Each group of ``walk(l)`` is the mean of ``ks[l]``
     independent realizations of a layer-``l`` group (``ks[L] = 1``).  A
@@ -504,15 +501,15 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     once, and adds one block of its merged site at ``D (Sigma_w / (F *
     ks[l-1]) + Sigma_c / (F**2 * ks[l-1]) + Sigma_spl / (ks[l] * fans[l]))
     D + Sigma_a / (ks[l] * fans[l])``, with ``F = fans[l-1]`` and ``D`` the
-    diagonal of the activation; the merged law is built once per call.
-    Below a nonlinear layer ``ks`` is 1 again, and the modulation noise is
-    at ``Sigma_m / (fans[0] * ks[0])``.  A nonlinear layer with ``ks[l] >
-    1`` runs realization ``j`` of all its groups after realization ``j -
-    1``, sums them in order, divides by ``ks[l]`` and adds one activation
-    block at ``Sigma_a / (ks[l] * fans[l])``, or takes realization 0 where
-    its copies are identical.  A net with no linear layer has every ``ks``
-    1.  Whole realizations and groups run in passes of about
-    ``_CHUNK_BYTES``, which changes no sample.
+    diagonal of the activation.  Below a nonlinear layer ``ks`` is 1
+    again, and the modulation noise is at ``Sigma_m / (fans[0] * ks[0])``.
+    A nonlinear layer with ``ks[l] > 1`` runs realization ``j`` of all its
+    groups after realization ``j - 1``, sums them in order, divides by
+    ``ks[l]`` and adds one activation block at ``Sigma_a / (ks[l] *
+    fans[l])``, or takes realization 0 where its copies are identical.  A
+    net with no linear layer has every ``ks`` 1.  Whole realizations and
+    groups run in passes of about ``_CHUNK_BYTES``, which changes no
+    sample.
 
     Each part records its exception in a list both threads share and stops
     at its next tile once the other part has failed; the calling thread
@@ -528,15 +525,6 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     # group sizes of the averages: fans[l] copies of layer l feed one group
     # of layer l + 1 (l = 0: modulated inputs), fans[L] the output
     fans = (*fan_in, fan_out[-1])
-    # still[l]: no noise reaches the activated copies of layer l before
-    # their activation noise (0: the modulated inputs), so they are
-    # identical and averaging them, which rounds, is replaced by taking copy 0
-    quiet = profile.modulation.is_zero
-    still = [quiet]
-    for l in range(net.depth):
-        quiet = quiet and all(spec.is_zero for spec in (profile.weight[l], combine, split))
-        still.append(quiet)
-        quiet = quiet and profile.activation[l].is_zero
     linear = [False] + [layer.activation.is_linear for layer in net.layers]
     # ks[l]: the independent realizations of a group of layer l that one
     # group of walk(l) averages.  A linear layer averages the inputs of all
@@ -547,21 +535,37 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     for l in range(net.depth, 0, -1):
         if linear[l]:
             ks[l - 1] = ks[l] * fans[l] // fan_out[l - 1]
-    # laws[l]: the one merged draw per group of a linear layer l, built once
-    laws = [None] * (net.depth + 1)
-    for l in range(1, net.depth + 1):
-        if linear[l]:
-            copies, inner = ks[l] * fans[l], fans[l - 1] * ks[l - 1]
-            laws[l] = _linear_law(
-                net.layers[l - 1].activation, dims[l],
-                ((profile.weight[l - 1], inner), (combine, fans[l - 1] * inner), (split, copies)),
-                profile.activation[l - 1], copies)
-    # bytes one group of layer l holds at its widest level below it
+    # laws[l][kind]: the law of site (kind, l), None where silent.  still[l]:
+    # no noise reaches the activated copies of layer l (0: the modulated
+    # inputs) before their activation noise, so they are identical and
+    # averaging them, which rounds, is replaced by taking copy 0.
+    # unit_bytes[l]: the bytes one group of layer l holds at its widest
+    # level below it
+    laws = [{KIND_MODULATION: _law(dims[0], ((profile.modulation, fans[0] * ks[0]),))}]
+    still = [laws[0][KIND_MODULATION] is None]
     unit_bytes = [0]
     for l in range(1, net.depth + 1):
-        below, copies = (1, 1) if linear[l] else (fans[l] // fan_out[l - 1], fans[l])
-        widest = max(below * dims[l - 1], copies * dims[l])
+        weight, activation = profile.weight[l - 1], profile.activation[l - 1]
+        inner, copies = fans[l - 1] * ks[l - 1], ks[l] * fans[l]
+        if linear[l]:
+            laws.append({_KIND_LINEAR: _law(dims[l], (
+                (weight, inner), (combine, fans[l - 1] * inner), (split, copies),
+                (activation, copies)), net.layers[l - 1].activation)})
+            below, width = 1, 1
+        else:
+            laws.append({kind: _law(dims[l], ((spec, div),)) for kind, spec, div in (
+                (KIND_WEIGHT, weight, inner), (KIND_COMBINE, combine, fans[l - 1] * inner),
+                (KIND_SPLIT, split, 1), (KIND_ACTIVATION, activation, copies))})
+            below, width = fans[l] // fan_out[l - 1], fans[l]
+        quiet = still[-1] and laws[l - 1].get(KIND_ACTIVATION) is None
+        still.append(quiet and all(law is None for kind, law in laws[l].items()
+                                   if kind != KIND_ACTIVATION))
+        widest = max(below * dims[l - 1], width * dims[l])
         unit_bytes.append(max(unit_bytes[-1] * below, 8 * min(total, _GROUP_ROWS) * widest))
+
+    def noisy(sites, h, kind, l):
+        """``h`` plus the next block of site ``(kind, l)``, or ``h`` where it is silent."""
+        return sites.plus(h, laws[l][kind], kind, l)
 
     def groups(sites, l, count, inputs, n):
         """One realization ``(count, n, d_l)`` of the next ``count`` groups
@@ -569,12 +573,11 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
         mean of ``fans[l]`` activated copies, or copy 0 where ``still[l]``."""
         layer, f, g = net.layers[l - 1], fan_out[l - 1], fans[l]
         h = affine(layer.weights, layer.bias, walk(sites, l - 1, count * g // f, inputs, n))
-        for spec, kind, div in ((profile.weight[l - 1], KIND_WEIGHT, fans[l - 1]),
-                                (combine, KIND_COMBINE, fans[l - 1] ** 2)):
-            if not spec.is_zero:
-                h += sites.draw(spec, kind, l, h.shape, div)
-        if not split.is_zero:
-            h = _fan_out(sites.draw(split, KIND_SPLIT, l, (count * g, n, dims[l])), h, f)
+        for kind in (KIND_WEIGHT, KIND_COMBINE):
+            h = noisy(sites, h, kind, l)
+        if laws[l][KIND_SPLIT] is not None:
+            z = sites.draw(laws[l][KIND_SPLIT], KIND_SPLIT, l, (count * g, n, dims[l]))
+            h = _fan_out(z, h, f)
         return _average(layer.activation._in_place(h), count, still[l])
 
     def walk(sites, l, count, inputs, n):
@@ -584,7 +587,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
         of one group of layer ``l + 1``; at ``l = L`` the output."""
         if l == 0:
             h = np.broadcast_to(inputs, (count, n, dims[0]))
-            return sites.add(h, profile.modulation, KIND_MODULATION, 0, fans[0] * ks[0])
+            return noisy(sites, h, KIND_MODULATION, 0)
         step = max(1, _CHUNK_BYTES // unit_bytes[l])
         if count > step:
             return np.concatenate([walk(sites, l, min(step, count - s), inputs, n)
@@ -592,11 +595,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
         layer, k = net.layers[l - 1], ks[l]
         if linear[l]:
             h = affine(layer.weights, layer.bias, walk(sites, l - 1, count, inputs, n))
-            h = layer.activation._in_place(h)
-            if laws[l] is not None:
-                z = sites.normals(_KIND_LINEAR, l, h.shape)
-                h += _tiled(z, laws[l]) if laws[l].ndim == 2 else np.multiply(z, laws[l], out=z)
-            return h
+            return noisy(sites, layer.activation._in_place(h), _KIND_LINEAR, l)
         if k == 1 or still[l]:
             h = groups(sites, l, count, inputs, n)
         else:
@@ -609,7 +608,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
                         -1, count, n, dims[l]):
                     h += z
             h /= k
-        return sites.add(h, profile.activation[l - 1], KIND_ACTIVATION, l, k * fans[l])
+        return noisy(sites, h, KIND_ACTIVATION, l)
 
     parts = _parts(total)
     if reference is None:

@@ -42,7 +42,7 @@ from optonoise.noise import (
     KIND_MODULATION,
     KIND_SPLIT,
     KIND_WEIGHT,
-    _draw,
+    _law,
     _Sites,
     covspec_from_json,
     covspec_to_json,
@@ -51,6 +51,12 @@ from optonoise.noise import (
 )
 
 from conftest import count_affine_calls, random_covspec, random_linear_net, random_profile
+
+
+def _draw(spec, dim, stream, n, div=1.0):
+    """A fresh ``(*n, dim)`` block of Normal(0, spec / div) rows from site
+    ``(0, 0)`` of ``stream``."""
+    return _Sites(stream).draw(_law(dim, ((spec, div),)), 0, 0, (*n, dim))
 
 
 class TestCovSpec:
@@ -161,20 +167,19 @@ class TestSampleNoise:
         # chi-squared concentration: sd of the sample variance at n=1e5 is
         # sigma^2 * sqrt(2/n) ~ 0.018, so [3.8, 4.2] is a >10-sigma corridor
         spec = CovSpec.isotropic(4.0)
-        draws = _draw(spec, 1, RngStream(11, (0,)).generator(), (100_000,))
+        draws = _draw(spec, 1, RngStream(11, (0,)), (100_000,))
         var = draws.var(ddof=1)
         assert 3.8 <= var <= 4.2
         # a one-row block is the first row of any longer block on the same
         # stream, which makes a batch of one an exact single evaluation
-        single = _draw(spec, 1, RngStream(11, (0,)).generator(), (1,))
+        single = _draw(spec, 1, RngStream(11, (0,)), (1,))
         np.testing.assert_array_equal(single, draws[:1])
 
     def test_full_correlation_fisher_interval(self):
         # Fisher z interval: se(z) = 1/sqrt(n-3) ~ 0.0032 at n=1e5, so
         # [0.89, 0.91] around rho = 0.9 is a >15-sigma corridor
         spec = CovSpec.full([[1.0, 0.9], [0.9, 1.0]])
-        gen = RngStream(12, (0,)).generator()
-        draws = _draw(spec, 2, gen, (100_000,))
+        draws = _draw(spec, 2, RngStream(12, (0,)), (100_000,))
         corr = np.corrcoef(draws.T)[0, 1]
         assert 0.89 <= corr <= 0.91
 
@@ -182,7 +187,7 @@ class TestSampleNoise:
         rng = np.random.default_rng(0)
         A = rng.normal(size=(3, 3))
         spec = CovSpec.full(A @ A.T)
-        draws = _draw(spec, 3, RngStream(13, (0,)).generator(), (200_000,))
+        draws = _draw(spec, 3, RngStream(13, (0,)), (200_000,))
         np.testing.assert_allclose(np.cov(draws.T), spec.matrix(3), rtol=0.05, atol=0.01)
 
 
@@ -215,9 +220,9 @@ class TestFullCovarianceRowStability:
     def test_draw_prefix(self, width):
         spec = random_covspec(np.random.default_rng(width), width, kind="full")
         stream = RngStream(14, (width,))
-        whole = _draw(spec, width, stream.generator(), (500,), 3.0)
+        whole = _draw(spec, width, stream, (500,), 3.0)
         for t in (1, 2, 3, 7, 9, 100):
-            np.testing.assert_array_equal(_draw(spec, width, stream.generator(), (t,), 3.0),
+            np.testing.assert_array_equal(_draw(spec, width, stream, (t,), 3.0),
                                           whole[:t])
 
     @pytest.mark.parametrize("width", [3, 8, 16, 64])
@@ -525,6 +530,69 @@ class TestSiteStreams:
         assert {path for path in built if len(path) == 3} == {(noise._PART_1, *p) for p in part_0}
 
 
+class TestLawTable:
+    """A call builds every site's law once, before its first tile, and
+    factors a covariance only for a merged site with a full source."""
+
+    @staticmethod
+    def record(monkeypatch, module, name):
+        """Record the arguments of every call of ``module.name``."""
+        calls = []
+        real = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        return calls
+
+    @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
+    def test_one_law_per_site_of_the_wiring(self, sampler, monkeypatch):
+        # tanh, identity, relu: the modulation site, four sites per
+        # nonlinear layer (weight, combine, split, activation) and one
+        # merged site per linear layer, silent or not: 1 + 4 + 1 + 4
+        rng = np.random.default_rng(45)
+        net = TestDegeneracyProperty.random_net(rng, ["tanh", "identity", "relu"])
+        profile = random_profile(rng, net)
+        profile = NoiseProfile(profile.modulation, profile.weight, profile.activation,
+                               CovSpec.isotropic(0.01), CovSpec.isotropic(0.02))
+        run = _matrix_samplers(net, 2)[sampler]
+        xs = rng.normal(size=(2, net.input_dim))
+        laws = self.record(monkeypatch, noise, "_law")
+        run(xs[0], profile, 3, RngStream(46))
+        assert len(laws) == 10
+        # two parts of 16 tiles each, in passes of one group or realization
+        laws.clear()
+        monkeypatch.setattr(noise, "_GROUP_ROWS", 64)
+        monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
+        assert len(noise._parts(2 * noise._SPLIT_ROWS)[1]) == 16
+        run(xs, profile, noise._SPLIT_ROWS, RngStream(46))
+        assert len(laws) == 10
+
+    @pytest.mark.parametrize("kinds, factored", [
+        (["tanh", "relu", "softmax"], 0),
+        (["tanh", "identity", "relu", "diag"], 2),
+    ], ids=["nonlinear", "mixed"])
+    def test_only_merged_full_sites_factor_once_per_call(self, kinds, factored, monkeypatch):
+        # every source full: a single-source site keeps the factor its spec
+        # cached at construction; a linear layer's merged site factors its
+        # summed covariance, once per call however many tiles the call runs
+        rng = np.random.default_rng(48)
+        net = TestDegeneracyProperty.random_net(rng, kinds)
+        dims = net.dims()
+        full = [random_covspec(rng, d, kind="full") for d in dims]
+        profile = NoiseProfile(full[0], tuple(full[1:]), tuple(full[1:]))
+        xs = rng.normal(size=(2, net.input_dim))
+        monkeypatch.setattr(noise, "_GROUP_ROWS", 64)
+        monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
+        eighs = self.record(monkeypatch, np.linalg, "eigh")
+        for run in _matrix_samplers(net, 2).values():
+            eighs.clear()
+            run(xs, profile, noise._SPLIT_ROWS, RngStream(49))
+            assert len(eighs) == factored
+
+
 class TestTiles:
     """A call's two parts run their rows in tiles of ``_GROUP_ROWS``; in each
     tile copy ``j`` of a site takes the next tile-sized block of the part's
@@ -701,49 +769,65 @@ class TestInputMatrix:
         # a one-row matrix draws exactly what its vector draws
         np.testing.assert_array_equal(run(xs[:1], profile, trials, RngStream(seed))[0],
                                       run(xs[0], profile, trials, RngStream(seed)))
-        # under a zero profile every (input, trial) row is its vector call's
-        # row and the noiseless output bit for bit, at every copy count
-        zero = NoiseProfile.zero(net.depth)
-        for x, rows in zip(xs, run(xs, zero, trials, RngStream(seed))):
-            np.testing.assert_array_equal(rows, run(x, zero, trials, RngStream(seed)))
-            for row in rows:
-                np.testing.assert_array_equal(row, forward(net, x))
+        # under a zero profile, also one written as diagonal or full zeros,
+        # every (input, trial) row is its vector call's row and the
+        # noiseless output bit for bit, at every copy count
+        dims = net.dims()
+        zeros = [NoiseProfile.zero(net.depth)] + [
+            NoiseProfile(make(dims[0]), tuple(map(make, dims[1:])), tuple(map(make, dims[1:])))
+            for make in (lambda d: CovSpec.diagonal(np.zeros(d)),
+                         lambda d: CovSpec.full(np.zeros((d, d))))]
+        for zero in zeros:
+            for x, rows in zip(xs, run(xs, zero, trials, RngStream(seed))):
+                np.testing.assert_array_equal(rows, run(x, zero, trials, RngStream(seed)))
+                for row in rows:
+                    np.testing.assert_array_equal(row, forward(net, x))
 
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
         sampler=st.sampled_from(["plain", "tree", "combine_split"]),
         source=st.sampled_from(["weight", "activation"]),
+        spec_kind=st.sampled_from(["isotropic", "diagonal", "full"]),
         width=st.integers(1, 5),
         n_inputs=st.integers(1, 4),
         trials=st.integers(1, 5),
         copies=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_copy_j_takes_block_j_of_the_site_stream(self, sampler, source, width, n_inputs,
-                                                     trials, copies, seed):
+    def test_copy_j_takes_block_j_of_the_site_stream(self, sampler, source, spec_kind, width,
+                                                     n_inputs, trials, copies, seed):
         # depth 2, a tanh layer under a noiseless identity layer, noise on
         # one layer-1 site: the output is the average of the tanh copies of
         # the weighted addition plus their weight blocks, plus the activation
         # block.  Weight noise takes one block per layer-1 group (tree nodes
-        # at var / copies, the combine/split beam at var / copies, the plain
-        # net at var); activation noise takes one block per layer-2 group,
-        # at var / copies where that group averages copies
+        # and the combine/split beam at the covariance / copies, the plain
+        # net at the covariance); activation noise takes one block per
+        # layer-2 group, at the covariance / copies where that group
+        # averages copies.  Each spec kind turns the site's standard normals
+        # into its own law: times sqrt(var * scale), times sqrt(vec *
+        # scale), or times the spec's cached factor and sqrt(scale)
         rng = np.random.default_rng(seed)
-        d0, var = int(rng.integers(1, 5)), 0.3
+        d0 = int(rng.integers(1, 5))
         first = Layer(rng.normal(size=(width, d0)), rng.normal(size=width), Activation.tanh())
         net = Network((first, identity_net(width).layers[0]), d0)
         xs = rng.normal(size=(n_inputs, d0))
-        iso, zero = CovSpec.isotropic(var), CovSpec.zero()
+        spec, zero = random_covspec(rng, width, scale=0.3, kind=spec_kind), CovSpec.zero()
         if source == "weight":
-            kind, profile = KIND_WEIGHT, NoiseProfile(zero, (iso, zero), (zero, zero))
+            kind, profile = KIND_WEIGHT, NoiseProfile(zero, (spec, zero), (zero, zero))
         else:
-            kind, profile = KIND_ACTIVATION, NoiseProfile(zero, (zero, zero), (iso, zero))
+            kind, profile = KIND_ACTIVATION, NoiseProfile(zero, (zero, zero), (spec, zero))
         count = copies if (sampler, source) == ("tree", "weight") else 1
         scale = 1.0 if sampler == "plain" else 1.0 / copies
         out = _matrix_samplers(net, copies)[sampler](xs, profile, trials, RngStream(seed))
 
         gen = RngStream(seed).child(kind, 1).generator()
-        blocks = math.sqrt(var * scale) * gen.standard_normal((count, n_inputs, trials, width))
+        z = gen.standard_normal((count, n_inputs, trials, width))
+        if spec_kind == "isotropic":
+            blocks = math.sqrt(spec.var * scale) * z
+        elif spec_kind == "diagonal":
+            blocks = np.sqrt(spec.vec * scale) * z
+        else:
+            blocks = (z @ spec._factor.T) * math.sqrt(scale)
         pre = affine(first.weights, first.bias, xs)[:, None]
         if source == "weight":
             expected = np.tanh(pre + blocks).mean(axis=0)
@@ -959,9 +1043,12 @@ class TestCovSpecEdges:
         with pytest.raises(ValidationError):
             CovSpec.isotropic(float("nan"))
 
-    def test_zero_isotropic_counts_as_zero(self, monkeypatch):
+    @pytest.mark.parametrize("spec", [
+        CovSpec.isotropic(0.0), CovSpec.diagonal([0.0, 0.0]), CovSpec.full(np.zeros((2, 2))),
+    ], ids=["isotropic", "diagonal", "full"])
+    def test_zero_isotropic_counts_as_zero(self, spec, monkeypatch):
+        # a zero covariance of any kind is silent: no stream, h itself
         built = record_generators(monkeypatch)
-        spec = CovSpec.isotropic(0.0)
         assert spec.is_zero
         h = np.zeros((1, 2))
         assert _Sites(RngStream(0)).add(h, spec, 0, 0) is h and not built

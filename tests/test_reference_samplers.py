@@ -29,7 +29,7 @@ from optonoise.covariance import _run
 
 import reference_samplers
 from conftest import gaussian_gaps, random_linear_net, random_profile
-from optonoise.noise import KIND_ACTIVATION, KIND_COMBINE, KIND_SPLIT, _Sites
+from optonoise.noise import KIND_ACTIVATION, KIND_COMBINE, KIND_SPLIT, _law, _Sites
 from reference_samplers import literal_design_b_samples, literal_tree_samples
 
 MAX_SE = 5.0
@@ -205,7 +205,7 @@ class _WrongSites(_Sites):
         if self.shared == 1:
             return super().add(h, spec, kind, layer, div * self.factor(layer))
         if self.calls % self.shared == 0:
-            self.block = self.draw(spec, kind, layer, h.shape, div)
+            self.block = self.draw(_law(h.shape[-1], ((spec, div),)), kind, layer, h.shape)
         self.calls += 1
         return h + self.block
 
