@@ -38,7 +38,7 @@ import numpy as np
 from .errors import FeasibilityError, ValidationError
 # ``affine`` is unused here; bench/test_bench.py reads it on this module
 from .network import Network, _array, _finite, _integer, affine, forward, lipschitz_bounds  # noqa: F401
-from .noise import NoiseProfile, RngStream, SampleStats, _input_groups, _sample
+from .noise import NoiseProfile, RngStream, SampleStats, _sample
 
 __all__ = [
     "DesignASpec",
@@ -373,23 +373,19 @@ def deviation_check(
     network stays strictly below the allowance.  The deviation bound
     behind the copy budget is input-independent, so a single input
     suffices for linear networks; a set, a list of input vectors or an
-    ``(N, d_0)`` matrix, is accepted for nonlinear hosts.  Inputs are drawn
-    in groups of consecutive ones (``noise._input_groups``), group ``k`` in
-    one sampler call on ``RngStream(seed).child(k)``.
+    ``(N, d_0)`` matrix, is accepted for nonlinear hosts.  All inputs are
+    drawn in one kernel call on ``RngStream(seed)``, the draws of
+    ``design_a_samples(spec, inputs, profile, trials, RngStream(seed))``,
+    whose tiles are scored as they are drawn, so the samples are never held.
     """
     trials = _integer(trials, "trials", 100)
     deviation_allowance = _finite(deviation_allowance, "deviation_allowance", ">= 0")
     if len(inputs) == 0:
         raise ValidationError("deviation_check needs at least one input")
     inputs = _array(inputs, "inputs", 2)
-    references = forward(spec.base, inputs)
-    root = RngStream(seed)
-    worst = np.zeros(trials)
-    for k, group in enumerate(_input_groups(len(inputs), trials)):
-        samples = design_a_samples(spec, inputs[group], profile, trials, root.child(k))
-        dev = np.linalg.norm(samples - references[group, None], axis=2)
-        worst = np.maximum(worst, dev.max(axis=0))
-    failures = int(np.sum(worst >= deviation_allowance))
+    _, worst, _ = _sample(spec.base, profile, inputs, trials, RngStream(seed), spec.copies[:-1],
+                          (1,) * spec.base.depth, scores=(forward(spec.base, inputs), None))
+    failures = int(np.count_nonzero(np.sqrt(worst) >= deviation_allowance))
     low, high = wilson_interval(failures, trials)
     return DeviationCheckResult(
         trials=trials,

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SymmetricConfig, min_stable_m
-from .design_a import DesignASpec, design_a_samples, wilson_interval
-from .design_b import DesignBSpec, design_b_samples
+# ``design_a_samples`` is unused here; bench/test_bench.py reads it on this module
+from .design_a import design_a_samples, wilson_interval  # noqa: F401
 from .errors import ValidationError
 from .network import Activation, Layer, Network, _array, _finite, _integer, forward, forward_trace
-from .noise import CovSpec, NoiseProfile, RngStream, _input_groups, noisy_forward_samples
+from .noise import CovSpec, NoiseProfile, RngStream, _sample
 
 __all__ = [
     "ExperimentConfig",
@@ -239,21 +239,6 @@ def insert_identity_layers(net: Network, n: int, slots=None) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def _design_samples(cfg: ExperimentConfig, net, profile, copies: int, x, stream):
-    """Samples of the configured design at one grid point, for an input
-    vector or an input matrix ``x``.
-
-    Grid value ``copies`` means uniform per-layer counts ``(n, ..., n, 1)``
-    for the tree design and ``m = copies`` for combine/split.  Streams are
-    keyed by the grid value, so a copies-1 run of either design consumes
-    exactly the sites of the unmodified noisy network.
-    """
-    if cfg.design == "a":
-        spec = DesignASpec(net, (copies,) * net.depth + (1,))
-        return design_a_samples(spec, x, profile, cfg.trials, stream)
-    return design_b_samples(DesignBSpec(net, copies), x, profile, cfg.trials, stream)
-
-
 def _copies_grid(copies_grid) -> list[int]:
     copies_grid = [_integer(n, "copies grid entry", 1) for n in copies_grid]
     if not copies_grid:
@@ -261,31 +246,25 @@ def _copies_grid(copies_grid) -> list[int]:
     return copies_grid
 
 
-def _grid_point(cfg: ExperimentConfig, net, profile, copies: int, references, root,
+def _grid_point(cfg: ExperimentConfig, net, profile, copies: int, references,
                 plain: bool = False) -> tuple[np.ndarray, int]:
     """Evaluate one ``(net, profile, copies)`` grid point over ``cfg.inputs``.
 
-    The inputs are drawn in groups of consecutive ones
-    (``noise._input_groups``), group ``k`` in one sampler call on
-    ``root.child(copies, k)``; ``references`` holds the noiseless outputs,
-    one row per input.  ``plain`` draws the unmodified noisy network
-    instead of the design.  Returns the per-trial squared deviation per
-    output coordinate, averaged over inputs, and the count of correct
-    argmax decisions (0 without labels).
+    One kernel call on ``RngStream(cfg.seed).child(copies)`` draws all
+    inputs and scores its tiles against ``references``, the noiseless
+    outputs.  Grid value ``copies`` means uniform per-layer counts ``(n,
+    ..., n, 1)`` for the tree design and ``m = copies`` for combine/split,
+    and a copies-1 run of either consumes exactly the sites of the
+    unmodified noisy network, which ``plain`` draws instead.  Returns the
+    per-trial squared deviation per output coordinate, averaged over
+    inputs, and the count of correct argmax decisions (0 without labels).
     """
-    per_trial = np.zeros(cfg.trials)
-    hits = 0
-    for k, group in enumerate(_input_groups(cfg.inputs.shape[0], cfg.trials)):
-        xs, stream = cfg.inputs[group], root.child(copies, k)
-        if plain:
-            samples = noisy_forward_samples(net, profile, xs, cfg.trials, stream)
-        else:
-            samples = _design_samples(cfg, net, profile, copies, xs, stream)
-        squares = np.sum((samples - references[group, None]) ** 2, axis=2)
-        per_trial += (squares / references.shape[1]).sum(axis=0)
-        if cfg.labels is not None:
-            hits += int(np.count_nonzero(np.argmax(samples, axis=2) == cfg.labels[group, None]))
-    return per_trial / cfg.inputs.shape[0], hits
+    ones, fans = (1,) * net.depth, (copies,) * net.depth
+    combine_split = cfg.design == "b" and not plain
+    sq, _, hits = _sample(net, profile, cfg.inputs, cfg.trials, RngStream(cfg.seed).child(copies),
+                          ones if plain else fans, fans if combine_split else ones,
+                          combine_split=combine_split, scores=(references, cfg.labels))
+    return sq / references.size, hits
 
 
 def _mse_columns(cfg: ExperimentConfig, per_trial: np.ndarray) -> dict:
@@ -307,11 +286,10 @@ def run_mse_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
     at ``cfg.confidence`` (normal approximation over trials).
     """
     copies_grid = _copies_grid(copies_grid)
-    root = RngStream(cfg.seed)
     references = forward(cfg.network, cfg.inputs)
     rows = []
     for copies in copies_grid:
-        per_trial, _ = _grid_point(cfg, cfg.network, cfg.profile, copies, references, root)
+        per_trial, _ = _grid_point(cfg, cfg.network, cfg.profile, copies, references)
         rows.append({"design": cfg.design, "copies": copies, **_mse_columns(cfg, per_trial),
                      "trials": cfg.trials, "seed": cfg.seed})
     return rows
@@ -332,13 +310,12 @@ def run_accuracy_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
     copies_grid = _copies_grid(copies_grid)
     if cfg.labels is None:
         raise ValidationError("accuracy experiments need labels")
-    root = RngStream(cfg.seed)
     references = forward(cfg.network, cfg.inputs)
     noiseless_hits = int(np.count_nonzero(np.argmax(references, axis=1) == cfg.labels))
     acc_nn = noiseless_hits / cfg.inputs.shape[0]
 
     # baseline: unmodified noisy network, streams keyed like a copies-1 run
-    _, baseline_hits = _grid_point(cfg, cfg.network, cfg.profile, 1, references, root, plain=True)
+    _, baseline_hits = _grid_point(cfg, cfg.network, cfg.profile, 1, references, plain=True)
     acc_onn = baseline_hits / (cfg.trials * cfg.inputs.shape[0])
 
     # one copy of either design draws what the baseline drew (design b only
@@ -352,7 +329,7 @@ def run_accuracy_experiment(cfg: ExperimentConfig, copies_grid) -> list[dict]:
         if copies == 1 and one_copy_is_plain:
             hits = baseline_hits
         else:
-            _, hits = _grid_point(cfg, cfg.network, cfg.profile, copies, references, root)
+            _, hits = _grid_point(cfg, cfg.network, cfg.profile, copies, references)
         columns = _wilson_columns(cfg, hits, "acc_design")
         relative = "undefined" if denom == 0.0 else (columns["acc_design"] - acc_onn) / denom
         rows.append({"design": cfg.design, "copies": copies, **columns, "acc_onn": acc_onn,
@@ -379,14 +356,13 @@ def run_depth_sweep(
     variance_grid = [_finite(v, "every variance", ">= 0") for v in variance_grid]
     if not n_grid or not variance_grid:
         raise ValidationError("depth sweep needs nonempty grids")
-    root = RngStream(cfg.seed)
     rows = []
     for n_add in n_grid:
         net = insert_identity_layers(cfg.network, n_add, slots)
         references = forward(net, cfg.inputs)
         for var in variance_grid:
             profile = NoiseProfile.isotropic(net.depth, weight_var=var, activation_var=var)
-            per_trial, hits = _grid_point(cfg, net, profile, copies, references, root)
+            per_trial, hits = _grid_point(cfg, net, profile, copies, references)
             row = {"layers_added": n_add, "variance": var, "copies": copies,
                    **_mse_columns(cfg, per_trial), "trials": cfg.trials, "seed": cfg.seed}
             if cfg.labels is not None:

@@ -46,8 +46,6 @@ block on the same stream, so this is exact for the plain net and for the
 one-copy designs.  Copies that no noise source reaches are identical, and
 the kernel takes copy 0 of them instead of averaging, so a zero profile
 reproduces the noiseless forward pass bit for bit at any copy count.
-Sweeps over many inputs draw them in groups of about ``_GROUP_ROWS``
-rows, one sampler call per group (:func:`_input_groups`).
 
 Part 1 runs on one worker thread that the call starts and joins before it
 returns or raises; an exception on the worker is raised again by the
@@ -56,12 +54,12 @@ The two parts share no generator and write disjoint rows of one output,
 so the samples do not depend on how the threads interleave.
 
 Monte Carlo statistics are built from merged tiles.  Given a
-``reference``, a sampler folds each tile into its part's running mean,
-centred cross-product and squared deviation (:class:`_Moments`) on the
-thread that drew it, and merges part 0 with part 1 at the end, so the
-call holds a few tiles, not its ``R`` rows.  :func:`stats_from_samples`
-cuts a sample matrix into the same parts and tiles (:func:`_parts`), so
-both give the same statistics bit for bit.
+``reference``, a sampler folds each tile's deviations from it into its
+part's running moments (:class:`_Moments`), and a sweep's one call per
+grid point into per-trial scores (:class:`_Scores`), on the thread that
+drew it; part 0 merges with part 1 at the end, so the call holds a few
+tiles, not its ``R`` rows.  :func:`stats_from_samples` cuts a sample matrix
+into the same parts and tiles, so both give the same statistics bit for bit.
 """
 
 from __future__ import annotations
@@ -102,11 +100,11 @@ _KIND_LINEAR = 6
 #: Recorded in output metadata so result files name their generator and
 #: stream layout: one block per copy of the kernel, not per physical copy,
 #: one activation block per averaged group, one merged block per group of a
-#: linear layer, sweeps draw groups of inputs in one call
-#: (:func:`_input_groups`), a site with several copies reads its stream tile
-#: by tile, ``_GROUP_ROWS`` rows per block, and a call of at least
-#: ``_SPLIT_ROWS`` rows reads its second half from the part-1 sites.
-GENERATOR_NAME = "sfc64/seedseq-merged-linear"
+#: linear layer, a sweep draws all its inputs in one call per grid point, a
+#: site with several copies reads its stream tile by tile, ``_GROUP_ROWS``
+#: rows per block, and a call of at least ``_SPLIT_ROWS`` rows reads its
+#: second half from the part-1 sites.
+GENERATOR_NAME = "sfc64/seedseq-sweep-calls"
 
 _SYM_TOL = 1e-12
 _PSD_PIVOT_TOL = 1e-10
@@ -121,8 +119,7 @@ _PSD_PIVOT_TOL = 1e-10
 #: to run.
 _CHUNK_BYTES = 4 * 2**20
 
-#: Rows, inputs times trials, of one tile of the layer kernel, and of one
-#: sampler call of a sweep.
+#: Rows, inputs times trials, of one tile of the layer kernel.
 _GROUP_ROWS = 2048
 
 #: Rows, inputs times trials, from which a sampler call runs its second
@@ -142,14 +139,6 @@ def _parts(rows: int) -> list[list[slice]]:
     cuts = (0, rows) if rows < _SPLIT_ROWS else (0, -(-rows // 2), rows)
     return [[slice(s, min(s + _GROUP_ROWS, stop)) for s in range(start, stop, _GROUP_ROWS)]
             for start, stop in zip(cuts, cuts[1:])]
-
-
-def _input_groups(count: int, trials: int) -> list[slice]:
-    """Slices of ``count`` inputs, ``max(1, _GROUP_ROWS // trials)``
-    consecutive ones each; a sweep draws group ``k`` on child ``k`` of its
-    stream, so at ``trials >= _GROUP_ROWS`` every input is its own group."""
-    step = max(1, _GROUP_ROWS // trials)
-    return [slice(s, s + step) for s in range(0, count, step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,10 +449,12 @@ def _average(h: np.ndarray, count: int, still: bool) -> np.ndarray:
     return h[:, 0] if still else h.mean(axis=1)
 
 
-def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, reference=None):
-    """The layer kernel behind every sampler: ``(trials, d_L)`` samples of
-    an input vector ``x``, ``(N, trials, d_L)`` of an ``(N, d_0)`` matrix,
-    or with a ``reference`` their :class:`SampleStats` against it.
+def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, reference=None,
+            scores=None):
+    """The layer kernel behind every sampler and sweep: ``(trials, d_L)``
+    samples of a vector ``x`` or ``(N, trials, d_L)`` of an ``(N, d_0)``
+    matrix, their :class:`SampleStats` against a ``reference``, or their
+    :class:`_Scores` against ``scores = (references, labels)``.
 
     The call's ``R = N * trials`` rows, input major, run in one part, or at
     ``R >= _SPLIT_ROWS`` in two: rows ``0 .. ceil(R / 2) - 1`` on this
@@ -471,8 +462,8 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     thread, drawn from the sites of ``rng.child(_PART_1)``.  Each part runs
     its rows in tiles of ``_GROUP_ROWS`` rows (:func:`_parts`), and each
     tile runs depth first through every layer into the part's sink: its
-    rows of one preallocated output, or with a ``reference`` the part's
-    :class:`_Moments`, which the thread that drew the tile folds it into.
+    rows of one preallocated output, or the part's :class:`_Moments` or
+    :class:`_Scores`, which the thread that drew the tile folds it into.
     Every block of a tile has one row per tile row.  With ``fans =
     (*fan_in, fan_out[-1])``, ``fans[l]`` copies of layer ``l`` are averaged
     into the input of one group of layer ``l + 1`` (layer 0: modulated
@@ -611,11 +602,13 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
         return noisy(sites, h, KIND_ACTIVATION, l)
 
     parts = _parts(total)
-    if reference is None:
+    if reference is not None:
+        sinks = [_Moments(reference, dims[-1]) for _ in parts]
+    elif scores is not None:
+        sinks = [_Scores(*scores, trials) for _ in parts]
+    else:
         out = np.empty((total, dims[-1]))
         sinks = [out] * len(parts)
-    else:
-        sinks = [_Moments(reference, dims[-1]) for _ in parts]
 
     # the first exception of either part; the other part stops at its next tile
     failed = []
@@ -644,9 +637,9 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
             worker.join()
     if failed:
         raise failed[0]
-    if reference is not None:
-        return _merged(sinks)
-    return out.reshape(xs.shape[0], trials, -1) if x.ndim == 2 else out
+    if reference is None and scores is None:
+        return out.reshape(xs.shape[0], trials, -1) if x.ndim == 2 else out
+    return _merged(sinks)
 
 
 def noisy_forward_samples(
@@ -684,8 +677,8 @@ class SampleStats:
     ``covariance`` is the unbiased (n-1 divisor) sample covariance;
     ``mse_vs_reference`` is the mean squared 2-norm of the deviation from
     the reference vector.  Each tile of ``_GROUP_ROWS`` rows contributes
-    its own mean, centred cross-product and summed squared deviation, and
-    tiles merge in row order by Chan's pairwise update (:class:`_Moments`).
+    the moments of its deviations from the reference, and tiles merge in
+    row order by Chan's pairwise update (:class:`_Moments`).
     """
 
     n: int
@@ -696,13 +689,13 @@ class SampleStats:
 
 class _Moments:
     """Running statistics of the tiles of one part of a run against
-    ``reference``: row count, mean, centred cross-product and summed
-    squared deviation from the reference.
+    ``reference``: row count, and the mean, centred cross-product and
+    summed square of the deviations from it, so rows equal to it give a
+    zero covariance and its mean exactly.
 
-    ``moments[rows] = tile`` folds a tile in, so a part's sink is either
-    its rows of an output array or its ``_Moments``; the row slice is not
-    needed.  A tile must be finite.  ``merge`` is Chan's pairwise update;
-    overflow is left to :meth:`stats`, which refuses it.
+    ``moments[rows] = tile`` folds a finite tile in; the row slice is not
+    needed.  ``merge`` is Chan's pairwise update; overflow is left to
+    :meth:`result`, which refuses it.
     """
 
     __slots__ = ("reference", "n", "mean", "m2", "sq")
@@ -715,23 +708,21 @@ class _Moments:
             )
         if not np.isfinite(reference).all():
             raise ValidationError("reference contains non-finite values")
-        self.reference, self.n, self.mean, self.m2, self.sq = reference, 0, None, None, 0.0
+        self.reference, self.n, self.sq = reference, 0, 0.0
+        self.mean, self.m2 = np.zeros(width), np.zeros((width, width))
 
     def __setitem__(self, rows: slice, tile: np.ndarray) -> None:
         if not np.isfinite(tile).all():
             raise ValidationError("samples contain non-finite values")
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = tile.mean(axis=0)
-            dev = tile - mean
-            m2 = dev.T @ dev
-            np.subtract(tile, self.reference, out=dev)
-            self.merge(tile.shape[0], mean, m2, np.einsum("ij,ij->", dev, dev))
+            dev = tile - self.reference
+            sq = np.einsum("ij,ij->", dev, dev)
+            mean = dev.mean(axis=0)
+            dev -= mean
+            self._add(tile.shape[0], mean, dev.T @ dev, sq)
 
-    def merge(self, n: int, mean: np.ndarray, m2: np.ndarray, sq) -> None:
+    def _add(self, n: int, mean: np.ndarray, m2: np.ndarray, sq) -> None:
         """Add ``n`` rows of the given mean, cross-product and squared deviation."""
-        if not self.n:
-            self.n, self.mean, self.m2, self.sq = n, mean, m2, sq
-            return
         total = self.n + n
         with np.errstate(over="ignore", invalid="ignore"):
             delta = mean - self.mean
@@ -740,27 +731,64 @@ class _Moments:
             self.sq = self.sq + sq
         self.n = total
 
-    def stats(self) -> SampleStats:
+    def merge(self, other: "_Moments") -> None:
+        self._add(other.n, other.mean, other.m2, other.sq)
+
+    def result(self) -> SampleStats:
         n = self.n
         if n < 2:
             raise ValidationError("need an (n, d) sample matrix with n >= 2")
         with np.errstate(over="ignore", invalid="ignore"):
+            mean = self.reference + self.mean
             cov = self.m2 / (n - 1)
             cov = (cov + cov.T) / 2.0
             mse = float(self.sq / n)
-        for what, value in (("mean", self.mean), ("covariance", cov),
+        for what, value in (("mean", mean), ("covariance", cov),
                             ("mean squared deviation", mse)):
             if not np.all(np.isfinite(value)):
                 raise ValidationError(f"sample {what} overflows float64")
-        return SampleStats(n=n, mean=self.mean, covariance=cov, mse_vs_reference=mse)
+        return SampleStats(n=n, mean=mean, covariance=cov, mse_vs_reference=mse)
 
 
-def _merged(parts: list[_Moments]) -> SampleStats:
-    """The statistics of a run's parts, merged in order."""
+class _Scores:
+    """Per-trial summed and worst squared deviation of the tiles of one
+    part of a sweep's call from ``references``, one row per input, summed
+    per row as :func:`numpy.linalg.norm` sums, and the argmax hits of
+    ``labels`` (None: no hits).  Row ``r`` is input ``r // trials``, trial
+    ``r % trials``."""
+
+    __slots__ = ("references", "labels", "trials", "sq", "worst", "hits")
+
+    def __init__(self, references: np.ndarray, labels, trials: int):
+        self.references, self.labels, self.trials = references, labels, trials
+        self.sq, self.worst, self.hits = np.zeros(trials), np.zeros(trials), 0
+
+    def __setitem__(self, rows: slice, tile: np.ndarray) -> None:
+        inputs, trial = np.divmod(np.arange(rows.start, rows.stop), self.trials)
+        dev = self.references[inputs]
+        np.subtract(tile, dev, out=dev)
+        dev *= dev
+        sq = dev.sum(axis=1)
+        self.sq += np.bincount(trial, sq, self.trials)
+        np.maximum.at(self.worst, trial, sq)
+        if self.labels is not None:
+            self.hits += int(np.count_nonzero(tile.argmax(axis=1) == self.labels[inputs]))
+
+    def merge(self, other: "_Scores") -> None:
+        self.sq += other.sq
+        np.maximum(self.worst, other.worst, out=self.worst)
+        self.hits += other.hits
+
+    def result(self) -> tuple[np.ndarray, np.ndarray, int]:
+        return self.sq, self.worst, self.hits
+
+
+def _merged(parts: list):
+    """The result of a run's part sinks, merged in order."""
     first, *rest = parts
     for part in rest:
-        first.merge(part.n, part.mean, part.m2, part.sq)
-    return first.stats()
+        first.merge(part)
+    return first.result()
 
 
 def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
@@ -774,8 +802,6 @@ def stats_from_samples(samples: np.ndarray, reference) -> SampleStats:
     covariance or squared deviation overflow are refused.
     """
     samples = _array(samples, "samples", 2)
-    if samples.shape[0] < 2:
-        raise ValidationError("need an (n, d) sample matrix with n >= 2")
     parts = []
     for tiles in _parts(samples.shape[0]):
         parts.append(_Moments(reference, samples.shape[1]))

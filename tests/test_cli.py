@@ -229,7 +229,8 @@ class TestDeterminism:
             }))
         return profile_path, configs
 
-    @pytest.mark.parametrize("command", ["design-a", "design-b", "accuracy-a", "accuracy-b"])
+    @pytest.mark.parametrize("command", ["design-a", "design-b", "accuracy-a", "accuracy-b",
+                                         "mse-b", "depth-a"])
     def test_fixture_commands_byte_identical(self, command, fixture_files, tmp_path):
         profile_path, configs = fixture_files
         x = json.dumps(fixture_dataset()[0][0].tolist())
@@ -239,6 +240,12 @@ class TestDeterminism:
             "design-b": ["--seed", "5", "--trials", "40", "design-b", *sampler, "--m", "3"],
             "accuracy-a": ["--config", str(configs["a"]), "experiment", "accuracy", "--grid", "1,2"],
             "accuracy-b": ["--config", str(configs["b"]), "experiment", "accuracy", "--grid", "1,2"],
+            # 12 inputs x 100 trials: every grid point is one call of two parts
+            "mse-b": ["--trials", "100", "--config", str(configs["b"]), "experiment", "mse",
+                      "--grid", "1,2"],
+            "depth-a": ["--trials", "100", "--config", str(configs["a"]), "experiment", "depth",
+                        "--n-grid", "0,2", "--var-grid", "0.01,0.04", "--copies", "2",
+                        "--slots", "1,1,1,1"],
         }[command]
         outs = [tmp_path / "first.json", tmp_path / "second.json"]
         for out in outs:

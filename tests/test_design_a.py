@@ -31,7 +31,7 @@ from optonoise import (
 )
 from optonoise.covariance import _run
 from optonoise.design_a import common_variance_bound, equal_split_targets, wilson_interval
-from optonoise.noise import _GROUP_ROWS, _input_groups
+from optonoise import design_a
 
 from conftest import (
     count_affine_calls,
@@ -500,28 +500,32 @@ class TestDeviationCheck:
         with pytest.raises(ValidationError, match="seed must be an integer"):
             deviation_check(*args, trials=100, seed=1.5)
 
-    @pytest.mark.parametrize("trials", [100, _GROUP_ROWS], ids=["groups-of-20", "one-per-group"])
-    def test_worst_deviation_over_input_groups(self, rng, trials):
-        # group k of the inputs draws one matrix call on RngStream(seed).child(k);
-        # at trials >= _GROUP_ROWS that is one vector call per input, as before
+    @pytest.mark.parametrize("n_inputs, trials", [(1, 100), (25, 100), (3, 2100)],
+                             ids=["one-part", "two-parts", "part-inside-an-input"])
+    def test_failures_equal_those_of_the_held_samples(self, rng, monkeypatch, n_inputs, trials):
+        # one kernel call on RngStream(seed) scores the tiles of the public
+        # sampler's call on that stream, so the failures are exact, ties too
         net = random_linear_net(rng, depth=2)
         spec = DesignASpec(net, uniform_copies(net.depth, 2))
         profile = random_profile(rng, net)
-        inputs = rng.normal(size=(25, net.input_dim))
-        root, worst = RngStream(3), np.zeros(trials)
-        for k, group in enumerate(_input_groups(len(inputs), trials)):
-            samples = design_a_samples(spec, inputs[group], profile, trials, root.child(k))
-            for x, rows in zip(inputs[group], samples):
-                if trials >= _GROUP_ROWS:
-                    np.testing.assert_array_equal(
-                        rows, design_a_samples(spec, x, profile, trials, root.child(k)))
-                worst = np.maximum(worst, np.linalg.norm(rows - forward(net, x), axis=1))
-        allowance = float(np.median(worst))
-        result = deviation_check(spec, profile, list(inputs), allowance, trials, seed=3)
-        assert result.failures == int(np.sum(worst >= allowance))
-        assert 0 < result.failures < trials
-        matrix = deviation_check(spec, profile, inputs, allowance, trials, seed=3)
-        assert matrix.failures == result.failures
+        inputs = rng.normal(size=(n_inputs, net.input_dim))
+        samples = design_a_samples(spec, inputs, profile, trials, RngStream(3))
+        worst = np.linalg.norm(samples - forward(net, inputs)[:, None], axis=2).max(axis=0)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return kernel(*args, **kwargs)
+
+        kernel = design_a._sample
+        monkeypatch.setattr(design_a, "_sample", counted)
+        for allowance in (float(np.median(worst)), float(np.sort(worst)[trials * 3 // 5])):
+            result = deviation_check(spec, profile, list(inputs), allowance, trials, seed=3)
+            assert result.failures == int(np.sum(worst >= allowance))
+            assert 0 < result.failures < trials
+            matrix = deviation_check(spec, profile, inputs, allowance, trials, seed=3)
+            assert matrix.failures == result.failures
+        assert calls == [RngStream(3)] * 4
 
     @pytest.mark.parametrize("inputs", [[], np.zeros((0, 2))], ids=["empty-list", "no-rows"])
     def test_empty_input_set_refused(self, inputs):

@@ -2,15 +2,15 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from optonoise import (
     Activation,
     CovSpec,
+    DesignASpec,
     DesignBSpec,
     ExperimentConfig,
     Layer,
@@ -20,6 +20,7 @@ from optonoise import (
     RngStream,
     ValidationError,
     calibrate_noise,
+    design_a_samples,
     design_b_samples,
     forward,
     insert_identity_layers,
@@ -33,7 +34,7 @@ from optonoise import (
 )
 from optonoise import experiments, noise
 from optonoise.experiments import normal_interval, plan_insertions, write_csv
-from optonoise.noise import _input_groups, profile_to_json
+from optonoise.noise import profile_to_json
 from optonoise.fixtures import fixture_dataset, fixture_network
 
 from conftest import random_linear_net, random_profile
@@ -327,50 +328,36 @@ class TestAccuracyExperiment:
         # the copies=1 row reuses the baseline hits because a one-copy run
         # of either design takes the plain network's draws on its stream
         net, X, labels, profile = fixture_setup
-        root = RngStream(3)
+        references = forward(net, X[:8])
         for design in ("a", "b"):
             cfg = ExperimentConfig(network=net, profile=profile, design=design,
                                    inputs=X[:8], trials=30, seed=3, labels=labels[:8])
-            for i, x in enumerate(cfg.inputs):
-                np.testing.assert_array_equal(
-                    experiments._design_samples(cfg, net, profile, 1, x, root.child(1, i)),
-                    noisy_forward_samples(net, profile, x, cfg.trials, root.child(1, i)),
-                )
+            per_trial, hits = experiments._grid_point(cfg, net, profile, 1, references)
+            plain_per_trial, plain_hits = experiments._grid_point(cfg, net, profile, 1, references,
+                                                                  plain=True)
+            np.testing.assert_array_equal(per_trial, plain_per_trial)
+            assert hits == plain_hits
 
     def test_one_copy_row_samples_only_when_it_differs(self, fixture_setup, monkeypatch):
         net, X, labels, profile = fixture_setup
         X, labels = X[:10], labels[:10]
-        calls = []
-        real = experiments._design_samples
-
-        def counting(cfg, net, profile, copies, x, stream):
-            calls.append(copies)
-            return real(cfg, net, profile, copies, x, stream)
-
-        monkeypatch.setattr(experiments, "_design_samples", counting)
+        streams = count_kernel_calls(monkeypatch)
         cfg = ExperimentConfig(network=net, profile=profile, design="a",
                                inputs=X, trials=20, seed=5, labels=labels)
-        groups = _input_groups(len(X), 20)
         rows = run_accuracy_experiment(cfg, [1, 2])
-        # one sampler call per group of inputs, none for the reused copies=1 row
-        assert calls == [2] * len(groups)
+        # the baseline and one call for copies=2, none for the reused copies=1 row
+        assert streams == [RngStream(5).child(1), RngStream(5).child(2)]
         assert rows[0]["acc_design"] == rows[0]["acc_onn"]
         # with combine noise the one-copy combine/split run is its own draw
         noisy = NoiseProfile(profile.modulation, profile.weight, profile.activation,
                              combine=CovSpec.isotropic(0.5))
         cfg = ExperimentConfig(network=net, profile=noisy, design="b",
                                inputs=X, trials=20, seed=5, labels=labels)
-        calls.clear()
+        streams.clear()
         row = run_accuracy_experiment(cfg, [1])[0]
-        assert calls == [1] * len(groups)
-        root = RngStream(5)
-        hits = sum(
-            int(np.sum(np.argmax(design_b_samples(DesignBSpec(net, 1), X[group], noisy, 20,
-                                                  root.child(1, k)), axis=2)
-                       == labels[group, None]))
-            for k, group in enumerate(groups)
-        )
-        assert row["acc_design"] == hits / (20 * len(X))
+        assert streams == [RngStream(5).child(1)] * 2
+        samples = design_b_samples(DesignBSpec(net, 1), X, noisy, 20, RngStream(5).child(1))
+        assert row["acc_design"] == np.sum(np.argmax(samples, axis=2) == labels[:, None]) / (20 * len(X))
 
     def test_relative_accuracy_nondecreasing(self, fixture_setup):
         net, X, labels, profile = fixture_setup
@@ -384,7 +371,7 @@ class TestAccuracyExperiment:
 
     def test_needs_labels(self, fixture_setup, monkeypatch):
         net, X, _, profile = fixture_setup
-        monkeypatch.setattr(experiments, "noisy_forward_samples", None)  # no sampling
+        monkeypatch.setattr(experiments, "_sample", None)  # no sampling
         cfg = ExperimentConfig(network=net, profile=profile, design="a",
                                inputs=X[:5], trials=5, seed=0)
         with pytest.raises(ValidationError, match="accuracy experiments need labels"):
@@ -398,50 +385,84 @@ class TestAccuracyExperiment:
         assert row["relative"] == "undefined"
 
 
-class TestInputGroups:
-    """Sweeps draw consecutive inputs in groups of ``_GROUP_ROWS // trials``."""
+def count_kernel_calls(monkeypatch):
+    """Wrap ``experiments._sample``; returns the list of the streams it is called on."""
+    streams = []
+    kernel = experiments._sample
 
-    def test_group_sizes(self):
-        assert _input_groups(5, noise._GROUP_ROWS) == [slice(i, i + 1) for i in range(5)]
-        groups = _input_groups(25, noise._GROUP_ROWS // 10)
-        assert [(g.start, g.stop) for g in groups] == [(0, 10), (10, 20), (20, 30)]
+    def counted(*args, **kwargs):
+        streams.append(args[4])
+        return kernel(*args, **kwargs)
 
-    @settings(derandomize=True, deadline=None, max_examples=12)
-    @given(
-        design=st.sampled_from(["a", "b"]),
-        extra_trials=st.integers(0, 40),
-        n_inputs=st.integers(1, 3),
-        copies=st.integers(1, 3),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_one_input_groups_keep_the_per_input_layout(self, fixture_setup, design, extra_trials,
-                                                        n_inputs, copies, seed):
-        # at trials >= _GROUP_ROWS every group is one input, and input i
-        # draws a vector call on root.child(copies, i), bit for bit
+    monkeypatch.setattr(experiments, "_sample", counted)
+    return streams
+
+
+class TestGridPoint:
+    """A grid point is one kernel call on ``RngStream(seed).child(copies)``
+    that scores its tiles as they are drawn."""
+
+    def test_one_kernel_call_per_grid_point(self, fixture_setup, monkeypatch):
         net, X, labels, profile = fixture_setup
-        trials = noise._GROUP_ROWS + extra_trials
+        streams = count_kernel_calls(monkeypatch)
+        cfg = ExperimentConfig(network=net, profile=profile, design="b", inputs=X[:20],
+                               trials=60, seed=2, labels=labels[:20])
+        run_mse_experiment(cfg, [1, 2, 4])
+        assert streams == [RngStream(2).child(c) for c in (1, 2, 4)]
+        streams.clear()
+        run_depth_sweep(cfg, [0, 2], [0.01, 0.04], copies=3, slots=(1, 1, 1, 1))
+        assert streams == [RngStream(2).child(3)] * 4
+
+    @pytest.mark.parametrize("design", ["plain", "a", "b"])
+    @pytest.mark.parametrize("n_inputs, trials", [(3, 7), (80, 60), (3, noise._GROUP_ROWS + 52)],
+                             ids=["one-part", "parts-of-two-tiles", "part-inside-an-input"])
+    def test_scores_equal_those_of_the_held_samples(self, fixture_setup, design, n_inputs, trials):
+        # the same public sampler call on the same stream, held: hits are
+        # exact, and the per-trial mse only sums in another order
+        net, X, labels, profile = fixture_setup
         X, labels = X[:n_inputs], labels[:n_inputs]
-        cfg = ExperimentConfig(network=net, profile=profile, design=design, inputs=X,
-                               trials=trials, seed=seed, labels=labels)
-        root = RngStream(seed)
+        copies = 1 if design == "plain" else 3
+        cfg = ExperimentConfig(network=net, profile=profile, design="b" if design == "b" else "a",
+                               inputs=X, trials=trials, seed=11, labels=labels)
+        stream = RngStream(11).child(copies)
+        if design == "plain":
+            samples = noisy_forward_samples(net, profile, X, trials, stream)
+        elif design == "a":
+            samples = design_a_samples(DesignASpec(net, (3,) * net.depth + (1,)), X, profile,
+                                       trials, stream)
+        else:
+            samples = design_b_samples(DesignBSpec(net, 3), X, profile, trials, stream)
+        references = forward(net, X)
+        per_trial, hits = experiments._grid_point(cfg, net, profile, copies, references,
+                                                  plain=design == "plain")
+        want = np.sum((samples - references[:, None]) ** 2, axis=2).mean(axis=0) / net.output_dim
+        np.testing.assert_allclose(per_trial, want, rtol=1e-12, atol=0.0)
+        assert hits == np.count_nonzero(np.argmax(samples, axis=2) == labels[:, None])
+        assert 0 < hits < n_inputs * trials
 
-        def per_input(plain):
-            per_trial, hits = np.zeros(trials), 0
-            for i, x in enumerate(X):
-                stream = root.child(1 if plain else copies, i)
-                if plain:
-                    samples = noisy_forward_samples(net, profile, x, trials, stream)
-                else:
-                    samples = experiments._design_samples(cfg, net, profile, copies, x, stream)
-                per_trial += np.sum((samples - forward(net, x)) ** 2, axis=1) / net.output_dim
-                hits += int(np.count_nonzero(np.argmax(samples, axis=1) == labels[i]))
-            return per_trial / n_inputs, hits
-
-        per_trial, hits = per_input(plain=False)
-        assert run_mse_experiment(cfg, [copies])[0]["mse"] == per_trial.mean()
-        row = run_accuracy_experiment(cfg, [copies])[0]
-        assert row["acc_onn"] == per_input(plain=True)[1] / (trials * n_inputs)
-        assert row["acc_design"] == hits / (trials * n_inputs)
+    def test_peak_memory_stays_within_a_few_tiles(self):
+        # 500 inputs x 100 trials of a width-64 net would be 25.6 MB of
+        # samples; scored as they are drawn, each part holds a few tiles
+        n_inputs, trials, width = 500, 100, 64
+        rng = np.random.default_rng(9)
+        net = Network(tuple(
+            Layer(rng.normal(size=(width, width)) / 8, rng.normal(size=width),
+                  Activation.diag_linear(rng.uniform(0.5, 1.0, size=width)))
+            for _ in range(2)), width)
+        X = rng.normal(size=(n_inputs, width))
+        references = forward(net, X)
+        cfg = ExperimentConfig(network=net, profile=NoiseProfile.isotropic(2, 0.01, 0.02, 0.03),
+                               design="a", inputs=X, trials=trials, seed=4,
+                               labels=np.argmax(references, axis=1))
+        tracemalloc.start()
+        try:
+            per_trial, hits = experiments._grid_point(cfg, net, cfg.profile, 2, references)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert per_trial.shape == (trials,) and 0 < hits < n_inputs * trials
+        tile = noise._GROUP_ROWS * width * 8
+        assert peak <= 8 * tile
 
 
 class TestDepthSweep:
@@ -467,7 +488,16 @@ class TestDepthSweep:
         swept = run_depth_sweep(cfg, [0], [var], copies=1, slots=(1, 1, 1, 1))[0]
         base = run_mse_experiment(cfg, [1])[0]
         # same variance level and stream keying: identical draws
-        assert swept["mse"] == pytest.approx(base["mse"], rel=1e-12)
+        assert swept["mse"] == base["mse"]
+
+    def test_variance_levels_share_their_normals(self, rng):
+        # on a linear net every noise block at 4 * var is the block at var
+        # times 2, so with common normals the mse is 4 times as large
+        net = random_linear_net(rng, depth=2, max_dim=3)
+        cfg = ExperimentConfig(network=net, profile=NoiseProfile.zero(2), design="a",
+                               inputs=rng.normal(size=(3, net.input_dim)), trials=50, seed=6)
+        low, high = run_depth_sweep(cfg, [0], [0.01, 0.04], copies=2, slots=(1, 1, 1, 1))
+        assert high["mse"] == pytest.approx(4 * low["mse"], rel=1e-9)
 
     @pytest.mark.parametrize("design", ["a", "b"])
     def test_accuracy_columns_match_accuracy_experiment(self, fixture_setup, design):

@@ -1455,6 +1455,19 @@ class TestStreamedStats:
         np.testing.assert_array_equal(got.covariance, want.covariance)
         assert got.mse_vs_reference == want.mse_vs_reference
 
+    @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
+    def test_zero_profile_gives_forward_and_zero_covariance(self, sampler):
+        # tiles fold as deviations from the reference, which are exactly 0
+        # here, so no mean of identical rows rounds
+        from optonoise.fixtures import fixture_network
+
+        net = fixture_network()
+        x = np.array([0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8])
+        run = _matrix_samplers(net, 3)[sampler]
+        stats = run(x, NoiseProfile.zero(2), 2000, RngStream(3), reference=forward(net, x))
+        np.testing.assert_array_equal(stats.mean, forward(net, x))
+        assert not np.any(stats.covariance) and stats.mse_vs_reference == 0.0
+
     def test_peak_memory_stays_within_a_few_tiles(self):
         # 1e5 trials of a width-64 net would be 51.2 MB of samples; streamed,
         # each part holds one tile's working set and its running statistics
