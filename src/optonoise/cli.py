@@ -402,6 +402,8 @@ def cmd_design_b(ctx, net_path, profile_path, input_text, m, compare):
 @click.pass_context
 def cmd_covariance(ctx, net_path, profile_path, symmetric_path, depth, mode, m):
     """Exact covariance propagation for linear networks."""
+    if m != 1 and mode not in ("trajectory-b", "branchwise"):
+        raise ValidationError(f"mode {mode} ignores --m; closed-form-b reads m from the symmetric config")
     payload = {"command": "covariance", "mode": mode, "net": net_path,
                "profile": profile_path, "symmetric": symmetric_path,
                "depth": depth, "m": m}

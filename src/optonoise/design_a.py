@@ -108,7 +108,7 @@ def design_a_samples(
     ``Sigma_w / n_{l-1}`` (modulation ``Sigma_m / n_0`` at level 1), and
     takes block ``j`` of the level's weight site; block ``j`` of the level's
     activation site belongs to node ``j`` of the level above.  A level with
-    a linear activation (identity or diag) draws fewer still: the mean of
+    a linear activation (identity or diag) draws fewer again: the mean of
     its nodes is one weighted addition of the mean of their children, so it
     makes one weighted addition per node of the level above and draws its
     weight and activation noise as one block of its merged site at the
@@ -118,11 +118,11 @@ def design_a_samples(
     Levels over the kernel's byte budget in a tile run in chunks of whole
     subtrees, which changes no sample.  With all copy counts 1 the draws equal
     ``noisy_forward_samples``.  With a zero profile every row equals the
-    noiseless forward pass bit-exactly at any copy counts: copies that no
-    noise reaches are identical, and the kernel takes one of them instead
-    of averaging.  With a ``reference`` the call returns the
-    :class:`SampleStats` of its rows against it instead, folded in tile by
-    tile (see ``noise.noisy_forward_samples``).
+    noiseless forward pass bit-exactly at any copy counts: a call that
+    draws nothing runs the plain net instead of the tree.  With a
+    ``reference`` the call returns the :class:`SampleStats` of its rows
+    against it instead, folded in tile by tile (see
+    ``noise.noisy_forward_samples``).
     """
     ones = (1,) * spec.base.depth
     return _sample(spec.base, profile, x, trials, rng, spec.copies[:-1], ones, reference=reference)

@@ -77,8 +77,8 @@ def design_b_samples(
     ``m = 1`` (and zero combine/split covariances) the draws coincide
     site-for-site with ``noise.noisy_forward_samples`` on the same stream.
     With a zero profile every row equals the noiseless forward pass
-    bit-exactly at any ``m``: branches that no noise reaches are identical,
-    and the kernel takes one of them instead of averaging.  With a
+    bit-exactly at any ``m``: a call that draws nothing (zero combine and
+    split included) runs the plain net instead of the branches.  With a
     ``reference`` the call returns the :class:`SampleStats` of its rows
     against it instead, folded in tile by tile (see
     ``noise.noisy_forward_samples``).

@@ -43,9 +43,9 @@ A single noisy evaluation is a batch of one,
 ``noisy_forward_samples(net, profile, x, 1, rng)[0]``; row 0 is in part 0
 of every call, and a one-row block equals the first row of any larger
 block on the same stream, so this is exact for the plain net and for the
-one-copy designs.  Copies that no noise source reaches are identical, and
-the kernel takes copy 0 of them instead of averaging, so a zero profile
-reproduces the noiseless forward pass bit for bit at any copy count.
+one-copy designs.  A call whose covariances are all zero runs the plain
+net instead of its copies, so a zero profile reproduces the noiseless
+forward pass bit for bit at any copy count.
 
 Part 1 runs on one worker thread that the call starts and joins before it
 returns or raises; an exception on the worker is raised again by the
@@ -440,13 +440,11 @@ def _fan_out(y: np.ndarray, h: np.ndarray, f: int) -> np.ndarray:
     return y
 
 
-def _average(h: np.ndarray, count: int, still: bool) -> np.ndarray:
-    """The means of ``count`` groups of consecutive copies of ``h``; copy 0
-    of each group where the copies are identical (``still``)."""
+def _average(h: np.ndarray, count: int) -> np.ndarray:
+    """The means of ``count`` groups of consecutive copies of ``h``."""
     if h.shape[0] == count:
         return h
-    h = h.reshape(count, -1, *h.shape[1:])
-    return h[:, 0] if still else h.mean(axis=1)
+    return h.reshape(count, -1, *h.shape[1:]).mean(axis=1)
 
 
 def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, reference=None,
@@ -476,13 +474,13 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     kernel activates the weighted addition once instead.  It then averages
     the copies in groups of ``fans[l]`` and adds one activation block per
     group, at ``Sigma_a / fans[l]``: the law of activation noise per copy,
-    averaged.  Copies that no noise source reaches before their activation
-    noise are identical; where the kernel would average those, it takes
-    copy 0, so a zero profile gives :func:`forward` bit for bit.
+    averaged.  A call whose every consumed spec is zero draws nothing and
+    runs the plain wiring, ``fan_in = fan_out = (1,) * L``, so its rows are
+    :func:`forward` bit for bit.
 
     Before any tile, one pass up the layers builds every site's law
-    ``laws[l][kind]`` (:func:`_law`; None: silent) and reads the copy-0
-    flags ``still[l]`` from them; both parts draw every block from them.
+    ``laws[l][kind]`` (:func:`_law`; None: silent); both parts draw every
+    block from them.
 
     A layer whose activation is linear averages before its weighted
     addition.  Each group of ``walk(l)`` is the mean of ``ks[l]``
@@ -497,10 +495,9 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     A nonlinear layer with ``ks[l] > 1`` runs realization ``j`` of all its
     groups after realization ``j - 1``, sums them in order, divides by
     ``ks[l]`` and adds one activation block at ``Sigma_a / (ks[l] *
-    fans[l])``, or takes realization 0 where its copies are identical.  A
-    net with no linear layer has every ``ks`` 1.  Whole realizations and
-    groups run in passes of about ``_CHUNK_BYTES``, which changes no
-    sample.
+    fans[l])``.  A net with no linear layer has every ``ks`` 1.  Whole
+    realizations and groups run in passes of about ``_CHUNK_BYTES``, which
+    changes no sample.
 
     Each part records its exception in a list both threads share and stops
     at its next tile once the other part has failed; the calling thread
@@ -512,6 +509,9 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     xs = x if x.ndim == 2 else x[None]
     total = xs.shape[0] * trials
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
+    if all(spec.is_zero for spec in (profile.modulation, *profile.weight, *profile.activation,
+                                     combine, split)):
+        fan_in = fan_out = (1,) * net.depth  # nothing to draw: the plain net is forward
     dims = net.dims()
     # group sizes of the averages: fans[l] copies of layer l feed one group
     # of layer l + 1 (l = 0: modulated inputs), fans[L] the output
@@ -526,14 +526,10 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     for l in range(net.depth, 0, -1):
         if linear[l]:
             ks[l - 1] = ks[l] * fans[l] // fan_out[l - 1]
-    # laws[l][kind]: the law of site (kind, l), None where silent.  still[l]:
-    # no noise reaches the activated copies of layer l (0: the modulated
-    # inputs) before their activation noise, so they are identical and
-    # averaging them, which rounds, is replaced by taking copy 0.
+    # laws[l][kind]: the law of site (kind, l), None where silent.
     # unit_bytes[l]: the bytes one group of layer l holds at its widest
     # level below it
     laws = [{KIND_MODULATION: _law(dims[0], ((profile.modulation, fans[0] * ks[0]),))}]
-    still = [laws[0][KIND_MODULATION] is None]
     unit_bytes = [0]
     for l in range(1, net.depth + 1):
         weight, activation = profile.weight[l - 1], profile.activation[l - 1]
@@ -548,9 +544,6 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
                 (KIND_WEIGHT, weight, inner), (KIND_COMBINE, combine, fans[l - 1] * inner),
                 (KIND_SPLIT, split, 1), (KIND_ACTIVATION, activation, copies))})
             below, width = fans[l] // fan_out[l - 1], fans[l]
-        quiet = still[-1] and laws[l - 1].get(KIND_ACTIVATION) is None
-        still.append(quiet and all(law is None for kind, law in laws[l].items()
-                                   if kind != KIND_ACTIVATION))
         widest = max(below * dims[l - 1], width * dims[l])
         unit_bytes.append(max(unit_bytes[-1] * below, 8 * min(total, _GROUP_ROWS) * widest))
 
@@ -561,7 +554,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     def groups(sites, l, count, inputs, n):
         """One realization ``(count, n, d_l)`` of the next ``count`` groups
         of a nonlinear layer ``l``, before their activation noise: each the
-        mean of ``fans[l]`` activated copies, or copy 0 where ``still[l]``."""
+        mean of ``fans[l]`` activated copies."""
         layer, f, g = net.layers[l - 1], fan_out[l - 1], fans[l]
         h = affine(layer.weights, layer.bias, walk(sites, l - 1, count * g // f, inputs, n))
         for kind in (KIND_WEIGHT, KIND_COMBINE):
@@ -569,7 +562,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
         if laws[l][KIND_SPLIT] is not None:
             z = sites.draw(laws[l][KIND_SPLIT], KIND_SPLIT, l, (count * g, n, dims[l]))
             h = _fan_out(z, h, f)
-        return _average(layer.activation._in_place(h), count, still[l])
+        return _average(layer.activation._in_place(h), count)
 
     def walk(sites, l, count, inputs, n):
         """The next ``count`` groups ``(count, n, d_l)`` of layer ``l`` of a
@@ -587,7 +580,7 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
         if linear[l]:
             h = affine(layer.weights, layer.bias, walk(sites, l - 1, count, inputs, n))
             return noisy(sites, layer.activation._in_place(h), _KIND_LINEAR, l)
-        if k == 1 or still[l]:
+        if k == 1:
             h = groups(sites, l, count, inputs, n)
         else:
             # realization j of all count groups follows realization j - 1,
@@ -760,10 +753,14 @@ class _Scores:
     __slots__ = ("references", "labels", "trials", "sq", "worst", "hits")
 
     def __init__(self, references: np.ndarray, labels, trials: int):
+        if not np.isfinite(references).all():
+            raise ValidationError("reference contains non-finite values")
         self.references, self.labels, self.trials = references, labels, trials
         self.sq, self.worst, self.hits = np.zeros(trials), np.zeros(trials), 0
 
     def __setitem__(self, rows: slice, tile: np.ndarray) -> None:
+        if not np.isfinite(tile).all():
+            raise ValidationError("samples contain non-finite values")
         inputs, trial = np.divmod(np.arange(rows.start, rows.stop), self.trials)
         dev = self.references[inputs]
         np.subtract(tile, dev, out=dev)

@@ -762,6 +762,22 @@ class TestCovarianceClosedForms:
         # scalar recursion: s1 = (1 + 0)/2 + 1 = 1.5; s2 = 1.5/2 + 1 = 1.75
         assert json.loads(out)["sigma"][0][0] == pytest.approx(1.75, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["trajectory", "closed-form", "closed-form-b"])
+    def test_modes_without_m_refuse_it(self, workspace, capsys, mode):
+        # only trajectory-b and branchwise read --m; closed-form-b reads m
+        # from the symmetric config, so any other --m would be ignored
+        tmp, _, net_path, profile_path = workspace
+        path = tmp / "sym.json"
+        path.write_text(json.dumps({"e": [1.0], "W": [[0.5]], "sigma_m": {"isotropic": 1.0}}))
+        inputs = (["--net", net_path, "--profile", profile_path] if mode == "trajectory"
+                  else ["--symmetric", path, "--depth", "3"])
+        code, out, err = run(capsys, ["covariance", "--mode", mode, *inputs, "--m", "4"])
+        assert code == 1 and out == ""
+        assert f"mode {mode} ignores --m" in err
+        assert "closed-form-b reads m from the symmetric config" in err
+        code, out, _ = run(capsys, ["covariance", "--mode", mode, *inputs, "--m", "1"])
+        assert code == 0 and json.loads(out)["meta"]
+
     def test_closed_form_needs_depth(self, tmp_path, capsys):
         path = tmp_path / "sym.json"
         path.write_text(json.dumps({"e": [1.0], "W": [[0.5]]}))
@@ -828,15 +844,16 @@ def command_files(experiment_files, tmp_path):
 
 
 SEEDED = ["--seed", "5", "--trials", "50"]
-LINEAR = ["--net", "{net}", "--profile", "{profile}", "--m", "2"]
+LINEAR = ["--net", "{net}", "--profile", "{profile}"]
 CONFIG = ["--config", "{config}", "experiment"]
 JSON_COMMANDS = {
     "forward": ["forward", "--net", "{net}", "--input", "{input}"],
     "simulate": [*SEEDED, "simulate", *SAMPLER],
     "design-a": [*SEEDED, "design-a", *SAMPLER, "--copies", "[2, 2, 1]"],
     "design-b-compare": [*SEEDED, "design-b", *SAMPLER, "--m", "2", "--compare"],
-    **{f"covariance-{mode}": ["covariance", "--mode", mode, *LINEAR]
-       for mode in ("trajectory", "trajectory-b", "branchwise")},
+    "covariance-trajectory": ["covariance", "--mode", "trajectory", *LINEAR],
+    **{f"covariance-{mode}": ["covariance", "--mode", mode, *LINEAR, "--m", "2"]
+       for mode in ("trajectory-b", "branchwise")},
     **{f"covariance-{mode}": ["covariance", "--mode", mode, "--symmetric", "{sym}", "--depth", "4"]
        for mode in ("closed-form", "closed-form-b")},
     **{f"limit-{mode}": ["limit", "--symmetric", "{sym}", "--mode", mode]

@@ -169,7 +169,7 @@ class TestEvalDesignA:
                                   Activation.tanh()) for l in range(3)), dims[0])
         copies = (2, 3, 2, 1)
         design_a_samples(DesignASpec(net, copies), np.zeros(net.input_dim),
-                         NoiseProfile.zero(3), 1, RngStream(0))
+                         NoiseProfile.isotropic(3, 0.01, 0.02, 0.03), 1, RngStream(0))
         # on tanh layers the physical layer l performs prod_{k >= l-1} n_k
         # weighted additions; the simulator makes one call per layer on the
         # prod_{k >= l} n_k nodes of level l, n_{l-1} times fewer
@@ -456,6 +456,15 @@ class TestCommonVarianceBound:
 
 
 class TestDeviationCheck:
+    def test_non_finite_reference_refused(self):
+        # forward(10) is 1e308 * 10 * 10 = inf, and a nan deviation would
+        # not reach the allowance, so every trial would count as a pass
+        net = Network((Layer([[1e308]], [0.0], Activation.identity()),
+                       Layer([[10.0]], [0.0], Activation.identity())), 1)
+        with pytest.raises(ValidationError, match="^reference contains non-finite values$"):
+            deviation_check(DesignASpec(net, (1, 1, 1)),
+                            NoiseProfile.isotropic(2, modulation_var=0.01), [[10.0]], 0.5, 200, 3)
+
     def test_zero_noise_never_fails(self, rng):
         net = random_linear_net(rng, depth=2)
         spec = DesignASpec(net, uniform_copies(net.depth, 2))

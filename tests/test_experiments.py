@@ -440,6 +440,19 @@ class TestGridPoint:
         assert hits == np.count_nonzero(np.argmax(samples, axis=2) == labels[:, None])
         assert 0 < hits < n_inputs * trials
 
+    def test_non_finite_rows_are_refused(self):
+        # two saturated tanh units times 1e308 overflow the last weighted
+        # addition: the reference is finite, some noisy rows are not, and
+        # scoring them would give an mse of inf
+        net = Network((Layer([[1.0], [1.0]], [0.0, 0.0], Activation.tanh()),
+                       Layer(np.eye(2) * 1e308, [0.0, 0.0], Activation.identity()),
+                       Layer([[0.9, 0.9]], [0.0], Activation.identity())), 1)
+        cfg = ExperimentConfig(network=net, profile=NoiseProfile.isotropic(3, modulation_var=0.1),
+                               design="a", inputs=[[2.99], [2.9]], trials=50, seed=3)
+        assert np.isfinite(forward(net, cfg.inputs)).all()
+        with pytest.raises(ValidationError, match="^samples contain non-finite values$"):
+            run_mse_experiment(cfg, [1, 2])
+
     def test_peak_memory_stays_within_a_few_tiles(self):
         # 500 inputs x 100 trials of a width-64 net would be 25.6 MB of
         # samples; scored as they are drawn, each part holds a few tiles

@@ -429,10 +429,10 @@ class TestSiteStreams:
         np.testing.assert_allclose(out, forward(net, x) + math.sqrt(var / 3) * block,
                                    rtol=1e-12, atol=1e-12)
 
-    def test_copies_no_noise_reaches_are_not_averaged(self, monkeypatch):
-        # noise on layer 2 only: layer 2 takes copy 0 of its identical
-        # layer-1 copies in every chunk, also in chunks that run after an
-        # earlier chunk drew, so the bits do not depend on the chunk budget
+    def test_noise_on_one_layer_does_not_depend_on_chunk_budget(self, monkeypatch):
+        # noise on layer 2 only: layer 2 averages its identical layer-1
+        # copies in every chunk, also in chunks that run after an earlier
+        # chunk drew, so the bits do not depend on the chunk budget
         import optonoise.noise as noise
 
         rng = np.random.default_rng(26)
@@ -722,6 +722,40 @@ class TestDegeneracyProperty:
         plain, tree_out, single_out = run_all(random_profile(rng, net), RngStream(seed, (1,)))
         np.testing.assert_array_equal(tree_out, plain)
         np.testing.assert_array_equal(single_out, plain)
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["samples", "reference"])
+    @pytest.mark.parametrize("sampler, nonzero", [
+        ("plain", "none"), ("plain", "combine_split"), ("tree", "none"),
+        ("tree", "combine_split"), ("combine_split", "none")])
+    def test_calls_that_draw_nothing_run_the_plain_net(self, sampler, nonzero, streamed,
+                                                        monkeypatch):
+        # every spec the call consumes is zero: it builds no stream and runs
+        # the plain wiring, one weighted addition per layer on all N * trials
+        # rows, whose every row is forward bit for bit
+        net = self.random_net(np.random.default_rng(61), ["tanh", "identity", "softmax"])
+        profile = (NoiseProfile.zero(3) if nonzero == "none"
+                   else NoiseProfile.isotropic(3, combine_var=0.1, split_var=0.1))
+        run = {
+            "plain": lambda x, **kw: noisy_forward_samples(net, profile, x, 7, RngStream(62), **kw),
+            "tree": lambda x, **kw: design_a_samples(DesignASpec(net, (2, 3, 2, 1)), x, profile,
+                                                     7, RngStream(62), **kw),
+            "combine_split": lambda x, **kw: design_b_samples(DesignBSpec(net, 3), x, profile,
+                                                              7, RngStream(62), **kw),
+        }[sampler]
+        xs = np.random.default_rng(63).normal(size=(3, net.input_dim))
+        built = record_generators(monkeypatch)
+        calls = count_affine_calls(monkeypatch, noise)
+        if streamed:
+            stats = run(xs[0], reference=forward(net, xs[0]))
+            np.testing.assert_array_equal(stats.mean, forward(net, xs[0]))
+            assert not np.any(stats.covariance) and stats.mse_vs_reference == 0.0
+            rows = 7
+        else:
+            out = run(xs)
+            np.testing.assert_array_equal(out, np.repeat(forward(net, xs)[:, None], 7, axis=1))
+            rows = 3 * 7
+        assert [args[2].shape[:2] for args in calls] == [(1, rows)] * 3
+        assert built == []
 
 
 def _matrix_samplers(net, copies):
