@@ -28,7 +28,6 @@ from .covariance import (
     propagate_b_branchwise,
     symmetric_closed_form,
     symmetric_closed_form_b,
-    trajectory_to_json,
 )
 from .design_a import (
     DesignASpec,
@@ -89,7 +88,11 @@ _PLAIN_NUMBERS = frozenset((int, float))
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, default=str)``, byte for byte, at C-encoder speed."""
+    """``json.dumps(obj, indent=2, default=str)``, byte for byte, at C-encoder speed.
+
+    A float64 ``np.ndarray`` of rank 1 or more is written as its ``.tolist()``
+    would be; any other ndarray raises ``TypeError``.
+    """
     parts: list[str] = []
     _write_json(obj, "\n", parts)
     return "".join(parts)
@@ -129,8 +132,39 @@ def _write_json(obj, indent: str, parts: list[str]) -> None:
             _write_json(item, inner, parts)
             opener = "," + inner
         parts.append(indent + "]")
+    elif isinstance(obj, np.ndarray):
+        _write_array(obj, indent, parts)
     else:
         parts.append(_ENCODER.encode(obj))
+
+
+def _write_array(a: np.ndarray, indent: str, parts: list[str]) -> None:
+    """Append the text of ``a.tolist()``, formatting each distinct float once.
+
+    The covariances the engine returns are symmetric, so each off-diagonal
+    value appears twice. Values are keyed by their bits, which keeps ``-0.0``
+    apart from ``0.0``.
+    """
+    if a.dtype != np.float64 or a.ndim == 0:
+        raise TypeError(f"only float64 arrays of rank >= 1 are written, "
+                        f"not {a.dtype} of rank {a.ndim}")
+    if a.size == 0:
+        _write_json(a.tolist(), indent, parts)
+        return
+    unique, inverse = np.unique(a.ravel().view(np.int64), return_inverse=True)
+    # no float repr contains ", ", so every one is a separator
+    texts = _ENCODER.encode(unique.view(np.float64).tolist())[1:-1].split(", ")
+    cells = np.array(texts, dtype=object)[inverse]
+    *outer, width = a.shape
+    own = indent + "  " * len(outer)
+    inner = own + "  "
+    sep = "," + inner
+    rows = [f"[{inner}{sep.join(row)}{own}]" for row in cells.reshape(-1, width).tolist()]
+    for n in reversed(outer):
+        inner, own = own, own[:-2]
+        sep = "," + inner
+        rows = [f"[{inner}{sep.join(rows[i:i + n])}{own}]" for i in range(0, len(rows), n)]
+    parts.append(rows[0])
 
 
 def _emit(ctx, result: dict, rows: list[dict] | None = None) -> None:
@@ -277,8 +311,8 @@ def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
 def _stats_json(stats) -> dict:
     return {
         "n": stats.n,
-        "mean": stats.mean.tolist(),
-        "covariance": stats.covariance.tolist(),
+        "mean": stats.mean,
+        "covariance": stats.covariance,
         "mse_vs_reference": stats.mse_vs_reference,
     }
 
@@ -412,17 +446,15 @@ def cmd_covariance(ctx, net_path, profile_path, symmetric_path, depth, mode, m):
             raise ValidationError(f"mode {mode} needs --net and --profile")
         linnet = LinearNet.from_network(load_network(net_path))
         profile = _load_profile(profile_path)
-        if mode == "trajectory":
-            body = trajectory_to_json(propagate(linnet, profile))
-        elif mode == "trajectory-b":
-            body = trajectory_to_json(propagate_b(linnet, profile, m))
-        else:
+        if mode == "branchwise":
             branch = propagate_b_branchwise(linnet, profile, m)
-            body = {
-                "shared": [s.tolist() for s in branch.shared],
-                "per_branch": [s.tolist() for s in branch.per_branch],
-                "output": branch.output.tolist(),
-            }
+            body = {"shared": branch.shared, "per_branch": branch.per_branch,
+                    "output": branch.output}
+        else:
+            traj = (propagate(linnet, profile) if mode == "trajectory"
+                    else propagate_b(linnet, profile, m))
+            # the layout of trajectory_to_json, with arrays for _write_array
+            body = {"layers": [{"index": l, "sigma": s} for l, s in enumerate(traj.sigmas)]}
         _emit(ctx, {"meta": _meta(payload), **body})
         return
     if symmetric_path is None or depth is None:
@@ -432,7 +464,7 @@ def cmd_covariance(ctx, net_path, profile_path, symmetric_path, depth, mode, m):
         sigma = symmetric_closed_form(cfg, depth)
     else:
         sigma = symmetric_closed_form_b(cfg, depth)
-    _emit(ctx, {"meta": _meta(payload), "sigma": sigma.tolist()})
+    _emit(ctx, {"meta": _meta(payload), "sigma": sigma})
 
 
 @cli.command("limit")
@@ -450,15 +482,15 @@ def cmd_limit(ctx, symmetric_path, mode, tol, allow_spectral):
                "tol": tol, "allow_spectral": allow_spectral}
     if mode == "series":
         result = limit_series(cfg, tol, allow_spectral)
-        body = {"sigma": result.sigma.tolist(), "terms": result.terms}
+        body = {"sigma": result.sigma, "terms": result.terms}
     elif mode == "series-b":
         result = limit_series_b(cfg, tol, allow_spectral)
-        body = {"sigma": result.sigma.tolist(), "terms": result.terms}
+        body = {"sigma": result.sigma, "terms": result.terms}
     else:
         method = "iterate" if mode == "fixed-iterate" else "vectorized"
         result = fixed_point_solve(cfg, method, allow_spectral)
         body = {
-            "sigma": result.sigma.tolist(),
+            "sigma": result.sigma,
             "method": result.method,
             "residual": result.residual,
             "iterations": result.iterations,

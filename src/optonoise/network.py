@@ -200,10 +200,12 @@ class Activation:
         elif self.kind == "relu":
             np.maximum(y, 0.0, out=y)
         elif self.kind == "softmax":
-            # stabilized along the last axis so batched inputs work too
-            y -= np.max(y, axis=-1, keepdims=True)
-            np.exp(y, out=y)
-            y /= np.sum(y, axis=-1, keepdims=True)
+            # stabilized along the last axis so batched inputs work too; a
+            # row holding inf turns to NaN quietly, for the caller to refuse
+            with np.errstate(invalid="ignore"):
+                y -= np.max(y, axis=-1, keepdims=True)
+                np.exp(y, out=y)
+                y /= np.sum(y, axis=-1, keepdims=True)
         elif self.kind == "diag":
             y *= self.coeffs
         return y

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from optonoise import GENERATOR_NAME, Layer, Network, NoiseProfile, forward, save_network
+from optonoise import (GENERATOR_NAME, Layer, LinearNet, Network, NoiseProfile, forward,
+                       propagate, propagate_b, save_network)
 from optonoise.cli import _json_text, cli_main
+from optonoise.covariance import trajectory_to_json
 from optonoise.fixtures import fixture_dataset
 from optonoise.idx import IMAGE_MAGIC, LABEL_MAGIC
 
 from conftest import random_linear_net, random_profile
-from optonoise.noise import profile_to_json
+from optonoise.noise import profile_from_json, profile_to_json
 
 FIXTURE_NET = str(resources.files("optonoise.fixtures").joinpath("mlp_8_16_4.json"))
 
@@ -79,6 +82,21 @@ class TestCovarianceCommand:
             payload["layers"][-1]["sigma"], traj.final, rtol=1e-12, atol=1e-15
         )
 
+    @pytest.mark.parametrize("mode", ["trajectory", "trajectory-b"])
+    def test_trajectory_file_has_the_public_layout(self, workspace, capsys, mode):
+        # the command writes arrays; the file must read as trajectory_to_json's lists
+        tmp, net, net_path, profile_path = workspace
+        code, out, _ = run(capsys, ["covariance", "--mode", mode, "--net", net_path,
+                                    "--profile", profile_path,
+                                    *(["--m", "3"] if mode == "trajectory-b" else [])])
+        assert code == 0
+        payload = json.loads(out)
+        profile = profile_from_json(json.loads(profile_path.read_text()))
+        linnet = LinearNet.from_network(net)
+        traj = propagate(linnet, profile) if mode == "trajectory" else propagate_b(linnet, profile, 3)
+        body = trajectory_to_json(traj)
+        assert payload["layers"] == body["layers"]
+        assert out == json.dumps({"meta": payload["meta"], **body}, indent=2) + "\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
     def test_non_finite_diag_coefficient_exits_1(self, tmp_path, capsys, bad):
@@ -794,8 +812,36 @@ _NUMBERS = st.one_of(
     st.integers(),
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
 )
+
+
+def _float_bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """``a`` with its upper triangle copied, bits and all, onto the lower one."""
+    if a.ndim == 2 and a.shape[0] == a.shape[1]:
+        i, j = np.triu_indices(a.shape[0], 1)
+        a[j, i] = a[i, j]
+    return a
+
+
+# float64 arrays given by their bits, so that -0.0 sits beside 0.0 and NaNs
+# keep distinct payloads; a small pool makes values repeat, as in the
+# symmetric matrices the covariance engine returns
+_FLOAT_BITS = st.one_of(
+    st.sampled_from([_float_bits(x) for x in (0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-310,
+                                              0.1, 1e308)]
+                    + [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                       0x7FF800000000ABCD]),
+    st.floats(allow_nan=True, allow_infinity=True).map(_float_bits),
+)
+_ARRAYS = hnp.arrays(
+    np.uint64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4), elements=_FLOAT_BITS,
+).map(lambda bits: _symmetrized(bits.view(np.float64)))
 _LEAVES = st.one_of(
     _NUMBERS,
+    _ARRAYS,
     st.booleans(),
     st.none(),
     st.text(),
@@ -814,11 +860,43 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _as_lists(obj):
+    """``obj`` with every ndarray replaced by its ``.tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(item) for item in obj]
+    return obj
+
+
 class TestJsonText:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(obj=_JSON_VALUES)
     def test_matches_stdlib_indent_2(self, obj):
-        assert _json_text(obj) == json.dumps(obj, indent=2, default=str)
+        assert _json_text(obj) == json.dumps(_as_lists(obj), indent=2, default=str)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3), (2, 0, 3), (2, 3, 0), (1, 1, 1)])
+    def test_arrays_of_every_shape(self, shape):
+        a = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) - 1.0
+        obj = {"a": a, "nested": [[a]]}
+        assert _json_text(obj) == json.dumps(_as_lists(obj), indent=2)
+
+    def test_array_bits_are_the_key(self):
+        # -0.0 == 0.0 and every NaN payload writes NaN, whatever is formatted first
+        bits = np.array([0x8000000000000000, 0, 0x7FF800000000ABCD, 0x7FF8000000000000, 1],
+                        dtype=np.uint64)
+        a = bits.view(np.float64)
+        assert _json_text(a) == "[\n  -0.0,\n  0.0,\n  NaN,\n  NaN,\n  5e-324\n]"
+        assert _json_text(a[::-1].copy()) == json.dumps(a[::-1].tolist(), indent=2)
+
+    @pytest.mark.parametrize("a", [np.arange(3), np.zeros(2, dtype=np.float32), np.array(1.0),
+                                   np.zeros((2, 0), dtype=np.int64)],
+                             ids=["int", "float32", "0-d", "empty-int"])
+    def test_other_arrays_refused(self, a):
+        with pytest.raises(TypeError, match="float64 arrays of rank >= 1"):
+            _json_text({"a": a})
 
     def test_flat_number_lists_and_keys(self):
         obj = {"m": [[0.1, -0.0, math.nan], [1, 2**70, -math.inf]], "e": [], "d": {},

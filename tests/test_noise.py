@@ -1541,6 +1541,19 @@ class TestStreamedStats:
             noisy_forward_samples(net, profile, x, trials, RngStream(3), reference=np.zeros(2))
         assert threading.active_count() == before
 
+    def test_inf_into_softmax_is_refused(self):
+        # the last weighted addition overflows to inf on noisy rows; softmax
+        # turns such a row into NaN, which the sink refuses like any other
+        net = Network((Layer([[1.0], [1.0]], [0.0, 0.0], Activation.tanh()),
+                       Layer(np.eye(2) * 1e308, [0.0, 0.0], Activation.identity()),
+                       Layer([[0.9, 0.9]], [0.0], Activation.softmax())), 1)
+        profile = NoiseProfile.isotropic(3, modulation_var=0.1)
+        x = np.array([2.99])
+        reference = forward(net, x)
+        assert np.isfinite(reference).all()
+        with pytest.raises(ValidationError, match="^samples contain non-finite values$"):
+            noisy_forward_samples(net, profile, x, 50, RngStream(3), reference=reference)
+
     def test_reference_is_checked_before_sampling(self, monkeypatch):
         net = identity_net(2)
         draws = record_generators(monkeypatch)
