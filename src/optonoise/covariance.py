@@ -528,9 +528,10 @@ _OVERFLOW_GUARD = 1e250
 def _scalar_scan_params(cfg: SymmetricConfig):
     """Detect scaled-identity configurations that reduce to a scalar recursion.
 
-    Returns ``(a2w2, noise_by_m..)`` pieces when ``e`` is constant, ``W``
-    a multiple of the identity, and all covariances zero or isotropic;
-    None otherwise.  The matrix trajectory is then ``s_l * I`` with
+    Returns ``(gain**2, a**2 * var_w, var_a, var_m)``, with ``a`` the
+    constant of ``e`` and ``gain = a * w`` for ``W = w I``, when ``e`` is
+    constant, ``W`` a multiple of the identity, and all covariances zero or
+    isotropic; None otherwise.  The matrix trajectory is then ``s_l * I`` with
     ``s_l`` following the same affine recursion, so the norm ratio test is
     unchanged.
     """

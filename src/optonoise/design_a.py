@@ -118,8 +118,9 @@ def design_a_samples(
     Levels over the kernel's byte budget in a tile run in chunks of whole
     subtrees, which changes no sample.  With all copy counts 1 the draws equal
     ``noisy_forward_samples``.  With a zero profile every row equals the
-    noiseless forward pass bit-exactly at any copy counts: a call that
-    draws nothing runs the plain net instead of the tree.  With a
+    noiseless forward pass bit-exactly at any copy counts: the levels below
+    the first noisy one run once per input, as the noiseless pass, and a
+    call that draws nothing is that pass alone.  With a
     ``reference`` the call returns the :class:`SampleStats` of its rows
     against it instead, folded in tile by tile (see
     ``noise.noisy_forward_samples``).

@@ -77,8 +77,9 @@ def design_b_samples(
     ``m = 1`` (and zero combine/split covariances) the draws coincide
     site-for-site with ``noise.noisy_forward_samples`` on the same stream.
     With a zero profile every row equals the noiseless forward pass
-    bit-exactly at any ``m``: a call that draws nothing (zero combine and
-    split included) runs the plain net instead of the branches.  With a
+    bit-exactly at any ``m``: the layers below the first noisy one run once
+    per input, as the noiseless pass, and a call that draws nothing (zero
+    combine and split included) is that pass alone.  With a
     ``reference`` the call returns the :class:`SampleStats` of its rows
     against it instead, folded in tile by tile (see
     ``noise.noisy_forward_samples``).

@@ -387,6 +387,9 @@ def scan_m_grid(d: int, norm_grid_W, norm_grid_D, L: int = 60) -> list[dict]:
     d, L = _integer(d, "width d", 1), _integer(L, "depth L")
     norms_w = [_finite(w, "every W norm", "> 0") for w in norm_grid_W]
     norms_d = [_finite(x, "every D norm", "> 0") for x in norm_grid_D]
+    for name, norms in (("norm_grid_W", norms_w), ("norm_grid_D", norms_d)):
+        if not norms:
+            raise ValidationError(f"{name} must be nonempty")
     sqrt_d = math.sqrt(d)
     rows = []
     for norm_w in norms_w:

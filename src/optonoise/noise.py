@@ -43,9 +43,10 @@ A single noisy evaluation is a batch of one,
 ``noisy_forward_samples(net, profile, x, 1, rng)[0]``; row 0 is in part 0
 of every call, and a one-row block equals the first row of any larger
 block on the same stream, so this is exact for the plain net and for the
-one-copy designs.  A call whose covariances are all zero runs the plain
-net instead of its copies, so a zero profile reproduces the noiseless
-forward pass bit for bit at any copy count.
+one-copy designs.  The layers below every live site are noiseless and
+the same in every copy and trial, so a call runs them once per input, as
+:func:`forward` does; a zero profile, where no site is live, therefore
+reproduces the noiseless forward pass bit for bit at any copy count.
 
 Part 1 runs on one worker thread that the call starts and joins before it
 returns or raises; an exception on the worker is raised again by the
@@ -318,8 +319,7 @@ class _Sites:
     and costs nothing.  ``draw`` returns the site's next ``shape`` block
     from a law, and ``plus`` returns ``h`` plus one such block for every
     copy (first axis) of ``h``, a new array, or ``h`` itself for a silent
-    site; it never writes into ``h``.  ``add`` is ``plus`` at the law of
-    Normal(0, spec / div).  One thread uses a ``_Sites``.
+    site; it never writes into ``h``.  One thread uses a ``_Sites``.
     """
 
     __slots__ = ("_rng", "_gens")
@@ -350,9 +350,6 @@ class _Sites:
         z = self.draw(law, kind, layer, h.shape)
         z += h
         return z
-
-    def add(self, h, spec: CovSpec, kind: int, layer: int, div: float = 1.0):
-        return self.plus(h, _law(h.shape[-1], ((spec, div),)), kind, layer)
 
 
 _ZERO = CovSpec.zero()
@@ -474,13 +471,17 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     kernel activates the weighted addition once instead.  It then averages
     the copies in groups of ``fans[l]`` and adds one activation block per
     group, at ``Sigma_a / fans[l]``: the law of activation noise per copy,
-    averaged.  A call whose every consumed spec is zero draws nothing and
-    runs the plain wiring, ``fan_in = fan_out = (1,) * L``, so its rows are
-    :func:`forward` bit for bit.
+    averaged.
 
     Before any tile, one pass up the layers builds every site's law
     ``laws[l][kind]`` (:func:`_law`; None: silent); both parts draw every
-    block from them.
+    block from them.  ``lo`` is the highest layer below every live site:
+    0 when modulation is live, ``L`` when nothing draws.  Every group of
+    layer ``lo`` or below is the noiseless pass of its input, the same for
+    every copy, trial and realization, so the call runs that pass once on
+    its ``N`` inputs, with :func:`forward`'s operations, and ``walk``
+    starts from it at layer ``lo``.  A call that draws nothing is the case
+    ``lo = L``: its rows are :func:`forward` bit for bit at any copy count.
 
     A layer whose activation is linear averages before its weighted
     addition.  Each group of ``walk(l)`` is the mean of ``ks[l]``
@@ -509,9 +510,6 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     xs = x if x.ndim == 2 else x[None]
     total = xs.shape[0] * trials
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
-    if all(spec.is_zero for spec in (profile.modulation, *profile.weight, *profile.activation,
-                                     combine, split)):
-        fan_in = fan_out = (1,) * net.depth  # nothing to draw: the plain net is forward
     dims = net.dims()
     # group sizes of the averages: fans[l] copies of layer l feed one group
     # of layer l + 1 (l = 0: modulated inputs), fans[L] the output
@@ -546,6 +544,13 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
             below, width = fans[l] // fan_out[l - 1], fans[l]
         widest = max(below * dims[l - 1], width * dims[l])
         unit_bytes.append(max(unit_bytes[-1] * below, 8 * min(total, _GROUP_ROWS) * widest))
+    # lo: the highest layer below every live site; its groups are the
+    # noiseless pass of their input, run once per input
+    live = [l for l, site in enumerate(laws) if any(law is not None for law in site.values())]
+    lo = max(0, min(live, default=net.depth + 1) - 1)
+    prefix = xs
+    for layer in net.layers[:lo]:
+        prefix = layer.activation._in_place(affine(layer.weights, layer.bias, prefix))
 
     def noisy(sites, h, kind, l):
         """``h`` plus the next block of site ``(kind, l)``, or ``h`` where it is silent."""
@@ -566,12 +571,12 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
 
     def walk(sites, l, count, inputs, n):
         """The next ``count`` groups ``(count, n, d_l)`` of layer ``l`` of a
-        tile of ``n`` rows with the ``inputs``, drawn from ``sites``: each
-        the mean of ``ks[l]`` independent realizations of the averaged input
-        of one group of layer ``l + 1``; at ``l = L`` the output."""
-        if l == 0:
-            h = np.broadcast_to(inputs, (count, n, dims[0]))
-            return noisy(sites, h, KIND_MODULATION, 0)
+        tile of ``n`` rows whose layer-``lo`` values are ``inputs``, drawn
+        from ``sites``: each the mean of ``ks[l]`` independent realizations
+        of the averaged input of one group of layer ``l + 1``; at ``l = L``
+        the output."""
+        if l == lo:  # laws[0] is silent unless lo = 0
+            return noisy(sites, np.broadcast_to(inputs, (count, n, dims[l])), KIND_MODULATION, 0)
         step = max(1, _CHUNK_BYTES // unit_bytes[l])
         if count > step:
             return np.concatenate([walk(sites, l, min(step, count - s), inputs, n)
@@ -612,8 +617,8 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
             for t in tiles:
                 if failed:
                     return
-                # the tile's input rows; a vector input broadcasts to all of them
-                inputs = xs[0] if xs.shape[0] == 1 else xs[np.arange(t.start, t.stop) // trials]
+                # the tile's rows of layer lo; a vector input broadcasts to all of them
+                inputs = prefix[0] if xs.shape[0] == 1 else prefix[np.arange(t.start, t.stop) // trials]
                 sink[t] = walk(sites, net.depth, 1, inputs, t.stop - t.start)[0]
         except BaseException as exc:  # raised again by the calling thread
             failed.append(exc)

@@ -11,6 +11,15 @@ from optonoise import (
     NoiseProfile,
     stats_from_samples,
 )
+from optonoise.noise import _law, _Sites
+
+
+class SpecSites(_Sites):
+    """The package's draw sites with ``add``: ``plus`` at the law of
+    Normal(0, spec / div), for samplers that draw spec by spec."""
+
+    def add(self, h, spec, kind, layer, div=1.0):
+        return self.plus(h, _law(h.shape[-1], ((spec, div),)), kind, layer)
 
 
 def random_linear_net(rng, depth=None, max_dim=6, weight_scale=0.8):

@@ -18,8 +18,9 @@ from optonoise.noise import (
     KIND_MODULATION,
     KIND_SPLIT,
     KIND_WEIGHT,
-    _Sites,
 )
+
+from conftest import SpecSites
 
 
 def _average(values):
@@ -49,14 +50,14 @@ def _node(net, profile, x, trials, sites, copies, level):
 def literal_tree_samples(spec, x, profile, trials, rng):
     """``(trials, d_L)`` tree evaluations with every leaf and node built."""
     x = np.asarray(x, dtype=np.float64)
-    return _node(spec.base, profile, x, trials, _Sites(rng), spec.copies, spec.base.depth)
+    return _node(spec.base, profile, x, trials, SpecSites(rng), spec.copies, spec.base.depth)
 
 
 def literal_design_b_samples(spec, x, profile, trials, rng):
     """``(trials, d_L)`` combine/split evaluations, one branch at a time."""
     net, m = spec.base, spec.m
     x = np.asarray(x, dtype=np.float64)
-    sites = _Sites(rng)
+    sites = SpecSites(rng)
     base = np.broadcast_to(x, (trials, net.input_dim))
     branches = [sites.add(base, profile.modulation, KIND_MODULATION, 0) for _ in range(m)]
     for l, layer in enumerate(net.layers, start=1):

@@ -61,10 +61,9 @@ from optonoise.covariance import SymmetricConfig
 from optonoise.design_a import common_variance_bound
 from optonoise.design_b import terminal_average_correction
 from optonoise.experiments import ExperimentConfig, run_depth_sweep, run_mse_experiment
-from optonoise.noise import _Sites
 from optonoise.fixtures import fixture_dataset, fixture_network
 
-from conftest import random_covspec, random_linear_net, random_profile
+from conftest import SpecSites, random_covspec, random_linear_net, random_profile
 
 
 def report(number, name, ok, detail=""):
@@ -429,7 +428,7 @@ def test_criterion_10_degeneracy_suite(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(RngStream, "generator", lambda self: streams.append(self.path))
         h = np.zeros((1, 4))
-        checks.append(_Sites(RngStream(0)).add(h, CovSpec.zero(), 0, 0) is h and not streams)
+        checks.append(SpecSites(RngStream(0)).add(h, CovSpec.zero(), 0, 0) is h and not streams)
 
     for _ in range(10):
         net = random_linear_net(rng)

@@ -512,12 +512,19 @@ class TestExitCodes:
          "grid spec '1:2' must be lo:hi:count"),
         (["scan-m", "--d", "2", "--w-grid", "1:2:3:4", "--d-grid", "1"],
          "grid spec '1:2:3:4' must be lo:hi:count"),
+        (["scan-m", "--d", "4", "--w-grid", "1:2:0", "--d-grid", "0.5"],
+         "norm_grid_W must be nonempty"),
+        (["scan-m", "--d", "4", "--w-grid", " ", "--d-grid", "0.5"],
+         "norm_grid_W must be nonempty"),
+        (["scan-m", "--d", "4", "--w-grid", "1", "--d-grid", ""],
+         "norm_grid_D must be nonempty"),
         (["covariance", "--mode", "trajectory", "--profile", "{profile}"],
          "mode trajectory needs --net and --profile"),
         (["--format", "csv", "scan-m", "--d", "2", "--w-grid", "1", "--d-grid", "1"],
          "csv format needs --output"),
         (["experiment", "mse", "--grid", "1"], "experiment commands need --config"),
-    ], ids=["grid-two-fields", "grid-four-fields", "trajectory-without-net",
+    ], ids=["grid-two-fields", "grid-four-fields", "w-grid-count-0", "w-grid-blank",
+            "d-grid-empty", "trajectory-without-net",
             "csv-without-output", "experiment-without-config"])
     def test_missing_option_or_malformed_spec_exits_1(self, experiment_files, capsys, args,
                                                        message):

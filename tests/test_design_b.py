@@ -130,10 +130,10 @@ class TestEvalDesignB:
         for m in (1, 3, 7):
             calls.clear()
             design_b_samples(DesignBSpec(net, m), np.zeros(net.input_dim),
-                             NoiseProfile.zero(4), 1, RngStream(0))
+                             NoiseProfile.isotropic(4, 0.01, 0.02, 0.03), 5, RngStream(0))
             # the physical design makes m weighted additions per layer; the
             # simulator makes one, on the average of the m branches
-            assert [args[2].shape[0] for args in calls] == [1] * net.depth
+            assert [args[2].shape[:2] for args in calls] == [(1, 5)] * net.depth
 
     def test_mse_monotone_in_m(self, rng):
         net = random_linear_net(rng, depth=2, max_dim=3)

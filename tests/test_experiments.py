@@ -566,6 +566,14 @@ class TestScanMGrid:
         assert matches == len(rows)
 
 
+    @pytest.mark.parametrize("grids, name", [(([], [2.0]), "norm_grid_W"),
+                                             (([2.0], []), "norm_grid_D"),
+                                             (([], []), "norm_grid_W")],
+                             ids=["w-empty", "d-empty", "both-empty"])
+    def test_empty_grid_refused_by_name(self, grids, name):
+        with pytest.raises(ValidationError, match=rf"^{name} must be nonempty$"):
+            scan_m_grid(4, *grids, L=60)
+
     def test_width_and_depth_follow_the_integer_rule(self):
         assert scan_m_grid(4.0, [4.0], [2.0], L=60.0) == scan_m_grid(4, [4.0], [2.0], L=60)
         for d, L in ((4.5, 60), (True, 60), ("x", 60), (4, 60.5), (4, True)):

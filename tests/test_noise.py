@@ -50,7 +50,7 @@ from optonoise.noise import (
     profile_to_json,
 )
 
-from conftest import count_affine_calls, random_covspec, random_linear_net, random_profile
+from conftest import SpecSites, count_affine_calls, random_covspec, random_linear_net, random_profile
 
 
 def _draw(spec, dim, stream, n, div=1.0):
@@ -159,7 +159,7 @@ class TestSampleNoise:
     def test_zero_returns_exact_zeros(self, monkeypatch):
         built = record_generators(monkeypatch)
         h = np.zeros((1, 3))
-        out = _Sites(RngStream(1)).add(h, CovSpec.zero(), 0, 0)
+        out = SpecSites(RngStream(1)).add(h, CovSpec.zero(), 0, 0)
         assert out is h and not built
         np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
@@ -192,7 +192,7 @@ class TestSampleNoise:
 
 
 class TestSitesAddKeepsItsInput:
-    """``_Sites.add`` returns a new block and never writes into ``h``; the
+    """``SpecSites.add`` returns a new block and never writes into ``h``; the
     literal reference samplers reuse one ``h`` for every branch."""
 
     @pytest.mark.parametrize("copies", [1, 3])
@@ -206,7 +206,7 @@ class TestSitesAddKeepsItsInput:
         else:
             h = rng.normal(size=(copies, 5, 4))
         before = h.copy()
-        out = _Sites(RngStream(8)).add(h, spec, KIND_SPLIT, 1, 2.0)
+        out = SpecSites(RngStream(8)).add(h, spec, KIND_SPLIT, 1, 2.0)
         np.testing.assert_array_equal(h, before)
         assert out.shape == (copies, 5, 4)
         if not spec.is_zero:
@@ -727,11 +727,12 @@ class TestDegeneracyProperty:
     @pytest.mark.parametrize("sampler, nonzero", [
         ("plain", "none"), ("plain", "combine_split"), ("tree", "none"),
         ("tree", "combine_split"), ("combine_split", "none")])
-    def test_calls_that_draw_nothing_run_the_plain_net(self, sampler, nonzero, streamed,
-                                                        monkeypatch):
-        # every spec the call consumes is zero: it builds no stream and runs
-        # the plain wiring, one weighted addition per layer on all N * trials
-        # rows, whose every row is forward bit for bit
+    def test_calls_that_draw_nothing_run_forward_once_per_input(self, sampler, nonzero,
+                                                                 streamed, monkeypatch):
+        # every spec the call consumes is zero, so every layer lies below
+        # every live site: the call builds no stream and runs the noiseless
+        # pass once, one weighted addition per layer on the N input rows, and
+        # every row of its output is forward bit for bit
         net = self.random_net(np.random.default_rng(61), ["tanh", "identity", "softmax"])
         profile = (NoiseProfile.zero(3) if nonzero == "none"
                    else NoiseProfile.isotropic(3, combine_var=0.1, split_var=0.1))
@@ -749,13 +750,62 @@ class TestDegeneracyProperty:
             stats = run(xs[0], reference=forward(net, xs[0]))
             np.testing.assert_array_equal(stats.mean, forward(net, xs[0]))
             assert not np.any(stats.covariance) and stats.mse_vs_reference == 0.0
-            rows = 7
+            inputs = 1
         else:
             out = run(xs)
             np.testing.assert_array_equal(out, np.repeat(forward(net, xs)[:, None], 7, axis=1))
-            rows = 3 * 7
-        assert [args[2].shape[:2] for args in calls] == [(1, rows)] * 3
+            inputs = 3
+        assert [args[2].shape for args in calls] == [(inputs, d) for d in net.dims()[:-1]]
         assert built == []
+
+
+class TestSilentLowerLayers:
+    """Layers below every live site run once per input, as ``forward`` does.
+
+    With noise on the fixture's top layer only, the tree ``(3, n, 1)`` is
+    the plain net with that layer's weight noise divided by ``n``: the ``n``
+    layer-1 copies it averages are one noiseless value.
+    """
+
+    WEIGHT, ACTIVATION = 0.02, 0.01
+
+    @classmethod
+    def top_only(cls, weight):
+        z = CovSpec.zero()
+        return NoiseProfile(z, (z, CovSpec.isotropic(weight)), (z, CovSpec.isotropic(cls.ACTIVATION)))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("shape, trials", [((), 7), ((), 2000), ((5,), 700)],
+                             ids=["vector-7", "vector-2000", "matrix-700"])
+    @pytest.mark.parametrize("streamed", [False, True], ids=["samples", "reference"])
+    def test_tree_is_the_plain_net_at_divided_weight_noise(self, n, shape, trials, streamed):
+        from optonoise.fixtures import fixture_network
+
+        net = fixture_network()
+        x = (np.random.default_rng(19).normal(size=(*shape, net.input_dim)) if shape
+             else np.array([0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8]))
+        kw = {"reference": forward(net, x[0] if shape else x)} if streamed else {}
+        tree = design_a_samples(DesignASpec(net, (3, n, 1)), x, self.top_only(self.WEIGHT),
+                                trials, RngStream(17), **kw)
+        plain = noisy_forward_samples(net, self.top_only(self.WEIGHT / n), x, trials,
+                                      RngStream(17), **kw)
+        if streamed:
+            for name in ("n", "mean", "covariance", "mse_vs_reference"):
+                np.testing.assert_array_equal(getattr(tree, name), getattr(plain, name))
+        else:
+            assert tree.shape == (*shape, trials, net.output_dim)
+            np.testing.assert_array_equal(tree, plain)
+
+    @pytest.mark.parametrize("sampler", ["tree", "combine_split"])
+    def test_no_stream_below_the_first_live_layer(self, sampler, monkeypatch):
+        from optonoise.fixtures import fixture_network
+
+        net = fixture_network()
+        built = record_generators(monkeypatch)
+        _matrix_samplers(net, 3)[sampler](np.zeros(net.input_dim), self.top_only(self.WEIGHT),
+                                          2000, RngStream(18))
+        assert sorted(built) == [(kind, 2) for kind in (KIND_WEIGHT, KIND_ACTIVATION)] + [
+            (noise._PART_1, kind, 2) for kind in (KIND_WEIGHT, KIND_ACTIVATION)]
 
 
 def _matrix_samplers(net, copies):
@@ -1085,7 +1135,7 @@ class TestCovSpecEdges:
         built = record_generators(monkeypatch)
         assert spec.is_zero
         h = np.zeros((1, 2))
-        assert _Sites(RngStream(0)).add(h, spec, 0, 0) is h and not built
+        assert SpecSites(RngStream(0)).add(h, spec, 0, 0) is h and not built
 
 
 class TestTrialOrderIndependence:

@@ -28,8 +28,8 @@ from optonoise import (
 from optonoise.covariance import _run
 
 import reference_samplers
-from conftest import gaussian_gaps, random_linear_net, random_profile
-from optonoise.noise import KIND_ACTIVATION, KIND_COMBINE, KIND_SPLIT, _law, _Sites
+from conftest import SpecSites, gaussian_gaps, random_linear_net, random_profile
+from optonoise.noise import KIND_ACTIVATION, KIND_COMBINE, KIND_SPLIT, _law
 from reference_samplers import literal_design_b_samples, literal_tree_samples
 
 MAX_SE = 5.0
@@ -190,7 +190,7 @@ class TestOneCopy:
             )
 
 
-class _WrongSites(_Sites):
+class _WrongSites(SpecSites):
     """Draw sites that get one source's law wrong: its divisor at layer
     ``l`` times ``factor(l)``, or with ``shared`` one block for every
     ``shared`` consecutive draws of the source."""
@@ -264,7 +264,7 @@ class TestOraclePower:
         linnet = LinearNet.from_network(net)
         change = self._laws(sampler)[law]
         if "sites" in change:
-            monkeypatch.setattr(reference_samplers, "_Sites",
+            monkeypatch.setattr(reference_samplers, "SpecSites",
                                 lambda r: _WrongSites(r, **change["sites"]))
         if "average" in change:
             monkeypatch.setattr(reference_samplers, "_average", change["average"])
