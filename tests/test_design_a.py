@@ -172,8 +172,11 @@ class TestEvalDesignA:
                          NoiseProfile.isotropic(3, 0.01, 0.02, 0.03), 1, RngStream(0))
         # on tanh layers the physical layer l performs prod_{k >= l-1} n_k
         # weighted additions; the simulator makes one call per layer on the
-        # prod_{k >= l} n_k nodes of level l, n_{l-1} times fewer
-        assert [args[2].shape[0] for args in calls] == [math.prod(copies[l:]) for l in range(1, 4)]
+        # prod_{k >= l} n_k nodes of level l, n_{l-1} times fewer.  Layer 1
+        # takes only its own noise and the modulation pushed into it, after
+        # its weighted addition, so it makes that call once, on the input
+        assert [args[2].shape[0] for args in calls] == [1] + [math.prod(copies[l:])
+                                                               for l in range(2, 4)]
 
     def test_linear_layers_make_one_affine_call_each(self, rng, monkeypatch):
         # a linear layer averages its inputs before its weighted addition, so

@@ -445,11 +445,13 @@ class TestGridPoint:
     def test_non_finite_rows_are_refused(self, last):
         # two saturated tanh units times 1e308 overflow the last weighted
         # addition: the reference is finite, some noisy rows are not, and
-        # scoring them would give an mse of inf (identity) or NaN (softmax)
+        # scoring them would give an mse of inf (identity) or NaN (softmax).
+        # At unit modulation variance about a fifth of the rows overflow, so
+        # a grid point of 100 rows holds some at any seed
         net = Network((Layer([[1.0], [1.0]], [0.0, 0.0], Activation.tanh()),
                        Layer(np.eye(2) * 1e308, [0.0, 0.0], Activation.identity()),
                        Layer([[0.9, 0.9]], [0.0], last)), 1)
-        cfg = ExperimentConfig(network=net, profile=NoiseProfile.isotropic(3, modulation_var=0.1),
+        cfg = ExperimentConfig(network=net, profile=NoiseProfile.isotropic(3, modulation_var=1.0),
                                design="a", inputs=[[2.99], [2.9]], trials=50, seed=3)
         assert np.isfinite(forward(net, cfg.inputs)).all()
         with pytest.raises(ValidationError, match="^samples contain non-finite values$"):

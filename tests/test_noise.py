@@ -256,6 +256,49 @@ def record_generators(monkeypatch):
     return built
 
 
+def record_draws(monkeypatch):
+    """Record the site ``(kind, layer)`` of every block a sampler draws."""
+    drawn = []
+    real = _Sites.draw
+
+    def recording(self, law, kind, layer, shape):
+        drawn.append((kind, layer))
+        return real(self, law, kind, layer, shape)
+
+    monkeypatch.setattr(_Sites, "draw", recording)
+    return drawn
+
+
+def plain_rows_by_part(net, h, seed, half, variances=(0.01, 0.02, 0.03, 0.04, 0.05)):
+    """The plain nonlinear net's rows from input rows ``h`` under isotropic
+    modulation, weight and activation noise at ``variances``, each site read
+    as one block of rows ``0 .. half - 1`` from ``rng.child(kind, layer)``
+    and one of the rest from ``rng.child(_PART_1, kind, layer)``.  Every
+    layer's pre-activation site carries its weight noise and, pushed
+    through its weights, the noise below it (modulation, then the activation
+    noise of the layer below); the top layer keeps its activation site."""
+    rows = h.shape[0]
+    parts = (_Sites(RngStream(seed)), _Sites(RngStream(seed).child(noise._PART_1)))
+
+    def block(law, kind, layer):
+        d = net.dims()[layer]
+        return np.concatenate([parts[0].draw(law, kind, layer, (half, d)),
+                               parts[1].draw(law, kind, layer, (rows - half, d))])
+
+    mod, weights, acts = variances[0], variances[1:1 + net.depth], variances[1 + net.depth:]
+    below = math.sqrt(mod)
+    for l, layer in enumerate(net.layers, start=1):
+        iso = CovSpec.isotropic(weights[l - 1])
+        law = _law(layer.out_dim, ((iso, 1),), push=(layer.weights, below))
+        np.testing.assert_allclose(
+            law[0] @ law[0].T,
+            below**2 * layer.weights @ layer.weights.T + iso.matrix(layer.out_dim),
+            rtol=1e-12, atol=1e-15)
+        h = layer.activation(affine(layer.weights, layer.bias, h) + block(law, KIND_WEIGHT, l))
+        below = math.sqrt(acts[l - 1])
+    return h + block(below, KIND_ACTIVATION, net.depth)
+
+
 class TestNoisyForward:
     def test_zero_profile_bit_exact(self):
         rng = np.random.default_rng(1)
@@ -345,11 +388,12 @@ class TestSiteStreams:
 
     def test_two_leaf_tree_takes_consecutive_blocks(self):
         # relu layers with unit weights: the two modulated leaves of a
-        # level-1 node collapse into one block of the modulation site at
-        # variance var / 2; two level-1 nodes take consecutive blocks
+        # level-1 node collapse into one block at variance var / 2, pushed
+        # through the unit weights into layer 1's pre-activation site; two
+        # level-1 nodes take consecutive blocks of that site
         d, trials, var = 3, 5, 0.3
         x = np.array([0.5, -1.0, 2.0])
-        gen = RngStream(21).child(KIND_MODULATION, 0).generator()
+        gen = RngStream(21).child(KIND_WEIGHT, 1).generator()
         z0 = gen.standard_normal((trials, d))
         z1 = gen.standard_normal((trials, d))
         relu = Layer(np.eye(d), np.zeros(d), Activation.relu())
@@ -383,15 +427,22 @@ class TestSiteStreams:
             )
 
         calls = count_affine_calls(monkeypatch, noise)
+        drawn = record_draws(monkeypatch)
         default = run()
-        assert len(calls) == 2 * net.depth  # one call per layer and sampler
+        # one call per layer and sampler; layer 1's weighted addition takes
+        # only the modulation pushed into it, so it runs once, in the prefix
+        assert len(calls) == 2 * net.depth
+        assert drawn.count((KIND_WEIGHT, 1)) == 2
         calls.clear()
+        drawn.clear()
         monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
         tiny = run()
         # the tiny budget runs one next-layer group per chunk: the tree's
-        # layer 1 in two chunks of three nodes (one per level-2 node), its
-        # layers 2 and 3 in one each, and design B one call per layer
-        assert len(calls) == (2 + 1 + 1) + 3
+        # layer 1 in two chunks of three nodes (one per level-2 node), each
+        # drawing its pre-activation blocks, its layers 2 and 3 in one each,
+        # and design B one pass per layer
+        assert len(calls) == 2 * net.depth
+        assert drawn.count((KIND_WEIGHT, 1)) == 2 + 1
         for a, b in zip(default, tiny):
             np.testing.assert_array_equal(a, b)
 
@@ -407,12 +458,17 @@ class TestSiteStreams:
         tree = DesignASpec(net, (2, 2, 2, 2, 1))
         xs = rng.normal(size=(3, net.input_dim))
         calls = count_affine_calls(monkeypatch, noise)
+        drawn = record_draws(monkeypatch)
         default = design_a_samples(tree, xs, profile, 5, RngStream(44))
+        # layer 1's weighted addition runs once, in the prefix; its
+        # pre-activation blocks are drawn once per pass
         assert len(calls) == 4
+        assert drawn.count((KIND_WEIGHT, 1)) == 1
         monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
         np.testing.assert_array_equal(design_a_samples(tree, xs, profile, 5, RngStream(44)),
                                       default)
-        assert len(calls) == 4 + 3 + 4
+        assert len(calls) == 4 + 4
+        assert drawn.count((KIND_WEIGHT, 1)) == 1 + 4
 
     def test_design_b_draws_one_activation_block_per_average(self):
         # depth 1, m = 3, activation noise only: the three branches average
@@ -451,12 +507,16 @@ class TestSiteStreams:
 
     @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
     def test_one_generator_per_nonzero_site(self, sampler, monkeypatch):
+        # the modulation noise is pushed into layer 1's pre-activation site,
+        # which design B's layer-1 combine noise joins; layer 1's activation
+        # noise is zero, so layer 2 takes nothing pushed and its combine
+        # noise keeps its own site
         rng = np.random.default_rng(22)
         net = TestDegeneracyProperty.random_net(rng, ["tanh", "relu"])
         iso, zero = CovSpec.isotropic(0.1), CovSpec.zero()
         profile = NoiseProfile(iso, (iso, zero), (zero, iso), iso, iso)
         x = rng.normal(size=net.input_dim)
-        expected = [(KIND_MODULATION, 0), (KIND_WEIGHT, 1), (KIND_ACTIVATION, 2)]
+        expected = [(KIND_WEIGHT, 1), (KIND_ACTIVATION, 2)]
         built = record_generators(monkeypatch)
         if sampler == "plain":
             noisy_forward_samples(net, profile, x, 4, RngStream(23))
@@ -464,7 +524,7 @@ class TestSiteStreams:
             design_a_samples(DesignASpec(net, (3, 2, 1)), x, profile, 4, RngStream(23))
         else:
             design_b_samples(DesignBSpec(net, 3), x, profile, 4, RngStream(23))
-            expected += [(KIND_COMBINE, 1), (KIND_COMBINE, 2), (KIND_SPLIT, 1), (KIND_SPLIT, 2)]
+            expected += [(KIND_COMBINE, 2), (KIND_SPLIT, 1), (KIND_SPLIT, 2)]
         assert all(len(path) == 2 for path in built)
         assert sorted(built) == sorted(expected)
 
@@ -549,9 +609,10 @@ class TestLawTable:
 
     @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
     def test_one_law_per_site_of_the_wiring(self, sampler, monkeypatch):
-        # tanh, identity, relu: the modulation site, four sites per
-        # nonlinear layer (weight, combine, split, activation) and one
-        # merged site per linear layer, silent or not: 1 + 4 + 1 + 4
+        # tanh, identity, relu: the modulation law, three laws per nonlinear
+        # layer that takes the noise below it pushed (pre-activation, split,
+        # activation; its combine noise joins the pre-activation site) and
+        # one merged law per linear layer, silent or not: 1 + 3 + 1 + 3
         rng = np.random.default_rng(45)
         net = TestDegeneracyProperty.random_net(rng, ["tanh", "identity", "relu"])
         profile = random_profile(rng, net)
@@ -561,23 +622,26 @@ class TestLawTable:
         xs = rng.normal(size=(2, net.input_dim))
         laws = self.record(monkeypatch, noise, "_law")
         run(xs[0], profile, 3, RngStream(46))
-        assert len(laws) == 10
+        assert len(laws) == 8
         # two parts of 16 tiles each, in passes of one group or realization
         laws.clear()
         monkeypatch.setattr(noise, "_GROUP_ROWS", 64)
         monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
         assert len(noise._parts(2 * noise._SPLIT_ROWS)[1]) == 16
         run(xs, profile, noise._SPLIT_ROWS, RngStream(46))
-        assert len(laws) == 10
+        assert len(laws) == 8
 
-    @pytest.mark.parametrize("kinds, factored", [
-        (["tanh", "relu", "softmax"], 0),
-        (["tanh", "identity", "relu", "diag"], 2),
+    @pytest.mark.parametrize("kinds, factored, pushed", [
+        (["tanh", "relu", "softmax"], 0, 3),
+        (["tanh", "identity", "relu", "diag"], 2, 2),
     ], ids=["nonlinear", "mixed"])
-    def test_only_merged_full_sites_factor_once_per_call(self, kinds, factored, monkeypatch):
+    def test_only_merged_full_sites_factor_once_per_call(self, kinds, factored, pushed,
+                                                         monkeypatch):
         # every source full: a single-source site keeps the factor its spec
         # cached at construction; a linear layer's merged site factors its
-        # summed covariance, once per call however many tiles the call runs
+        # summed covariance, and a nonlinear layer's pre-activation site
+        # takes the QR of its stacked factors, once per call however many
+        # tiles the call runs
         rng = np.random.default_rng(48)
         net = TestDegeneracyProperty.random_net(rng, kinds)
         dims = net.dims()
@@ -587,10 +651,13 @@ class TestLawTable:
         monkeypatch.setattr(noise, "_GROUP_ROWS", 64)
         monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
         eighs = self.record(monkeypatch, np.linalg, "eigh")
+        qrs = self.record(monkeypatch, np.linalg, "qr")
         for run in _matrix_samplers(net, 2).values():
             eighs.clear()
+            qrs.clear()
             run(xs, profile, noise._SPLIT_ROWS, RngStream(49))
             assert len(eighs) == factored
+            assert len(qrs) == pushed
 
 
 class TestTiles:
@@ -634,18 +701,7 @@ class TestTiles:
         trials = self.ROWS // 3
         xs = rng.normal(size=(3, dims[0]))
         out = noisy_forward_samples(net, profile, xs, trials, RngStream(33))
-
-        def block(kind, layer, var):
-            part_0 = RngStream(33).child(kind, layer).generator()
-            part_1 = RngStream(33).child(noise._PART_1, kind, layer).generator()
-            return math.sqrt(var) * np.concatenate([
-                part_0.standard_normal((self.HALF, dims[layer])),
-                part_1.standard_normal((self.ROWS - self.HALF, dims[layer]))])
-
-        h = np.repeat(xs, trials, axis=0) + block(KIND_MODULATION, 0, 0.01)
-        for l, layer in enumerate(net.layers, start=1):
-            h = affine(layer.weights, layer.bias, h) + block(KIND_WEIGHT, l, (0.02, 0.03)[l - 1])
-            h = layer.activation(h) + block(KIND_ACTIVATION, l, (0.04, 0.05)[l - 1])
+        h = plain_rows_by_part(net, np.repeat(xs, trials, axis=0), 33, self.HALF)
         np.testing.assert_array_equal(out, h.reshape(3, trials, -1))
 
     def test_one_tile_tree_keeps_its_samples(self):
@@ -654,13 +710,15 @@ class TestTiles:
         # copies as one block per copy, and the diag layer's merged site as
         # one block.  Powers-of-two weights, at most two nonzeros a row, and
         # relu and diag activations keep every product exact, so no BLAS
-        # kernel rounds a row differently and the hash is portable.
+        # kernel rounds a row differently and the hash is portable.  The
+        # modulation is silent: pushed through W1 it would be drawn through
+        # a QR factor, whose products round
         W1 = np.array([[1.0, 0.5], [0.0, -2.0], [0.25, 0.0]])
         W2 = np.array([[0.5, 0.0, 1.0], [0.0, 1.0, -0.5]])
         net = Network((Layer(W1, np.array([0.5, -0.25, 0.0]), Activation.relu()),
                        Layer(W2, np.array([0.125, 0.0]), Activation.diag_linear([0.75, 1.5]))), 2)
         profile = NoiseProfile(
-            CovSpec.isotropic(0.01),
+            CovSpec.zero(),
             (CovSpec.diagonal([0.02, 0.01, 0.03]), CovSpec.isotropic(0.02)),
             (CovSpec.isotropic(0.01), CovSpec.diagonal([0.01, 0.02])),
         )
@@ -668,7 +726,7 @@ class TestTiles:
         out = design_a_samples(DesignASpec(net, (3, 2, 1)), xs, profile, 500, RngStream(2024))
         assert out.shape == (4, 500, 2)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "39f19c849f59efe5994c157f593a37a3e08393ccba7533b0d632125353ed47dc")
+            "1f72b95790cc25b4127e63e58c5fa6f222eb516ea678f0fe6fc545d2d3366301")
 
 
 class TestDegeneracyProperty:
@@ -1282,19 +1340,7 @@ class TestDrawAhead:
         split = rows >= noise._SPLIT_ROWS
         assert len(set(threads) - {threading.main_thread()}) == split
         half = -(-rows // 2) if split else rows
-
-        def block(kind, layer, var):
-            part_0 = RngStream(35).child(kind, layer).generator()
-            part_1 = RngStream(35).child(noise._PART_1, kind, layer).generator()
-            return math.sqrt(var) * np.concatenate([
-                part_0.standard_normal((half, dims[layer])),
-                part_1.standard_normal((rows - half, dims[layer]))])
-
-        h = x + block(KIND_MODULATION, 0, 0.01)
-        for l, layer in enumerate(net.layers, start=1):
-            h = affine(layer.weights, layer.bias, h) + block(KIND_WEIGHT, l, (0.02, 0.03)[l - 1])
-            h = layer.activation(h) + block(KIND_ACTIVATION, l, (0.04, 0.05)[l - 1])
-        np.testing.assert_array_equal(out, h)
+        np.testing.assert_array_equal(out, plain_rows_by_part(net, np.tile(x, (rows, 1)), 35, half))
 
     def _net_and_profile(self, depth=2, width=4):
         rng = np.random.default_rng(5)
@@ -1593,11 +1639,13 @@ class TestStreamedStats:
 
     def test_inf_into_softmax_is_refused(self):
         # the last weighted addition overflows to inf on noisy rows; softmax
-        # turns such a row into NaN, which the sink refuses like any other
+        # turns such a row into NaN, which the sink refuses like any other.
+        # At unit modulation variance about a quarter of the rows saturate
+        # both tanh units far enough to overflow
         net = Network((Layer([[1.0], [1.0]], [0.0, 0.0], Activation.tanh()),
                        Layer(np.eye(2) * 1e308, [0.0, 0.0], Activation.identity()),
                        Layer([[0.9, 0.9]], [0.0], Activation.softmax())), 1)
-        profile = NoiseProfile.isotropic(3, modulation_var=0.1)
+        profile = NoiseProfile.isotropic(3, modulation_var=1.0)
         x = np.array([2.99])
         reference = forward(net, x)
         assert np.isfinite(reference).all()

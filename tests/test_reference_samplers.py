@@ -7,6 +7,8 @@ they are compared with each other, on linear nets each is compared with the
 exact oracle.  Seeds are fixed; tolerances are in standard errors.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,11 @@ from optonoise import (
     Network,
     NoiseProfile,
     RngStream,
+    ValidationError,
     design_a_samples,
     design_b_samples,
     forward,
+    noisy_forward_samples,
     propagate_b_branchwise,
 )
 from optonoise.covariance import _run
@@ -141,6 +145,113 @@ class TestNonlinearAgreement:
         assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
 
 
+class TestPerSourceAgreement:
+    """One source live at a time, each a source that the kernel pushes
+    through the next weighted addition: the kernel and the literal wiring
+    agree in mean and covariance for the plain net and both designs."""
+
+    TRIALS = 20_000
+    VAR = 0.2
+
+    @staticmethod
+    def _one_source(net, source, var):
+        """A profile with ``var`` on one source: "modulation", or "weight l"
+        / "activation l" of layer ``l``."""
+        zero, iso = CovSpec.zero(), CovSpec.isotropic(var)
+        if source == "modulation":
+            return NoiseProfile(iso, (zero,) * net.depth, (zero,) * net.depth)
+        kind, layer = source.split()
+        specs = tuple(iso if l == int(layer) else zero for l in range(1, net.depth + 1))
+        if kind == "weight":
+            return NoiseProfile(zero, specs, (zero,) * net.depth)
+        return NoiseProfile(zero, (zero,) * net.depth, specs)
+
+    @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
+    @pytest.mark.parametrize("kinds, source, seed", [
+        (("tanh", "tanh", "softmax"), "modulation", 731),
+        (("tanh", "tanh", "softmax"), "activation 1", 732),
+        (("tanh", "tanh", "softmax"), "activation 2", 733),
+        # an identity layer's merged site, pushed into the tanh layer above it
+        (("tanh", "identity", "tanh"), "weight 2", 734),
+        (("tanh", "identity", "tanh"), "activation 2", 735),
+    ])
+    def test_kernel_matches_literal_wiring(self, sampler, kinds, source, seed):
+        rng = np.random.default_rng(seed)
+        net = mixed_net(rng, (3, 4, 3, 3), kinds)
+        profile = self._one_source(net, source, self.VAR)
+        x = rng.normal(size=net.input_dim)
+        if sampler == "plain":
+            spec, literal = DesignASpec(net, (1,) * (net.depth + 1)), literal_tree_samples
+            a = noisy_forward_samples(net, profile, x, self.TRIALS, RngStream(seed))
+        else:
+            if sampler == "tree":
+                spec, (collapsed, literal) = DesignASpec(net, (2, 2, 2, 1)), TREE.values()
+            else:
+                spec, (collapsed, literal) = DesignBSpec(net, 2), COMBINE_SPLIT.values()
+            a = collapsed(spec, x, profile, self.TRIALS, RngStream(seed))
+        b = literal(spec, x, profile, self.TRIALS, RngStream(seed + 1000))
+        mean_gap, cov_gap = moment_gaps(a, b)
+        assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
+
+
+class TestPushedRobustness:
+    """A pushed covariance is factored without squaring the weights, and a
+    layer whose weighted addition draws nothing still activates its own
+    block."""
+
+    TRIALS = 20_000
+
+    @pytest.mark.parametrize("copies", [(1, 1, 1), (2, 3, 1)])
+    def test_huge_weights_keep_the_law(self, copies):
+        # |W| ~ 1e200: W P W^T would overflow, W (h + n) does not
+        rng = np.random.default_rng(741)
+        dims = (3, 4, 3)
+        net = Network(tuple(Layer(rng.normal(size=(dims[l + 1], dims[l])) * 1e200,
+                                  rng.normal(size=dims[l + 1]), Activation.tanh())
+                            for l in range(2)), dims[0])
+        profile = NoiseProfile.isotropic(2, 0.01, 0.02, 0.03)
+        x = rng.normal(size=dims[0])
+        spec = DesignASpec(net, copies)
+        a = design_a_samples(spec, x, profile, self.TRIALS, RngStream(742))
+        b = literal_tree_samples(spec, x, profile, self.TRIALS, RngStream(743))
+        assert np.isfinite(a).all() and np.all(a.std(axis=0) > 0.0)
+        mean_gap, cov_gap = moment_gaps(a, b)
+        assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
+
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_overflowing_push_is_refused(self, layer):
+        # modulation (layer 1) or layer-1 activation noise (layer 2) at
+        # variance 4 through weights of 1e308: the pushed factor overflows
+        net = Network(tuple(Layer(np.full((3, 3), 1e308), np.zeros(3), Activation.tanh())
+                            for _ in range(2)), 3)
+        var = [0.01, 0.01]
+        var[layer - 1] = 4.0
+        profile = NoiseProfile.isotropic(2, modulation_var=var[0], activation_var=var[1])
+        with pytest.raises(ValidationError, match=f"^the noise pushed through the weights of "
+                                                  f"layer {layer} overflows float64$"):
+            design_a_samples(DesignASpec(net, (1, 1, 1)), np.ones(3), profile, 4, RngStream(0))
+
+    @pytest.mark.parametrize("sampler", ["tree", "combine_split"])
+    def test_top_activation_noise_alone(self, sampler):
+        # only the top layer's activation noise: no weighted addition draws,
+        # so the kernel runs layer 2's weighted addition on the noiseless
+        # layer-1 values and activates a block of its own
+        rng = np.random.default_rng(744)
+        net = nonlinear_net(rng, (3, 5, 4))
+        zero, var = CovSpec.zero(), 0.02
+        profile = NoiseProfile(zero, (zero, zero), (zero, CovSpec.isotropic(var)))
+        x = rng.normal(size=net.input_dim)
+        trials = 6
+        if sampler == "tree":
+            out = design_a_samples(DesignASpec(net, (3, 5, 1)), x, profile, trials, RngStream(745))
+        else:
+            out = design_b_samples(DesignBSpec(net, 3), x, profile, trials, RngStream(745))
+            var /= 3
+        block = RngStream(745).child(KIND_ACTIVATION, 2).generator().standard_normal((trials, 4))
+        np.testing.assert_allclose(out, forward(net, x) + math.sqrt(var) * block,
+                                   rtol=1e-12, atol=1e-12)
+
+
 class TestLinearOracles:
     """On linear nets both samplers match the exact output moments."""
 
@@ -172,12 +283,20 @@ class TestLinearOracles:
 
 
 class TestOneCopy:
+    TRIALS = 20_000
+
     def test_literal_and_collapsed_draw_alike(self, rng):
-        # one copy per layer: no group is averaged, so both wirings take the
-        # same blocks and agree bit for bit, combine/split noise included
+        # one copy per layer, and no noise below a weighted addition but
+        # that layer's own (no modulation, activation noise on the top layer
+        # only): no group is averaged and nothing is pushed, so both wirings
+        # take the same blocks and agree bit for bit, combine/split noise
+        # included
+        zero = CovSpec.zero()
         for _ in range(5):
             net = nonlinear_net(rng, [int(d) for d in rng.integers(1, 5, size=3)])
-            profile = with_combine_split(random_profile(rng, net))
+            live = with_combine_split(random_profile(rng, net))
+            profile = NoiseProfile(zero, live.weight, (zero,) * (net.depth - 1) + live.activation[-1:],
+                                   live.combine, live.split)
             x = rng.normal(size=net.input_dim)
             tree = DesignASpec(net, (1,) * (net.depth + 1))
             np.testing.assert_array_equal(
@@ -188,6 +307,23 @@ class TestOneCopy:
                 design_b_samples(DesignBSpec(net, 1), x, profile, 3, RngStream(32)),
                 literal_design_b_samples(DesignBSpec(net, 1), x, profile, 3, RngStream(32)),
             )
+
+    @pytest.mark.parametrize("seed", [721, 722])
+    def test_pushed_noise_keeps_the_law(self, seed):
+        # every source live: the kernel draws the modulation and the lower
+        # activation noise after the next weighted addition, through its
+        # weights, where the literal wiring draws them where they arise
+        rng = np.random.default_rng(seed)
+        net = nonlinear_net(rng, (3, 4, 3, 3))
+        profile = with_combine_split(random_profile(rng, net, scale=0.3))
+        x = rng.normal(size=net.input_dim)
+        tree = DesignASpec(net, (1,) * (net.depth + 1))
+        for spec, collapsed, literal in ((tree, *TREE.values()),
+                                         (DesignBSpec(net, 1), *COMBINE_SPLIT.values())):
+            a = collapsed(spec, x, profile, self.TRIALS, RngStream(seed))
+            b = literal(spec, x, profile, self.TRIALS, RngStream(seed + 1000))
+            mean_gap, cov_gap = moment_gaps(a, b)
+            assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
 
 
 class _WrongSites(SpecSites):
