@@ -30,13 +30,17 @@ mean of its copies is the weighted addition of the mean of their inputs,
 plus one Gaussian block, so it averages before the weighted addition and
 takes block ``j`` of the merged site for group ``j``, at the summed,
 averaged covariance of its weight, combine, split and activation noise.
-A nonlinear layer draws the noise that enters its weighted addition
-after it: ``W (h + n) + b = (W h + b) + W n``, so the modulation (under
-layer 1) or the last site of the layer below, an activation or a merged
-site, is silent, and the layer's pre-activation site ``(KIND_WEIGHT,
-layer)`` draws one block per group at ``W P W^T`` plus its weight and
-combine covariances, ``P`` the silent site's covariance.  Where that
-silent site has no noise, weight and combine noise keep their own sites.
+Every layer draws the noise that enters its weighted addition after it:
+``D (W (h + n) + b) = D (W h + b) + D W n`` (``D = I`` for a nonlinear
+layer's weighted addition), so the modulation (under layer 1) or the
+last site of the layer below, an activation or a merged site, is silent,
+and the layer's first site takes the term ``D W P W^T D``, ``P`` the
+silent site's covariance: a linear layer's merged site, or a nonlinear
+layer's pre-activation site ``(KIND_WEIGHT, layer)``, which draws one
+block per group at that term plus its weight and combine covariances.
+So an all-linear net draws only from its top merged site.  Where the
+silent site has no noise, nothing is pushed, and a nonlinear layer's
+weight and combine noise keep their own sites.
 Distinct paths give statistically independent streams and the same
 ``(seed, path)`` reproduces the same samples bit-exactly.
 
@@ -53,8 +57,9 @@ block on the same stream, so this is exact for the plain net and for the
 one-copy designs.  The layers below every live site are noiseless and
 the same in every copy and trial, so a call runs them once per input, as
 :func:`forward` does, and the weighted addition above them too when it is
-the first to draw; a zero profile, where no site is live, therefore
-reproduces the noiseless forward pass bit for bit at any copy count.
+the first to draw (with its activation, in a linear layer); a zero
+profile, where no site is live, therefore reproduces the noiseless
+forward pass bit for bit at any copy count.
 
 Part 1 runs on one worker thread that the call starts and joins before it
 returns or raises; an exception on the worker is raised again by the
@@ -109,12 +114,13 @@ _KIND_LINEAR = 6
 #: Recorded in output metadata so result files name their generator and
 #: stream layout: one block per copy of the kernel, not per physical copy,
 #: one activation block per averaged group, one merged block per group of a
-#: linear layer, one pre-activation block per group of a nonlinear layer
-#: that carries the noise below its weighted addition, a sweep draws all
-#: its inputs in one call per grid point, a site with several copies reads
-#: its stream tile by tile, ``_GROUP_ROWS`` rows per block, and a call of
-#: at least ``_SPLIT_ROWS`` rows reads its second half from the part-1 sites.
-GENERATOR_NAME = "sfc64/seedseq-preactivation"
+#: linear layer, every layer's first site (a linear layer's merged site, a
+#: nonlinear layer's pre-activation site) carries the noise below its
+#: weighted addition, pushed through its weights, a sweep draws all its
+#: inputs in one call per grid point, a site with several copies reads its
+#: stream tile by tile, ``_GROUP_ROWS`` rows per block, and a call of at
+#: least ``_SPLIT_ROWS`` rows reads its second half from the part-1 sites.
+GENERATOR_NAME = "sfc64/seedseq-pushed-linear"
 
 _SYM_TOL = 1e-12
 _PSD_PIVOT_TOL = 1e-10
@@ -266,36 +272,39 @@ def _law(dim: int, terms, activation=None, push=None):
     """The law of one draw site, the only place a covariance becomes a
     draw: the sum of ``spec / div`` over the ``(spec, div)`` pairs of
     ``terms``, one pair unless a linear ``activation`` is given (a merged
-    site), whose diagonal ``D`` maps every term but the last to ``D spec D``,
-    or a pushed ``(W, source)`` is given (a pre-activation site), which
-    adds the term ``W P W^T`` for the covariance ``P`` of the law ``source``.
-    None when every spec is zero (a silent site); else the standard
-    deviation, a number or a vector, that scales standard normals, or where
-    a spec is full a pair ``(F, s)``: normals times ``F^T`` times ``s``.  A
-    lone full spec keeps its cached factor, ``s = sqrt(1 / div)``; a merged
-    site factors its summed covariance, ``s = 1``.  A pre-activation site
-    stacks the factors of its terms, ``[W F_P, F_1, ...]``, and keeps the
+    site), whose diagonal ``D`` maps every term but the last to ``D spec D``.
+    A pushed ``(W, source)`` adds the term ``D W P W^T D`` (``D = I``
+    without an ``activation``: a pre-activation site) for the covariance
+    ``P`` of the law ``source``.  None when every spec is zero and nothing
+    is pushed (a silent site); else the standard deviation, a number or a
+    vector, that scales standard normals, or where a spec is full a pair
+    ``(F, s)``: normals times ``F^T`` times ``s``.  A lone full spec keeps
+    its cached factor, ``s = sqrt(1 / div)``; a merged site without a push
+    factors its summed covariance, ``s = 1``.  A site with a push stacks
+    the factors of its terms, ``[D W F_P, D F_1, ..., F_a]``, and keeps the
     triangle ``R`` of their QR, ``F = R^T`` and ``s = 1``, so ``W`` is never
     squared and ``F`` has at most ``dim`` columns: one normal per column.
     Dimensions are checked on sampler entry
     (:meth:`NoiseProfile.validate_for`), not here."""
     live = [(spec, div, activation is not None and i < len(terms) - 1)
             for i, (spec, div) in enumerate(terms) if not spec.is_zero]
+    identity = activation is None or activation.kind == "identity"
+    e = None if identity else activation.diag_coefficients(dim)
     if push is not None:
         weights, source = push
+        gain = 1.0 if identity else e[:, None]
         own = [_factor((spec._factor, math.sqrt(1.0 / div)) if spec.kind == "full"
                        else np.sqrt((spec.var if spec.kind == "isotropic" else spec.vec) / div), dim)
-               for spec, div, _ in live]
+               * (gain if through else 1.0)
+               for spec, div, through in live]
         with np.errstate(over="ignore", invalid="ignore"):
-            stacked = np.hstack([weights @ _factor(source, weights.shape[1]), *own])
+            stacked = np.hstack([gain * (weights @ _factor(source, weights.shape[1])), *own])
             r = np.linalg.qr(stacked.T, mode="r") if np.isfinite(stacked).all() else stacked
         if not np.isfinite(r).all():
             raise OverflowError("the pushed covariance overflows float64")
         return r.T, 1.0
     if not live:
         return None
-    identity = activation is None or activation.kind == "identity"
-    e = None if identity else activation.diag_coefficients(dim)
     if all(spec.kind != "full" for spec, _, _ in live):
         gain = 1.0 if identity else e * e
         return np.sqrt(sum((spec.var if spec.kind == "isotropic" else spec.vec)
@@ -514,25 +523,29 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     Before any tile, one pass up the layers builds every site's law
     ``laws[l][kind]`` (:func:`_law`; None: silent); both parts draw every
     block from them.  The pass pushes the noise that enters the weighted
-    addition of every nonlinear layer ``l`` into it: the law ``P`` of the
-    last site of layer ``l - 1`` (modulation at ``l = 1``) becomes the term
-    ``W_l P W_l^T`` of layer ``l``'s pre-activation site, next to its weight
-    and combine terms, and that last site is silent.  Each group of layer
-    ``l - 1`` feeds one weighted addition of layer ``l``, and ``P`` is at
-    its own divisor, so the law is exact.  Where ``P`` is silent the weight
-    and combine sites keep their laws.  A pushed factor that overflows is
-    refused with a :class:`ValidationError` naming the layer.  No noise is
-    pushed into a linear layer, so a net without a nonlinear layer draws
-    layer by layer.
+    addition of every layer ``l`` into it: the law ``P`` of the last site
+    of layer ``l - 1`` (modulation at ``l = 1``) becomes the term ``D_l W_l
+    P W_l^T D_l`` of layer ``l``'s merged site if it is linear (``D_l`` its
+    activation's diagonal), else the term ``W_l P W_l^T`` of its
+    pre-activation site, next to its weight and combine terms, and that
+    last site is silent.  Each group of layer ``l - 1`` feeds one weighted
+    addition of layer ``l``, and ``P`` is at its own divisor, so the law is
+    exact.  So only the top layer's last site draws the noise of the
+    layers under it, down to the nearest nonlinear layer's weighted
+    addition, and an all-linear net draws one block per row.  Where ``P``
+    is silent nothing is pushed, and a nonlinear layer's weight and combine
+    sites keep their laws.  A pushed factor that overflows is refused with
+    a :class:`ValidationError` naming the layer, before any stream is built.
 
-    ``lo`` is the highest layer below every live site: 0 when modulation is
-    live, ``L`` when nothing draws.  Every group of layer ``lo`` or below is
-    the noiseless pass of its input, the same for every copy, trial and
-    realization, so the call runs that pass once on its ``N`` inputs, with
-    :func:`forward`'s operations, and ``walk`` starts from it at layer
-    ``lo``.  When layer ``lo + 1`` is nonlinear and its weighted addition
-    draws (weight, combine or split), the prefix runs that weighted
-    addition too, once per input.  A call that draws nothing is the case
+    ``lo`` is the highest layer below every live site: ``L`` when nothing
+    draws.  Every group of layer ``lo`` or below is the noiseless pass of
+    its input, the same for every copy, trial and realization, so the call
+    runs that pass once on its ``N`` inputs, with :func:`forward`'s
+    operations, and ``walk`` starts from it at layer ``lo``.  When layer
+    ``lo + 1`` is linear, or nonlinear with a weighted addition that draws
+    (weight, combine or split), the prefix runs that weighted addition too,
+    once per input, and a linear layer's activation after it; ``walk`` only
+    adds its first site's block.  A call that draws nothing is the case
     ``lo = L``: its rows are :func:`forward` bit for bit at any copy count.
 
     A layer whose activation is linear averages before its weighted
@@ -561,6 +574,9 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
     x = _check_input(net, x)
     xs = x if x.ndim == 2 else x[None]
     total = xs.shape[0] * trials
+    if reference is not None and total < 2:
+        raise ValidationError(f"statistics need n >= 2 sample rows, got {total} "
+                              f"({xs.shape[0]} input(s) x {trials} trial(s))")
     combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
     dims = net.dims()
     # group sizes of the averages: fans[l] copies of layer l feed one group
@@ -578,66 +594,76 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
             ks[l - 1] = ks[l] * fans[l] // fan_out[l - 1]
     # laws[l][kind]: the law of site (kind, l), None where silent.  source:
     # the law of the noise that enters layer l's weighted addition, the last
-    # site of layer l - 1, whose slot laws[l - 1][last] a nonlinear layer l
-    # leaves silent and a linear one fills.  unit_bytes[l]: the bytes one
-    # group of layer l holds at its widest level below it
-    laws = [{}]
-    source, last = _law(dims[0], ((profile.modulation, fans[0] * ks[0]),)), KIND_MODULATION
+    # site of layer l - 1, which layer l takes as a pushed term, so that
+    # site's slot stays silent; the top layer's last site draws it.
+    # unit_bytes[l]: the bytes one group of layer l holds at its widest
+    # level below it
+    laws = [{KIND_MODULATION: None}]
+    source = _law(dims[0], ((profile.modulation, fans[0] * ks[0]),))
     unit_bytes = [0]
     for l in range(1, net.depth + 1):
         layer, weight, activation = net.layers[l - 1], profile.weight[l - 1], profile.activation[l - 1]
         inner, copies = fans[l - 1] * ks[l - 1], ks[l] * fans[l]
         pre = ((weight, inner), (combine, fans[l - 1] * inner))
-        if linear[l]:
-            laws[l - 1][last] = source
-            source, last = _law(dims[l], (*pre, (split, copies), (activation, copies)),
-                                layer.activation), _KIND_LINEAR
-            laws.append({})
-            below, width = 1, 1
-        else:
-            laws[l - 1][last] = None
-            if source is None:  # nothing to push: weight and combine keep their sites
+        push = None if source is None else (layer.weights, source)
+        try:
+            if linear[l]:
+                source = _law(dims[l], (*pre, (split, copies), (activation, copies)),
+                              layer.activation, push)
+                laws.append({_KIND_LINEAR: None})
+            elif push is None:  # nothing to push: weight and combine keep their sites
                 laws.append({KIND_WEIGHT: _law(dims[l], pre[:1]), KIND_COMBINE: _law(dims[l], pre[1:])})
             else:
-                try:
-                    laws.append({KIND_WEIGHT: _law(dims[l], pre, push=(layer.weights, source)),
-                                 KIND_COMBINE: None})
-                except OverflowError:
-                    raise ValidationError(f"the noise pushed through the weights of layer {l} "
-                                          "overflows float64") from None
+                laws.append({KIND_WEIGHT: _law(dims[l], pre, push=push), KIND_COMBINE: None})
+        except OverflowError:
+            raise ValidationError(f"the noise pushed through the weights of layer {l} "
+                                  "overflows float64") from None
+        if linear[l]:
+            below, width = 1, 1
+        else:
             laws[l][KIND_SPLIT] = _law(dims[l], ((split, 1),))
-            source, last = _law(dims[l], ((activation, copies),)), KIND_ACTIVATION
+            laws[l][KIND_ACTIVATION], source = None, _law(dims[l], ((activation, copies),))
             below, width = fans[l] // fan_out[l - 1], fans[l]
         widest = max(below * dims[l - 1], width * dims[l])
         unit_bytes.append(max(unit_bytes[-1] * below, 8 * min(total, _GROUP_ROWS) * widest))
-    laws[-1][last] = source
+    laws[-1][_KIND_LINEAR if linear[-1] else KIND_ACTIVATION] = source
     # lo: the highest layer below every live site; its groups are the
-    # noiseless pass of their input, run once per input.  When the first
-    # live site is the weighted addition of a nonlinear layer lo + 1, the
-    # prefix runs that weighted addition too (once)
+    # noiseless pass of their input, run once per input.  The first live
+    # site is in layer lo + 1; when it is the merged site of a linear layer
+    # or the weighted addition of a nonlinear one, the prefix runs that
+    # layer's weighted addition too (once), and a linear layer's activation
     live = [l for l, site in enumerate(laws) if any(law is not None for law in site.values())]
-    lo = max(0, min(live, default=net.depth + 1) - 1)
-    once = lo < net.depth and not linear[lo + 1] and any(
-        laws[lo + 1][kind] is not None for kind in (KIND_WEIGHT, KIND_COMBINE, KIND_SPLIT))
+    lo = min(live, default=net.depth + 1) - 1
+    once = lo < net.depth and (linear[lo + 1] or any(
+        laws[lo + 1][kind] is not None for kind in (KIND_WEIGHT, KIND_COMBINE, KIND_SPLIT)))
     prefix = xs
     for layer in net.layers[:lo]:
         prefix = layer.activation._in_place(affine(layer.weights, layer.bias, prefix))
     if once:
         prefix = affine(net.layers[lo].weights, net.layers[lo].bias, prefix)
+        if linear[lo + 1]:
+            prefix = net.layers[lo].activation._in_place(prefix)
 
     def noisy(sites, h, kind, l):
         """``h`` plus the next block of site ``(kind, l)``, or ``h`` where it is silent."""
         return sites.plus(h, laws[l][kind], kind, l)
+
+    def added(sites, l, count, inputs, n):
+        """The noiseless weighted addition ``(count, n, d_l)`` of layer ``l``
+        on the next ``count`` groups of layer ``l - 1``, activated when the
+        layer is linear; the prefix's rows where the prefix ran it."""
+        if once and l == lo + 1:
+            return np.broadcast_to(inputs, (count, n, dims[l]))
+        layer = net.layers[l - 1]
+        h = affine(layer.weights, layer.bias, walk(sites, l - 1, count, inputs, n))
+        return layer.activation._in_place(h) if linear[l] else h
 
     def groups(sites, l, count, inputs, n):
         """One realization ``(count, n, d_l)`` of the next ``count`` groups
         of a nonlinear layer ``l``, before their activation noise: each the
         mean of ``fans[l]`` activated copies."""
         layer, f, g = net.layers[l - 1], fan_out[l - 1], fans[l]
-        if once and l == lo + 1:  # the prefix ran this weighted addition
-            h = np.broadcast_to(inputs, (count * g // f, n, dims[l]))
-        else:
-            h = affine(layer.weights, layer.bias, walk(sites, l - 1, count * g // f, inputs, n))
+        h = added(sites, l, count * g // f, inputs, n)
         for kind in (KIND_WEIGHT, KIND_COMBINE):
             h = noisy(sites, h, kind, l)
         if laws[l][KIND_SPLIT] is not None:
@@ -651,16 +677,15 @@ def _sample(net, profile, x, trials, rng, fan_in, fan_out, combine_split=False, 
         from ``sites``: each the mean of ``ks[l]`` independent realizations
         of the averaged input of one group of layer ``l + 1``; at ``l = L``
         the output."""
-        if l == lo:  # laws[0] is silent unless lo = 0
-            return noisy(sites, np.broadcast_to(inputs, (count, n, dims[l])), KIND_MODULATION, 0)
+        if l == lo:
+            return np.broadcast_to(inputs, (count, n, dims[l]))
         step = max(1, _CHUNK_BYTES // unit_bytes[l])
         if count > step:
             return np.concatenate([walk(sites, l, min(step, count - s), inputs, n)
                                    for s in range(0, count, step)])
-        layer, k = net.layers[l - 1], ks[l]
         if linear[l]:
-            h = affine(layer.weights, layer.bias, walk(sites, l - 1, count, inputs, n))
-            return noisy(sites, layer.activation._in_place(h), _KIND_LINEAR, l)
+            return noisy(sites, added(sites, l, count, inputs, n), _KIND_LINEAR, l)
+        k = ks[l]
         if k == 1:
             h = groups(sites, l, count, inputs, n)
         else:
@@ -722,9 +747,10 @@ def noisy_forward_samples(
     """``trials`` independent noisy evaluations, vectorized over the trial axis.
 
     Modulation noise is added once to the input; each layer then adds
-    weight noise inside the activation and activation noise after it.  A
-    nonlinear layer draws, in law, the noise below its weighted addition
-    after it, from its pre-activation site (see :func:`_sample`).
+    weight noise inside the activation and activation noise after it.
+    Every layer draws, in law, the noise below its weighted addition after
+    it, from its first site (see :func:`_sample`), so a net of linear layers
+    draws only its top layer's merged site.
     ``x`` is one input vector, giving ``(trials, d_L)``, or an ``(N, d_0)``
     matrix of inputs, giving ``(N, trials, d_L)``.  The call's ``R = N *
     trials`` rows are input major, so input ``i`` takes rows ``i * trials``

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from optonoise import (GENERATOR_NAME, Layer, LinearNet, Network, NoiseProfile, forward,
+from optonoise import (GENERATOR_NAME, Layer, LinearNet, Network, NoiseProfile, RngStream, forward,
                        propagate, propagate_b, save_network)
 from optonoise.cli import _json_text, cli_main
 from optonoise.covariance import trajectory_to_json
@@ -484,7 +484,9 @@ class TestExitCodes:
                                          ["design-a", "--copies", "[2, 1, 1]"]],
                              ids=["simulate", "design-b", "design-a"])
     def test_overflowing_samples_exit_1(self, tmp_path, capsys, command):
-        # two 1e160 gains overflow every noisy sample; the noiseless output stays 0
+        # two 1e160 gains overflow every noisy sample; the noiseless output stays 0.
+        # The modulation noise is pushed through both layers into layer 2's
+        # merged site, whose factor overflows before anything is drawn
         layers = [Layer(1e160 * np.eye(2), np.zeros(2)) for _ in range(2)]
         save_network(Network(layers, 2), tmp_path / "net.json")
         profile = NoiseProfile.isotropic(2, modulation_var=1.0)
@@ -492,7 +494,23 @@ class TestExitCodes:
         code, out, err = run(capsys, ["--trials", "10", *command, "--net", tmp_path / "net.json",
                                       "--profile", tmp_path / "profile.json", "--input", "[0, 0]"])
         assert code == 1 and out == ""
-        assert err == "error: samples contain non-finite values\n"
+        assert err == "error: the noise pushed through the weights of layer 2 overflows float64\n"
+
+    @pytest.mark.parametrize("command", [["simulate"], ["design-b", "--m", "2"],
+                                         ["design-a", "--copies", "[2, 1, 1]"]],
+                             ids=["simulate", "design-b", "design-a"])
+    def test_one_trial_exits_1_before_drawing(self, experiment_files, capsys, monkeypatch,
+                                              command):
+        # one row has no sample covariance: refused on entry, no stream built
+        built = []
+        real = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda self: built.append(self) or real(self))
+        code, out, err = run(capsys, ["--trials", "1", *command,
+                                      *(a.format(**experiment_files) for a in SAMPLER)])
+        assert code == 1 and out == ""
+        assert err == ("error: statistics need n >= 2 sample rows, got 1 "
+                       "(1 input(s) x 1 trial(s))\n")
+        assert built == []
 
     @pytest.mark.parametrize("command", [["simulate"], ["design-b", "--m", "2"],
                                          ["design-a", "--copies", "[2, 1]"]],

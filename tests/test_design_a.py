@@ -179,15 +179,16 @@ class TestEvalDesignA:
                                                                for l in range(2, 4)]
 
     def test_linear_layers_make_one_affine_call_each(self, rng, monkeypatch):
-        # a linear layer averages its inputs before its weighted addition, so
-        # a linear tree makes one call per layer, on one group per row
+        # a linear layer averages its inputs before its weighted addition, and
+        # every layer pushes the noise below it into the next, so a linear tree
+        # draws only at its top site and runs each layer once, on the input
         import optonoise.noise as noise
 
         calls = count_affine_calls(monkeypatch, noise)
         net = random_linear_net(rng, depth=3, max_dim=3)
         design_a_samples(DesignASpec(net, (2, 3, 2, 1)), np.zeros(net.input_dim),
                          NoiseProfile.isotropic(3, 0.01, 0.02, 0.03), 5, RngStream(0))
-        assert [args[2].shape[:2] for args in calls] == [(1, 5)] * 3
+        assert [args[2].shape for args in calls] == [(1, d) for d in net.dims()[:-1]]
 
 
 class TestTreeOracle:

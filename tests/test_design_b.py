@@ -132,8 +132,9 @@ class TestEvalDesignB:
             design_b_samples(DesignBSpec(net, m), np.zeros(net.input_dim),
                              NoiseProfile.isotropic(4, 0.01, 0.02, 0.03), 5, RngStream(0))
             # the physical design makes m weighted additions per layer; the
-            # simulator makes one, on the average of the m branches
-            assert [args[2].shape[:2] for args in calls] == [(1, 5)] * net.depth
+            # simulator makes one, on the average of the m branches, and with
+            # every layer's noise pushed to the top site it runs once per input
+            assert [args[2].shape for args in calls] == [(1, d) for d in net.dims()[:-1]]
 
     def test_mse_monotone_in_m(self, rng):
         net = random_linear_net(rng, depth=2, max_dim=3)

@@ -531,31 +531,38 @@ class TestSiteStreams:
     @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
     def test_one_generator_per_noisy_linear_layer(self, sampler, monkeypatch):
         # a linear layer draws its weight, combine, split and activation
-        # noise from one merged site; a layer with none of them builds none
+        # noise from one merged site, and takes the noise below it pushed
+        # through its weights, so a linear net's noise all reaches the top
+        # merged site, even where the top layer has none of its own; a
+        # profile with nothing below a linear layer builds that layer's site
         rng = np.random.default_rng(22)
         net = random_linear_net(rng, depth=3, max_dim=3)
         iso, zero = CovSpec.isotropic(0.1), CovSpec.zero()
         profile = NoiseProfile(iso, (iso, zero, zero), (zero, iso, zero), iso, iso)
+        top_only = NoiseProfile(zero, (zero, zero, zero), (zero, iso, zero))
         x = rng.normal(size=net.input_dim)
         built = record_generators(monkeypatch)
-        if sampler == "plain":
-            noisy_forward_samples(net, profile, x, 4, RngStream(23))
-        elif sampler == "tree":
-            design_a_samples(DesignASpec(net, (3, 2, 2, 1)), x, profile, 4, RngStream(23))
-        else:
-            design_b_samples(DesignBSpec(net, 3), x, profile, 4, RngStream(23))
-        expected = [(KIND_MODULATION, 0), (noise._KIND_LINEAR, 1), (noise._KIND_LINEAR, 2)]
-        if sampler == "combine_split":
-            expected.append((noise._KIND_LINEAR, 3))
-        assert sorted(built) == sorted(expected)
+        for profile, layer in ((profile, 3), (top_only, 2)):
+            built.clear()
+            if sampler == "plain":
+                noisy_forward_samples(net, profile, x, 4, RngStream(23))
+            elif sampler == "tree":
+                design_a_samples(DesignASpec(net, (3, 2, 2, 1)), x, profile, 4, RngStream(23))
+            else:
+                design_b_samples(DesignBSpec(net, 3), x, profile, 4, RngStream(23))
+            if layer == 2:  # layer 2's own activation noise, pushed into layer 3
+                layer = 3
+            assert built == [(noise._KIND_LINEAR, layer)]
 
     def test_merged_linear_site_draws_the_averaged_law(self):
         # tree (2, 3, 1) on unit weights, a diag layer e = (0.5, 2) under an
         # identity layer.  Layer 2 averages 3 level-1 nodes of 2 leaves each,
-        # so one block carries each law:
-        #   modulation 0.06 / 6 = 0.01,
+        # and every law below the top is pushed into it, so one block of the
+        # top merged site carries, summed:
+        #   modulation 0.06 / 6 = 0.01, through e: e**2 * 0.01,
         #   layer 1: e**2 * 0.12 / 6 + 0.03 / 3 = (0.015, 0.09),
-        #   layer 2: 0.09 / 3 + 0.01 = 0.04
+        #   layer 2: 0.09 / 3 + 0.01 = 0.04,
+        # that is (0.0575, 0.17), drawn as two normals a row through a factor
         e, trials = np.array([0.5, 2.0]), 7
         net = Network((Layer(np.eye(2), np.zeros(2), Activation.diag_linear(e)),
                        Layer(np.eye(2), np.zeros(2), Activation.identity())), 2)
@@ -563,14 +570,11 @@ class TestSiteStreams:
         profile = NoiseProfile(iso(0.06), (iso(0.12), iso(0.09)), (iso(0.03), iso(0.01)))
         x = np.array([0.25, -1.5])
         out = design_a_samples(DesignASpec(net, (2, 3, 1)), x, profile, trials, RngStream(40))
-
-        def block(*path):
-            return RngStream(40).child(*path).generator().standard_normal((trials, 2))
-
-        h = e * (x + math.sqrt(0.01) * block(KIND_MODULATION, 0))
-        h = h + np.sqrt([0.015, 0.09]) * block(noise._KIND_LINEAR, 1)
-        np.testing.assert_allclose(out, h + math.sqrt(0.04) * block(noise._KIND_LINEAR, 2),
-                                   rtol=1e-12, atol=1e-12)
+        z = RngStream(40).child(noise._KIND_LINEAR, 2).generator().standard_normal((trials, 2))
+        factor_t, *_ = np.linalg.lstsq(z, out - forward(net, x), rcond=None)
+        np.testing.assert_allclose(out, forward(net, x) + z @ factor_t, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(factor_t.T @ factor_t, np.diag([0.0575, 0.17]),
+                                   rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
     def test_part_0_kind_codes_never_equal_the_part_1_prefix(self, sampler, monkeypatch):
@@ -588,6 +592,50 @@ class TestSiteStreams:
         part_0 = {path for path in built if len(path) == 2}
         assert part_0 and all(path[0] != noise._PART_1 for path in part_0)
         assert {path for path in built if len(path) == 3} == {(noise._PART_1, *p) for p in part_0}
+
+
+class TestAllLinearNet:
+    """Every layer of a linear net takes the noise below it pushed through
+    its weights, so the net draws only from its top merged site."""
+
+    @pytest.mark.parametrize("trials", [3, noise._SPLIT_ROWS], ids=["one-part", "two-parts"])
+    @pytest.mark.parametrize("copies", [1, 3])
+    @pytest.mark.parametrize("sampler", ["plain", "tree", "combine_split"])
+    def test_one_top_block_per_row_and_one_pass_per_layer(self, sampler, copies, trials,
+                                                          monkeypatch):
+        # every source full, so each merged site stacks more factor columns
+        # than the top width: a row still takes at most d_L normals, from
+        # (_KIND_LINEAR, L) in each part, and each layer makes one affine
+        # call, on the call's N input rows
+        rng = np.random.default_rng(50)
+        net = random_linear_net(rng, depth=3, max_dim=4)
+        dims = net.dims()
+        full = [random_covspec(rng, d, kind="full") for d in dims]
+        profile = NoiseProfile(full[0], tuple(full[1:]), tuple(full[1:]),
+                               CovSpec.isotropic(0.01), CovSpec.isotropic(0.02))
+        xs = rng.normal(size=(2, dims[0]))
+        calls = count_affine_calls(monkeypatch, noise)
+        built, normals = [], []
+        real = RngStream.generator
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, shape):
+                normals.append(shape)
+                return self.gen.standard_normal(shape)
+
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda self: built.append(self.path) or Counting(real(self)))
+        out = _matrix_samplers(net, copies)[sampler](xs, profile, trials, RngStream(51))
+        assert out.shape == (2, trials, dims[-1]) and np.isfinite(out).all()
+        site = (noise._KIND_LINEAR, net.depth)
+        parts = [site] if 2 * trials < noise._SPLIT_ROWS else [site, (noise._PART_1, *site)]
+        assert sorted(built) == sorted(parts)
+        assert sum(math.prod(shape[:-1]) for shape in normals) == 2 * trials
+        assert all(shape[-1] <= dims[-1] for shape in normals)
+        assert [args[2].shape for args in calls] == [(2, d) for d in dims[:-1]]
 
 
 class TestLawTable:
@@ -631,22 +679,24 @@ class TestLawTable:
         run(xs, profile, noise._SPLIT_ROWS, RngStream(46))
         assert len(laws) == 8
 
-    @pytest.mark.parametrize("kinds, factored, pushed", [
-        (["tanh", "relu", "softmax"], 0, 3),
-        (["tanh", "identity", "relu", "diag"], 2, 2),
-    ], ids=["nonlinear", "mixed"])
-    def test_only_merged_full_sites_factor_once_per_call(self, kinds, factored, pushed,
+    @pytest.mark.parametrize("kinds, modulation, factored, pushed", [
+        (["tanh", "relu", "softmax"], True, 0, 3),
+        (["tanh", "identity", "relu", "diag"], True, 0, 4),
+        (["diag", "tanh"], False, 1, 1),
+    ], ids=["nonlinear", "mixed", "linear-first"])
+    def test_only_merged_full_sites_factor_once_per_call(self, kinds, modulation, factored, pushed,
                                                          monkeypatch):
-        # every source full: a single-source site keeps the factor its spec
-        # cached at construction; a linear layer's merged site factors its
-        # summed covariance, and a nonlinear layer's pre-activation site
-        # takes the QR of its stacked factors, once per call however many
-        # tiles the call runs
+        # every other source full: a single-source site keeps the factor its
+        # spec cached at construction; a linear layer with nothing below it
+        # factors its merged summed covariance, and a layer that takes the
+        # noise below it pushed takes the QR of its stacked factors, once
+        # per call however many tiles the call runs
         rng = np.random.default_rng(48)
         net = TestDegeneracyProperty.random_net(rng, kinds)
         dims = net.dims()
         full = [random_covspec(rng, d, kind="full") for d in dims]
-        profile = NoiseProfile(full[0], tuple(full[1:]), tuple(full[1:]))
+        profile = NoiseProfile(full[0] if modulation else CovSpec.zero(), tuple(full[1:]),
+                               tuple(full[1:]))
         xs = rng.normal(size=(2, net.input_dim))
         monkeypatch.setattr(noise, "_GROUP_ROWS", 64)
         monkeypatch.setattr(noise, "_CHUNK_BYTES", 1)
@@ -711,8 +761,9 @@ class TestTiles:
         # one block.  Powers-of-two weights, at most two nonzeros a row, and
         # relu and diag activations keep every product exact, so no BLAS
         # kernel rounds a row differently and the hash is portable.  The
-        # modulation is silent: pushed through W1 it would be drawn through
-        # a QR factor, whose products round
+        # modulation and layer 1's activation noise are silent: pushed
+        # through W1 or W2 they would be drawn through a QR factor, whose
+        # products round
         W1 = np.array([[1.0, 0.5], [0.0, -2.0], [0.25, 0.0]])
         W2 = np.array([[0.5, 0.0, 1.0], [0.0, 1.0, -0.5]])
         net = Network((Layer(W1, np.array([0.5, -0.25, 0.0]), Activation.relu()),
@@ -720,13 +771,13 @@ class TestTiles:
         profile = NoiseProfile(
             CovSpec.zero(),
             (CovSpec.diagonal([0.02, 0.01, 0.03]), CovSpec.isotropic(0.02)),
-            (CovSpec.isotropic(0.01), CovSpec.diagonal([0.01, 0.02])),
+            (CovSpec.zero(), CovSpec.diagonal([0.01, 0.02])),
         )
         xs = np.array([[0.5, -1.0], [1.0, 0.25], [-0.5, 2.0], [0.0, 1.5]])
         out = design_a_samples(DesignASpec(net, (3, 2, 1)), xs, profile, 500, RngStream(2024))
         assert out.shape == (4, 500, 2)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "1f72b95790cc25b4127e63e58c5fa6f222eb516ea678f0fe6fc545d2d3366301")
+            "bee7629ba67fb5e68b35ba8c6ed6b532205a0cf63da6e54f34c543906d5c588d")
 
 
 class TestDegeneracyProperty:
@@ -945,9 +996,12 @@ class TestInputMatrix:
         # and the combine/split beam at the covariance / copies, the plain
         # net at the covariance); activation noise takes one block per
         # layer-2 group, at the covariance / copies where that group
-        # averages copies.  Each spec kind turns the site's standard normals
-        # into its own law: times sqrt(var * scale), times sqrt(vec *
-        # scale), or times the spec's cached factor and sqrt(scale)
+        # averages copies, pushed through the unit weights into the
+        # identity layer's merged site.  Each spec kind turns the weight
+        # site's standard normals into its own law: times sqrt(var *
+        # scale), times sqrt(vec * scale), or times the spec's cached factor
+        # and sqrt(scale); the merged site turns them through the QR factor
+        # of that matrix
         rng = np.random.default_rng(seed)
         d0 = int(rng.integers(1, 5))
         first = Layer(rng.normal(size=(width, d0)), rng.normal(size=width), Activation.tanh())
@@ -962,19 +1016,21 @@ class TestInputMatrix:
         scale = 1.0 if sampler == "plain" else 1.0 / copies
         out = _matrix_samplers(net, copies)[sampler](xs, profile, trials, RngStream(seed))
 
-        gen = RngStream(seed).child(kind, 1).generator()
+        site = (kind, 1) if source == "weight" else (noise._KIND_LINEAR, 2)
+        gen = RngStream(seed).child(*site).generator()
         z = gen.standard_normal((count, n_inputs, trials, width))
         if spec_kind == "isotropic":
-            blocks = math.sqrt(spec.var * scale) * z
+            factor = math.sqrt(spec.var * scale) * np.eye(width)
         elif spec_kind == "diagonal":
-            blocks = np.sqrt(spec.vec * scale) * z
+            factor = np.diag(np.sqrt(spec.vec * scale))
         else:
-            blocks = (z @ spec._factor.T) * math.sqrt(scale)
+            factor = spec._factor * math.sqrt(scale)
         pre = affine(first.weights, first.bias, xs)[:, None]
         if source == "weight":
-            expected = np.tanh(pre + blocks).mean(axis=0)
+            expected = np.tanh(pre + z @ factor.T).mean(axis=0)
         else:
-            expected = (np.tanh(pre) + blocks).mean(axis=0)
+            factor = np.linalg.qr(factor.T, mode="r").T
+            expected = (np.tanh(pre) + z @ factor.T).mean(axis=0)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("bad, message", [
@@ -1660,7 +1716,16 @@ class TestStreamedStats:
                                   RngStream(1), reference=[0.0])
         assert draws == []
 
-    def test_one_row_refused(self):
-        with pytest.raises(ValidationError, match="n >= 2"):
-            noisy_forward_samples(identity_net(2), NoiseProfile.isotropic(1, 1.0), np.zeros(2), 1,
-                                  RngStream(1), reference=np.zeros(2))
+    def test_one_row_refused(self, monkeypatch):
+        # refused on entry by every sampler, naming the trials, before any
+        # stream is built
+        built = record_generators(monkeypatch)
+        for run in _matrix_samplers(identity_net(2), 2).values():
+            with pytest.raises(ValidationError,
+                               match=r"n >= 2 .*\(1 input\(s\) x 1 trial\(s\)\)$"):
+                run(np.zeros(2), NoiseProfile.isotropic(1, 1.0), 1, RngStream(1),
+                    reference=np.zeros(2))
+        assert built == []
+        # the same rows as a sample matrix are refused by stats_from_samples
+        with pytest.raises(ValidationError, match="need an \\(n, d\\) sample matrix with n >= 2"):
+            stats_from_samples(np.zeros((1, 2)), np.zeros(2))

@@ -32,7 +32,7 @@ from optonoise import (
 from optonoise.covariance import _run
 
 import reference_samplers
-from conftest import SpecSites, gaussian_gaps, random_linear_net, random_profile
+from conftest import SpecSites, gaussian_gaps, random_covspec, random_linear_net, random_profile
 from optonoise.noise import KIND_ACTIVATION, KIND_COMBINE, KIND_SPLIT, _law
 from reference_samplers import literal_design_b_samples, literal_tree_samples
 
@@ -194,6 +194,23 @@ class TestPerSourceAgreement:
         assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
 
 
+    @pytest.mark.parametrize("source, seed", [("modulation", 736), ("weight 1", 737),
+                                              ("activation 1", 738), ("weight 3", 739)])
+    def test_realizations_under_linear_layers(self, source, seed):
+        # tanh under three identity layers: the tree (2, 2, 2, 2, 1) averages
+        # 4 realizations of each tanh group, and the sources of layer 1 and
+        # below reach the identity chain through them
+        rng = np.random.default_rng(seed)
+        net = mixed_net(rng, (3, 4, 3, 3, 2), ("tanh", "identity", "identity", "identity"))
+        profile = self._one_source(net, source, self.VAR)
+        x = rng.normal(size=net.input_dim)
+        spec = DesignASpec(net, (2, 2, 2, 2, 1))
+        a = design_a_samples(spec, x, profile, self.TRIALS, RngStream(seed))
+        b = literal_tree_samples(spec, x, profile, self.TRIALS, RngStream(seed + 1000))
+        mean_gap, cov_gap = moment_gaps(a, b)
+        assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
+
+
 class TestPushedRobustness:
     """A pushed covariance is factored without squaring the weights, and a
     layer whose weighted addition draws nothing still activates its own
@@ -280,6 +297,88 @@ class TestLinearOracles:
         samples = COMBINE_SPLIT[sampler](DesignBSpec(net, m), x, profile, self.TRIALS, RngStream(seed))
         mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), cov)
         assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
+
+
+class TestLinearPerSource:
+    """One noise source live at a time on linear nets, every other source
+    zero.  The kernel pushes each source through the layers above it into
+    the top merged site, at the divisors of the groups it crosses; each
+    one-source run matches the exact engine for that one-source profile.
+    The engine is linear in the covariances, so its one-source outputs sum
+    to its full output."""
+
+    TRIALS = 40_000
+    SOURCES = ["modulation"] + [f"{kind} {l}" for l in (1, 2, 3) for kind in ("weight", "activation")]
+
+    @staticmethod
+    def _profile(rng, net):
+        """Every source live: a random modulation, weight, activation,
+        combine and split covariance, none of them zero."""
+        dims = net.dims()
+        return NoiseProfile(
+            random_covspec(rng, dims[0], allow_zero=False),
+            tuple(random_covspec(rng, d, allow_zero=False) for d in dims[1:]),
+            tuple(random_covspec(rng, d, allow_zero=False) for d in dims[1:]),
+            CovSpec.isotropic(0.03), CovSpec.isotropic(0.02))
+
+    @staticmethod
+    def _one_source(profile, source):
+        """``profile`` with every source but ``source`` zero."""
+        zero = CovSpec.zero()
+
+        def keep(name, spec):
+            return spec if name == source else zero
+
+        return NoiseProfile(
+            keep("modulation", profile.modulation),
+            tuple(keep(f"weight {l}", s) for l, s in enumerate(profile.weight, start=1)),
+            tuple(keep(f"activation {l}", s) for l, s in enumerate(profile.activation, start=1)),
+            keep("combine", profile.combine), keep("split", profile.split))
+
+    @classmethod
+    def _case(cls, seed, sampler):
+        """A depth-3 linear net (widths (1, 1, 2, 2) at seed 603, (2, 4, 3,
+        4) at 716, (3, 4, 3, 2) at 718), a profile with every source live,
+        an input, and the engine's output covariance for a profile on the
+        sampler's wiring: the tree (2, 2, 2, 1) or combine/split at m = 3."""
+        rng = np.random.default_rng(seed)
+        net = random_linear_net(rng, depth=3, max_dim=4)
+        profile, x = cls._profile(rng, net), rng.normal(size=net.input_dim)
+        linnet = LinearNet.from_network(net)
+        if sampler == "tree":
+            def engine(p):
+                return _run(linnet, p, (2, 2, 2), (1, 1, 1))[1][-1]
+        else:
+            def engine(p):
+                return propagate_b_branchwise(linnet, p, 3).output
+        return net, profile, x, engine
+
+    @pytest.mark.parametrize("seed", [603, 716])
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_tree_source_matches_the_engine(self, source, seed):
+        net, profile, x, engine = self._case(seed, "tree")
+        one = self._one_source(profile, source)
+        samples = design_a_samples(DesignASpec(net, (2, 2, 2, 1)), x, one, self.TRIALS,
+                                   RngStream(seed))
+        mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), engine(one))
+        assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
+
+    @pytest.mark.parametrize("seed", [718])
+    @pytest.mark.parametrize("source", SOURCES + ["combine", "split"])
+    def test_combine_split_source_matches_the_engine(self, source, seed):
+        net, profile, x, engine = self._case(seed, "combine_split")
+        one = self._one_source(profile, source)
+        samples = design_b_samples(DesignBSpec(net, 3), x, one, self.TRIALS, RngStream(seed))
+        mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), engine(one))
+        assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
+
+    @pytest.mark.parametrize("sampler, seed", [("tree", 603), ("tree", 716),
+                                               ("combine_split", 718)])
+    def test_one_source_outputs_sum_to_the_full_output(self, sampler, seed):
+        net, profile, _, engine = self._case(seed, sampler)
+        sources = self.SOURCES + (["combine", "split"] if sampler == "combine_split" else [])
+        parts = [engine(self._one_source(profile, source)) for source in sources]
+        np.testing.assert_allclose(sum(parts), engine(profile), rtol=1e-12, atol=1e-15)
 
 
 class TestOneCopy:
