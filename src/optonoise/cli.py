@@ -50,6 +50,8 @@ from .network import (
     _array,
     _finite,
     _integer,
+    _parse_json,
+    _read_json,
     forward,
     load_network,
     network_to_json,
@@ -185,11 +187,6 @@ def _emit(ctx, result: dict, rows: list[dict] | None = None) -> None:
             fh.write(text)
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _object(obj, what: str) -> dict:
     """``obj`` if it is a JSON object (a dict); otherwise a ``ValidationError`` naming ``what``."""
     if not isinstance(obj, dict):
@@ -197,13 +194,20 @@ def _object(obj, what: str) -> dict:
     return obj
 
 
+def _required(obj: dict, key: str, what: str):
+    """``obj[key]``; a ``ValidationError`` naming ``what`` and the key if it is absent."""
+    if key not in obj:
+        raise ValidationError(f"{what} is missing {key!r}")
+    return obj[key]
+
+
 def _load_profile(path) -> NoiseProfile:
-    return profile_from_json(_load_json(path))
+    return profile_from_json(_read_json(path))
 
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        value = json.loads(text)
+        value = _parse_json(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot parse vector {text!r}: {exc}")
     return _array(value, "input", 1)
@@ -233,18 +237,15 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _symmetric_config(path) -> SymmetricConfig:
-    obj = _object(_load_json(path), "symmetric config")
-    try:
-        return SymmetricConfig(
-            e=obj["e"],
-            W=obj["W"],
-            sigma_m=covspec_from_json(obj.get("sigma_m", "zero")),
-            sigma_w=covspec_from_json(obj.get("sigma_w", "zero")),
-            sigma_a=covspec_from_json(obj.get("sigma_a", "zero")),
-            m=obj.get("m", 1),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"symmetric config is missing {exc}")
+    obj = _object(_read_json(path), "symmetric config")
+    return SymmetricConfig(
+        e=_required(obj, "e", "symmetric config"),
+        W=_required(obj, "W", "symmetric config"),
+        sigma_m=covspec_from_json(obj.get("sigma_m", "zero")),
+        sigma_w=covspec_from_json(obj.get("sigma_w", "zero")),
+        sigma_a=covspec_from_json(obj.get("sigma_a", "zero")),
+        m=obj.get("m", 1),
+    )
 
 
 def _load_inputs(spec) -> tuple[np.ndarray, np.ndarray | None]:
@@ -253,16 +254,17 @@ def _load_inputs(spec) -> tuple[np.ndarray, np.ndarray | None]:
         syn = _object(spec["synthetic"], "synthetic inputs")
         seed = _integer(syn.get("seed", 0), "synthetic seed", 0)
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        shape = (_integer(syn["count"], "synthetic count", 0), _integer(syn["dim"], "synthetic dim", 0))
+        shape = (_integer(_required(syn, "count", "synthetic entry"), "synthetic count", 0),
+                 _integer(_required(syn, "dim", "synthetic entry"), "synthetic dim", 0))
         X = gen.normal(0.0, _finite(syn.get("scale", 1.0), "synthetic scale", ">= 0"), size=shape)
         return X, None
     if isinstance(spec, str):
         if spec.endswith(".idx"):
             return load_idx_images(spec), None
-        obj = _load_json(spec)
+        obj = _read_json(spec)
         if isinstance(obj, dict):
             labels = np.asarray(obj["labels"]) if "labels" in obj else None
-            return _array(obj["inputs"], "inputs", 2), labels
+            return _array(_required(obj, "inputs", "input file"), "inputs", 2), labels
         return _array(obj, "inputs", 2), None
     raise ValidationError(f"cannot interpret inputs spec {spec!r}")
 
@@ -270,13 +272,13 @@ def _load_inputs(spec) -> tuple[np.ndarray, np.ndarray | None]:
 def _load_labels(spec) -> np.ndarray:
     if spec.endswith(".idx"):
         return load_idx_labels(spec)
-    return np.asarray(_load_json(spec))
+    return np.asarray(_read_json(spec))
 
 
 def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
-    raw = _object(_load_json(path), "experiment config")
-    net = load_network(raw["network"])
-    X, labels = _load_inputs(raw["inputs"])
+    raw = _object(_read_json(path), "experiment config")
+    net = load_network(_required(raw, "network", "experiment config"))
+    X, labels = _load_inputs(_required(raw, "inputs", "experiment config"))
     if raw.get("labels"):
         labels = _load_labels(raw["labels"])
     profile_spec = raw.get("profile")
@@ -287,8 +289,8 @@ def _experiment_config(ctx, path) -> tuple[ExperimentConfig, dict]:
         profile = calibrate_noise(
             net,
             X,
-            w_fraction=cal["w_fraction"],
-            a_fraction=cal["a_fraction"],
+            w_fraction=_required(cal, "w_fraction", "calibrate entry"),
+            a_fraction=_required(cal, "a_fraction", "calibrate entry"),
             m_fraction=cal.get("m_fraction"),
         )
     elif isinstance(profile_spec, str):
@@ -391,7 +393,7 @@ def cmd_design_a(ctx, net_path, profile_path, input_text, copies):
     net = load_network(net_path)
     profile = _load_profile(profile_path)
     x = _parse_vector(input_text)
-    copy_vec = _int_list(json.loads(copies), "--copies")
+    copy_vec = _int_list(_parse_json(copies), "--copies")
     seed, trials = _seed(ctx), _trials(ctx)
     spec = DesignASpec(net, tuple(copy_vec))
     stats = design_a_samples(spec, x, profile, trials, RngStream(seed), reference=forward(net, x))
@@ -508,11 +510,11 @@ def cmd_limit(ctx, symmetric_path, mode, tol, allow_spectral):
 def cmd_copies(ctx, net_path, targets_path):
     """Sufficient replication-tree copy counts for deviation targets."""
     net = load_network(net_path)
-    targets = _object(_load_json(targets_path), "copy targets")
+    targets = _object(_read_json(targets_path), "copy targets")
     optional = {k: targets[k] for k in ("deltas", "kappas", "hoeffding_C", "hoeffding_c") if k in targets}
-    budget = sufficient_copies(
-        net, targets["sigma_sq"], targets["deviation_target"], targets["failure_target"], **optional
-    )
+    required = [_required(targets, k, "copy targets")
+                for k in ("sigma_sq", "deviation_target", "failure_target")]
+    budget = sufficient_copies(net, *required, **optional)
     payload = {"command": "copies", "net": net_path, "targets": targets}
     _emit(ctx, {"meta": _meta(payload), "budget": budget.to_json()})
 

@@ -11,18 +11,17 @@ absolute accuracy values.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 import numpy as np
 
-from ..network import Network, network_from_json
+from ..network import Network, _parse_json, network_from_json
 
 __all__ = ["fixture_network", "fixture_dataset"]
 
 
 def _read(name: str):
-    return json.loads(resources.files(__package__).joinpath(name).read_text("utf-8"))
+    return _parse_json(resources.files(__package__).joinpath(name).read_bytes(), name)
 
 
 def fixture_network() -> Network:

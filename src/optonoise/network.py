@@ -18,6 +18,7 @@ import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import NonlinearActivationError, ValidationError
 
@@ -453,9 +454,38 @@ def network_from_json(obj: dict) -> Network:
     return Network(tuple(layers), obj["input_dim"])
 
 
+def _parse_json(data: bytes | str, source: str = "JSON text"):
+    """Decode one JSON document; every JSON input of the package comes through here.
+
+    ``orjson`` parses standard JSON, and each float comes back with the bits
+    ``json.loads`` gives it.  What ``orjson`` refuses goes to ``json.loads``,
+    so ``NaN`` and ``Infinity`` tokens, overflowing numbers such as ``1e400``,
+    lone surrogates, a BOM and every malformed document keep the stdlib's
+    values and error messages.  Bytes that are not UTF-8 raise a
+    ``ValidationError`` naming ``source``.  One difference is left: an integer
+    outside ``[-2**63, 2**64)`` comes back as a float, where the stdlib gives an
+    int; every integer field refuses such a magnitude either way.
+    """
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{source} is not UTF-8 text: {exc}") from None
+    return json.loads(data)
+
+
+def _read_json(path):
+    """The JSON document in the file at ``path``, through :func:`_parse_json`."""
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read(), str(path))
+
+
 def load_network(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return network_from_json(json.load(fh))
+    return network_from_json(_read_json(path))
 
 
 def save_network(net: Network, path) -> None:

@@ -622,6 +622,75 @@ class TestExitCodes:
         assert code == 1
         assert message in err and out == ""
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"network": None}, "experiment config is missing 'network'"),
+        ({"inputs": None}, "experiment config is missing 'inputs'"),
+        ({"profile": {"calibrate": {"a_fraction": 0.1}}}, "calibrate entry is missing 'w_fraction'"),
+        ({"profile": {"calibrate": {"w_fraction": 0.1}}}, "calibrate entry is missing 'a_fraction'"),
+        ({"inputs": {"synthetic": {"dim": 2}}}, "synthetic entry is missing 'count'"),
+        ({"inputs": {"synthetic": {"count": 2}}}, "synthetic entry is missing 'dim'"),
+    ], ids=["network", "inputs", "w-fraction", "a-fraction", "synthetic-count", "synthetic-dim"])
+    def test_config_missing_key_exits_1(self, experiment_files, capsys, edit, message):
+        config_path = experiment_files["config"]
+        with open(config_path, encoding="utf-8") as fh:
+            config = {**json.load(fh), **edit}
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({k: v for k, v in config.items() if v is not None}, fh)
+        code, out, err = run(capsys, ["--config", config_path, "experiment", "mse", "--grid", "1"])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_input_file_without_inputs_exits_1(self, experiment_files, capsys):
+        with open(experiment_files["config"], encoding="utf-8") as fh:
+            inputs_path = json.load(fh)["inputs"]
+        with open(inputs_path, "w", encoding="utf-8") as fh:
+            json.dump({"labels": [0, 0]}, fh)
+        code, out, err = run(capsys, ["--config", experiment_files["config"],
+                                      "experiment", "mse", "--grid", "1"])
+        assert code == 1 and out == ""
+        assert err == "error: input file is missing 'inputs'\n"
+
+    @pytest.mark.parametrize("key", ["sigma_sq", "deviation_target", "failure_target"])
+    def test_copy_targets_missing_key_exit_1(self, experiment_files, tmp_path, capsys, key):
+        targets = {"sigma_sq": 0.0025, "deviation_target": 0.5, "failure_target": 0.05}
+        del targets[key]
+        targets_path = tmp_path / "targets.json"
+        targets_path.write_text(json.dumps(targets))
+        code, out, err = run(capsys, ["copies", "--net", experiment_files["net"],
+                                      "--targets", targets_path])
+        assert code == 1 and out == ""
+        assert err == f"error: copy targets is missing {key!r}\n"
+
+    def test_config_seed_beyond_64_bits_exits_1(self, experiment_files, capsys):
+        # 2**70 is read as the float 2.0**70 (JSON integers beyond 64 bits arrive
+        # as floats), which is integral and still refused by its range
+        config_path = experiment_files["config"]
+        with open(config_path, encoding="utf-8") as fh:
+            config = json.load(fh)
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({**config, "seed": 2**70}, fh)
+        code, out, err = run(capsys, ["--config", config_path, "experiment", "mse", "--grid", "1"])
+        assert code == 1 and out == ""
+        assert err == f"error: seed must lie in [-2**63, 2**63), got {2**70}\n"
+
+    @pytest.mark.parametrize("args, content", [
+        (["forward", "--net", "{file}", "--input", "[0.5]"],
+         json.dumps({"input_dim": 1, "layers": [{"weights": [[1.0]], "bias": [0.0]}]}).encode("utf-16")),
+        (["forward", "--net", "{file}", "--input", "[0.5]"],
+         '{"input_dim": 1, "note": "café", "layers": [{"weights": [[1.0]], "bias": [0.0]}]}'
+         .encode("latin-1")),
+        (["simulate", "--net", "{net}", "--profile", "{file}", "--input", "{input}"],
+         json.dumps({"weight": ["zero"] * 2, "activation": ["zero"] * 2}).encode("utf-16")),
+        (["--config", "{file}", "experiment", "mse", "--grid", "1"],
+         json.dumps({"network": "net.json", "inputs": "inputs.json"}).encode("utf-16")),
+    ], ids=["net-utf16", "net-latin1", "profile-utf16", "config-utf16"])
+    def test_non_utf8_file_exits_1(self, experiment_files, tmp_path, capsys, args, content):
+        path = tmp_path / "file.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, [a.format(**experiment_files, file=path) for a in args])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte ")
+
     def test_fractional_labels_exit_1(self, experiment_files, capsys):
         with open(experiment_files["config"], encoding="utf-8") as fh:
             inputs_path = json.load(fh)["inputs"]

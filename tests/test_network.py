@@ -1,7 +1,11 @@
 """Network representation, noiseless evaluation, and per-layer bounds."""
 
+import ast
+import inspect
 import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -591,6 +595,121 @@ class TestJsonFormat:
         with pytest.raises(ValidationError):
             network_from_json(obj)
 
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types, floats compared by their bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _dump(obj, fmt: str, ascii_only: bool) -> str:
+    """JSON text of ``obj`` with every float written as ``fmt % value``."""
+    if isinstance(obj, float):
+        return fmt % obj
+    if isinstance(obj, list):
+        return "[" + ", ".join(_dump(v, fmt, ascii_only) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(k, ensure_ascii=ascii_only) + ":" + _dump(v, fmt, ascii_only)
+                              for k, v in obj.items()) + "}"
+    return json.dumps(obj, ensure_ascii=ascii_only)
+
+
+# finite floats from random bit patterns (subnormals and -0.0 among them) and
+# hypothesis's own edge values; ints inside int64; strings that need escapes
+_FINITE = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float_from_bits).filter(math.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.225073858507201e-308, 2.2250738585072014e-308,
+                     1.7976931308623157e308, 0.1, 1e16, 1e-5]),
+)
+_LEAVES = st.one_of(_FINITE, st.integers(-(2**63), 2**63 - 1), st.booleans(), st.none(),
+                    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8))
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=6)),
+    max_leaves=40,
+)
+
+
+def _outcome(parse, data):
+    """What ``parse(data)`` gives: its value, or the type and text of what it raises."""
+    try:
+        return "value", parse(data)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+class TestParseJson:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(doc=_DOCUMENTS, fmt=st.sampled_from(["%r", "%.17g", "%.20e", "%.3g"]),
+           ascii_only=st.booleans())
+    def test_matches_the_stdlib(self, doc, fmt, ascii_only):
+        text = _dump(doc, fmt, ascii_only)
+        want = json.loads(text)
+        assert _same(network._parse_json(text), want)
+        assert _same(network._parse_json(text.encode("utf-8")), want)
+
+    @pytest.mark.parametrize("text", [
+        "NaN", "[Infinity, -Infinity]", "1e400", "[-1e400]", '"\\ud800"', '{"a": "\\udfff"}',
+        "\ufeff[1]", "[1, 2,]", "012", "[1] x", "", "{'a': 1}",
+    ], ids=["nan", "infinities", "overflow", "negative-overflow", "lone-high-surrogate",
+            "lone-low-surrogate", "bom", "trailing-comma", "leading-zero", "extra-data", "empty",
+            "single-quotes"])
+    def test_refused_documents_keep_the_stdlib_outcome(self, text):
+        want = _outcome(json.loads, text)
+        for data in (text, text.encode("utf-8")):
+            got = _outcome(network._parse_json, data)
+            assert got[0] is want[0] and _same(got[1], want[1]), (data, got, want)
+
+    def test_non_utf8_bytes_are_refused_by_name(self):
+        with pytest.raises(ValidationError) as exc:
+            network._parse_json(b"\xff\xfe[1]", "net.json")
+        assert str(exc.value) == ("net.json is not UTF-8 text: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 0: invalid start byte")
+
+    def test_integer_beyond_64_bits_arrives_as_a_float(self):
+        # documented: orjson takes integers only inside [-2**63, 2**64)
+        assert _same(network._parse_json(str(2**64 - 1)), 2**64 - 1)
+        assert _same(network._parse_json(str(-(2**63))), -(2**63))
+        assert _same(network._parse_json(str(2**70)), 2.0**70)
+        assert _same(network._parse_json(str(-(2**63) - 1)), -(2.0**63))
+
+    def test_load_network_reads_the_file_through_the_helper(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"input_dim": 1, "layers": [{"weights": [[0.1]], "bias": [-0.0]}]}))
+        seen = []
+        real = network._parse_json
+        monkeypatch.setattr(network, "_parse_json", lambda data, source: seen.append(source)
+                            or real(data, source))
+        net = network.load_network(path)
+        assert seen == [str(path)]
+        assert net.layers[0].weights[0, 0] == 0.1 and math.copysign(1.0, net.layers[0].bias[0]) < 0
+
+    def test_no_other_json_decode_call_in_the_package(self):
+        # every JSON input goes through network._parse_json
+        lines, first = inspect.getsourcelines(network._parse_json)
+        inside = range(first, first + len(lines))
+        calls = []
+        for path in sorted(Path(network.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("load", "loads")
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id in ("json", "orjson")):
+                    calls.append((path.name, node.func.value.id, node.lineno in inside))
+        assert sorted(calls) == [("network.py", "json", True), ("network.py", "orjson", True)]
 
 class TestValueRules:
     """The one rule per kind of value that every entry point applies."""
