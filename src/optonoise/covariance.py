@@ -3,36 +3,44 @@
 For networks whose activations are element-wise multiplications by fixed
 coefficients, the output of a noisy evaluation is normal around the
 noiseless output, and its covariance is obtained by iterating a per-layer
-map.  With ``A = D W`` (``D`` the diagonal activation matrix), every
-recursion here runs one layer step on a pair ``(shared, per)``: the
-covariance common to the m values entering a layer, and the covariance
-each of them carries alone.  The combine averages the m values, so
+map.  Every recursion here is one run of an engine on the wiring of the
+sampler kernel ``noise._sample``.  With ``fans = (*fan_in, fan_out[-1])``,
+layer ``l`` makes each weighted addition on the average of ``f =
+fans[l-1]`` copies of layer ``l - 1`` and splits it into ``fan_out[l-1]``
+copies, and ``fans[l]`` copies of layer ``l`` are averaged into the input
+of the next layer.  The engine carries one matrix from layer to layer:
+``G``, the covariance of such an average.  With ``A = D W`` (``D`` the
+diagonal activation matrix), each layer computes
 
-    shared' = A shared A^T + (A per A^T + D S_w D^T) / m + D S_sum D^T / m^2
-    per'    = D S_spl D^T + S_a
+    S_l = A G_{l-1} A^T + D (Sigma_w / f + Sigma_c / f^2) D^T
+    P_l = D Sigma_spl D^T + Sigma_a
+    G_l = (fan_out[l-1] / fans[l]) S_l + P_l / fans[l]
 
-The engine runs this step on the wiring of the sampler kernel
-``noise._sample``: layer ``l`` averages ``m = fan_in[l-1]`` copies and
-splits the result into ``fan_out[l-1]``.  At fan-out 1 the copies entering
-the next layer are independent subtrees, so the parts are folded
-(``per <- shared' + per'``, ``shared <- 0``), which iterates
+from ``G_0 = Sigma_m / fans[0]``, ``S_0 = 0`` and ``P_0 = Sigma_m``.
+``S_l`` is what the copies of one weighted addition share, ``P_l`` what
+each copy adds alone, and one copy has covariance ``S_l + P_l``.  The
+``fans[l]`` copies of an average come from ``fans[l] / fan_out[l-1]``
+weighted additions, each on copies of its own below it down to the
+modulated inputs, so they share nothing, and ``G_l`` is exact on every
+wiring the kernel accepts.  Each analytic result is one wiring, with
+combine/split noise only where the design has it:
 
-    step_m(S) = (A S A^T + D S_w D^T) / m + D S_sum D^T / m^2 + D S_spl D^T + S_a
-
-Otherwise both are kept, and the next layer averages copies that all
-carry ``shared``.  Each analytic result is one wiring, with combine/split
-noise only where the design has it:
-
-* ``propagate``: fan-in and fan-out 1, so ``step`` is ``step_m`` at ``m = 1``;
+* ``propagate``: every fan 1, so ``S_l + P_l`` iterates the plain map;
 * the tree (design A), copies ``n_0..n_L``: fan-in ``n_{l-1}``, fan-out 1,
-  its exact output covariance on a linear net;
+  so ``S_L + P_L`` is its exact output covariance on a linear net;
 * ``propagate_b``: fan-in m, fan-out 1, as if the m branches were independent;
 * ``propagate_b_branchwise``: fan-in and fan-out m, the wiring of
-  ``design_b_samples`` and its exact covariance.  At ``m = 1`` it folds:
-  ``shared`` is zero and ``per_branch`` holds the whole covariance.
+  ``design_b_samples`` and its exact covariance, ``G_L = S_L + P_L / m``.
+
+At fan-out 1, ``G_l`` is ``(S_l + P_l) / fans[l]``, so one copy's
+covariance ``X = S + P`` iterates, at ``m = f``,
+
+    step_m(X) = (A X A^T + D Sigma_w D^T) / m + D Sigma_c D^T / m^2
+                + D Sigma_spl D^T + Sigma_a
 
 For layer-independent ``D, W`` and noise, ``step_m`` without combine/split
-noise is one map ``B S B^T + R``, ``B = A/sqrt(m)``, ``R = D S_w D^T/m + S_a``.
+noise is one map ``B X B^T + R``, ``B = A/sqrt(m)``,
+``R = D Sigma_w D^T/m + Sigma_a``.
 It has a closed finite sum, a convergent infinite series under a
 contraction hypothesis, and a fixed point computable either by iteration
 or as the solution of a discrete Lyapunov equation; the plain closed form
@@ -42,8 +50,8 @@ and series are the combine/split ones at ``m = 1``.
 at every layer, which a faithful simulation does not (see
 ``design_b.compare_design_b``); the two differ by an exactly known
 positive semidefinite term.  Write
-``T_l`` for the ``propagate_b`` covariances, ``S_l`` and ``B_l`` for the
-branchwise ``shared`` and ``per_branch`` parts, and ``R_l = T_l - B_l``.
+``T_l`` for the ``propagate_b`` covariances, ``S_l`` and ``P_l`` for the
+branchwise ``shared`` and ``per_branch`` parts, and ``R_l = T_l - P_l``.
 Then ``S_l - R_l = A_l (S_{l-1} - R_{l-1}/m) A_l^T`` with ``S_0 = R_0 = 0``,
 so, with the terminal-averaging correction applied to ``T_L``,
 
@@ -151,25 +159,6 @@ def trajectory_to_json(traj: Trajectory) -> dict:
     return {"layers": [{"index": l, "sigma": s.tolist()} for l, s in enumerate(traj.sigmas)]}
 
 
-def _step(e, W, shared, per, sigma_w, sigma_a, sigma_sum, sigma_spl, m):
-    """One layer of the engine: the raw, unsymmetrized ``(shared', per')``
-    of the module docstring.
-
-    ``shared = None`` stands for zero and skips its transport; zero
-    combine/split covariances add nothing.
-    """
-    A = e[:, None] * W
-    shared_out = (A @ per @ A.T + _dsd(e, sigma_w)) / m
-    if shared is not None:
-        shared_out = A @ shared @ A.T + shared_out
-    if np.any(sigma_sum):
-        shared_out = shared_out + _dsd(e, sigma_sum) / (m * m)
-    per_out = sigma_a
-    if np.any(sigma_spl):
-        per_out = per_out + _dsd(e, sigma_spl)
-    return shared_out, per_out
-
-
 def step_map_b(D, W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m: int) -> np.ndarray:
     """One combine/split covariance update with ``m`` copies per layer.
 
@@ -192,35 +181,41 @@ def step_map_b(D, W, sigma_prev, sigma_w, sigma_a, sigma_sum, sigma_spl, m: int)
             raise ValidationError(str(exc).replace("full covariance", what)) from None
     prev, w, a, combine, split = specs
     net = LinearNet(((e, W),), W.shape[1])
-    _, per = _run(net, NoiseProfile(prev, (w,), (a,), combine, split), (m,), (1,), True)
-    return per[1]
+    profile = NoiseProfile(prev, (w,), (a,), combine, split)
+    return _copies(_run(net, profile, (m,), (1,), True)).final
 
 
 def _run(net: LinearNet, profile: NoiseProfile, fan_in, fan_out, combine_split=False):
-    """The engine loop on the wiring of ``noise._sample`` (module
-    docstring): lists of ``shared`` (None for zero) and ``per``
-    covariances, layers 0..L.
+    """The engine on the wiring of ``noise._sample`` (module docstring):
+    yields ``(S_l, P_l)`` for layers 0..L, carrying only ``G`` between them.
     """
     fan_in = [_integer(g, "copy count m", 1) for g in fan_in]
     profile.validate_for(net)
     dims = net.dims()
-    combine, split = (profile.combine, profile.split) if combine_split else (_ZERO, _ZERO)
-    shared, per = None, _sym(profile.modulation.matrix(dims[0]))
-    shared_parts, per_parts = [shared], [per]
+    fans = (*fan_in, fan_out[-1])
+    # the combine and split specs, None where they add nothing
+    combine, split = (spec if combine_split and not spec.is_zero else None
+                      for spec in (profile.combine, profile.split))
+    P = profile.modulation.matrix(dims[0])
+    G = P / fans[0]
+    yield np.zeros_like(P), P
     for l, (e, W) in enumerate(net.pairs, start=1):
-        d = dims[l]
-        shared, per = _step(
-            e, W, shared, per,
-            profile.weight[l - 1].matrix(d), profile.activation[l - 1].matrix(d),
-            combine.matrix(d), split.matrix(d), fan_in[l - 1],
-        )
-        if fan_out[l - 1] == 1:
-            shared, per = None, _sym(shared + per)
-        else:
-            shared, per = _sym(shared), _sym(per)
-        shared_parts.append(shared)
-        per_parts.append(per)
-    return shared_parts, per_parts
+        d, f = dims[l], fans[l - 1]
+        fresh = profile.weight[l - 1].matrix(d) / f
+        if combine is not None:
+            fresh = fresh + combine.matrix(d) / (f * f)
+        A = e[:, None] * W
+        S = _sym(A @ G @ A.T + _dsd(e, fresh))
+        P = profile.activation[l - 1].matrix(d)
+        if split is not None:
+            P = _sym(P + _dsd(e, split.matrix(d)))
+        G = (fan_out[l - 1] * S + P) / fans[l]
+        yield S, P
+
+
+def _copies(run) -> Trajectory:
+    """The trajectory of one copy's covariance ``S + P`` of an engine run."""
+    return Trajectory(tuple(S + P for S, P in run))
 
 
 def propagate(net: LinearNet, profile: NoiseProfile) -> Trajectory:
@@ -229,8 +224,7 @@ def propagate(net: LinearNet, profile: NoiseProfile) -> Trajectory:
     Returns the full trajectory; ``.final`` is the output covariance of a
     noisy evaluation of the unmodified linear network.
     """
-    _, per = _run(net, profile, (1,) * net.depth, (1,) * net.depth)
-    return Trajectory(tuple(per))
+    return _copies(_run(net, profile, (1,) * net.depth, (1,) * net.depth))
 
 
 def propagate_b(net: LinearNet, profile: NoiseProfile, m: int) -> Trajectory:
@@ -245,8 +239,7 @@ def propagate_b(net: LinearNet, profile: NoiseProfile, m: int) -> Trajectory:
     by the positive semidefinite gap ``A_L (S_{L-1} - R_{L-1}/m) A_L^T``
     derived in the module docstring.
     """
-    _, per = _run(net, profile, (m,) * net.depth, (1,) * net.depth, True)
-    return Trajectory(tuple(per))
+    return _copies(_run(net, profile, (m,) * net.depth, (1,) * net.depth, True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,10 +247,11 @@ class BranchTrajectory:
     """Exact covariance of a faithful combine/split simulation.
 
     Per layer, the m branch values decompose into a component shared by
-    all branches (everything upstream of the last split) plus independent
-    per-branch noise (split and activation noise).  ``shared[l] +
-    per_branch[l]`` is the covariance of one branch; ``output`` is the
-    covariance of the returned average, ``shared[L] + per_branch[L]/m``.
+    all branches (everything upstream of the last split: the engine's
+    ``S``) plus independent per-branch noise (split and activation noise:
+    ``P``), at ``m = 1`` too.  ``shared[l] + per_branch[l]`` is the
+    covariance of one branch; ``output`` is the covariance of the returned
+    average, ``shared[L] + per_branch[L]/m``.
     """
 
     shared: tuple[np.ndarray, ...]
@@ -272,15 +266,14 @@ class BranchTrajectory:
 def propagate_b_branchwise(net: LinearNet, profile: NoiseProfile, m: int) -> BranchTrajectory:
     """Track the shared/per-branch covariance split of the combine/split design.
 
-    The engine on the sampler's wiring, fan-in and fan-out m: the shared
-    part passes through ``A . A^T`` undamped while the per-branch part and
-    the fresh weight/combine noise are averaged.  At ``m = 1`` the run is
-    folded, so ``shared`` is zero (module docstring).
+    The engine on the sampler's wiring, fan-in and fan-out m, whose ``S``
+    and ``P`` are ``shared`` and ``per_branch`` (module docstring): the
+    shared part passes through ``A . A^T`` undamped while the per-branch
+    part and the fresh weight/combine noise are averaged.
     """
     m = _integer(m, "copy count m", 1)
-    shared, per = _run(net, profile, (m,) * net.depth, (m,) * net.depth, True)
-    shared = tuple(np.zeros_like(p) if s is None else s for s, p in zip(shared, per))
-    return BranchTrajectory(shared, tuple(per), m)
+    shared, per = zip(*_run(net, profile, (m,) * net.depth, (m,) * net.depth, True))
+    return BranchTrajectory(shared, per, m)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optonoise import (
+    Activation,
     ContractionError,
     ConvergenceError,
     CovSpec,
     DesignASpec,
     DesignBSpec,
+    Layer,
     LinearNet,
     Network,
     NoiseProfile,
@@ -34,7 +36,8 @@ from optonoise import (
     symmetric_closed_form,
     symmetric_closed_form_b,
 )
-from optonoise.covariance import _run, trajectory_to_json
+from optonoise import noise
+from optonoise.covariance import _copies, _run, trajectory_to_json
 from optonoise.design_b import terminal_average_correction
 from optonoise.network import forward
 
@@ -425,7 +428,8 @@ def engine_case(seed, depth):
 
 
 class TestEngineModes:
-    """The plain, folded and branch-resolved runs of the one layer step."""
+    """The engine on the plain wiring, on fan-in m with fan-out 1
+    (``propagate_b``) and on fan-in and fan-out m (branch-resolved)."""
 
     @settings(derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 4))
@@ -453,15 +457,20 @@ class TestEngineModes:
 
     @settings(derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 4))
-    def test_branchwise_m1_is_folded(self, seed, depth):
-        # at m = 1 every fan-out is 1, so the branch-resolved run folds
+    def test_branchwise_m1_parts(self, seed, depth):
+        # at m = 1 a branch is one copy: S + P is propagate_b's covariance,
+        # and P is what each copy adds after the weighted addition
         _, linnet, _, with_cs = engine_case(seed, depth)
         branch = propagate_b_branchwise(linnet, with_cs, 1)
         folded = propagate_b(linnet, with_cs, 1)
-        for shared in branch.shared:
-            np.testing.assert_array_equal(shared, np.zeros_like(shared))
-        for x, y in zip(branch.per_branch, folded.sigmas, strict=True):
-            np.testing.assert_array_equal(x, y)
+        for shared, per, sigma in zip(branch.shared, branch.per_branch, folded.sigmas, strict=True):
+            np.testing.assert_array_equal(shared + per, sigma)
+        dims = linnet.dims()
+        np.testing.assert_array_equal(branch.shared[0], np.zeros((dims[0], dims[0])))
+        for l, (e, _) in enumerate(linnet.pairs, start=1):
+            split = with_cs.split.matrix(dims[l])
+            want = (e[:, None] * split) * e[None, :] + with_cs.activation[l - 1].matrix(dims[l])
+            np.testing.assert_allclose(branch.per_branch[l], want, rtol=1e-15, atol=0)
 
     @settings(derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4))
@@ -472,6 +481,79 @@ class TestEngineModes:
         )
         branch = propagate_b_branchwise(linnet, with_cs, m)
         np.testing.assert_allclose(corrected, branch.output, rtol=0, atol=1e-12)
+
+
+class TestKernelLaw:
+    """On an all-linear net the sampler kernel draws the whole output noise
+    from one site, the top merged site ``(6, L)``, and the law it builds
+    there is exact: ``F F^T`` is the engine's output covariance on the same
+    wiring, ``S_L + P_L / fan_out[-1]``, to rounding.  Random diag-linear
+    nets, every source a full covariance, combine and split noise on; the
+    laws are recorded from ``noise._law`` during a one-trial call."""
+
+    WIRINGS = {
+        "plain": ((1, 1, 1), (1, 1, 1), False),
+        "tree": ((2, 3, 2), (1, 1, 1), False),
+        "design-b": ((3, 3, 3), (3, 3, 3), True),
+        "mixed-3": ((2, 4, 4), (2, 4, 2), True),
+        "mixed-4": ((2, 4, 4, 2), (2, 4, 2, 2), True),
+    }
+
+    @classmethod
+    def run(cls, wiring, net, profile, x, rng):
+        """One trial of the public sampler of ``wiring``; the kernel on the
+        mixed wirings, which no sampler builds."""
+        fan_in, fan_out, combine_split = cls.WIRINGS[wiring]
+        if wiring == "plain":
+            return noisy_forward_samples(net, profile, x, 1, rng)
+        if wiring == "tree":
+            return design_a_samples(DesignASpec(net, (*fan_in, 1)), x, profile, 1, rng)
+        if wiring == "design-b":
+            return design_b_samples(DesignBSpec(net, fan_in[0]), x, profile, 1, rng)
+        return noise._sample(net, profile, x, 1, rng, fan_in, fan_out, combine_split)
+
+    @staticmethod
+    def case(seed, depth):
+        """A diag-linear net whose layers share one width, so one full
+        combine and one full split covariance fit every layer, and a profile
+        with every source a full covariance."""
+        rng = np.random.default_rng(seed)
+        d_in, d = (int(k) for k in rng.integers(1, 5, size=2))
+        layers = tuple(
+            Layer(rng.normal(size=(d, d_prev)) * 0.8 / np.sqrt(d_prev), rng.normal(size=d) * 0.3,
+                  Activation.diag_linear(rng.uniform(0.3, 1.1, size=d)))
+            for d_prev in (d_in,) + (d,) * (depth - 1))
+
+        def full():
+            return random_covspec(rng, d, kind="full")
+
+        profile = NoiseProfile(random_covspec(rng, d_in, kind="full"),
+                               tuple(full() for _ in range(depth)),
+                               tuple(full() for _ in range(depth)), full(), full())
+        return Network(layers, d_in), profile, rng.normal(size=d_in)
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("wiring", sorted(WIRINGS))
+    def test_top_law_is_the_engine_output(self, wiring, seed):
+        fan_in, fan_out, combine_split = self.WIRINGS[wiring]
+        net, profile, x = self.case(seed, len(fan_in))
+        laws = []
+        real = noise._law
+
+        def recording(*args, **kwargs):
+            laws.append(real(*args, **kwargs))
+            return laws[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(noise, "_law", recording)
+            self.run(wiring, net, profile, x, RngStream(seed))
+        # the modulation law, then one merged law per layer
+        assert len(laws) == net.depth + 1
+        F = noise._factor(laws[-1], net.dims()[-1])
+        S, P = list(_run(LinearNet.from_network(net), profile, fan_in, fan_out, combine_split))[-1]
+        cov = S + P / fan_out[-1]
+        assert np.linalg.norm(F @ F.T - cov) <= 1e-12 * np.linalg.norm(cov)
 
 
 class TestClosedForms:
@@ -957,7 +1039,7 @@ class TestOraclesMatchSamplers:
     def test_tree(self, copies, depth, seed):
         _, net, profile, x = self.case(depth, seed)
         copies = tuple(copies[:depth])
-        per = _run(LinearNet.from_network(net), profile, copies, (1,) * depth)[1]
+        per = _copies(_run(LinearNet.from_network(net), profile, copies, (1,) * depth)).sigmas
         for l, head, cut in self.prefixes(net, profile):
             samples = design_a_samples(DesignASpec(head, copies[:l] + (1,)), x, cut, self.TRIALS,
                                        RngStream(seed))

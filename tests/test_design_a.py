@@ -29,7 +29,7 @@ from optonoise import (
     sufficient_copies,
     total_copies,
 )
-from optonoise.covariance import _run
+from optonoise.covariance import _copies, _run
 from optonoise.design_a import common_variance_bound, equal_split_targets, wilson_interval
 from optonoise import design_a
 
@@ -205,7 +205,7 @@ class TestTreeOracle:
         net = random_linear_net(rng, depth=len(copies) - 1, max_dim=4)
         profile = random_profile(rng, net)
         x = rng.normal(size=net.input_dim)
-        cov = _run(LinearNet.from_network(net), profile, copies[:-1], (1,) * net.depth)[1][-1]
+        cov = _copies(_run(LinearNet.from_network(net), profile, copies[:-1], (1,) * net.depth)).final
         samples = design_a_samples(DesignASpec(net, copies), x, profile, 40_000, RngStream(seed))
         mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), cov)
         assert mean_gap <= self.MAX_SE and cov_gap <= self.MAX_SE, (mean_gap, cov_gap)

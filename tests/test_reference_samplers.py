@@ -29,7 +29,7 @@ from optonoise import (
     noisy_forward_samples,
     propagate_b_branchwise,
 )
-from optonoise.covariance import _run
+from optonoise.covariance import _copies, _run
 
 import reference_samplers
 from conftest import SpecSites, gaussian_gaps, random_covspec, random_linear_net, random_profile
@@ -281,7 +281,7 @@ class TestLinearOracles:
         net = random_linear_net(rng, depth=len(copies) - 1, max_dim=4)
         profile = random_profile(rng, net)
         x = rng.normal(size=net.input_dim)
-        cov = _run(LinearNet.from_network(net), profile, copies[:-1], (1,) * net.depth)[1][-1]
+        cov = _copies(_run(LinearNet.from_network(net), profile, copies[:-1], (1,) * net.depth)).final
         samples = TREE[sampler](DesignASpec(net, copies), x, profile, self.TRIALS, RngStream(seed))
         mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), cov)
         assert mean_gap <= MAX_SE and cov_gap <= MAX_SE, (mean_gap, cov_gap)
@@ -347,7 +347,7 @@ class TestLinearPerSource:
         linnet = LinearNet.from_network(net)
         if sampler == "tree":
             def engine(p):
-                return _run(linnet, p, (2, 2, 2), (1, 1, 1))[1][-1]
+                return _copies(_run(linnet, p, (2, 2, 2), (1, 1, 1))).final
         else:
             def engine(p):
                 return propagate_b_branchwise(linnet, p, 3).output
@@ -508,7 +508,7 @@ class TestOraclePower:
             samples = literal_design_b_samples(DesignBSpec(net, self.M), x, profile,
                                                self.TRIALS, RngStream(716))
         else:
-            cov = _run(linnet, profile, self.COPIES[:-1], (1,) * net.depth)[1][-1]
+            cov = _copies(_run(linnet, profile, self.COPIES[:-1], (1,) * net.depth)).final
             samples = literal_tree_samples(DesignASpec(net, self.COPIES), x, profile,
                                            self.TRIALS, RngStream(716))
         mean_gap, cov_gap = gaussian_gaps(samples, forward(net, x), cov)
